@@ -54,10 +54,7 @@ def _load_diagram(args, want_positive: bool = False):
     base = doc.base if ordered else doc
     spec = getattr(args, "telescope", "auto")
     if spec == "auto":
-        if want_positive:
-            q = positivity_power(base, args.tolerance)
-        else:
-            q = telescope_to_primitive(base, args.tolerance)[1]
+        q = positivity_power(base) if want_positive else telescope_to_primitive(base)[1]
     else:
         try:
             q = int(spec)

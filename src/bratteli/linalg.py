@@ -1,10 +1,11 @@
 """Exact linear algebra over ``int``/``Fraction``.
 
-Matrices are lists (or tuples) of row sequences.  Everything is plain
-Python: the matrices in this domain are tiny (a few dozen vertices at
-most) and exactness matters far more than speed.  The same elimination
-routines also accept ``float`` entries where an approximate path is
-explicitly wanted.
+Matrices are lists (or tuples) of row sequences, in plain Python.
+Integer input stays in ``int`` wherever the result is integral (matrix
+products, ``char_poly``), so the cost grows polynomially with the size
+and the digit length of the entries; ``Fraction`` appears only where
+elimination divides.  The elimination routines also accept ``float``
+entries where an approximate path is explicitly wanted.
 """
 
 from __future__ import annotations
@@ -50,26 +51,25 @@ def trace(a):
 def char_poly(a):
     """Coefficients ``[1, c1, ..., cN]`` of det(zI - A) = z^N + c1 z^(N-1) + ... + cN.
 
-    Faddeev-LeVerrier over exact rationals; for integer input the result
-    is integer and is returned as ints.
+    Faddeev-LeVerrier in integers: M_1 = A, c_k = -tr(M_k) / k and
+    M_(k+1) = A (M_k + c_k I).  For an integer matrix every c_k is a
+    coefficient of a monic integer polynomial, so each M_k is an integer
+    matrix and k divides tr(M_k) exactly; a non-zero remainder (possible
+    only for non-integer input) raises ArithmeticError.
     """
     n = len(a)
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     m = identity(n)
     for k in range(1, n + 1):
         if k > 1:
-            # M <- A (M + c_{k-1} I)
             for i in range(n):
                 m[i][i] += coeffs[-1]
         m = mat_mul(a, m)
-        coeffs.append(Fraction(-trace(m), k))
-    out = []
-    for c in coeffs:
-        c = Fraction(c)
-        if c.denominator != 1:
+        c, rem = divmod(-trace(m), k)
+        if rem:
             raise ArithmeticError("characteristic polynomial not integral")
-        out.append(int(c))
-    return out
+        coeffs.append(c)
+    return coeffs
 
 
 def poly_eval(coeffs, x):

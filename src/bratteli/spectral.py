@@ -105,16 +105,24 @@ def _power_perron(block):
     return lam, v, residual
 
 
+def _is_zero(block):
+    return all(x == 0 for row in block for x in row)
+
+
 def perron_pair(block):
     """(NumericValue, eigenvector) for an irreducible non-negative integer
     block; exact rationals when the Perron value is rational, floats with
-    a certified residual otherwise.  A zero block reports exactly 0."""
+    a certified residual otherwise.  A zero block reports exactly 0.
+    The characteristic polynomial is monic in Z[z], so a rational root is
+    an integer, and the Perron value lies between the least and greatest
+    row sums (Perron-Frobenius): only those integers are tried, and only
+    the Perron value has a strictly positive eigenvector."""
     n = len(block)
-    if all(x == 0 for row in block for x in row):
+    if _is_zero(block):
         return NumericValue.exact(0), (Fraction(1),) * n
     poly = linalg.char_poly(block)
-    tail = next(c for c in reversed(poly) if c != 0)
-    for r in linalg.positive_divisors(tail):
+    row_sums = [sum(row) for row in block]
+    for r in range(max(1, min(row_sums)), max(row_sums) + 1):
         if linalg.poly_eval(poly, r) != 0:
             continue
         shifted = [[Fraction(x) - (r if i == j else 0) for j, x in enumerate(row)]
@@ -125,8 +133,7 @@ def perron_pair(block):
             if all(x < 0 for x in vec):
                 return NumericValue.exact(r), tuple(-x for x in vec)
     lam, vec, residual = _power_perron(block)
-    norm = max(sum(row) for row in block)
-    if residual > 1e-12 * norm:
+    if residual > 1e-12 * max(row_sums):
         raise ArithmeticError(f"power iteration residual {residual} above target")
     return NumericValue.approx(lam, residual), tuple(vec)
 
@@ -138,7 +145,7 @@ def spectral_radius(block) -> NumericValue:
 def imprimitivity_index(block) -> int:
     """gcd of the cycle lengths of an irreducible non-zero block."""
     n = len(block)
-    if all(x == 0 for row in block for x in row):
+    if _is_zero(block):
         raise ZeroBlockError("zero block has no cycles")
     level = [None] * n
     level[0] = 0
@@ -239,9 +246,11 @@ class ComponentDecomposition:
         return tuple(labels[v] for v in self.classes[alpha].vertices)
 
 
-def decompose(d: StationaryDiagram, gap: float = DEFAULT_GAP) -> ComponentDecomposition:
-    """Class decomposition of A = F^T with access order, per-block Perron
-    data and distinguished flags."""
+def _class_structure(d: StationaryDiagram):
+    """(A = F^T, classes, class_of, access, blocks): the strongly connected
+    classes sorted by least vertex, the class of each vertex, the
+    reflexive-transitive access relation between classes and the diagonal
+    block of each class.  Structure only; no Perron data."""
     n = d.n_vertices
     a = [list(col) for col in zip(*d.incidence)]
     adj = [[j for j in range(n) if a[i][j] > 0] for i in range(n)]
@@ -252,38 +261,32 @@ def decompose(d: StationaryDiagram, gap: float = DEFAULT_GAP) -> ComponentDecomp
             class_of[v] = ci
     k = len(comps)
 
-    direct = [[False] * k for _ in range(k)]
+    access = [[b == c for c in range(k)] for b in range(k)]
     for i in range(n):
         for j in adj[i]:
-            direct[class_of[i]][class_of[j]] = True
-    access = [[direct[b][c] or b == c for c in range(k)] for b in range(k)]
+            access[class_of[i]][class_of[j]] = True
     for mid in range(k):  # transitive closure
         for b in range(k):
             if access[b][mid]:
-                row_mid = access[mid]
-                access[b] = [x or y for x, y in zip(access[b], row_mid)]
+                access[b] = [x or y for x, y in zip(access[b], access[mid])]
+    blocks = [tuple(tuple(a[i][j] for j in comp) for i in comp) for comp in comps]
+    return a, comps, class_of, access, blocks
 
-    blocks, zero_flags, rhos, perrons, periods = [], [], [], [], []
-    for comp in comps:
-        block = tuple(tuple(a[i][j] for j in comp) for i in comp)
-        is_zero = all(x == 0 for row in block for x in row)
-        rho, vec = perron_pair(block)
-        blocks.append(block)
-        zero_flags.append(is_zero)
-        rhos.append(rho)
-        perrons.append(None if is_zero else vec)
-        periods.append(None if is_zero else imprimitivity_index(block))
 
-    distinguished = []
-    for alpha in range(k):
-        if zero_flags[alpha]:
-            distinguished.append(False)
-            continue
-        above = [b for b in range(k) if b != alpha and access[b][alpha]]
-        distinguished.append(all(nv_gt(rhos[alpha], rhos[b], gap) for b in above))
-
-    classes = tuple(ComponentClass(ci, tuple(comp), blocks[ci], zero_flags[ci],
-                                   rhos[ci], periods[ci], distinguished[ci], perrons[ci])
+def decompose(d: StationaryDiagram, gap: float = DEFAULT_GAP) -> ComponentDecomposition:
+    """Class decomposition of A = F^T with access order, per-block Perron
+    data and distinguished flags."""
+    a, comps, class_of, access, blocks = _class_structure(d)
+    k = len(comps)
+    zero_flags = [_is_zero(block) for block in blocks]
+    rhos, vecs = zip(*map(perron_pair, blocks))
+    distinguished = [not zero_flags[alpha]
+                     and all(nv_gt(rhos[alpha], rhos[b], gap)
+                             for b in range(k) if b != alpha and access[b][alpha])
+                     for alpha in range(k)]
+    classes = tuple(ComponentClass(ci, tuple(comp), blocks[ci], zero_flags[ci], rhos[ci],
+                                   None if zero_flags[ci] else imprimitivity_index(blocks[ci]),
+                                   distinguished[ci], None if zero_flags[ci] else vecs[ci])
                     for ci, comp in enumerate(comps))
     initial = tuple(alpha for alpha in range(k)
                     if not any(access[b][alpha] for b in range(k) if b != alpha))
@@ -321,38 +324,31 @@ def distinguished_classes(decomp: ComponentDecomposition) -> tuple[int, ...]:
 
 def check_primitive(decomp: ComponentDecomposition):
     """Raise PrimitivityError unless every non-zero block is primitive."""
-    q = 1
-    for c in decomp.classes:
-        if c.imprimitivity not in (None, 1):
-            q = q * c.imprimitivity // math.gcd(q, c.imprimitivity)
+    q = math.lcm(1, *(c.imprimitivity for c in decomp.classes if c.imprimitivity))
     if q != 1:
         raise PrimitivityError(
             f"telescope by {q} first: some diagonal block is imprimitive", power=q)
 
 
-def telescope_to_primitive(d: StationaryDiagram, gap: float = DEFAULT_GAP):
+def telescope_to_primitive(d: StationaryDiagram):
     """(telescoped diagram, q): smallest power q = lcm of the block
-    imprimitivity indices, so every non-zero block of F**q is primitive."""
-    decomp = decompose(d, gap)
-    q = 1
-    for c in decomp.classes:
-        if c.imprimitivity is not None:
-            q = q * c.imprimitivity // math.gcd(q, c.imprimitivity)
+    imprimitivity indices, so every non-zero block of F**q is primitive.
+    Reads the class structure only, not the Perron data."""
+    q = math.lcm(1, *(imprimitivity_index(block) for block in _class_structure(d)[4]
+                      if not _is_zero(block)))
     return (d if q == 1 else telescope(d, q)), q
 
 
-def positivity_power(d: StationaryDiagram, gap: float = DEFAULT_GAP):
+def positivity_power(d: StationaryDiagram):
     """Power q such that every non-zero diagonal block of F**q is strictly
     positive.  Computed on boolean patterns, so large entries cost nothing."""
-    base, q = telescope_to_primitive(d, gap)
-    decomp = decompose(base, gap)
+    base, q = telescope_to_primitive(d)
     extra = 1
-    for c in decomp.classes:
-        if c.is_zero or len(c.vertices) == 0:
+    for block in _class_structure(base)[4]:
+        if _is_zero(block):
             continue
-        pattern = [[1 if x > 0 else 0 for x in row] for row in c.block]
-        m = 1
-        current = pattern
+        pattern = [[1 if x > 0 else 0 for x in row] for row in block]
+        m, current = 1, pattern
         limit = (len(pattern) - 1) ** 2 + 2
         while any(x == 0 for row in current for x in row):
             current = [[1 if any(a and b for a, b in zip(row, col)) else 0
@@ -360,7 +356,7 @@ def positivity_power(d: StationaryDiagram, gap: float = DEFAULT_GAP):
             m += 1
             if m > limit:
                 raise PrimitivityError("block never becomes positive; not primitive")
-        extra = extra * m // math.gcd(extra, m)
+        extra = math.lcm(extra, m)
     return q * extra
 
 

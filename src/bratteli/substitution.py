@@ -110,13 +110,16 @@ def growth_check(s: Substitution, gap: float = DEFAULT_GAP) -> GrowthReport:
     on the class structure: the image lengths of letter a are unbounded
     iff some class with access to a's class has Perron value above 1, or
     two distinct chained unit-Perron classes sit above it."""
-    decomp = decompose(diagram_from_substitution(s).base, gap)
+    return _growth_report(s, decompose(diagram_from_substitution(s).base, gap))
+
+
+def _growth_report(s: Substitution, decomp: ComponentDecomposition) -> GrowthReport:
     one = NumericValue.exact(1)
     k = len(decomp.classes)
 
     def rho_above_one(b):
         cls = decomp.classes[b]
-        return not cls.is_zero and nv_gt(cls.rho, one, gap)
+        return not cls.is_zero and nv_gt(cls.rho, one, decomp.gap)
 
     def rho_is_one(b):
         cls = decomp.classes[b]
@@ -195,15 +198,16 @@ def substitution_measures(s: Substitution, gap: float = DEFAULT_GAP) -> Substitu
     every letter Growing; telescopes automatically (reporting the power)
     when a diagonal block is imprimitive; sigma-finite listing excludes
     the atomic single-loop classes."""
-    growth = growth_check(s, gap)
+    od = diagram_from_substitution(s)
+    decomp = decompose(od.base, gap)
+    growth = _growth_report(s, decomp)
     if not growth.growing:
         bad = growth.bounded_letters()[0]
         raise NotGrowingError(f"letter {bad!r} has bounded images", letter=bad)
-    od = diagram_from_substitution(s)
-    _, q = telescope_to_primitive(od.base, gap)
+    _, q = telescope_to_primitive(od.base)
     if q > 1:
         od = telescope_ordered(od, q)
-    decomp = decompose(od.base, gap)
+        decomp = decompose(od.base, gap)
     ergodic = tuple(enumerate_ergodic(decomp, gap))
     infinite = tuple(enumerate_infinite(decomp, gap, include_atomic=False))
     return SubstitutionMeasures(s, od, q, decomp, ergodic, infinite,

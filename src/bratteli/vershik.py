@@ -325,7 +325,7 @@ def _signature(od, diamond: Diamond):
 def _require_positive_blocks(decomp: ComponentDecomposition):
     for cls in decomp.classes:
         if not cls.is_zero and any(x == 0 for row in cls.block for x in row):
-            q = positivity_power(decomp.diagram, decomp.gap)
+            q = positivity_power(decomp.diagram)
             raise PrimitivityError(
                 f"some diagonal block has zero entries; telescope by {q} first",
                 power=q)

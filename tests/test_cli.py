@@ -8,11 +8,16 @@ confirm the entry point wiring.
 
 import contextlib
 import io
+import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bratteli
 from bratteli.cli import main
 
 B1_DOC = "n: 2\nincidence:\n2 0\n1 2\n"
@@ -141,6 +146,24 @@ class TestAnalyze:
         assert code == 3 and out == ""
         assert err == "error: not aperiodic: initial class 0 has Perron value 1\n"
 
+    def test_equal_irrational_radii_are_exact_after_telescoping(self, tmp_path):
+        # two chained period-2 classes with Perron value sqrt(2): the
+        # automatic telescoping reads only the class structure, so the
+        # float comparison of the untelescoped radii never happens
+        p = tmp_path / "sqrt2.txt"
+        p.write_text("n: 4\nincidence:\n0 2 0 0\n1 0 0 0\n1 0 0 2\n0 0 1 0\n")
+        code, out, _ = run_cli("analyze", str(p))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == "telescope power: 2"
+        assert lines[3:7] == [
+            "class 0: members=1 rho=2 distinguished=yes",
+            "class 1: members=2 rho=2 distinguished=yes",
+            "class 2: members=3 rho=2 distinguished=no",
+            "class 3: members=4 rho=2 distinguished=no",
+        ]
+        assert "borel invariant: 2" in lines
+
     def test_missing_file_exits_2(self, docs):
         code, _, err = run_cli("analyze", str(docs["dir"] / "absent.txt"))
         assert code == 2 and "absent.txt" in err
@@ -157,6 +180,29 @@ class TestAnalyze:
         assert code == 2 and "--telescope" in err
         code, _, err = run_cli("analyze", docs["b1.txt"], "--telescope", "0")
         assert code == 2 and ">= 1" in err
+
+
+class TestDenseSizeClass:
+    """Dense irreducible diagrams up to N = 48 with entries <= 9 are a
+    supported size class; these sizes once took over 30 s each."""
+
+    @pytest.mark.parametrize("n,seed", [(20, 0), (20, 1), (20, 2), (20, 3), (32, 0)])
+    def test_analyze_dense(self, tmp_path, n, seed):
+        rng = random.Random(seed)
+        rows = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+        doc = tmp_path / "dense.txt"
+        doc.write_text(f"n: {n}\nincidence:\n"
+                       + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+        code, out, _ = run_cli("analyze", str(doc))
+        assert code == 0
+        assert "classes: 1\n" in out
+        rho = re.search(r"^class 0: .* rho=([^ ]+) ", out, re.M).group(1)
+        value, _, bound = rho.partition("±")
+        lo, hi = min(map(sum, rows)), max(map(sum, rows))
+        if bound:
+            assert lo <= float(value) <= hi
+        else:
+            assert lo <= Fraction(value) <= hi
 
 
 class TestCylinder:
@@ -405,6 +451,13 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as exc:
             run_cli()
         assert exc.value.code == 2
+
+    def test_version_matches_pyproject(self):
+        # a plain scan of the [project] table: tomllib needs Python 3.11
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+        version = re.search(r'^version\s*=\s*"([^"]+)"', project, re.M).group(1)
+        assert version == bratteli.__version__
 
     def test_console_script(self, docs):
         proc = subprocess.run(

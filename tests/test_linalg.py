@@ -98,11 +98,50 @@ def test_lp_nonneg_solve_never_lies(rows, target):
         assert sum(c * t for c, t in zip(cert, b)) > 0
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2),
-                min_size=2, max_size=2))
+def _det(rows):
+    """Determinant by Fraction Gaussian elimination, independent of linalg."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def _char_poly_by_interpolation(rows):
+    """det(zI - A) at z = 0..N, Lagrange-interpolated; highest degree first."""
+    n = len(rows)
+    points = range(n + 1)
+    coeffs = [Fraction(0)] * (n + 1)
+    for zi in points:
+        value = _det([[(zi if i == j else 0) - x for j, x in enumerate(row)]
+                      for i, row in enumerate(rows)])
+        basis, denom = [Fraction(1)], Fraction(1)
+        for zj in points:
+            if zj != zi:  # basis *= (z - zj)
+                basis = [x - zj * y for x, y in zip(basis + [0], [0] + basis)]
+                denom *= zi - zj
+        coeffs = [c + value * b / denom for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
 def test_char_poly_trace_and_determinant(rows):
+    n = len(rows)
     coeffs = linalg.char_poly(rows)
-    tr = rows[0][0] + rows[1][1]
-    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    assert coeffs == [1, -tr, det]
+    assert all(type(c) is int for c in coeffs)
+    assert coeffs == _char_poly_by_interpolation(rows)
+    assert coeffs[1] == -sum(rows[i][i] for i in range(n))
+    assert coeffs[-1] == (-1) ** n * _det(rows)

@@ -1,12 +1,14 @@
 """Class decomposition, Perron data, distinguished classes, cone membership."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bratteli import linalg
 from bratteli import (
     AmbiguousComparison,
     NotDistinguishedError,
@@ -77,6 +79,31 @@ class TestPerronData:
 
     def test_zero_block_has_radius_zero(self):
         assert spectral_radius([[0]]).value == 0
+
+    def test_positivity_not_range_picks_the_perron_root(self):
+        # row sums 4, 7, 8; eigenvalues -1, 4 and 6, so two integer roots
+        # lie in the searched range and only 6 has a positive eigenvector
+        block = [[1, 2, 1], [3, 4, 0], [4, 0, 4]]
+        poly = linalg.char_poly(block)
+        assert linalg.poly_eval(poly, 4) == 0 and linalg.poly_eval(poly, 6) == 0
+        lam, vec = perron_pair(block)
+        assert lam.is_exact and lam.value == 6
+        assert all(x > 0 for x in vec)
+        assert all(sum(a * x for a, x in zip(row, vec)) == 6 * v
+                   for row, v in zip(block, vec))
+
+    def test_dense_constant_row_sum_block_is_exact(self):
+        rng = random.Random(16)
+        total = 150  # above 16 * 9, so the adjusted entry stays positive
+        block = []
+        for _ in range(16):
+            row = [rng.randint(1, 9) for _ in range(16)]
+            row[rng.randrange(16)] += total - sum(row)
+            block.append(row)
+        assert all(x > 0 for row in block for x in row)
+        lam, vec = perron_pair(block)
+        assert lam.is_exact and lam.value == total
+        assert len(set(vec)) == 1 and vec[0] > 0
 
     def test_imprimitivity_index(self):
         assert imprimitivity_index([[1, 1], [1, 1]]) == 1
