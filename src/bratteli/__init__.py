@@ -43,7 +43,7 @@ from .substitution import (GrowthReport, Substitution, SubstitutionMeasures,
                            letter_frequencies, substitution_from_diagram,
                            substitution_matrix, substitution_measures)
 from .vershik import (Diamond, EigenvalueVerdict, Leg, NonmixingReport,
-                      OrderedDiagram, PSequence, candidate_thetas,
+                      OrderedDiagram, PSequence, candidate_count, candidate_thetas,
                       default_window, eigenvalue_check, eigenvalue_search,
                       enumerate_diamonds, is_decisive, is_maximal, make_diamond,
                       max_path, min_path, nonmixing_witness, p_sequence,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .spectral import (aperiodicity_check, decompose, positivity_power,
                        telescope_to_primitive)
 from .substitution import (diagram_from_substitution, expand, letter_frequencies,
                            substitution_matrix, substitution_measures)
-from .vershik import (OrderedDiagram, candidate_thetas, default_window,
+from .vershik import (OrderedDiagram, candidate_count, default_window,
                       eigenvalue_search, is_decisive, min_path, successor,
                       telescope_ordered)
 
@@ -198,11 +197,6 @@ def cmd_cylinder(args) -> int:
     return EXIT_OK
 
 
-def _search_chunk(payload):
-    od, alpha, window, gap, chunk = payload
-    return eigenvalue_search(od, alpha, 0, window, gap=gap, thetas=chunk)
-
-
 def cmd_eigenvalues(args) -> int:
     doc, q = _load_diagram(args, want_positive=True)
     if not isinstance(doc, OrderedDiagram):
@@ -228,17 +222,7 @@ def cmd_eigenvalues(args) -> int:
     else:
         window = default_window(od.base)
 
-    thetas = candidate_thetas(args.qmax)
-    if args.jobs > 1:
-        chunks = [thetas[i::args.jobs] for i in range(args.jobs)]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            parts = pool.map(_search_chunk,
-                             [(od, alpha, window, args.tolerance, c)
-                              for c in chunks])
-        passing = sorted(x for part in parts for x in part)
-    else:
-        passing = eigenvalue_search(od, alpha, args.qmax, window, decomp,
-                                    args.tolerance)
+    passing = eigenvalue_search(od, alpha, args.qmax, window, decomp, args.tolerance)
 
     out = []
     if q > 1:
@@ -248,7 +232,7 @@ def cmd_eigenvalues(args) -> int:
     out.append(f"window: {window[0]}..{window[1]}")
     out.append(f"decisive: {'yes' if is_decisive(od.base, window) else 'no'}")
     out.append(f"qmax: {args.qmax}")
-    out.append(f"candidates: {len(thetas)}")
+    out.append(f"candidates: {candidate_count(args.qmax)}")
     out.append("pass: " + " ".join(render_scalar(t) for t in passing))
     if passing == [Fraction(0)]:
         out.append("verdict: weak-mixing evidence: only theta=0")
@@ -445,7 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", metavar="A:B", default=None,
                    help="levels to test (default N:3N)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for the candidate scan")
+                   help="accepted and ignored: the search is one gcd, "
+                        "not a scan to split across workers")
     common(p)
     p.set_defaults(func=cmd_eigenvalues)
 

@@ -9,6 +9,12 @@ integer sequences P_n obeying the characteristic-polynomial recurrence
 of A; exact divisibility of those sequences decides which rational
 rotation numbers can be eigenvalues, and the same machinery produces the
 non-mixing lower bounds.
+
+For theta = p/q in lowest terms, q | p*P_n holds exactly when q | P_n, so
+the divisibility test over a window is the single condition q | G, where
+G is the gcd of every P_n in the window.  G is computed per level from
+bundle prefix sums of the heights, in time linear in the edges, without
+listing the diamonds; the explicit diamond list is kept for witnesses.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from functools import cached_property
 
 from . import linalg
 from .diagram import PathWord, StationaryDiagram, check_path, telescope
-from .errors import (EndpointMismatch, NotDistinguishedError, PrimitivityError,
-                     ZeroMeasureCylinder)
+from .errors import (CapExceeded, EndpointMismatch, NotDistinguishedError,
+                     PrimitivityError, ZeroMeasureCylinder)
 from .spectral import (DEFAULT_GAP, ComponentDecomposition, decompose,
                        distinguished_eigenvector, positivity_power)
 
@@ -217,11 +223,13 @@ def make_diamond(od: OrderedDiagram, leg_a: Leg, leg_b: Leg,
 
 
 def enumerate_diamonds(od: OrderedDiagram, decomp: ComponentDecomposition | None = None,
-                       alpha: int | None = None, max_len: int = 2) -> list[Diamond]:
+                       alpha: int | None = None, max_len: int = 2,
+                       cap: int = 10 ** 6) -> list[Diamond]:
     """All diamonds of length <= max_len (<= 2), one per unordered leg
     pair.  With alpha set, every visited vertex must lie in that class.
     Length-2 pairs sharing their middle vertex are omitted: they split
-    into two length-1 diamonds."""
+    into two length-1 diamonds.  The output is counted from the incidence
+    matrix first; more than cap diamonds raises CapExceeded."""
     if max_len > 2:
         raise ValueError("only lengths 1 and 2 are enumerated")
     f = od.base.incidence
@@ -231,6 +239,16 @@ def enumerate_diamonds(od: OrderedDiagram, decomp: ComponentDecomposition | None
         scope = set(decomp.classes[alpha].vertices)
     else:
         scope = set(range(od.n_vertices))
+
+    # length-2 pairs through (j, jp): sum over middles i < i' of w_i w_i'
+    count = sum(f[v][s] * (f[v][s] - 1) // 2 for v in scope for s in scope)
+    if max_len >= 2:
+        for j in scope:
+            for jp in scope:
+                w = [f[i][j] * f[jp][i] for i in scope]
+                count += (sum(w) ** 2 - sum(x * x for x in w)) // 2
+    if count > cap:
+        raise CapExceeded(f"{count} diamonds exceed the cap of {cap}", count, cap)
 
     out = []
     for v in sorted(scope):
@@ -358,10 +376,10 @@ class EigenvalueVerdict:
         return self.passed
 
 
-def _p_tables(od, decomp, alpha, window):
+def _p_tables(od, decomp, alpha, window, cap=10 ** 6):
     """Unique P value rows over the window, one per diamond signature,
     paired with a representative diamond."""
-    diamonds = enumerate_diamonds(od, decomp, alpha, max_len=2)
+    diamonds = enumerate_diamonds(od, decomp, alpha, max_len=2, cap=cap)
     n1, n2 = window
     h = _height_table(od.base, n2 + 2)
     rows = {}
@@ -375,14 +393,70 @@ def _p_tables(od, decomp, alpha, window):
     return list(rows.values())
 
 
+def _window_gcds(od, decomp, alpha, window):
+    """G_n for each level n of the window: the gcd of P_n over every
+    diamond that enumerate_diamonds(od, decomp, alpha, 2) lists, computed
+    from bundle prefix sums of the heights without building a Diamond.
+
+    For a class vertex v and a class source s, c_n(v, s) is the prefix
+    height below the first occurrence of s in order[v], and d_n(v, s) the
+    gcd of the later prefixes minus c_n(v, s).  Length-1 diamonds give
+    every d_n(v, s).  The length-2 legs j -> i -> j' through one middle i
+    form a sumset, whose differences have gcd gcd(d_n(i, j), d_{n+1}(j', i)),
+    the first term being a length-1 spread already.  Once two middles exist
+    the differences across middles generate every pairwise difference, so
+    c_n(i, j) + c_{n+1}(j', i) relative to the first middle completes the
+    gcd.  A single middle makes no length-2 diamond and contributes
+    nothing, which keeps the top level of the window exact."""
+    f = od.base.incidence
+    scope = decomp.classes[alpha].vertices
+    inside = set(scope)
+    n1, n2 = window
+    h = _height_table(od.base, n2 + 1)
+
+    def prefix_data(n):
+        first, spread = {}, {}
+        for v in scope:
+            below = 0
+            for s in od.order[v]:
+                if s in inside:
+                    if (v, s) in first:
+                        spread[v, s] = math.gcd(spread[v, s], below - first[v, s])
+                    else:
+                        first[v, s], spread[v, s] = below, 0
+                below += h[n][s]
+        return first, spread
+
+    middles = []
+    for j in scope:
+        for jp in scope:
+            mids = [i for i in scope if f[i][j] and f[jp][i]]
+            if len(mids) >= 2:
+                middles.append((j, jp, mids))
+    data = {n: prefix_data(n) for n in range(n1, n2 + 2)}
+    out = []
+    for n in range(n1, n2 + 1):
+        (c, d), (c1, d1) = data[n], data[n + 1]
+        g = math.gcd(*d.values())
+        for j, jp, mids in middles:
+            base = c[mids[0], j] + c1[jp, mids[0]]
+            for i in mids:
+                g = math.gcd(g, d1[jp, i], c[i, j] + c1[jp, i] - base)
+        out.append(g)
+    return out
+
+
 def eigenvalue_check(od: OrderedDiagram, alpha: int, theta,
                      window: tuple[int, int] | None = None,
                      decomp: ComponentDecomposition | None = None,
-                     gap: float = DEFAULT_GAP) -> EigenvalueVerdict:
+                     gap: float = DEFAULT_GAP,
+                     cap: int = 10 ** 6) -> EigenvalueVerdict:
     """Exact divisibility test: exp(2 pi i theta) can be an eigenvalue of
     the system of the distinguished class alpha iff theta * P_n is an
     integer for every diamond of length <= 2 inside the class, for all
-    large n.  Requires strictly positive blocks (telescope first)."""
+    large n.  Requires strictly positive blocks (telescope first).  A pass
+    is read off q | G; only a failure lists the diamonds, to name the
+    first failing diamond and level (CapExceeded above cap diamonds)."""
     if decomp is None:
         decomp = decompose(od.base, gap)
     _require_positive_blocks(decomp)
@@ -393,14 +467,14 @@ def eigenvalue_check(od: OrderedDiagram, alpha: int, theta,
         window = default_window(od.base)
     decisive = is_decisive(od.base, window)
     p, q = theta.numerator, theta.denominator
-    if q == 1:
+    if q == 1 or math.gcd(*_window_gcds(od, decomp, alpha, window)) % q == 0:
         return EigenvalueVerdict(True, theta, window, decisive)
-    for dm, values in _p_tables(od, decomp, alpha, window):
+    for dm, values in _p_tables(od, decomp, alpha, window, cap):
         for offset, pn in enumerate(values):
             if (p * pn) % q != 0:
                 return EigenvalueVerdict(False, theta, window, decisive,
                                          fail_n=window[0] + offset, fail_diamond=dm)
-    return EigenvalueVerdict(True, theta, window, decisive)
+    raise AssertionError("the window gcd and the P tables disagree")
 
 
 def candidate_thetas(q_max: int) -> list[Fraction]:
@@ -413,16 +487,31 @@ def candidate_thetas(q_max: int) -> list[Fraction]:
     return sorted(out)
 
 
+def candidate_count(q_max: int) -> int:
+    """len(candidate_thetas(q_max)) = 1 + sum of phi(q) for 2 <= q <= q_max,
+    from a totient sieve."""
+    phi = list(range(max(q_max, 1) + 1))
+    for p in range(2, q_max + 1):
+        if phi[p] == p:
+            for k in range(p, q_max + 1, p):
+                phi[k] -= phi[k] // p
+    return 1 + sum(phi[2:])
+
+
 def eigenvalue_search(od: OrderedDiagram, alpha: int, q_max: int,
                       window: tuple[int, int] | None = None,
                       decomp: ComponentDecomposition | None = None,
                       gap: float = DEFAULT_GAP,
                       thetas=None) -> list[Fraction]:
     """All rational rotation numbers with denominator <= q_max passing the
-    divisibility test.  [0] alone is weak-mixing evidence at q_max.
+    divisibility test, ascending.  [0] alone is weak-mixing evidence at
+    q_max.
 
-    thetas overrides the candidate list (used to partition a search
-    across workers); results are always in candidate order.
+    theta = p/q in lowest terms passes exactly when q divides G, the gcd
+    of every P_n over the window (G = 0, no diamond, passes everything),
+    so the passes are 0 and the reduced p/q for each divisor 2 <= q <= q_max
+    of G.  thetas, when given, replaces the candidates: those whose
+    denominator divides G are returned, in the given order.
     """
     if decomp is None:
         decomp = decompose(od.base, gap)
@@ -431,14 +520,12 @@ def eigenvalue_search(od: OrderedDiagram, alpha: int, q_max: int,
         raise NotDistinguishedError(f"class {alpha} is not distinguished")
     if window is None:
         window = default_window(od.base)
-    tables = _p_tables(od, decomp, alpha, window)
-    out = []
-    for theta in (candidate_thetas(q_max) if thetas is None else thetas):
-        theta = Fraction(theta)
-        p, q = theta.numerator, theta.denominator
-        if all((p * pn) % q == 0 for _, values in tables for pn in values):
-            out.append(theta)
-    return out
+    g = math.gcd(*_window_gcds(od, decomp, alpha, window))
+    if thetas is not None:
+        return [t for t in map(Fraction, thetas) if g % t.denominator == 0]
+    return sorted([Fraction(0)] + [Fraction(p, q) for q in range(2, q_max + 1)
+                                   if g % q == 0
+                                   for p in range(1, q) if math.gcd(p, q) == 1])
 
 
 def rational_eigenvalue_sufficient(d, alpha: int, theta,

@@ -8,6 +8,7 @@ confirm the entry point wiring.
 
 import contextlib
 import io
+import math
 import random
 import re
 import subprocess
@@ -18,7 +19,11 @@ from pathlib import Path
 import pytest
 
 import bratteli
+from bratteli import (candidate_thetas, decompose, rational_eigenvalue_sufficient,
+                      serialize_diagram, telescope)
 from bratteli.cli import main
+
+from conftest import aperiodic_corpus, random_order
 
 B1_DOC = "n: 2\nincidence:\n2 0\n1 2\n"
 B1_ORDERED_DOC = "n: 2\nincidence:\n2 0\n1 2\norder:\n1: 11\n2: 122\n"
@@ -301,6 +306,38 @@ class TestEigenvalues:
         code, _, err = run_cli("eigenvalues", docs["wm_a.txt"],
                                "--window", "5:2")
         assert code == 2 and "1 <= a <= b" in err
+
+
+class TestTelescopedEigenvalueSizeClass:
+    """Telescoped corpus diagrams whose class lists 5.8e6 to 9.5e8 diamonds
+    once never finished `eigenvalues`; the window gcd lists none."""
+
+    @pytest.mark.parametrize("index", [5, 6, 8, 12, 16, 19])
+    def test_eigenvalues_on_telescoped_corpus(self, tmp_path, index):
+        d = aperiodic_corpus()[index]
+        doc = tmp_path / "corpus.txt"
+        doc.write_text(serialize_diagram(random_order(random.Random(1), d)))
+        code, out, _ = run_cli("eigenvalues", str(doc))
+        assert code == 0
+        fields = dict(line.split(": ", 1) for line in out.splitlines())
+        qmax = int(fields["qmax"])
+        assert int(fields["candidates"]) == 1 + sum(
+            math.gcd(p, q) == 1 for q in range(2, qmax + 1) for p in range(1, q))
+        passing = [Fraction(t) for t in fields["pass"].split()]
+        assert passing[0] == 0 and passing == sorted(set(passing))
+        for q in {t.denominator for t in passing}:
+            for r in range(2, q + 1):
+                if q % r == 0:
+                    assert {Fraction(p, r) for p in range(1, r)} <= set(passing)
+        # the orderless height test is sufficient, so whatever it passes
+        # the diamond test passes too
+        base = telescope(d, int(fields.get("telescope power", 1)))
+        decomp = decompose(base)
+        alpha = int(fields["class"])
+        window = tuple(map(int, fields["window"].split("..")))
+        for theta in candidate_thetas(qmax):
+            if rational_eigenvalue_sufficient(base, alpha, theta, window, decomp):
+                assert theta in passing
 
 
 class TestSubst:

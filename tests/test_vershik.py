@@ -1,5 +1,7 @@
 """Successor dynamics, diamonds, return-time sequences, eigenvalue tests."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bratteli import (
+    CapExceeded,
     Diamond,
     EndpointMismatch,
     Leg,
@@ -16,6 +19,7 @@ from bratteli import (
     PrimitivityError,
     StationaryDiagram,
     ZeroMeasureCylinder,
+    candidate_count,
     candidate_thetas,
     decompose,
     default_window,
@@ -32,14 +36,17 @@ from bratteli import (
     p_sequence,
     p_value,
     path_rank,
+    positivity_power,
     q_steps,
     rational_eigenvalue_sufficient,
     recurrence_coefficients,
     successor,
+    telescope,
     telescope_ordered,
 )
+from bratteli.vershik import _p_tables, _window_gcds
 
-from conftest import random_diagram, random_order
+from conftest import aperiodic_corpus, random_diagram, random_order
 
 
 class TestOrderedDiagram:
@@ -133,6 +140,13 @@ class TestDiamonds:
         with pytest.raises(ValueError):
             enumerate_diamonds(wm_a, max_len=3)
 
+    def test_count_cap_is_exact_and_checked_first(self, wm_a):
+        assert len(enumerate_diamonds(wm_a, cap=29)) == 29
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_diamonds(wm_a, cap=28)
+        assert (exc.value.required, exc.value.cap) == (29, 28)
+        assert len(enumerate_diamonds(wm_a, max_len=1, cap=5)) == 5
+
 
 class TestReturnTimes:
     def test_adjacent_pair_return_times(self, wm_a):
@@ -214,12 +228,116 @@ class TestEigenvalues:
         assert cs == sorted(set(cs))
         assert all(0 <= c < 1 for c in cs)
 
+    def test_candidate_count_is_the_totient_sum(self):
+        widest = candidate_thetas(200)
+        for q in range(1, 201):
+            assert candidate_count(q) == sum(t.denominator <= q for t in widest)
+        for q in [*range(40), 97, 128, 200]:
+            assert candidate_count(q) == len(candidate_thetas(q))
+
+    def test_failure_witness_is_found_by_the_diamond_list(self, wm_a, monkeypatch):
+        import bratteli.vershik as vershik
+
+        calls = []
+        monkeypatch.setattr(vershik, "_p_tables",
+                            lambda *a: calls.append(a) or _p_tables(*a))
+        assert eigenvalue_check(wm_a, 1, Fraction(1, 3)).passed is False
+        assert len(calls) == 1
+        assert eigenvalue_check(wm_a, 1, 0).passed
+        assert eigenvalue_check(wm_a, 1, Fraction(7, 1)).passed
+        assert len(calls) == 1
+
+    def test_check_cap_applies_only_to_a_failure(self, wm_a, two_odometer):
+        # class 1 of wm_a lists 3 diamonds; a pass lists none
+        assert eigenvalue_check(wm_a, 1, Fraction(1, 3), cap=3).fail_n == 2
+        with pytest.raises(CapExceeded) as exc:
+            eigenvalue_check(wm_a, 1, Fraction(1, 3), cap=2)
+        assert (exc.value.required, exc.value.cap) == (3, 2)
+        assert eigenvalue_check(two_odometer, 0, Fraction(1, 2), (2, 4), cap=0).passed
+
     def test_window_policy(self, b1):
         assert default_window(b1) == (2, 6)
         assert is_decisive(b1, (2, 6))
         assert is_decisive(b1, (3, 6))
         assert not is_decisive(b1, (1, 6))
         assert not is_decisive(b1, (2, 4))
+
+
+# classes listing more diamonds than this are left out of the oracle
+# comparison: the listing is the slow path the window gcd replaces, and
+# the next class up (21681 diamonds) takes about 3 s per order
+ORACLE_DIAMONDS = 5_000
+
+
+def _oracle_windows(n):
+    return (n, 3 * n), (1, 2), (2, 5)
+
+
+# Beside the corpus: wm_a and eig_chain, whose singleton classes sit
+# between other sources (a single middle adds no level-(n+1) spread), a
+# positive 2x2 block whose level-(n+1) spreads no other term implies, and
+# one without parallel edges, where only the cross-middle terms count.
+EXTRA_ORACLE = (
+    (((2, 0), (2, 3)), ((0, 0), (0, 1, 1, 1, 0))),
+    (((5, 0, 0), (2, 3, 0), (0, 2, 25)), ((0,) * 5, (0, 0, 1, 1, 1), (1, 1) + (2,) * 25)),
+    (((1, 2), (2, 2)), ((1, 0, 1), (1, 0, 1, 0))),
+    (((1, 1), (1, 1)), ((1, 0), (0, 1))),
+)
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """Every aperiodic_corpus() diagram telescoped to positive blocks, with
+    orders drawn from random.Random(0..5), then EXTRA_ORACLE; one case per
+    (ordered diagram, class): (ordered diagram, decomposition, class, P
+    table rows over levels 1..top).  Also the number of pairs skipped for
+    listing more than ORACLE_DIAMONDS diamonds."""
+    ordered = []
+    for d in aperiodic_corpus():
+        t = telescope(d, positivity_power(d))
+        ordered.extend(random_order(random.Random(seed), t) for seed in range(6))
+    ordered.extend(OrderedDiagram(StationaryDiagram(f), order) for f, order in EXTRA_ORACLE)
+    cases, skipped = [], 0
+    for od in ordered:
+        dec = decompose(od.base)
+        top = max(w[1] for w in _oracle_windows(od.n_vertices))
+        for cls in dec.classes:
+            try:
+                enumerate_diamonds(od, dec, cls.index, cap=ORACLE_DIAMONDS)
+            except CapExceeded:
+                skipped += 1
+                continue
+            # P_n of a diamond does not depend on the window it is read in
+            cases.append((od, dec, cls, _p_tables(od, dec, cls.index, (1, top))))
+    return cases, skipped
+
+
+class TestWindowGcd:
+    """The per-level gcds equal those of the listed diamonds' P values."""
+
+    def test_matches_the_p_tables_on_the_corpus(self, oracle_cases):
+        cases, skipped = oracle_cases
+        assert (len(cases), skipped) == (85, 72)
+        nonzero = 0
+        for od, dec, cls, rows in cases:
+            for n1, n2 in _oracle_windows(od.n_vertices):
+                want = [math.gcd(*(values[n - 1] for _, values in rows))
+                        for n in range(n1, n2 + 1)]
+                assert _window_gcds(od, dec, cls.index, (n1, n2)) == want
+                nonzero += any(want)
+        assert nonzero >= 150
+
+    def test_search_matches_a_brute_theta_sweep(self, oracle_cases):
+        thetas = [Fraction(p, q) for q in range(1, 31) for p in range(q)
+                  if math.gcd(p, q) == 1]
+        for od, dec, cls, rows in oracle_cases[0]:
+            if not cls.distinguished:
+                continue
+            for n1, n2 in _oracle_windows(od.n_vertices):
+                brute = sorted(t for t in thetas
+                               if all(t.numerator * pn % t.denominator == 0
+                                      for _, values in rows for pn in values[n1 - 1:n2]))
+                assert eigenvalue_search(od, cls.index, 30, (n1, n2), dec) == brute
 
 
 class TestNonmixing:
