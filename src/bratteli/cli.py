@@ -118,7 +118,7 @@ def _measure_line(i: int, m, labels) -> str:
 def cmd_analyze(args) -> int:
     doc, q = _load_diagram(args)
     base = doc.base if isinstance(doc, OrderedDiagram) else doc
-    decomp = decompose(base, args.tolerance)
+    decomp = decompose(base)
     verdict = aperiodicity_check(decomp)
     if not verdict:
         raise NotAperiodicError(f"not aperiodic: {verdict.reason}",
@@ -145,8 +145,8 @@ def cmd_analyze(args) -> int:
         "{" + ",".join(decomp.class_members(alpha)) + "}"
         for alpha in decomp.initial_classes))
 
-    ergodic = enumerate_ergodic(decomp, args.tolerance)
-    infinite = enumerate_infinite(decomp, args.tolerance)
+    ergodic = enumerate_ergodic(decomp)
+    infinite = enumerate_infinite(decomp)
     if args.report:
         sys.stdout.write(serialize_measures(list(ergodic) + list(infinite)))
         return EXIT_OK
@@ -154,16 +154,16 @@ def cmd_analyze(args) -> int:
     out.extend(_measure_line(i, m, labels) for i, m in enumerate(ergodic, 1))
     out.append(f"sigma-finite measures: {len(infinite)}")
     out.extend(_measure_line(i, m, labels) for i, m in enumerate(infinite, 1))
-    out.append(f"borel invariant: {borel_invariant(decomp, args.tolerance)}")
+    out.append(f"borel invariant: {borel_invariant(decomp)}")
     out.append(f"summary: {_plural(len(ergodic), 'ergodic probability measure')}; "
                f"{_plural(len(infinite), 'sigma-finite measure')}")
     print("\n".join(out))
     return EXIT_OK
 
 
-def _select_measure(args, base, gap):
-    decomp = decompose(base, gap)
-    ergodic = enumerate_ergodic(decomp, gap)
+def _select_measure(args, base):
+    decomp = decompose(base)
+    ergodic = enumerate_ergodic(decomp)
     try:
         class_id = int(args.measure)
     except ValueError:
@@ -172,7 +172,7 @@ def _select_measure(args, base, gap):
     for m in ergodic:
         if m.class_id == class_id:
             return m
-    for m in enumerate_infinite(decomp, gap):
+    for m in enumerate_infinite(decomp):
         if m.class_id == class_id:
             return m
     raise NotInDomainError(
@@ -182,7 +182,7 @@ def _select_measure(args, base, gap):
 def cmd_cylinder(args) -> int:
     doc, _ = _load_diagram(args)
     base = doc.base if isinstance(doc, OrderedDiagram) else doc
-    m = _select_measure(args, base, args.tolerance)
+    m = _select_measure(args, base)
     level = 1
     if args.path is not None:
         p = _parse_path_spec(args.path, base)
@@ -203,8 +203,11 @@ def cmd_eigenvalues(args) -> int:
         raise ParseError("eigenvalue analysis needs an ordered diagram "
                          "(document with an order: section)")
     od = doc
-    decomp = decompose(od.base, args.tolerance)
+    decomp = decompose(od.base)
     if args.klass is not None:
+        if not 0 <= args.klass < len(decomp.classes):
+            raise ParseError(f"--class takes a class id in 0..{len(decomp.classes) - 1}, "
+                             f"got {args.klass}")
         alpha = args.klass
     else:
         candidates = [c for c in decomp.classes if c.distinguished]
@@ -222,7 +225,7 @@ def cmd_eigenvalues(args) -> int:
     else:
         window = default_window(od.base)
 
-    passing = eigenvalue_search(od, alpha, args.qmax, window, decomp, args.tolerance)
+    passing = eigenvalue_search(od, alpha, args.qmax, window, decomp)
 
     out = []
     if q > 1:
@@ -259,7 +262,7 @@ def cmd_subst(args) -> int:
         for a, fr in zip(s.alphabet, freqs):
             print(f"{a}: {render_scalar(fr)}")
     else:
-        result = substitution_measures(s, args.tolerance)
+        result = substitution_measures(s)
         labels = result.ordered.base.effective_labels
         out = []
         if result.telescope_power > 1:
@@ -281,10 +284,10 @@ def cmd_verify(args) -> int:
     doc, _ = _load_diagram(args)
     ordered = isinstance(doc, OrderedDiagram)
     base = doc.base if ordered else doc
-    decomp = decompose(base, args.tolerance)
+    decomp = decompose(base)
     labels = base.effective_labels
-    ergodic = enumerate_ergodic(decomp, args.tolerance)
-    infinite = enumerate_infinite(decomp, args.tolerance)
+    ergodic = enumerate_ergodic(decomp)
+    infinite = enumerate_infinite(decomp)
     violations = 0
     out = []
 
@@ -365,7 +368,7 @@ def cmd_export_dot(args) -> int:
                 out.append(f'  "1:{labels[w]}" -> "2:{labels[v]}"{tag};')
         out.append("}")
     else:
-        decomp = decompose(base, args.tolerance)
+        decomp = decompose(base)
         names = ["{" + ",".join(decomp.class_members(c.index)) + "}"
                  for c in decomp.classes]
         out.append("digraph reduced {")
@@ -394,19 +397,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     "spectral structure, Vershik dynamics, substitutions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, telescope=True):
-        p.add_argument("--tolerance", type=float, default=1e-9,
-                       help="numeric gap for eigenvalue comparisons")
-        if telescope:
-            p.add_argument("--telescope", default="auto", metavar="auto|K",
-                           help="level contraction: auto picks the smallest "
-                                "adequate power, an integer forces one")
+    def telescope_option(p):
+        p.add_argument("--telescope", default="auto", metavar="auto|K",
+                       help="level contraction: auto picks the smallest "
+                            "adequate power, an integer forces one")
 
     p = sub.add_parser("analyze", help="classes, measures, and the summary table")
     p.add_argument("diagram")
     p.add_argument("--report", action="store_true",
                    help="emit the machine-readable measure report instead")
-    common(p)
+    telescope_option(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("cylinder", help="measure of a cylinder set")
@@ -418,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="path word, e.g. 'ab' or '2.1,2.0' (vertex.edge-index)")
     p.add_argument("--check-total", action="store_true",
                    help="print the total mass at the path's level")
-    common(p)
+    telescope_option(p)
     p.set_defaults(func=cmd_cylinder)
 
     p = sub.add_parser("eigenvalues", help="rational eigenvalue search")
@@ -431,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored: the search is one gcd, "
                         "not a scan to split across workers")
-    common(p)
+    telescope_option(p)
     p.set_defaults(func=cmd_eigenvalues)
 
     p = sub.add_parser("subst", help="substitution utilities")
@@ -441,7 +441,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--letter", default=None)
     p.add_argument("--steps", type=int, default=1)
     p.add_argument("--cap", type=int, default=10 ** 7)
-    common(p, telescope=False)
     p.set_defaults(func=cmd_subst)
 
     p = sub.add_parser("verify", help="run the brute-force oracle suite")
@@ -449,13 +448,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--measures", default=None,
                    help="measure report file to check against the diagram")
-    common(p)
+    telescope_option(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export-dot", help="DOT graph of the diagram")
     p.add_argument("diagram")
     p.add_argument("--graph", choices=["levels", "reduced"], default="reduced")
-    common(p, telescope=False)
     p.set_defaults(func=cmd_export_dot)
 
     return parser

@@ -118,8 +118,9 @@ def parse_diagram(text: str):
         raise ParseError(f"unexpected content {content!r}", lineno)
     pos += 1
 
-    lookup = {lbl: v for v, lbl in enumerate(diagram.effective_labels)}
-    lookup.update({str(v + 1): v for v in range(n)})
+    # 1-based numbers are aliases; an explicit label of the same name wins
+    lookup = {str(v + 1): v for v in range(n)}
+    lookup.update({lbl: v for v, lbl in enumerate(diagram.effective_labels)})
     words: dict[int, tuple[int, ...]] = {}
     for _ in range(n):
         if pos >= len(lines):

@@ -35,8 +35,8 @@ class ZeroBlockError(BratteliError):
 
 
 class AmbiguousComparison(BratteliError):
-    """Two numeric values are closer than the comparison gap in approximate
-    mode; refusing to guess an ordering."""
+    """An approximate value is within ``spectral.DEFAULT_GAP`` (1e-9) of the
+    value it is compared with; refusing to guess an ordering."""
 
 
 class NotDistinguishedError(BratteliError):

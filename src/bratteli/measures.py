@@ -25,8 +25,8 @@ from .spectral import (DEFAULT_GAP, ComponentDecomposition, NumericValue,
                        distinguished_classes, distinguished_eigenvector, nv_ge)
 
 
-def _as_decomp(d, gap=DEFAULT_GAP) -> ComponentDecomposition:
-    return d if isinstance(d, ComponentDecomposition) else decompose(d, gap)
+def _as_decomp(d) -> ComponentDecomposition:
+    return d if isinstance(d, ComponentDecomposition) else decompose(d)
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,13 @@ class ErgodicMeasure:
     def value(self, level: int, vertex: int):
         """Measure of any level-n cylinder ending at the given vertex;
         depends on the path only through (level, vertex)."""
-        x = self.xi[vertex]
-        if self.is_exact:
-            return x / self.lam.value ** (level - 1)
-        return float(x) / self.lam.as_float ** (level - 1)
+        return self.xi[vertex] / self.lam.value ** (level - 1)
 
 
-def enumerate_ergodic(d, gap: float = DEFAULT_GAP) -> list[ErgodicMeasure]:
+def enumerate_ergodic(d) -> list[ErgodicMeasure]:
     """All ergodic probability measures, one per distinguished class, in
     class index order.  Requires primitive blocks and aperiodicity."""
-    decomp = _as_decomp(d, gap)
+    decomp = _as_decomp(d)
     verdict = aperiodicity_check(decomp)
     if not verdict:
         raise NotAperiodicError(verdict.reason or verdict.kind,
@@ -113,35 +110,37 @@ class InvariantMeasure:
                 and all(not isinstance(c, float) for c in self.coefficients))
 
     def p_vector(self, n: int = 1) -> tuple:
-        """p(n) = sum_i c_i lambda_i^(1-n) xi_i; satisfies A p(n+1) = p(n)."""
+        """p(n) = sum_i c_i lambda_i^(1-n) xi_i; satisfies A p(n+1) = p(n).
+        Exact when every measure and coefficient is; otherwise every
+        operand is taken to float first (a float scale times a Fraction
+        entry multiplies the two as floats)."""
         size = self.diagram.n_vertices
-        exact = self.is_exact
-        out = [Fraction(0) if exact else 0.0] * size
+        scalar = Fraction if self.is_exact else float
+        out = [scalar(0)] * size
         for c, m in zip(self.coefficients, self.measures):
             if c == 0:
                 continue
-            scale = (c / m.lam.value ** (n - 1) if exact
-                     else float(c) / m.lam.as_float ** (n - 1))
+            scale = scalar(c) / scalar(m.lam.value) ** (n - 1)
             for v in range(size):
-                out[v] += scale * (m.xi[v] if exact else float(m.xi[v]))
+                out[v] += scale * m.xi[v]
         return tuple(out)
 
     def value(self, level: int, vertex: int):
         return self.p_vector(level)[vertex]
 
 
-def measure_from_point(d, p1, gap: float = DEFAULT_GAP) -> InvariantMeasure:
+def measure_from_point(d, p1) -> InvariantMeasure:
     """The unique invariant probability measure whose level-1 cylinder
     vector is p1.  p1 must be rational, weigh to 1 against the level-1
     heights (all ones), and lie in the cone of the extreme vectors."""
-    decomp = _as_decomp(d, gap)
-    measures = enumerate_ergodic(decomp, gap)
+    decomp = _as_decomp(d)
+    measures = enumerate_ergodic(decomp)
     p = [Fraction(x) if not isinstance(x, float) else x for x in p1]
     if any(isinstance(x, float) for x in p):
         raise TypeError("p1 must be exact rational")
     if sum(p) != 1:
         raise NotInDomainError("level-1 vector does not have total mass 1")
-    verdict = core_membership(decomp, p, tol=gap)
+    verdict = core_membership(decomp, p)
     if verdict.kind != "in-core":
         raise NotInDomainError(f"level-1 vector is outside the measure cone "
                                f"({verdict.kind})")
@@ -150,10 +149,10 @@ def measure_from_point(d, p1, gap: float = DEFAULT_GAP) -> InvariantMeasure:
     return InvariantMeasure(tuple(measures), coeffs)
 
 
-def minimal_components(d, gap: float = DEFAULT_GAP) -> tuple[int, ...]:
+def minimal_components(d) -> tuple[int, ...]:
     """Class ids of the minimal closed invariant path sets: exactly the
     classes nothing else has access to."""
-    decomp = _as_decomp(d, gap)
+    decomp = _as_decomp(d)
     check_primitive(decomp)
     return decomp.initial_classes
 
@@ -193,12 +192,10 @@ class TailMeasure:
         s = self.base[vertex]
         if s == math.inf:
             return math.inf
-        if self.is_exact:
-            return s / self.lam.value ** (level - 1)
-        return float(s) / self.lam.as_float ** (level - 1)
+        return s / self.lam.value ** (level - 1)
 
 
-def tail_valuation(decomp: ComponentDecomposition, alpha: int, gap: float = DEFAULT_GAP):
+def tail_valuation(decomp: ComponentDecomposition, alpha: int):
     """(lam, y, base): Perron value of class alpha, its normalized Perron
     vector, and the per-vertex limit values of the extension.
 
@@ -212,10 +209,9 @@ def tail_valuation(decomp: ComponentDecomposition, alpha: int, gap: float = DEFA
     if cls.is_zero:
         raise ZeroBlockError(f"class {alpha} has a zero block")
     lam = cls.rho
-    exact = lam.is_exact
+    scalar = type(lam.value)
     total = sum(cls.perron)
-    y = tuple(v / total for v in cls.perron) if exact else \
-        tuple(float(v) / float(total) for v in cls.perron)
+    y = tuple(v / total for v in cls.perron)
 
     k = len(decomp.classes)
     divergent = set()
@@ -225,7 +221,7 @@ def tail_valuation(decomp: ComponentDecomposition, alpha: int, gap: float = DEFA
         for b in range(k):
             if (b != alpha and decomp.access[g][b] and decomp.access[b][alpha]
                     and not decomp.classes[b].is_zero
-                    and nv_ge(decomp.classes[b].rho, lam, gap)):
+                    and nv_ge(decomp.classes[b].rho, lam)):
                 divergent.add(g)
                 break
     finite = [g for g in range(k)
@@ -233,7 +229,7 @@ def tail_valuation(decomp: ComponentDecomposition, alpha: int, gap: float = DEFA
 
     n = len(decomp.a_matrix)
     a = decomp.a_matrix
-    base = [Fraction(0) if exact else 0.0] * n
+    base = [scalar(0)] * n
     for v, yv in zip(cls.vertices, y):
         base[v] = yv
     for g in divergent:
@@ -242,16 +238,13 @@ def tail_valuation(decomp: ComponentDecomposition, alpha: int, gap: float = DEFA
 
     t_verts = [v for g in finite for v in decomp.classes[g].vertices]
     if t_verts:
-        lam_s = lam.value if exact else lam.as_float
-        lhs = [[(lam_s if i == j else 0) - (a[v][w] if exact else float(a[v][w]))
+        lhs = [[scalar((lam.value if i == j else 0) - a[v][w])
                 for j, w in enumerate(t_verts)] for i, v in enumerate(t_verts)]
-        if exact:
-            lhs = [[Fraction(x) for x in row] for row in lhs]
         rhs = []
         for v in t_verts:
-            acc = Fraction(0) if exact else 0.0
+            acc = scalar(0)
             for w, yw in zip(cls.vertices, y):
-                acc += (a[v][w] * yw) if exact else float(a[v][w]) * yw
+                acc += a[v][w] * yw
             rhs.append(acc)
         sol = linalg.solve_square(lhs, rhs)
         for v, s in zip(t_verts, sol):
@@ -259,12 +252,11 @@ def tail_valuation(decomp: ComponentDecomposition, alpha: int, gap: float = DEFA
     return lam, y, tuple(base)
 
 
-def enumerate_infinite(d, gap: float = DEFAULT_GAP,
-                       include_atomic: bool = True) -> list[TailMeasure]:
+def enumerate_infinite(d, include_atomic: bool = True) -> list[TailMeasure]:
     """Sigma-finite measures, one per non-distinguished class with a
     non-zero block, in class index order.  Atomic ones (the class block
     is the 1x1 identity) can be filtered out."""
-    decomp = _as_decomp(d, gap)
+    decomp = _as_decomp(d)
     verdict = aperiodicity_check(decomp)
     if not verdict:
         raise NotAperiodicError(verdict.reason or verdict.kind,
@@ -276,7 +268,7 @@ def enumerate_infinite(d, gap: float = DEFAULT_GAP,
         atomic = cls.block == ((1,),)
         if atomic and not include_atomic:
             continue
-        lam, y, base = tail_valuation(decomp, cls.index, gap)
+        lam, y, base = tail_valuation(decomp, cls.index)
         out.append(TailMeasure(decomp, cls.index, lam, y, atomic, base))
     return out
 
@@ -288,8 +280,7 @@ def tail_measure_of_cylinder(nu: TailMeasure, c):
     return nu.value(path.level, path.terminal)
 
 
-def mass_proxy(decomp: ComponentDecomposition, alpha: int, n: int,
-               gap: float = DEFAULT_GAP):
+def mass_proxy(decomp: ComponentDecomposition, alpha: int, n: int):
     """Mass of the level-n tail set staying in class alpha, computed with
     the full diagram's heights: sum over v in alpha of h_v(n) y_v
     lam^(1-n).  Diverges for non-distinguished alpha, converges to a
@@ -300,10 +291,7 @@ def mass_proxy(decomp: ComponentDecomposition, alpha: int, n: int,
     h = heights(decomp.diagram, n).values
     total = sum(cls.perron)
     lam = cls.rho
-    if lam.is_exact:
-        return sum(h[v] * yv / total / lam.value ** (n - 1)
-                   for v, yv in zip(cls.vertices, cls.perron))
-    return sum(h[v] * float(yv) / float(total) / lam.as_float ** (n - 1)
+    return sum(h[v] * yv / total / lam.value ** (n - 1)
                for v, yv in zip(cls.vertices, cls.perron))
 
 
@@ -322,11 +310,11 @@ def truncated_extension(decomp: ComponentDecomposition, alpha: int, m: int):
                  for v in range(len(power)))
 
 
-def borel_invariant(d, gap: float = DEFAULT_GAP) -> int:
+def borel_invariant(d) -> int:
     """Number of distinguished classes: the complete invariant for Borel
     isomorphism of the tail relation, and the count of ergodic
     probability measures."""
-    decomp = _as_decomp(d, gap)
+    decomp = _as_decomp(d)
     verdict = aperiodicity_check(decomp)
     if not verdict:
         raise NotAperiodicError(verdict.reason or verdict.kind,

@@ -250,7 +250,6 @@ def asymptotics_check(decomp: ComponentDecomposition, alpha: int, i: int, j: int
     if len(ns) < 2:
         raise ValueError("need at least two sample points")
     lam = decomp.classes[alpha].rho
-    exact = lam.is_exact
     ratios = []
     power = [list(r) for r in decomp.a_matrix]
     table = {}
@@ -260,10 +259,7 @@ def asymptotics_check(decomp: ComponentDecomposition, alpha: int, i: int, j: int
         if n in ns:
             table[n] = power[i][j]
     for n in ns:
-        if exact:
-            ratios.append(Fraction(table[n]) / lam.value ** n)
-        else:
-            ratios.append(table[n] / lam.as_float ** n)
+        ratios.append(table[n] / lam.value ** n)
     last, prev = ratios[-1], ratios[-2]
     if last == 0:
         verdict = "Vanishing"

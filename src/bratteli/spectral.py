@@ -11,7 +11,12 @@ is primitive.
 Numeric policy: a block's Perron value is reported exactly whenever it
 is rational (it is then an integer root of the characteristic
 polynomial, certified by a strictly positive rational eigenvector), and
-as a float with a certified residual bound otherwise.
+as a float with a certified residual bound otherwise.  Everything read
+off a Perron value is computed once, in its scalar type: ``Fraction``
+when it is exact, ``float`` otherwise.  Comparing two values involves a
+float only when one of them is approximate; such a comparison has the
+fixed gap ``DEFAULT_GAP`` = 1e-9 and raises ``AmbiguousComparison``
+rather than guess inside it.
 """
 
 from __future__ import annotations
@@ -62,24 +67,24 @@ class NumericValue:
         return self.render()
 
 
-def nv_compare(a: NumericValue, b: NumericValue, gap: float = DEFAULT_GAP) -> int:
+def nv_compare(a: NumericValue, b: NumericValue) -> int:
     """-1, 0 or +1; raises AmbiguousComparison when an approximate value
-    is within ``gap`` of the other operand."""
+    is within ``DEFAULT_GAP`` of the other operand."""
     if a.is_exact and b.is_exact:
         return (a.value > b.value) - (a.value < b.value)
     fa, fb = a.as_float, b.as_float
-    if abs(fa - fb) < gap:
+    if abs(fa - fb) < DEFAULT_GAP:
         raise AmbiguousComparison(
-            f"values {a.render()} and {b.render()} are within the gap {gap}")
+            f"values {a.render()} and {b.render()} are within the gap {DEFAULT_GAP}")
     return 1 if fa > fb else -1
 
 
-def nv_gt(a, b, gap=DEFAULT_GAP):
-    return nv_compare(a, b, gap) > 0
+def nv_gt(a, b):
+    return nv_compare(a, b) > 0
 
 
-def nv_ge(a, b, gap=DEFAULT_GAP):
-    return nv_compare(a, b, gap) >= 0
+def nv_ge(a, b):
+    return nv_compare(a, b) >= 0
 
 
 def _power_perron(block):
@@ -234,7 +239,6 @@ class ComponentDecomposition:
     initial_classes: tuple[int, ...]
     final_classes: tuple[int, ...]
     fnf_permutation: tuple[int, ...]
-    gap: float
 
     def accessors_of(self, alpha):
         """Classes beta != alpha having access to alpha."""
@@ -273,7 +277,7 @@ def _class_structure(d: StationaryDiagram):
     return a, comps, class_of, access, blocks
 
 
-def decompose(d: StationaryDiagram, gap: float = DEFAULT_GAP) -> ComponentDecomposition:
+def decompose(d: StationaryDiagram) -> ComponentDecomposition:
     """Class decomposition of A = F^T with access order, per-block Perron
     data and distinguished flags."""
     a, comps, class_of, access, blocks = _class_structure(d)
@@ -281,7 +285,7 @@ def decompose(d: StationaryDiagram, gap: float = DEFAULT_GAP) -> ComponentDecomp
     zero_flags = [_is_zero(block) for block in blocks]
     rhos, vecs = zip(*map(perron_pair, blocks))
     distinguished = [not zero_flags[alpha]
-                     and all(nv_gt(rhos[alpha], rhos[b], gap)
+                     and all(nv_gt(rhos[alpha], rhos[b])
                              for b in range(k) if b != alpha and access[b][alpha])
                      for alpha in range(k)]
     classes = tuple(ComponentClass(ci, tuple(comp), blocks[ci], zero_flags[ci], rhos[ci],
@@ -314,7 +318,6 @@ def decompose(d: StationaryDiagram, gap: float = DEFAULT_GAP) -> ComponentDecomp
         initial_classes=initial,
         final_classes=final,
         fnf_permutation=perm,
-        gap=gap,
     )
 
 
@@ -383,12 +386,11 @@ def distinguished_eigenvector(decomp: ComponentDecomposition, alpha: int) -> Eig
     n = len(a)
     support = frozenset(b for b in range(len(decomp.classes)) if decomp.access[b][alpha])
     lam = cls.rho
-    exact = lam.is_exact
+    scalar = type(lam.value)
 
-    xi = [Fraction(0) if exact else 0.0] * n
-    block_vec = cls.perron if exact else [float(x) for x in cls.perron]
-    for v, x in zip(cls.vertices, block_vec):
-        xi[v] = x if exact else float(x)
+    xi = [scalar(0)] * n
+    for v, x in zip(cls.vertices, cls.perron):
+        xi[v] = x
 
     # solve class by class, each time against already-known classes below
     remaining = [b for b in sorted(support) if b != alpha]
@@ -402,17 +404,14 @@ def distinguished_eigenvector(decomp: ComponentDecomposition, alpha: int) -> Eig
             raise AssertionError("access order is cyclic")
         for b in ready:
             verts = decomp.classes[b].vertices
-            lam_s = lam.value if exact else lam.as_float
-            lhs = [[(lam_s if i == j else 0) - (a[v][w] if exact else float(a[v][w]))
+            lhs = [[scalar((lam.value if i == j else 0) - a[v][w])
                     for j, w in enumerate(verts)] for i, v in enumerate(verts)]
-            if exact:
-                lhs = [[Fraction(x) for x in row] for row in lhs]
             rhs = []
             for v in verts:
-                acc = Fraction(0) if exact else 0.0
+                acc = scalar(0)
                 for j in range(n):
                     if decomp.class_of[j] != b and xi[j] != 0:
-                        acc += (a[v][j] * xi[j]) if exact else float(a[v][j]) * xi[j]
+                        acc += a[v][j] * xi[j]
                 rhs.append(acc)
             sol = linalg.solve_square(lhs, rhs)
             for v, x in zip(verts, sol):
@@ -424,11 +423,7 @@ def distinguished_eigenvector(decomp: ComponentDecomposition, alpha: int) -> Eig
     xi = [x / total for x in xi]
     support_vertices = {v for v in range(n) if decomp.class_of[v] in support}
     for v in range(n):
-        inside = v in support_vertices
-        if exact:
-            assert (xi[v] > 0) == inside
-        elif inside:
-            assert xi[v] > 0
+        assert (xi[v] > 0) == (v in support_vertices)
     return Eigendata(alpha, lam, tuple(xi), support)
 
 
@@ -452,8 +447,8 @@ def _solve_cone_exact(vectors, x):
     return sol
 
 
-def core_membership(decomp: ComponentDecomposition, x, k_max: int | None = None,
-                    tol: float = DEFAULT_GAP) -> CoreVerdict:
+def core_membership(decomp: ComponentDecomposition, x,
+                    k_max: int | None = None) -> CoreVerdict:
     """Is x in the limit cone of A?  Fast path: decompose x over the
     distinguished extreme vectors.  Slow path (exact, N <= 12): first k
     with ``A^k y = x, y >= 0`` infeasible."""
@@ -483,8 +478,8 @@ def core_membership(decomp: ComponentDecomposition, x, k_max: int | None = None,
         if coeffs is not None:
             recon = [sum(c * col[v] for c, col in zip(coeffs, cols)) for v in range(n)]
             scale = 1.0 + max(abs(float(v)) for v in x)
-            if (max(abs(r - float(v)) for r, v in zip(recon, x)) <= tol * scale
-                    and all(c >= -tol for c in coeffs)):
+            if (max(abs(r - float(v)) for r, v in zip(recon, x)) <= DEFAULT_GAP * scale
+                    and all(c >= -DEFAULT_GAP for c in coeffs)):
                 return CoreVerdict("in-core", coefficients=tuple(coeffs))
 
     if n > 12:
@@ -524,7 +519,7 @@ def aperiodicity_check(decomp: ComponentDecomposition) -> AperiodicityResult:
     one = NumericValue.exact(1)
     for alpha in decomp.initial_classes:
         cls = decomp.classes[alpha]
-        if cls.is_zero or not nv_gt(cls.rho, one, decomp.gap):
+        if cls.is_zero or not nv_gt(cls.rho, one):
             return AperiodicityResult(
                 "not-aperiodic", witness_class=alpha,
                 reason=f"initial class {alpha} has Perron value {cls.rho.render()}")

@@ -17,7 +17,7 @@ from . import linalg
 from .diagram import StationaryDiagram
 from .errors import CapExceeded, NotGrowingError
 from .measures import ErgodicMeasure, TailMeasure, enumerate_ergodic, enumerate_infinite
-from .spectral import (DEFAULT_GAP, ComponentDecomposition, NumericValue, decompose,
+from .spectral import (ComponentDecomposition, NumericValue, decompose,
                        nv_gt, telescope_to_primitive)
 from .vershik import OrderedDiagram, telescope_ordered
 
@@ -105,12 +105,12 @@ class GrowthReport:
         return tuple(a for a, v in self.verdicts.items() if v == "Bounded")
 
 
-def growth_check(s: Substitution, gap: float = DEFAULT_GAP) -> GrowthReport:
+def growth_check(s: Substitution) -> GrowthReport:
     """Does the n-th image of each letter grow without bound?  Exact test
     on the class structure: the image lengths of letter a are unbounded
     iff some class with access to a's class has Perron value above 1, or
     two distinct chained unit-Perron classes sit above it."""
-    return _growth_report(s, decompose(diagram_from_substitution(s).base, gap))
+    return _growth_report(s, decompose(diagram_from_substitution(s).base))
 
 
 def _growth_report(s: Substitution, decomp: ComponentDecomposition) -> GrowthReport:
@@ -119,7 +119,7 @@ def _growth_report(s: Substitution, decomp: ComponentDecomposition) -> GrowthRep
 
     def rho_above_one(b):
         cls = decomp.classes[b]
-        return not cls.is_zero and nv_gt(cls.rho, one, decomp.gap)
+        return not cls.is_zero and nv_gt(cls.rho, one)
 
     def rho_is_one(b):
         cls = decomp.classes[b]
@@ -193,13 +193,13 @@ class SubstitutionMeasures:
     unique_ergodic: bool
 
 
-def substitution_measures(s: Substitution, gap: float = DEFAULT_GAP) -> SubstitutionMeasures:
+def substitution_measures(s: Substitution) -> SubstitutionMeasures:
     """Full measure enumeration for the substitution system.  Requires
     every letter Growing; telescopes automatically (reporting the power)
     when a diagonal block is imprimitive; sigma-finite listing excludes
     the atomic single-loop classes."""
     od = diagram_from_substitution(s)
-    decomp = decompose(od.base, gap)
+    decomp = decompose(od.base)
     growth = _growth_report(s, decomp)
     if not growth.growing:
         bad = growth.bounded_letters()[0]
@@ -207,8 +207,8 @@ def substitution_measures(s: Substitution, gap: float = DEFAULT_GAP) -> Substitu
     _, q = telescope_to_primitive(od.base)
     if q > 1:
         od = telescope_ordered(od, q)
-        decomp = decompose(od.base, gap)
-    ergodic = tuple(enumerate_ergodic(decomp, gap))
-    infinite = tuple(enumerate_infinite(decomp, gap, include_atomic=False))
+        decomp = decompose(od.base)
+    ergodic = tuple(enumerate_ergodic(decomp))
+    infinite = tuple(enumerate_infinite(decomp, include_atomic=False))
     return SubstitutionMeasures(s, od, q, decomp, ergodic, infinite,
                                 unique_ergodic=len(ergodic) == 1)

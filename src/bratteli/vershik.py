@@ -28,7 +28,7 @@ from . import linalg
 from .diagram import PathWord, StationaryDiagram, check_path, telescope
 from .errors import (CapExceeded, EndpointMismatch, NotDistinguishedError,
                      PrimitivityError, ZeroMeasureCylinder)
-from .spectral import (DEFAULT_GAP, ComponentDecomposition, decompose,
+from .spectral import (ComponentDecomposition, decompose,
                        distinguished_eigenvector, positivity_power)
 
 
@@ -448,8 +448,7 @@ def _window_gcds(od, decomp, alpha, window):
 
 def eigenvalue_check(od: OrderedDiagram, alpha: int, theta,
                      window: tuple[int, int] | None = None,
-                     decomp: ComponentDecomposition | None = None,
-                     gap: float = DEFAULT_GAP,
+                     decomp: ComponentDecomposition | None = None, *,
                      cap: int = 10 ** 6) -> EigenvalueVerdict:
     """Exact divisibility test: exp(2 pi i theta) can be an eigenvalue of
     the system of the distinguished class alpha iff theta * P_n is an
@@ -458,7 +457,7 @@ def eigenvalue_check(od: OrderedDiagram, alpha: int, theta,
     is read off q | G; only a failure lists the diamonds, to name the
     first failing diamond and level (CapExceeded above cap diamonds)."""
     if decomp is None:
-        decomp = decompose(od.base, gap)
+        decomp = decompose(od.base)
     _require_positive_blocks(decomp)
     if not decomp.classes[alpha].distinguished:
         raise NotDistinguishedError(f"class {alpha} is not distinguished")
@@ -500,8 +499,7 @@ def candidate_count(q_max: int) -> int:
 
 def eigenvalue_search(od: OrderedDiagram, alpha: int, q_max: int,
                       window: tuple[int, int] | None = None,
-                      decomp: ComponentDecomposition | None = None,
-                      gap: float = DEFAULT_GAP,
+                      decomp: ComponentDecomposition | None = None, *,
                       thetas=None) -> list[Fraction]:
     """All rational rotation numbers with denominator <= q_max passing the
     divisibility test, ascending.  [0] alone is weak-mixing evidence at
@@ -514,7 +512,7 @@ def eigenvalue_search(od: OrderedDiagram, alpha: int, q_max: int,
     denominator divides G are returned, in the given order.
     """
     if decomp is None:
-        decomp = decompose(od.base, gap)
+        decomp = decompose(od.base)
     _require_positive_blocks(decomp)
     if not decomp.classes[alpha].distinguished:
         raise NotDistinguishedError(f"class {alpha} is not distinguished")
@@ -531,12 +529,12 @@ def eigenvalue_search(od: OrderedDiagram, alpha: int, q_max: int,
 def rational_eigenvalue_sufficient(d, alpha: int, theta,
                                    window: tuple[int, int] | None = None,
                                    decomp: ComponentDecomposition | None = None,
-                                   gap: float = DEFAULT_GAP) -> EigenvalueVerdict:
+                                   ) -> EigenvalueVerdict:
     """Sufficient condition not needing the order: theta * h_j^(n) integer
     for every vertex j of class alpha over the window."""
     base = d.base if isinstance(d, OrderedDiagram) else d
     if decomp is None:
-        decomp = decompose(base, gap)
+        decomp = decompose(base)
     _require_positive_blocks(decomp)
     theta = Fraction(theta)
     if window is None:
@@ -570,8 +568,7 @@ class NonmixingReport:
 
 def nonmixing_witness(od: OrderedDiagram, alpha: int, diamond: Diamond,
                       e: PathWord, n_range,
-                      decomp: ComponentDecomposition | None = None,
-                      gap: float = DEFAULT_GAP) -> NonmixingReport:
+                      decomp: ComponentDecomposition | None = None) -> NonmixingReport:
     """Overlap ratios r_n = mu([e; leg_a at level n+1]) / mu([e]): the
     measure of the part of [e] returning to itself after P_n steps.  A
     positive infimum over growing n rules out strong mixing.  The
@@ -579,10 +576,10 @@ def nonmixing_witness(od: OrderedDiagram, alpha: int, diamond: Diamond,
     (and equals it when the cylinder ends in the diamond's range vertex
     and the class asymptotics are exact)."""
     if decomp is None:
-        decomp = decompose(od.base, gap)
+        decomp = decompose(od.base)
     check_path(od.base, e)
     eig = distinguished_eigenvector(decomp, alpha)
-    xi, lam = eig.xi, eig.lam
+    xi, lam = eig.xi, eig.lam.value
     cls_vertices = set(decomp.classes[alpha].vertices)
     if not diamond.vertices_visited <= cls_vertices:
         raise ValueError("diamond must live inside the carrying class")
@@ -594,8 +591,6 @@ def nonmixing_witness(od: OrderedDiagram, alpha: int, diamond: Diamond,
     j = diamond.leg_a.source
     jp = diamond.leg_a.range
     k = diamond.length
-    exact = eig.is_exact
-    lam_v = lam.value if exact else lam.as_float
     a = [list(row) for row in decomp.a_matrix]
 
     n_values = tuple(n_range)
@@ -604,11 +599,8 @@ def nonmixing_witness(od: OrderedDiagram, alpha: int, diamond: Diamond,
         if n < m:
             raise ValueError("witness levels must reach below the cylinder")
         paths_ij = linalg.mat_pow(a, n + 1 - m)[i][j]
-        num = (xi[jp] if exact else float(xi[jp])) * paths_ij
-        ratios.append(num / lam_v ** (n + k) / ((xi[i] if exact else float(xi[i]))
-                                                / lam_v ** (m - 1)))
-    order_constant = ((xi[i] / (xi[jp] * lam_v ** k)) if exact
-                      else float(xi[i]) / (float(xi[jp]) * lam_v ** k))
+        ratios.append(xi[jp] * paths_ij / lam ** (n + k) / (xi[i] / lam ** (m - 1)))
+    order_constant = xi[i] / (xi[jp] * lam ** k)
     return NonmixingReport(alpha, diamond, e, n_values, tuple(ratios),
                            min(ratios), order_constant)
 

@@ -20,7 +20,7 @@ import pytest
 
 import bratteli
 from bratteli import (candidate_thetas, decompose, rational_eigenvalue_sufficient,
-                      serialize_diagram, telescope)
+                      serialize_diagram, serialize_substitution, telescope)
 from bratteli.cli import main
 
 from conftest import aperiodic_corpus, random_order
@@ -299,6 +299,16 @@ class TestEigenvalues:
         assert code == 2
         assert "order" in err
 
+    @pytest.mark.parametrize("klass", ["5", "-1"])
+    def test_class_out_of_range_exits_2(self, docs, klass):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bratteli.cli", "eigenvalues", docs["wm_a.txt"],
+             "--class", klass],
+            capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "--class takes a class id in 0..1" in proc.stderr
+
     def test_window_validation(self, docs):
         code, _, err = run_cli("eigenvalues", docs["wm_a.txt"],
                                "--window", "6")
@@ -353,6 +363,21 @@ class TestSubst:
             "n: 2\nincidence:\n1 1\n1 1\nlabels: a b\n"
             "order:\na: ab\nb: ba\n"
         )
+
+    def test_diagram_with_a_digit_letter_pipes_into_analyze(
+            self, tmp_path, double_morse_substitution, double_morse):
+        sub = tmp_path / "dm.sub"
+        sub.write_text(serialize_substitution(double_morse_substitution))
+        code, doc, _ = run_cli("subst", "diagram", str(sub))
+        assert code == 0 and "labels: a b c d 1\n" in doc
+        piped = tmp_path / "dm_ordered.txt"
+        piped.write_text(doc)
+        plain = tmp_path / "dm.txt"
+        plain.write_text(serialize_diagram(double_morse))
+        code, out, err = run_cli("analyze", str(piped))
+        assert (code, err) == (0, "")
+        assert out == run_cli("analyze", str(plain))[1]
+        assert "ergodic measures: 3\n" in out
 
     def test_expand(self, docs):
         code, out, _ = run_cli("subst", "expand", docs["tm.sub"],

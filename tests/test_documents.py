@@ -44,6 +44,13 @@ class TestDiagramDocuments:
         od = parse_diagram(text)
         assert od.order == ((0, 0), (0, 1, 1))
 
+    def test_explicit_digit_labels_win_over_numeric_aliases(self):
+        text = "n: 2\nincidence:\n2 0\n1 2\nlabels: 2 1\norder:\n2: 22\n1: 211\n"
+        od = parse_diagram(text)
+        assert od.base.labels == ("2", "1")
+        assert od.order == ((0, 0), (0, 1, 1))
+        assert parse_diagram(serialize_diagram(od)) == od
+
     def test_error_lines(self):
         with pytest.raises(ParseError) as exc:
             parse_diagram("n: x\n")

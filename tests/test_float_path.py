@@ -1,0 +1,310 @@
+"""Pinned outputs of the float path.
+
+An irrational Perron value is a power-iteration float, and everything
+read off it (extension solves, cylinder values, mass proxies, ratios) is
+float arithmetic.  The goldens below are exact stdout bytes and float
+reprs of that arithmetic, so an edit that reorders an operation or
+changes a scalar type shows up as a changed last digit.  Every float sum
+behind them rounds the same under naive and compensated summation (the
+latter is what ``sum`` does from Python 3.12), so they hold on every
+supported version.
+
+The fixture has four classes: b (rho 3) and s (rho 2) are initial; the
+irrational class {t,u} (rho 1+sqrt 2) is fed by both, so it is not
+distinguished and its tail measure is finite on s and infinite on b; the
+irrational class {x,y} (rho 2+sqrt 2) is distinguished and fed by s, so
+its extreme vector needs a float extension solve.
+"""
+
+import contextlib
+import io
+
+from bratteli import (
+    InvariantMeasure,
+    Leg,
+    PathWord,
+    asymptotics_check,
+    decompose,
+    enumerate_ergodic,
+    enumerate_infinite,
+    make_diamond,
+    mass_proxy,
+    nonmixing_witness,
+    parse_diagram,
+)
+from bratteli.cli import main
+
+IRRATIONAL_DOC = (
+    "n: 6\nincidence:\n"
+    "3 0 0 0 0 0\n0 2 0 0 0 0\n1 1 2 1 0 0\n0 0 1 0 0 0\n0 1 0 0 3 1\n0 0 0 0 1 1\n"
+    "labels: b s t u x y\n"
+    "order:\nb: bbb\ns: ss\nt: bsttu\nu: t\nx: sxxxy\ny: xy\n"
+)
+S, T, U, X = 1, 2, 3, 4
+TAIL_CLASS, ERGODIC_CLASS = 2, 3
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def reprs(values):
+    return [repr(v) for v in values]
+
+
+def irrational():
+    od = parse_diagram(IRRATIONAL_DOC)
+    return od, decompose(od.base)
+
+
+ANALYZE_OUT = (
+    "vertices: 6\n"
+    "labels: b s t u x y\n"
+    "classes: 4\n"
+    "class 0: members=b rho=3 distinguished=yes\n"
+    "class 1: members=s rho=2 distinguished=yes\n"
+    "class 2: members=t,u rho=2.4142135623730914±2.9e-15 distinguished=no\n"
+    "class 3: members=x,y rho=3.4142135623730878±5.8e-15 distinguished=yes\n"
+    "access: 0->2 1->2 1->3\n"
+    "aperiodic: yes\n"
+    "minimal components: {b} {s}\n"
+    "ergodic measures: 3\n"
+    "measure 1: class=0 eigenvalue=3 vector=(1 0 0 0 0 0) support=b\n"
+    "measure 2: class=1 eigenvalue=2 vector=(0 1 0 0 0 0) support=s\n"
+    "measure 3: class=3 eigenvalue=3.4142135623730878±5.8e-15 "
+    "vector=(0 0.33333333333333431 0 0 0.47140452079103062 0.19526214587563506) "
+    "support=s,x,y\n"
+    "sigma-finite measures: 1\n"
+    "measure 1: class=2 eigenvalue=2.4142135623730914±2.9e-15 "
+    "vector=(inf 1.7071067811865623 0.70710678118654735 0.29289321881345265 0 0) "
+    "atomic=no\n"
+    "borel invariant: 3\n"
+    "summary: 3 ergodic probability measures; 1 sigma-finite measure\n"
+)
+
+CYLINDER_OUT = {
+    "ergodic sxxx": "0.011844635310912588\n1.0000000000000047\n",
+    "mixture sxx": "0.010110028629970236\n1.0000000000000007\n",
+    "tail st total": "0.29289321881345287\ninf\n",
+    "tail stt": "0.12132034355964291\n",
+}
+
+TAIL_VALUES = [
+    [
+        "inf", "1.7071067811865623", "0.7071067811865474", "0.29289321881345265", "0.0",
+        "0.0",
+    ],
+    [
+        "inf", "0.7071067811865548", "0.29289321881345287", "0.12132034355964283",
+        "0.0", "0.0",
+    ],
+    [
+        "inf", "0.2928932188134559", "0.12132034355964291", "0.05025253169416751",
+        "0.0", "0.0",
+    ],
+    [
+        "inf", "0.12132034355964418", "0.050252531694167546", "0.020815280171308022",
+        "0.0", "0.0",
+    ],
+    [
+        "inf", "0.050252531694168066", "0.020815280171308036", "0.008621971351551556",
+        "0.0", "0.0",
+    ],
+    [
+        "inf", "0.020815280171308254", "0.008621971351551563", "0.003571337468204945",
+        "0.0", "0.0",
+    ],
+]
+
+P_VECTORS_EXACT_MEASURES = [
+    [
+        "0.18055555555555555", "0.1527777777777778", "0.3055555555555556",
+        "0.2777777777777778", "0.08333333333333333",
+    ],
+    [
+        "0.08101851851851852", "0.07175925925925926", "0.14351851851851852",
+        "0.13425925925925924", "0.027777777777777776",
+    ],
+    [
+        "0.03742283950617284", "0.03433641975308642", "0.06867283950617284",
+        "0.06558641975308642", "0.009259259259259259",
+    ],
+    [
+        "0.01768261316872428", "0.01665380658436214", "0.03330761316872428",
+        "0.03227880658436214", "0.0030864197530864196",
+    ],
+    [
+        "0.008498371056241426", "0.008155435528120713", "0.016310871056241426",
+        "0.015967935528120713", "0.0010288065843621398",
+    ],
+]
+
+P_VECTORS_IRRATIONAL = [
+    [
+        "0.5", "0.3333333333333336", "0.0", "0.0", "0.11785113019775766",
+        "0.048815536468908766",
+    ],
+    [
+        "0.16666666666666666", "0.1494077682344545", "0.0", "0.0",
+        "0.034517796864424584", "0.014297739604484194",
+    ],
+    [
+        "0.05555555555555555", "0.06964886980224214", "0.0", "0.0",
+        "0.010110028629970236", "0.004187710974513964",
+    ],
+    [
+        "0.018518518518518517", "0.03334385548725699", "0.0", "0.0",
+        "0.0029611588277281475", "0.0012265521467858173",
+    ],
+    [
+        "0.006172839506172839", "0.016238276073392913", "0.0", "0.0",
+        "0.0008673033404711686", "0.00035924880631464906",
+    ],
+]
+
+MASS_PROXIES = {
+    2: [
+        "1.0", "1.585786437626907", "2.192388155425124", "2.8456710674493055",
+        "3.574205873445091", "4.410537094545599", "5.3926548983019655",
+        "6.56573695550933",
+    ],
+    3: [
+        "1.0", "1.2071067811865497", "1.3284271247461952", "1.3994949366116736",
+        "1.4411254969542928", "1.465512114593809", "1.4797974644666319",
+        "1.4881656286788882",
+    ],
+}
+
+ASYMPTOTIC_RATIOS = {
+    (1, 4): ([
+            "0.2928932188134531", "0.4289321881345266", "0.5025253169416765",
+            "0.5445891531729038", "0.569050109202405", "0.5833482135265379",
+            "0.591718566056676", "0.5966208986160413",
+        ], "Converging-positive"),
+    (2, 3): ([
+            "0.4142135623730957", "0.34314575050762086", "0.3553390593273778",
+            "0.3532470182743151", "0.35360595577293874", "0.3535443718342641",
+            "0.3535549379676926", "0.35355312510580056",
+        ], "Converging-positive"),
+    (4, 4): ([
+            "0.8786796564403593", "0.8578643762690532", "0.8542930388008501",
+            "0.8536802941629302", "0.8535751638036074", "0.8535571262855836",
+            "0.8535540315367551", "0.8535535005618019",
+        ], "Converging-positive"),
+}
+
+NONMIXING = {
+    (1,): ([
+            "0.17766952966368832", "0.20815280171307984", "0.22557621316549492",
+            "0.23570827290152624", "0.24163074162880743", "0.24509785516863458",
+        ], "0.17766952966368832", "0.20710678118654904"),
+    (1, 4): ([
+            "0.25735931288071595", "0.2512626584708383", "0.25021663794430715",
+            "0.25003716919499613", "0.25000637722565905", "0.2500010941589456",
+        ], "0.2500010941589456", "0.2928932188134531"),
+    (4,): ([
+            "0.25126265847083823", "0.25021663794430715", "0.25003716919499613",
+            "0.2500063772256591", "0.2500010941589456", "0.25000018772799987",
+        ], "0.25000018772799987", "0.2928932188134531"),
+}
+
+
+def cylinder_outputs(tmp_path):
+    doc = tmp_path / "irrational.txt"
+    doc.write_text(IRRATIONAL_DOC)
+    coeffs = tmp_path / "coeffs.txt"
+    coeffs.write_text("coefficients: 1/2 1/4 1/4\n")
+    runs = {
+        "ergodic sxxx": ("--measure", "3", "--path", "sxxx", "--check-total"),
+        "tail stt": ("--measure", "2", "--path", "stt"),
+        "tail st total": ("--measure", "2", "--path", "st", "--check-total"),
+        "mixture sxx": ("--measure", str(coeffs), "--path", "sxx", "--check-total"),
+    }
+    out = {}
+    for name, argv in runs.items():
+        code, stdout, err = run_cli("cylinder", str(doc), *argv)
+        assert code == 0 and err == ""
+        out[name] = stdout
+    return out
+
+
+def tail_values():
+    _, dec = irrational()
+    (nu,) = enumerate_infinite(dec)
+    return [reprs(nu.value(n, v) for v in range(6)) for n in range(1, 7)]
+
+
+def p_vectors_exact_measures(double_morse):
+    mu = InvariantMeasure(tuple(enumerate_ergodic(double_morse)), (0.25, 0.5, 0.25))
+    return [reprs(mu.p_vector(n)) for n in range(1, 6)]
+
+
+def p_vectors_irrational():
+    _, dec = irrational()
+    mu = InvariantMeasure(tuple(enumerate_ergodic(dec)), (0.5, 0.25, 0.25))
+    return [reprs(mu.p_vector(n)) for n in range(1, 6)]
+
+
+def mass_proxies():
+    _, dec = irrational()
+    return {alpha: reprs(mass_proxy(dec, alpha, n) for n in range(1, 9))
+            for alpha in (TAIL_CLASS, ERGODIC_CLASS)}
+
+
+def asymptotic_ratios():
+    _, dec = irrational()
+    out = {}
+    for i, j in ((X, X), (S, X), (T, U)):
+        alpha = TAIL_CLASS if j == U else ERGODIC_CLASS
+        report = asymptotics_check(dec, alpha, i, j, range(1, 9))
+        out[i, j] = (reprs(report.ratios), report.verdict)
+    return out
+
+
+def nonmixing():
+    od, dec = irrational()
+    diamond = make_diamond(od, Leg((X, X), (0,)), Leg((X, X), (1,)))
+    out = {}
+    for cylinder in (PathWord((X,)), PathWord((S,)), PathWord((S, X), (0,))):
+        report = nonmixing_witness(od, ERGODIC_CLASS, diamond, cylinder, range(2, 8))
+        out[cylinder.vertices] = (reprs(report.ratios), repr(report.infimum),
+                                  repr(report.order_constant))
+    return out
+
+
+def test_analyze_stdout(tmp_path):
+    doc = tmp_path / "irrational.txt"
+    doc.write_text(IRRATIONAL_DOC)
+    assert run_cli("analyze", str(doc)) == (0, ANALYZE_OUT, "")
+
+
+def test_cylinder_stdout(tmp_path):
+    assert cylinder_outputs(tmp_path) == CYLINDER_OUT
+
+
+def test_tail_measure_values_with_a_finite_float_extension():
+    assert tail_values() == TAIL_VALUES
+
+
+def test_p_vector_float_coefficients_over_exact_measures(double_morse):
+    assert all(m.is_exact for m in enumerate_ergodic(double_morse))
+    assert p_vectors_exact_measures(double_morse) == P_VECTORS_EXACT_MEASURES
+
+
+def test_p_vector_over_irrational_measures():
+    assert p_vectors_irrational() == P_VECTORS_IRRATIONAL
+
+
+def test_mass_proxy():
+    assert mass_proxies() == MASS_PROXIES
+
+
+def test_asymptotics_check():
+    assert asymptotic_ratios() == ASYMPTOTIC_RATIOS
+
+
+def test_nonmixing_witness():
+    assert nonmixing() == NONMIXING
