@@ -20,6 +20,7 @@ from .documents import (measure_record, parse_coefficients, parse_diagram,
                         serialize_diagram, serialize_measures)
 from .errors import (BratteliError, CapExceeded, NotAperiodicError,
                      NotInDomainError, ParseError, SizeRefused)
+from .linalg import left_sum
 from .measures import (InvariantMeasure, borel_invariant, enumerate_ergodic,
                        enumerate_infinite, measure_of_cylinder)
 from .oracle import brute_force_Q, verify_invariance
@@ -190,7 +191,7 @@ def cmd_cylinder(args) -> int:
         print(render_scalar(measure_of_cylinder(m, CylinderSet(p))))
     if args.check_total:
         h = heights(base, level).values
-        total = sum(hv * m.value(level, v) for v, hv in enumerate(h))
+        total = left_sum(hv * m.value(level, v) for v, hv in enumerate(h))
         print(render_scalar(total))
     if args.path is None and not args.check_total:
         raise ParseError("give --path and/or --check-total")

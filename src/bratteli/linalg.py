@@ -4,12 +4,15 @@ Matrices are lists (or tuples) of row sequences, in plain Python.
 Integer input stays in ``int`` wherever the result is integral (matrix
 products, ``char_poly``), so the cost grows polynomially with the size
 and the digit length of the entries; ``Fraction`` appears only where
-elimination divides.  The elimination routines also accept ``float``
-entries where an approximate path is explicitly wanted.
+elimination divides.  The simplex of ``lp_nonneg_solve`` pivots in
+``int`` (fraction-free) and builds a ``Fraction`` only for its result.
+The elimination routines also accept ``float`` entries where an
+approximate path is explicitly wanted.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -42,6 +45,16 @@ def mat_pow(a, k):
         if k:
             base = mat_mul(base, base)
     return result
+
+
+def left_sum(values):
+    """Sum from 0, strictly left to right.  ``sum`` of floats compensates
+    its rounding from Python 3.12 on, which changes the last digits that
+    the CLI prints; this keeps them the same on every version."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
 
 
 def trace(a):
@@ -183,64 +196,91 @@ def lp_nonneg_solve(m, b):
     Returns ``(y, None)`` with a feasible point, or ``(None, z)`` with a
     Farkas certificate: z^T m <= 0 componentwise and z^T b > 0.  Both
     outcomes are verified exactly before returning.  Phase-1 simplex
-    with Bland's rule, so termination is guaranteed.
+    with Bland's rule, so termination is guaranteed.  Entries are
+    ``int`` or ``Fraction``.
+
+    The simplex pivots in ``int`` (Edmonds 1967, Bareiss 1968).  Row i
+    of the starting tableau T0 is s_i L (m_i | b_i) beside the unit
+    artificial column e_i, with s_i the sign of b_i and L the lcm of all
+    denominators.  Invariant: for the basis columns B of T0, the working
+    tableau T is adj(B) T0 and D = det(B).  D starts at 1 and becomes
+    each pivot, which the ratio test takes positive, so D > 0, T / D is
+    the usual tableau B^-1 T0, and each non-pivot row becomes
+    ``(x*piv - f*y) // D``, a division that is exact by Sylvester's
+    identity.  The reduced costs are one more such row, with cost D on
+    the artificial columns.
+
+    The pivots are those of Bland's rule on the Fraction tableau
+    (s_i m_i | e_i | s_i b_i): T0 is that tableau with its y columns and
+    right-hand side multiplied by L > 0, and positive column scalings
+    change neither the sign of a reduced cost nor the order of the
+    ratios in a ratio test.  So both pass through the same bases, and
+    y_j = T[i][rhs] / D (the two factors L cancel) and
+    z_i = s_i (D - R_i) / D, with R_i the cost-row entry of artificial
+    column i, are the Fraction tableau's results.
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
+    try:
+        lcm = math.lcm(*(x.denominator for row in m for x in row),
+                       *(x.denominator for x in b))
+    except AttributeError:
+        raise TypeError("lp_nonneg_solve takes int or Fraction entries") from None
     signs = [1 if bb >= 0 else -1 for bb in b]
-    t = [[Fraction(s * x) for x in row] + [Fraction(1 if i == j else 0) for j in range(nrows)]
-         + [Fraction(s * bb)]
+    t = [[s * (lcm // x.denominator) * x.numerator for x in row]
+         + [1 if i == j else 0 for j in range(nrows)]
+         + [s * (lcm // bb.denominator) * bb.numerator]
          for i, (row, bb, s) in enumerate(zip(m, b, signs))]
+    start = list(t)
+    width = ncols + nrows
+    rhs = width
+    # cost D = 1 on the artificial columns, which start in the basis
+    cost = ([-sum(row[j] for row in t) for j in range(ncols)] + [0] * nrows
+            + [-sum(row[rhs] for row in t)])
     basis = [ncols + i for i in range(nrows)]
-    rhs = ncols + nrows
-
-    def reduced_costs():
-        # cost 1 on artificial columns, 0 on y columns
-        out = []
-        for j in range(ncols + nrows):
-            zj = sum(t[i][j] for i in range(nrows) if basis[i] >= ncols)
-            cj = 0 if j < ncols else 1
-            out.append(cj - zj)
-        return out
+    d = 1
 
     while True:
-        red = reduced_costs()
-        entering = next((j for j, rc in enumerate(red) if rc < 0), None)
+        entering = next((j for j in range(width) if cost[j] < 0), None)
         if entering is None:
             break
         # Bland: smallest ratio, ties by smallest basis variable index
         leaving = None
-        best = None
-        for i in range(nrows):
-            if t[i][entering] > 0:
-                ratio = t[i][rhs] / t[i][entering]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
+        for i, row in enumerate(t):
+            f = row[entering]
+            if f <= 0:
+                continue
+            if leaving is None:
+                leaving = i
+                continue
+            # row[rhs] / f against the best ratio so far, cross-multiplied
+            here, best = row[rhs] * t[leaving][entering], t[leaving][rhs] * f
+            if here < best or (here == best and basis[i] < basis[leaving]):
+                leaving = i
         if leaving is None:
             raise ArithmeticError("phase-1 problem unbounded; inconsistent tableau")
-        piv = t[leaving][entering]
-        t[leaving] = [x / piv for x in t[leaving]]
-        for i in range(nrows):
-            if i != leaving and t[i][entering] != 0:
-                factor = t[i][entering]
-                t[i] = [x - factor * y for x, y in zip(t[i], t[leaving])]
+        prow = t[leaving]
+        piv = prow[entering]
+        for i, row in enumerate(t):
+            if i != leaving:
+                f = row[entering]
+                t[i] = [(x * piv - f * y) // d for x, y in zip(row, prow)]
+        f = cost[entering]
+        cost = [(x * piv - f * y) // d for x, y in zip(cost, prow)]
+        d = piv
         basis[leaving] = entering
 
-    objective = sum(t[i][rhs] for i in range(nrows) if basis[i] >= ncols)
-    if objective == 0:
-        y = [Fraction(0)] * ncols
-        for i in range(nrows):
-            if basis[i] < ncols:
-                y[basis[i]] = t[i][rhs]
-        assert all(v >= 0 for v in y)
-        assert all(sum(r * v for r, v in zip(row, y)) == bb for row, bb in zip(m, b))
-        return y, None
-    # multipliers z_i = 1 - reduced cost of artificial column i, mapped
-    # back through the row sign normalization
-    red = reduced_costs()
-    z = [signs[i] * (1 - red[ncols + i]) for i in range(nrows)]
-    zt_m = [sum(z[i] * m[i][j] for i in range(nrows)) for j in range(ncols)]
-    zt_b = sum(z[i] * b[i] for i in range(nrows))
-    assert all(v <= 0 for v in zt_m) and zt_b > 0
-    return None, z
+    # The end checks run on start, row i of which is s_i L (m_i | b_i):
+    # m y = b and z^T m <= 0 < z^T b, multiplied through by d and L > 0.
+    if cost[rhs] == 0:  # -d times the sum of the basic artificials
+        num = [0] * ncols
+        for i, j in enumerate(basis):
+            if j < ncols:
+                num[j] = t[i][rhs]
+        assert all(v >= 0 for v in num)
+        assert all(sum(r * v for r, v in zip(row, num)) == row[rhs] * d for row in start)
+        return [Fraction(v, d) for v in num], None
+    w = [d - cost[j] for j in range(ncols, width)]  # z_i = s_i w_i / d
+    assert all(sum(wi * row[j] for wi, row in zip(w, start)) <= 0 for j in range(ncols))
+    assert sum(wi * row[rhs] for wi, row in zip(w, start)) > 0
+    return None, [s * Fraction(wi, d) for s, wi in zip(signs, w)]

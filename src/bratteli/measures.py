@@ -289,10 +289,10 @@ def mass_proxy(decomp: ComponentDecomposition, alpha: int, n: int):
     if cls.is_zero:
         raise ZeroBlockError(f"class {alpha} has a zero block")
     h = heights(decomp.diagram, n).values
-    total = sum(cls.perron)
+    total = linalg.left_sum(cls.perron)
     lam = cls.rho
-    return sum(h[v] * yv / total / lam.value ** (n - 1)
-               for v, yv in zip(cls.vertices, cls.perron))
+    return linalg.left_sum(h[v] * yv / total / lam.value ** (n - 1)
+                           for v, yv in zip(cls.vertices, cls.perron))
 
 
 def truncated_extension(decomp: ComponentDecomposition, alpha: int, m: int):

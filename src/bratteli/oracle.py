@@ -151,7 +151,8 @@ class CoreOracleResult:
 
 
 def core_preimage_oracle(a_matrix, x, k: int) -> CoreOracleResult:
-    """Exact feasibility of A^k y = x, y >= 0, by rational elimination.
+    """Exact feasibility of A^k y = x, y >= 0, by the exact simplex
+    ``linalg.lp_nonneg_solve``; x takes ``int`` or ``Fraction`` entries.
 
     Small sizes only: refuses N > 12 or k > 2N rather than running an
     open-ended search.
@@ -166,8 +167,7 @@ def core_preimage_oracle(a_matrix, x, k: int) -> CoreOracleResult:
     if len(x) != n:
         raise ValueError(f"vector has {len(x)} entries, expected {n}")
     ak = linalg.mat_pow([list(r) for r in a_matrix], k)
-    ak = [[Fraction(v) for v in row] for row in ak]
-    y, cert = linalg.lp_nonneg_solve(ak, [Fraction(v) for v in x])
+    y, cert = linalg.lp_nonneg_solve(ak, x)
     if y is not None:
         return CoreOracleResult(True, k, tuple(y), None)
     return CoreOracleResult(False, k, None, tuple(cert))

@@ -419,7 +419,7 @@ def distinguished_eigenvector(decomp: ComponentDecomposition, alpha: int) -> Eig
             placed.add(b)
         remaining = [b for b in remaining if b not in placed]
 
-    total = sum(xi)
+    total = linalg.left_sum(xi)
     xi = [x / total for x in xi]
     support_vertices = {v for v in range(n) if decomp.class_of[v] in support}
     for v in range(n):
@@ -485,9 +485,10 @@ def core_membership(decomp: ComponentDecomposition, x,
     if n > 12:
         return CoreVerdict("unknown")
     a = [list(row) for row in decomp.a_matrix]
-    power = linalg.identity(n)
+    power = a
     for k in range(1, k_max + 1):
-        power = linalg.mat_mul(power, a)
+        if k > 1:
+            power = linalg.mat_mul(power, a)
         y, _ = linalg.lp_nonneg_solve(power, x)
         if y is None:
             return CoreVerdict("not-in-core", k=k)

@@ -98,6 +98,76 @@ def test_lp_nonneg_solve_never_lies(rows, target):
         assert sum(c * t for c, t in zip(cert, b)) > 0
 
 
+def _lp_fraction_tableau(m, b):
+    """Phase-1 simplex with Bland's rule on a Fraction tableau, independent
+    of linalg: the reference that lp_nonneg_solve's integer pivoting must
+    reproduce pivot for pivot, so its (y, z) must be the same values."""
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    signs = [1 if bb >= 0 else -1 for bb in b]
+    t = [[Fraction(s * x) for x in row] + [Fraction(1 if i == j else 0) for j in range(nrows)]
+         + [Fraction(s * bb)]
+         for i, (row, bb, s) in enumerate(zip(m, b, signs))]
+    basis = [ncols + i for i in range(nrows)]
+    rhs = ncols + nrows
+
+    def reduced_costs():
+        return [(0 if j < ncols else 1)
+                - sum(t[i][j] for i in range(nrows) if basis[i] >= ncols)
+                for j in range(ncols + nrows)]
+
+    while True:
+        entering = next((j for j, rc in enumerate(reduced_costs()) if rc < 0), None)
+        if entering is None:
+            break
+        leaving = best = None
+        for i in range(nrows):
+            if t[i][entering] > 0:
+                ratio = t[i][rhs] / t[i][entering]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best, leaving = ratio, i
+        piv = t[leaving][entering]
+        t[leaving] = [x / piv for x in t[leaving]]
+        for i in range(nrows):
+            if i != leaving and t[i][entering] != 0:
+                factor = t[i][entering]
+                t[i] = [x - factor * y for x, y in zip(t[i], t[leaving])]
+        basis[leaving] = entering
+
+    if sum(t[i][rhs] for i in range(nrows) if basis[i] >= ncols) == 0:
+        y = [Fraction(0)] * ncols
+        for i in range(nrows):
+            if basis[i] < ncols:
+                y[basis[i]] = t[i][rhs]
+        return y, None
+    red = reduced_costs()
+    return None, [signs[i] * (1 - red[ncols + i]) for i in range(nrows)]
+
+
+_RATIONAL = st.one_of(st.integers(-4, 4),
+                      st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def _lp_problems(draw):
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.one_of(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
+                    st.lists(_RATIONAL, min_size=ncols, max_size=ncols),
+                    st.just([0] * ncols))
+    m = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    b = draw(st.lists(st.one_of(st.just(0), _RATIONAL), min_size=nrows, max_size=nrows))
+    return m, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lp_problems())
+def test_lp_nonneg_solve_pivots_like_the_fraction_tableau(problem):
+    m, b = problem
+    y, z = linalg.lp_nonneg_solve(m, b)
+    assert (y, z) == _lp_fraction_tableau(m, b)
+    assert all(type(v) is Fraction for v in (y if z is None else z))
+
+
 def _det(rows):
     """Determinant by Fraction Gaussian elimination, independent of linalg."""
     m = [[Fraction(x) for x in row] for row in rows]

@@ -1,8 +1,11 @@
 """First-principles cross-checks: the oracles that validate the formulas."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import aperiodic_corpus
 
 from bratteli import (
     CapExceeded,
@@ -22,6 +25,7 @@ from bratteli import (
     max_path,
     min_path,
     q_steps,
+    telescope_to_primitive,
     verify_invariance,
 )
 
@@ -124,6 +128,11 @@ class TestCorePreimage:
         with pytest.raises(ValueError):
             core_preimage_oracle(dec, (1, 0, 0), k=1)
 
+    def test_float_vector_is_refused(self, b1):
+        # the simplex is exact; like core_membership it takes no floats
+        with pytest.raises(TypeError):
+            core_preimage_oracle(decompose(b1), (0.5, 1.0), k=1)
+
     def test_oracle_refines_an_unknown_membership(self, b1):
         # (2, 1) admits preimages through k = 4 but not k = 5, so the
         # default-depth search cannot classify it
@@ -132,6 +141,79 @@ class TestCorePreimage:
         deeper = core_membership(dec, (2, 1), k_max=8)
         assert deeper.kind == "not-in-core" and deeper.k == 5
         assert core_preimage_oracle(dec, (2, 1), k=4).feasible
+
+
+def _unique_combination(cols, x):
+    """The unique c with sum_j c_j cols[j] = x, by Fraction Gauss-Jordan;
+    None when the columns are dependent or x is outside their span."""
+    n, s = len(x), len(cols)
+    rows = [[Fraction(col[i]) for col in cols] + [Fraction(x[i])] for i in range(n)]
+    for c in range(s):
+        p = next((r for r in range(c, n) if rows[r][c] != 0), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    if any(rows[r][s] != 0 for r in range(s, n)):
+        return None
+    return [rows[r][s] for r in range(s)]
+
+
+def _in_power_cone(a, k, x):
+    """x in A^k R+^n, without bratteli.linalg: by Caratheodory, some
+    independent subset of the columns of A^k reaches x with weights >= 0."""
+    n = len(a)
+    power = a
+    for _ in range(k - 1):
+        power = [[sum(power[i][m] * a[m][j] for m in range(n)) for j in range(n)]
+                 for i in range(n)]
+    cols = [[power[i][j] for i in range(n)] for j in range(n)]
+    if all(v == 0 for v in x):
+        return True
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(cols, size):
+            c = _unique_combination(subset, x)
+            if c is not None and all(v >= 0 for v in c):
+                return True
+    return False
+
+
+def test_cone_oracle_agrees_with_caratheodory_subsets():
+    """core_preimage_oracle and core_membership share the exact simplex;
+    an independent decision of x in A^k R+^n checks both of them on the
+    telescoped corpus, at k = 1 and at the verdict's k (2N without one)."""
+    rng = random.Random(314159)
+    corpus = aperiodic_corpus()
+    checks = 0
+    for d in corpus:
+        primitive, _ = telescope_to_primitive(d)
+        decomp = decompose(primitive)
+        a = decomp.a_matrix
+        n = len(a)
+        assert n <= 4
+        for _ in range(20):
+            if rng.random() < 0.3:
+                y = [rng.randint(0, 3) for _ in range(n)]
+                x = tuple(Fraction(sum(a[i][j] * y[j] for j in range(n))) for i in range(n))
+            else:
+                x = tuple(Fraction(rng.randint(0, 8), rng.choice((1, 2, 3)))
+                          for _ in range(n))
+            verdict = core_membership(decomp, x)
+            k = verdict.k if verdict.kind == "not-in-core" else 2 * n
+            for kk in (1, k):
+                inside = _in_power_cone(a, kk, x)
+                assert core_preimage_oracle(a, x, kk).feasible == inside
+                checks += 1
+            if verdict.kind == "not-in-core":
+                assert not _in_power_cone(a, k, x)
+                assert k == 1 or _in_power_cone(a, k - 1, x)
+            else:
+                assert _in_power_cone(a, 2 * n, x)
+    assert checks == 2 * 20 * len(corpus)
 
 
 class TestOrbitFrequency:
