@@ -28,7 +28,6 @@ from fractions import Fraction
 from .diagram import StationaryDiagram
 from .errors import ParseError
 from .measures import ErgodicMeasure, TailMeasure
-from .spectral import NumericValue
 from .substitution import Substitution
 from .vershik import OrderedDiagram
 
@@ -226,10 +225,6 @@ def parse_scalar(token: str):
         return float(token)
     except ValueError:
         raise ParseError(f"not a number: {token!r}") from None
-
-
-def render_numeric(nv: NumericValue) -> str:
-    return nv.render()
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ approximate path is explicitly wanted.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 
@@ -51,10 +53,7 @@ def left_sum(values):
     """Sum from 0, strictly left to right.  ``sum`` of floats compensates
     its rounding from Python 3.12 on, which changes the last digits that
     the CLI prints; this keeps them the same on every version."""
-    total = 0
-    for v in values:
-        total = total + v
-    return total
+    return functools.reduce(operator.add, values, 0)
 
 
 def trace(a):
@@ -185,7 +184,7 @@ def solve_square(a, b):
                 m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
     x = [None] * n
     for i in range(n - 1, -1, -1):
-        acc = m[i][n] - sum(m[i][j] * x[j] for j in range(i + 1, n))
+        acc = m[i][n] - left_sum(m[i][j] * x[j] for j in range(i + 1, n))
         x[i] = acc / m[i][i]
     return x
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import linalg
 from .diagram import CylinderSet, StationaryDiagram, check_path, heights
 from .errors import NotAperiodicError, NotInDomainError, ZeroBlockError
-from .spectral import (DEFAULT_GAP, ComponentDecomposition, NumericValue,
+from .spectral import (DEFAULT_GAP, ComponentDecomposition, NumericValue, _extend,
                        aperiodicity_check, check_primitive, core_membership, decompose,
                        distinguished_classes, distinguished_eigenvector, nv_ge)
 
@@ -209,8 +209,7 @@ def tail_valuation(decomp: ComponentDecomposition, alpha: int):
     if cls.is_zero:
         raise ZeroBlockError(f"class {alpha} has a zero block")
     lam = cls.rho
-    scalar = type(lam.value)
-    total = sum(cls.perron)
+    total = linalg.left_sum(cls.perron)
     y = tuple(v / total for v in cls.perron)
 
     k = len(decomp.classes)
@@ -224,31 +223,12 @@ def tail_valuation(decomp: ComponentDecomposition, alpha: int):
                     and nv_ge(decomp.classes[b].rho, lam)):
                 divergent.add(g)
                 break
-    finite = [g for g in range(k)
-              if g != alpha and decomp.access[g][alpha] and g not in divergent]
+    finite = [g for g in range(k) if decomp.access[g][alpha] and g not in divergent]
 
-    n = len(decomp.a_matrix)
-    a = decomp.a_matrix
-    base = [scalar(0)] * n
-    for v, yv in zip(cls.vertices, y):
-        base[v] = yv
+    base = _extend(decomp, alpha, y, finite)
     for g in divergent:
         for v in decomp.classes[g].vertices:
             base[v] = math.inf
-
-    t_verts = [v for g in finite for v in decomp.classes[g].vertices]
-    if t_verts:
-        lhs = [[scalar((lam.value if i == j else 0) - a[v][w])
-                for j, w in enumerate(t_verts)] for i, v in enumerate(t_verts)]
-        rhs = []
-        for v in t_verts:
-            acc = scalar(0)
-            for w, yw in zip(cls.vertices, y):
-                acc += a[v][w] * yw
-            rhs.append(acc)
-        sol = linalg.solve_square(lhs, rhs)
-        for v, s in zip(t_verts, sol):
-            base[v] = s
     return lam, y, tuple(base)
 
 

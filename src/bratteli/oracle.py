@@ -17,18 +17,18 @@ from . import linalg
 from .diagram import CylinderSet, PathWord, enumerate_paths, heights
 from .errors import CapExceeded, EndpointMismatch, SizeRefused
 from .measures import measure_of_cylinder
-from .spectral import ComponentDecomposition
+from .spectral import DEFAULT_GAP, ComponentDecomposition
 from .vershik import OrderedDiagram, successor
 
 STEP_CAP = 10 ** 6
 
 
-def _close(a, b, tol=1e-9):
+def _close(a, b):
     if isinstance(a, float) and math.isinf(a) or isinstance(b, float) and math.isinf(b):
         return a == b
     if not isinstance(a, float) and not isinstance(b, float):
         return a == b
-    return abs(a - b) <= tol * (1 + max(abs(a), abs(b)))
+    return abs(a - b) <= DEFAULT_GAP * (1 + max(abs(a), abs(b)))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,14 @@ access to them).  Distinguished classes carry the extreme rays of the
 cone ``core(A) = intersection of A^k(R+^N)`` once every non-zero block
 is primitive.
 
+One reachability closure of the vertices gives the classes and the
+access order; ordering the classes so that every accessor comes first
+gives the Frobenius normal form (F permuted to block-lower-triangular).
+Every extension of a class's Perron vector (the extreme vectors here,
+the sigma-finite valuations in ``measures``) is one linear solve per
+class, down the reversed triangular order, so each class is solved
+after every class it has access to.
+
 Numeric policy: a block's Perron value is reported exactly whenever it
 is rational (it is then an integer root of the characteristic
 polynomial, certified by a strictly positive rational eigenvector), and
@@ -97,15 +105,15 @@ def _power_perron(block):
     v = [1.0 / n] * n
     lo, hi = 0.0, math.inf
     for _ in range(200000):
-        w = [sum(r * x for r, x in zip(row, v)) for row in shifted]
+        w = [linalg.left_sum(r * x for r, x in zip(row, v)) for row in shifted]
         quotients = [wi / vi for wi, vi in zip(w, v)]
         lo, hi = min(quotients), max(quotients)
-        s = sum(w)
+        s = linalg.left_sum(w)
         v = [wi / s for wi in w]
         if hi - lo <= 1e-14 * hi:
             break
     lam = 0.5 * (lo + hi) - 1.0
-    av = [sum(r * x for r, x in zip(row, v)) for row in block]
+    av = [linalg.left_sum(r * x for r, x in zip(row, v)) for row in block]
     residual = max(abs(avi - lam * vi) for avi, vi in zip(av, v))
     return lam, v, residual
 
@@ -169,54 +177,6 @@ def imprimitivity_index(block) -> int:
     return abs(g)
 
 
-def _sccs(adj):
-    """Tarjan's algorithm, iterative; returns components as vertex lists."""
-    n = len(adj)
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    counter = 0
-    out = []
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] is None:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(sorted(comp))
-    return out
-
-
 @dataclass(frozen=True)
 class ComponentClass:
     index: int
@@ -251,28 +211,29 @@ class ComponentDecomposition:
 
 
 def _class_structure(d: StationaryDiagram):
-    """(A = F^T, classes, class_of, access, blocks): the strongly connected
-    classes sorted by least vertex, the class of each vertex, the
-    reflexive-transitive access relation between classes and the diagonal
-    block of each class.  Structure only; no Perron data."""
+    """(A = F^T, classes, class_of, access, blocks), all read off one
+    reachability closure: ``reach[i]`` is the bitmask of the vertices that
+    vertex i reaches, reflexive and closed by Warshall's algorithm.  The
+    class of i is the set of vertices that i reaches and that reach i;
+    classes are numbered by least vertex, and class b has access to class
+    c when the first vertex of b reaches the first vertex of c.  Blocks
+    are the diagonal blocks of A.  Structure only; no Perron data."""
     n = d.n_vertices
     a = [list(col) for col in zip(*d.incidence)]
-    adj = [[j for j in range(n) if a[i][j] > 0] for i in range(n)]
-    comps = sorted(_sccs(adj), key=min)
+    reach = [1 << i | sum(1 << j for j in range(n) if a[i][j] > 0) for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    comps = []
     class_of = [None] * n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            class_of[v] = ci
-    k = len(comps)
-
-    access = [[b == c for c in range(k)] for b in range(k)]
     for i in range(n):
-        for j in adj[i]:
-            access[class_of[i]][class_of[j]] = True
-    for mid in range(k):  # transitive closure
-        for b in range(k):
-            if access[b][mid]:
-                access[b] = [x or y for x, y in zip(access[b], access[mid])]
+        if class_of[i] is None:
+            comp = [j for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1]
+            for j in comp:
+                class_of[j] = len(comps)
+            comps.append(comp)
+    access = [[bool(reach[b[0]] >> c[0] & 1) for c in comps] for b in comps]
     blocks = [tuple(tuple(a[i][j] for j in comp) for i in comp) for comp in comps]
     return a, comps, class_of, access, blocks
 
@@ -298,16 +259,14 @@ def decompose(d: StationaryDiagram) -> ComponentDecomposition:
                   if not any(access[alpha][b] for b in range(k) if b != alpha))
 
     # F[perm] is block-lower-triangular iff for every access beta -> alpha
-    # the class beta is placed first, so list each class after all of its
-    # accessors; initial classes come out first
-    order = []
-    remaining = set(range(k))
-    while remaining:
-        ready = sorted(c for c in remaining
-                       if not any(access[b][c] for b in remaining if b != c))
-        order.extend(ready)
-        remaining -= set(ready)
-    perm = tuple(v for c in order for v in comps[c])
+    # the class beta is placed first, so order the classes by the length of
+    # the longest access chain down to them, ties by index; initial classes
+    # come out first.  A strict accessor of c has fewer accessors than c,
+    # so visiting by accessor count finds every accessor's depth first.
+    depth = {}
+    for c in sorted(range(k), key=lambda c: sum(row[c] for row in access)):
+        depth[c] = max((depth[b] + 1 for b in range(k) if b != c and access[b][c]), default=0)
+    perm = tuple(v for c in sorted(range(k), key=lambda c: (depth[c], c)) for v in comps[c])
 
     return ComponentDecomposition(
         diagram=d,
@@ -363,6 +322,33 @@ def positivity_power(d: StationaryDiagram):
     return q * extra
 
 
+def _extend(decomp: ComponentDecomposition, alpha: int, y, classes):
+    """The vector s with s = y on class alpha that solves
+    (lam - A_bb) s_b = sum over c != b of A_bc s_c on every other class b
+    in ``classes``, lam the Perron value of alpha, and is 0 elsewhere.
+    Classes are solved down the reversed triangular order, so each one
+    comes after every class it has access to; a class in ``classes`` may
+    have access only to alpha, to other classes in ``classes`` and to
+    classes where s is 0."""
+    a = decomp.a_matrix
+    lam = decomp.classes[alpha].rho.value
+    scalar = type(lam)
+    s = [scalar(0)] * len(a)
+    for v, x in zip(decomp.classes[alpha].vertices, y):
+        s[v] = x
+    for b in reversed(dict.fromkeys(decomp.class_of[v] for v in decomp.fnf_permutation)):
+        if b == alpha or b not in classes:
+            continue
+        verts = decomp.classes[b].vertices
+        lhs = [[scalar((lam if i == j else 0) - a[v][w])
+                for j, w in enumerate(verts)] for i, v in enumerate(verts)]
+        rhs = [linalg.left_sum(a[v][j] * s[j] for j in range(len(a))
+                               if s[j] and decomp.class_of[j] != b) for v in verts]
+        for v, x in zip(verts, linalg.solve_square(lhs, rhs)):
+            s[v] = x
+    return s
+
+
 @dataclass(frozen=True)
 class Eigendata:
     alpha: int
@@ -382,49 +368,12 @@ def distinguished_eigenvector(decomp: ComponentDecomposition, alpha: int) -> Eig
     cls = decomp.classes[alpha]
     if not cls.distinguished:
         raise NotDistinguishedError(f"class {alpha} is not distinguished")
-    a = decomp.a_matrix
-    n = len(a)
     support = frozenset(b for b in range(len(decomp.classes)) if decomp.access[b][alpha])
-    lam = cls.rho
-    scalar = type(lam.value)
-
-    xi = [scalar(0)] * n
-    for v, x in zip(cls.vertices, cls.perron):
-        xi[v] = x
-
-    # solve class by class, each time against already-known classes below
-    remaining = [b for b in sorted(support) if b != alpha]
-    placed = {alpha}
-    while remaining:
-        ready = [b for b in remaining
-                 if all((c in placed) or (c not in support)
-                        for c in range(len(decomp.classes))
-                        if c != b and decomp.access[b][c])]
-        if not ready:
-            raise AssertionError("access order is cyclic")
-        for b in ready:
-            verts = decomp.classes[b].vertices
-            lhs = [[scalar((lam.value if i == j else 0) - a[v][w])
-                    for j, w in enumerate(verts)] for i, v in enumerate(verts)]
-            rhs = []
-            for v in verts:
-                acc = scalar(0)
-                for j in range(n):
-                    if decomp.class_of[j] != b and xi[j] != 0:
-                        acc += a[v][j] * xi[j]
-                rhs.append(acc)
-            sol = linalg.solve_square(lhs, rhs)
-            for v, x in zip(verts, sol):
-                xi[v] = x
-            placed.add(b)
-        remaining = [b for b in remaining if b not in placed]
-
+    xi = _extend(decomp, alpha, cls.perron, support)
     total = linalg.left_sum(xi)
     xi = [x / total for x in xi]
-    support_vertices = {v for v in range(n) if decomp.class_of[v] in support}
-    for v in range(n):
-        assert (xi[v] > 0) == (v in support_vertices)
-    return Eigendata(alpha, lam, tuple(xi), support)
+    assert all((x > 0) == (decomp.class_of[v] in support) for v, x in enumerate(xi))
+    return Eigendata(alpha, cls.rho, tuple(xi), support)
 
 
 @dataclass(frozen=True)

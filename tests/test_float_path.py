@@ -5,11 +5,14 @@ read off it (extension solves, cylinder values, mass proxies, ratios) is
 float arithmetic.  The goldens below are exact stdout bytes and float
 reprs of that arithmetic, so an edit that reorders an operation or
 changes a scalar type shows up as a changed last digit.  ``sum`` of
-floats compensates its rounding from Python 3.12 on; the sums behind the
-goldens either round the same both ways or run left to right through
-``linalg.left_sum`` (the ``cylinder --check-total`` line of "ergodic sxx
-total" differs in its last digit otherwise), so they hold on every
-supported version.
+floats compensates its rounding from Python 3.12 on; the float sums
+behind the goldens (the power iteration, the back-substitution of
+``linalg.solve_square``, the normalisations and ``cylinder
+--check-total``) run left to right through ``linalg.left_sum``, so they
+hold on every supported version.  With the built-in ``sum``, the
+``cylinder --check-total`` line of "ergodic sxx total" and the "power
+iteration" and "tail normaliser" lines of ``ANALYZE_LINES`` differ in
+their last digits on 3.12.
 
 The fixture has four classes: b (rho 3) and s (rho 2) are initial; the
 irrational class {t,u} (rho 1+sqrt 2) is fed by both, so it is not
@@ -20,6 +23,8 @@ its extreme vector needs a float extension solve.
 
 import contextlib
 import io
+
+import pytest
 
 from bratteli import (
     InvariantMeasure,
@@ -86,6 +91,34 @@ ANALYZE_OUT = (
     "borel invariant: 3\n"
     "summary: 3 ergodic probability measures; 1 sigma-finite measure\n"
 )
+
+# One line of ``analyze`` per document.  "power iteration": every digit
+# is read off the power iteration on one irrational class of four
+# vertices.  "tail normaliser": the Perron vector of the three-vertex
+# class {1,2,3} is scaled by a sum of three floats.  "chained extension":
+# the tail measure of class {1,2} (rho 1+sqrt 2) is finite on the chain
+# 5 -> 4 -> {1,2} (both rho 2) and infinite on 3 (rho 3), and each finite
+# class is solved on its own, 4 before 5.
+ANALYZE_LINES = {
+    "power iteration": (
+        "n: 4\nincidence:\n3 0 1 0\n3 3 3 1\n0 3 1 0\n3 0 0 1\n",
+        "measure 1: class=0 eigenvalue=5.738902800725266±8.9e-15 "
+        "vector=(0.38443220212848039 0.2898171334542074 0.26459365283862935 "
+        "0.061157011578682953) support=full",
+    ),
+    "tail normaliser": (
+        "n: 4\nincidence:\n2 2 1 1\n3 2 1 0\n3 3 3 0\n0 0 0 9\n",
+        "measure 1: class=0 eigenvalue=6.2879921389604192±3.1e-15 "
+        "vector=(0.41163600931489563 0.35515460792666481 0.23320938275843969 inf) "
+        "atomic=no",
+    ),
+    "chained extension": (
+        "n: 5\nincidence:\n1 2 0 1 1\n1 1 1 0 0\n0 0 3 0 0\n0 0 0 2 2\n0 0 0 0 2\n",
+        "measure 1: class=0 eigenvalue=2.4142135623730949±8.9e-16 "
+        "vector=(0.41421356237309531 0.58578643762690474 inf 1.0000000000000009 "
+        "5.828427124746197) atomic=no",
+    ),
+}
 
 CYLINDER_OUT = {
     "ergodic sxx total": "0.040440114519880943\n1.0000000000000029\n",
@@ -283,6 +316,16 @@ def test_analyze_stdout(tmp_path):
     doc = tmp_path / "irrational.txt"
     doc.write_text(IRRATIONAL_DOC)
     assert run_cli("analyze", str(doc)) == (0, ANALYZE_OUT, "")
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_LINES))
+def test_analyze_line(tmp_path, name):
+    text, line = ANALYZE_LINES[name]
+    doc = tmp_path / "doc.txt"
+    doc.write_text(text)
+    code, stdout, err = run_cli("analyze", str(doc))
+    assert (code, err) == (0, "")
+    assert line in stdout.splitlines()
 
 
 def test_cylinder_stdout(tmp_path):

@@ -14,6 +14,8 @@ from bratteli import (
     ZeroBlockError,
     borel_invariant,
     decompose,
+    distinguished_classes,
+    distinguished_eigenvector,
     enumerate_ergodic,
     enumerate_infinite,
     heights,
@@ -26,6 +28,8 @@ from bratteli import (
     tail_valuation,
     truncated_extension,
 )
+
+from conftest import aperiodic_corpus
 
 
 class TestErgodicEnumeration:
@@ -176,6 +180,22 @@ class TestSigmaFinite:
         dec = decompose(b1)
         lam, y, base = tail_valuation(dec, 0)
         assert lam.value == 2 and y == (1,) and base == (1, 0)
+
+    def test_valuation_is_a_multiple_of_the_ray_on_exact_distinguished_classes(self):
+        checked = extended = 0
+        for d in aperiodic_corpus():
+            dec = decompose(d)
+            for alpha in distinguished_classes(dec):
+                if not dec.classes[alpha].rho.is_exact:
+                    continue
+                base = tail_valuation(dec, alpha)[2]
+                xi = distinguished_eigenvector(dec, alpha).xi
+                (ratio,) = {b / x for b, x in zip(base, xi) if x}
+                assert ratio > 0
+                assert all(b == 0 for b, x in zip(base, xi) if not x)
+                checked += 1
+                extended += len(dec.accessors_of(alpha)) > 0
+        assert (checked, extended) == (9, 1)
 
 
 class TestMassAndTruncation:
