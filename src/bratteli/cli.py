@@ -20,7 +20,7 @@ from .documents import (measure_record, parse_coefficients, parse_diagram,
                         serialize_diagram, serialize_measures)
 from .errors import (BratteliError, CapExceeded, NotAperiodicError,
                      NotInDomainError, ParseError, SizeRefused)
-from .linalg import left_sum
+from .linalg import left_sum, mat_pow
 from .measures import (InvariantMeasure, borel_invariant, enumerate_ergodic,
                        enumerate_infinite, measure_of_cylinder)
 from .oracle import brute_force_Q, verify_invariance
@@ -38,6 +38,11 @@ EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
 EXIT_CAP = 5
 
+# caps on how much work an option value may ask for; above them, exit 5
+TELESCOPE_CAP = 10 ** 6  # telescoping power, and edges per level after it
+QMAX_CAP = 10 ** 6       # --qmax (the candidate count sieve is linear in it)
+WINDOW_CAP = 10 ** 4     # top level of --window (heights are kept per level)
+
 
 def _plural(n: int, noun: str) -> str:
     return f"{n} {noun}" + ("" if n == 1 else "s")
@@ -48,7 +53,8 @@ def _read(path: str) -> str:
 
 
 def _load_diagram(args, want_positive: bool = False):
-    """(diagram or ordered diagram, applied telescoping power)."""
+    """(diagram or ordered diagram, its unordered diagram, applied
+    telescoping power)."""
     doc = parse_diagram(_read(args.diagram))
     ordered = isinstance(doc, OrderedDiagram)
     base = doc.base if ordered else doc
@@ -62,9 +68,15 @@ def _load_diagram(args, want_positive: bool = False):
             raise ParseError(f"--telescope takes 'auto' or an integer, got {spec!r}")
         if q < 1:
             raise ParseError("--telescope power must be >= 1")
-    if q == 1:
-        return doc, 1
-    return (telescope_ordered(doc, q) if ordered else telescope(base, q)), q
+    if q > 1:
+        # telescoping an ordered diagram composes its words once per level
+        if q > TELESCOPE_CAP or sum(map(sum, mat_pow(
+                base.incidence, q, TELESCOPE_CAP + 1))) > TELESCOPE_CAP:
+            raise CapExceeded(f"telescoping by {q} is above the cap of {TELESCOPE_CAP} "
+                              "levels or edges per level", cap=TELESCOPE_CAP)
+        doc = telescope_ordered(doc, q) if ordered else telescope(base, q)
+        base = doc.base if ordered else doc
+    return doc, base, q
 
 
 def _parse_path_spec(spec: str, diagram) -> PathWord:
@@ -106,19 +118,27 @@ def _measure_line(i: int, m, labels) -> str:
              f"eigenvalue={m.lam.render()}", f"vector=({vec})"]
     if hasattr(m, "atomic"):
         parts.append(f"atomic={'yes' if m.atomic else 'no'}")
+    elif m.full_support:
+        parts.append("support=full")
     else:
-        if m.full_support:
-            support = "full"
-        else:
-            vs = sorted(v for c in m.support for v in m.decomp.classes[c].vertices)
-            support = ",".join(labels[v] for v in vs)
-        parts.append(f"support={support}")
+        vs = sorted(v for c in m.support for v in m.decomp.classes[c].vertices)
+        parts.append("support=" + ",".join(labels[v] for v in vs))
     return " ".join(parts)
 
 
+def _measure_lines(ergodic, infinite, labels, verdict: str) -> list[str]:
+    """The measure listing of ``analyze`` and ``subst measures``."""
+    return [f"ergodic measures: {len(ergodic)}",
+            *(_measure_line(i, m, labels) for i, m in enumerate(ergodic, 1)),
+            f"sigma-finite measures: {len(infinite)}",
+            *(_measure_line(i, m, labels) for i, m in enumerate(infinite, 1)),
+            verdict,
+            f"summary: {_plural(len(ergodic), 'ergodic probability measure')}; "
+            f"{_plural(len(infinite), 'sigma-finite measure')}"]
+
+
 def cmd_analyze(args) -> int:
-    doc, q = _load_diagram(args)
-    base = doc.base if isinstance(doc, OrderedDiagram) else doc
+    _, base, q = _load_diagram(args)
     decomp = decompose(base)
     verdict = aperiodicity_check(decomp)
     if not verdict:
@@ -151,13 +171,8 @@ def cmd_analyze(args) -> int:
     if args.report:
         sys.stdout.write(serialize_measures(list(ergodic) + list(infinite)))
         return EXIT_OK
-    out.append(f"ergodic measures: {len(ergodic)}")
-    out.extend(_measure_line(i, m, labels) for i, m in enumerate(ergodic, 1))
-    out.append(f"sigma-finite measures: {len(infinite)}")
-    out.extend(_measure_line(i, m, labels) for i, m in enumerate(infinite, 1))
-    out.append(f"borel invariant: {borel_invariant(decomp)}")
-    out.append(f"summary: {_plural(len(ergodic), 'ergodic probability measure')}; "
-               f"{_plural(len(infinite), 'sigma-finite measure')}")
+    out.extend(_measure_lines(ergodic, infinite, labels,
+                              f"borel invariant: {borel_invariant(decomp)}"))
     print("\n".join(out))
     return EXIT_OK
 
@@ -181,8 +196,7 @@ def _select_measure(args, base):
 
 
 def cmd_cylinder(args) -> int:
-    doc, _ = _load_diagram(args)
-    base = doc.base if isinstance(doc, OrderedDiagram) else doc
+    _, base, _ = _load_diagram(args)
     m = _select_measure(args, base)
     level = 1
     if args.path is not None:
@@ -199,12 +213,14 @@ def cmd_cylinder(args) -> int:
 
 
 def cmd_eigenvalues(args) -> int:
-    doc, q = _load_diagram(args, want_positive=True)
-    if not isinstance(doc, OrderedDiagram):
+    if args.qmax > QMAX_CAP:
+        raise CapExceeded(f"--qmax {args.qmax} is above the cap of {QMAX_CAP}",
+                          args.qmax, QMAX_CAP)
+    od, base, q = _load_diagram(args, want_positive=True)
+    if not isinstance(od, OrderedDiagram):
         raise ParseError("eigenvalue analysis needs an ordered diagram "
                          "(document with an order: section)")
-    od = doc
-    decomp = decompose(od.base)
+    decomp = decompose(base)
     if args.klass is not None:
         if not 0 <= args.klass < len(decomp.classes):
             raise ParseError(f"--class takes a class id in 0..{len(decomp.classes) - 1}, "
@@ -223,8 +239,11 @@ def cmd_eigenvalues(args) -> int:
             raise ParseError(f"--window takes a:b, got {args.window!r}")
         if window[0] < 1 or window[1] < window[0]:
             raise ParseError("--window needs 1 <= a <= b")
+        if window[1] > WINDOW_CAP:
+            raise CapExceeded(f"--window level {window[1]} is above the cap of {WINDOW_CAP}",
+                              window[1], WINDOW_CAP)
     else:
-        window = default_window(od.base)
+        window = default_window(base)
 
     passing = eigenvalue_search(od, alpha, args.qmax, window, decomp)
 
@@ -234,7 +253,7 @@ def cmd_eigenvalues(args) -> int:
     out.append(f"class: {alpha}")
     out.append("members: " + ",".join(decomp.class_members(alpha)))
     out.append(f"window: {window[0]}..{window[1]}")
-    out.append(f"decisive: {'yes' if is_decisive(od.base, window) else 'no'}")
+    out.append(f"decisive: {'yes' if is_decisive(base, window) else 'no'}")
     out.append(f"qmax: {args.qmax}")
     out.append(f"candidates: {candidate_count(args.qmax)}")
     out.append("pass: " + " ".join(render_scalar(t) for t in passing))
@@ -248,6 +267,11 @@ def cmd_eigenvalues(args) -> int:
 
 def cmd_subst(args) -> int:
     s = parse_substitution(_read(args.substitution))
+    if args.steps < 0:
+        raise ParseError(f"--steps must be >= 0, got {args.steps}")
+    letter = args.letter or s.alphabet[0]
+    if letter not in s.alphabet:
+        raise ParseError(f"--letter takes a letter of the alphabet, got {letter!r}")
     if args.action == "matrix":
         m = substitution_matrix(s)
         print("letters: " + " ".join(s.alphabet))
@@ -255,10 +279,8 @@ def cmd_subst(args) -> int:
     elif args.action == "diagram":
         sys.stdout.write(serialize_diagram(diagram_from_substitution(s)))
     elif args.action == "expand":
-        letter = args.letter or s.alphabet[0]
         print(expand(s, letter, args.steps, args.cap))
     elif args.action == "freqs":
-        letter = args.letter or s.alphabet[0]
         freqs = letter_frequencies(s, letter, args.steps, args.cap)
         for a, fr in zip(s.alphabet, freqs):
             print(f"{a}: {render_scalar(fr)}")
@@ -268,23 +290,18 @@ def cmd_subst(args) -> int:
         out = []
         if result.telescope_power > 1:
             out.append(f"telescope power: {result.telescope_power}")
-        out.append(f"ergodic measures: {len(result.ergodic)}")
-        out.extend(_measure_line(i, m, labels)
-                   for i, m in enumerate(result.ergodic, 1))
-        out.append(f"sigma-finite measures: {len(result.infinite)}")
-        out.extend(_measure_line(i, m, labels)
-                   for i, m in enumerate(result.infinite, 1))
-        out.append(f"uniquely ergodic: {'yes' if result.unique_ergodic else 'no'}")
-        out.append(f"summary: {_plural(len(result.ergodic), 'ergodic probability measure')}; "
-                   f"{_plural(len(result.infinite), 'sigma-finite measure')}")
+        out.extend(_measure_lines(
+            result.ergodic, result.infinite, labels,
+            f"uniquely ergodic: {'yes' if result.unique_ergodic else 'no'}"))
         print("\n".join(out))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    doc, _ = _load_diagram(args)
+    if args.depth < 1:
+        raise ParseError(f"--depth must be >= 1, got {args.depth}")
+    doc, base, _ = _load_diagram(args)
     ordered = isinstance(doc, OrderedDiagram)
-    base = doc.base if ordered else doc
     decomp = decompose(base)
     labels = base.effective_labels
     ergodic = enumerate_ergodic(decomp)
@@ -309,16 +326,11 @@ def cmd_verify(args) -> int:
             while expected > 10 ** 4 and lvl > 1:
                 lvl -= 1
                 expected = heights(base, lvl).values[v]
-            cur = min_path(doc, v, lvl)
+            first = last = min_path(doc, v, lvl)
             count = 1
-            last = cur
-            while True:
-                nxt = successor(doc, last)
-                if nxt is None:
-                    break
-                count += 1
-                last = nxt
-            span = brute_force_Q(doc, min_path(doc, v, lvl), last)
+            while (nxt := successor(doc, last)) is not None:
+                count, last = count + 1, nxt
+            span = brute_force_Q(doc, first, last)
             ok = count == expected and span == expected - 1
             if not ok:
                 violations += 1
@@ -376,16 +388,10 @@ def cmd_export_dot(args) -> int:
         for c in decomp.classes:
             out.append(f'  "{names[c.index]}" '
                        f'[label="{names[c.index]} rho={c.rho.render()}"];')
-        k = len(decomp.classes)
-        direct = set()
-        for v in range(base.n_vertices):
-            for w in range(base.n_vertices):
-                if base.incidence[v][w] > 0 and decomp.class_of[v] != decomp.class_of[w]:
-                    direct.add((decomp.class_of[v], decomp.class_of[w]))
-        for b in range(k):
-            for a in range(k):
-                if (b, a) in direct:
-                    out.append(f'  "{names[b]}" -> "{names[a]}";')
+        direct = {(decomp.class_of[v], decomp.class_of[w])
+                  for v in range(base.n_vertices) for w in range(base.n_vertices)
+                  if base.incidence[v][w] > 0 and decomp.class_of[v] != decomp.class_of[w]}
+        out.extend(f'  "{names[b]}" -> "{names[a]}";' for b, a in sorted(direct))
         out.append("}")
     print("\n".join(out))
     return EXIT_OK
@@ -464,10 +470,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (CapExceeded, SizeRefused) as e:

@@ -37,8 +37,11 @@ class StationaryDiagram:
                 raise DimensionMismatch("labels must match the vertex count")
             if len(set(labels)) != n:
                 raise ValueError("labels must be distinct")
-            if any((not s) or any(c.isspace() for c in s) for s in labels):
-                raise ValueError("labels must be non-empty and contain no whitespace")
+            # a label with ':' or a leading '#' would not survive the order section
+            if any(not s or s[0] == "#" or any(c.isspace() or c == ":" for c in s)
+                   for s in labels):
+                raise ValueError("labels must be non-empty, contain no whitespace or ':' "
+                                 "and not start with '#'")
             object.__setattr__(self, "labels", labels)
 
     @property

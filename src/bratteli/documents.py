@@ -43,8 +43,9 @@ def _lines(text):
     return out
 
 
-def _split_word(word: str, line: int, lookup: dict) -> tuple[int, ...]:
-    tokens = word.split() if any(c.isspace() for c in word) else list(word)
+def _split_word(word: str, line: int, lookup: dict, compact: bool) -> tuple[int, ...]:
+    """Vertex ids of a word: one per character when written compactly."""
+    tokens = list(word) if compact and not any(c.isspace() for c in word) else word.split()
     try:
         return tuple(lookup[t] for t in tokens)
     except KeyError as e:
@@ -120,6 +121,7 @@ def parse_diagram(text: str):
     # 1-based numbers are aliases; an explicit label of the same name wins
     lookup = {str(v + 1): v for v in range(n)}
     lookup.update({lbl: v for v, lbl in enumerate(diagram.effective_labels)})
+    compact = all(len(lbl) == 1 for lbl in diagram.effective_labels)
     words: dict[int, tuple[int, ...]] = {}
     for _ in range(n):
         if pos >= len(lines):
@@ -137,7 +139,7 @@ def parse_diagram(text: str):
         v = lookup[key]
         if v in words:
             raise ParseError(f"vertex {key!r} ordered twice", lineno)
-        words[v] = _split_word(word.strip(), lineno, lookup)
+        words[v] = _split_word(word.strip(), lineno, lookup, compact)
     if pos < len(lines):
         raise ParseError(f"unexpected content {lines[pos][1]!r}", lines[pos][0])
     try:
@@ -304,8 +306,10 @@ def parse_measures(text: str) -> list[MeasureRecord]:
         except ValueError:
             raise ParseError("class and support must be integers", lineno)
         try:
-            vector = tuple(parse_scalar(t) for t in vec_s.split())
-        except ParseError as e:
+            # exact values are written as integers or p/q, floats as decimals
+            vector = tuple(float(t) if "." in t or "e" in t else parse_scalar(t)
+                           for t in vec_s.split())
+        except (ParseError, ValueError) as e:
             raise ParseError(str(e), vec_line) from None
         records.append(MeasureRecord(class_id, tuple(members_s.split()), type_s,
                                      eig_s, vector, support))

@@ -35,17 +35,32 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def mat_pow(a, k):
-    """a**k by binary powering; k >= 0."""
-    n = len(a)
-    result = identity(n)
+def _clipped_mul(a, b, limit):
+    """min(a b, limit) entrywise for non-negative integer matrices; a term
+    whose bit lengths alone put it past the limit is not multiplied out."""
+    bits = limit.bit_length() + 1
+    bt = list(zip(*b))
+    return [[limit if any(x and y and x.bit_length() + y.bit_length() > bits
+                          for x, y in zip(row, col))
+             else min(sum(x * y for x, y in zip(row, col)), limit) for col in bt]
+            for row in a]
+
+
+def mat_pow(a, k, limit=None):
+    """a**k by binary powering; k >= 0.  With a positive integer limit,
+    every product is clipped to min(x, limit) entrywise, which gives
+    min(a**k, limit) exactly for a non-negative integer matrix."""
+    if k < 0:
+        raise ValueError(f"matrix power needs k >= 0, got {k}")
+    mul = mat_mul if limit is None else functools.partial(_clipped_mul, limit=limit)
+    result = identity(len(a))
     base = [list(row) for row in a]
     while k:
         if k & 1:
-            result = mat_mul(result, base)
+            result = mul(result, base)
         k >>= 1
         if k:
-            base = mat_mul(base, base)
+            base = mul(base, base)
     return result
 
 

@@ -22,22 +22,25 @@ from .diagram import CylinderSet, StationaryDiagram, check_path, heights
 from .errors import NotAperiodicError, NotInDomainError, ZeroBlockError
 from .spectral import (DEFAULT_GAP, ComponentDecomposition, NumericValue, _extend,
                        aperiodicity_check, check_primitive, core_membership, decompose,
-                       distinguished_classes, distinguished_eigenvector, nv_ge)
+                       distinguished_classes, distinguished_eigenvector, nv_compare)
 
 
 def _as_decomp(d) -> ComponentDecomposition:
     return d if isinstance(d, ComponentDecomposition) else decompose(d)
 
 
-@dataclass(frozen=True)
-class ErgodicMeasure:
-    decomp: ComponentDecomposition
-    class_id: int
-    lam: NumericValue
-    xi: tuple
-    support: frozenset[int]
+def _aperiodic(d) -> ComponentDecomposition:
+    """The decomposition of d; NotAperiodicError unless d is aperiodic."""
+    decomp = _as_decomp(d)
+    verdict = aperiodicity_check(decomp)
+    if not verdict:
+        raise NotAperiodicError(verdict.reason or verdict.kind,
+                                witness_class=verdict.witness_class)
+    return decomp
 
-    kind = "ergodic-finite"
+
+class _ClassMeasure:
+    """What the measures carried by one class (``decomp``, ``lam``) share."""
 
     @property
     def diagram(self) -> StationaryDiagram:
@@ -46,6 +49,17 @@ class ErgodicMeasure:
     @property
     def is_exact(self):
         return self.lam.is_exact
+
+
+@dataclass(frozen=True)
+class ErgodicMeasure(_ClassMeasure):
+    decomp: ComponentDecomposition
+    class_id: int
+    lam: NumericValue
+    xi: tuple
+    support: frozenset[int]
+
+    kind = "ergodic-finite"
 
     @property
     def full_support(self):
@@ -60,11 +74,7 @@ class ErgodicMeasure:
 def enumerate_ergodic(d) -> list[ErgodicMeasure]:
     """All ergodic probability measures, one per distinguished class, in
     class index order.  Requires primitive blocks and aperiodicity."""
-    decomp = _as_decomp(d)
-    verdict = aperiodicity_check(decomp)
-    if not verdict:
-        raise NotAperiodicError(verdict.reason or verdict.kind,
-                                witness_class=verdict.witness_class)
+    decomp = _aperiodic(d)
     out = []
     for alpha in distinguished_classes(decomp):
         e = distinguished_eigenvector(decomp, alpha)
@@ -73,7 +83,8 @@ def enumerate_ergodic(d) -> list[ErgodicMeasure]:
 
 
 def measure_of_cylinder(mu, c):
-    """Value of the measure on a cylinder set (or the path defining it)."""
+    """Value of the measure on a cylinder set (or the path defining it);
+    any measure with ``diagram`` and ``value(level, vertex)``."""
     path = c.path if isinstance(c, CylinderSet) else c
     check_path(mu.diagram, path)
     return mu.value(path.level, path.terminal)
@@ -92,12 +103,9 @@ class InvariantMeasure:
     def __post_init__(self):
         if len(self.measures) != len(self.coefficients):
             raise ValueError("one coefficient per ergodic measure")
-        exact = all(not isinstance(c, float) for c in self.coefficients)
-        total = sum(self.coefficients)
-        if exact:
-            if any(c < 0 for c in self.coefficients) or total != 1:
-                raise ValueError("coefficients must be >= 0 and sum to 1")
-        elif any(c < -DEFAULT_GAP for c in self.coefficients) or abs(total - 1) > DEFAULT_GAP:
+        gap = DEFAULT_GAP if any(isinstance(c, float) for c in self.coefficients) else 0
+        if (any(c < -gap for c in self.coefficients)
+                or abs(sum(self.coefficients) - 1) > gap):
             raise ValueError("coefficients must be >= 0 and sum to 1")
 
     @property
@@ -163,7 +171,7 @@ def support_classes(mu: ErgodicMeasure):
 
 
 @dataclass(frozen=True)
-class TailMeasure:
+class TailMeasure(_ClassMeasure):
     """Sigma-finite measure carried by a non-distinguished class: cylinder
     values y_v lambda^(1-n) on the class, the solved extension elsewhere,
     +inf where some access chain carries an equal-or-larger Perron value,
@@ -179,14 +187,6 @@ class TailMeasure:
     @property
     def kind(self):
         return "sigma-finite-atomic" if self.atomic else "sigma-finite"
-
-    @property
-    def diagram(self) -> StationaryDiagram:
-        return self.decomp.diagram
-
-    @property
-    def is_exact(self):
-        return self.lam.is_exact
 
     def value(self, level: int, vertex: int):
         s = self.base[vertex]
@@ -220,7 +220,7 @@ def tail_valuation(decomp: ComponentDecomposition, alpha: int):
         for b in range(k):
             if (b != alpha and decomp.access[g][b] and decomp.access[b][alpha]
                     and not decomp.classes[b].is_zero
-                    and nv_ge(decomp.classes[b].rho, lam)):
+                    and nv_compare(decomp.classes[b].rho, lam) >= 0):
                 divergent.add(g)
                 break
     finite = [g for g in range(k) if decomp.access[g][alpha] and g not in divergent]
@@ -236,11 +236,7 @@ def enumerate_infinite(d, include_atomic: bool = True) -> list[TailMeasure]:
     """Sigma-finite measures, one per non-distinguished class with a
     non-zero block, in class index order.  Atomic ones (the class block
     is the 1x1 identity) can be filtered out."""
-    decomp = _as_decomp(d)
-    verdict = aperiodicity_check(decomp)
-    if not verdict:
-        raise NotAperiodicError(verdict.reason or verdict.kind,
-                                witness_class=verdict.witness_class)
+    decomp = _aperiodic(d)
     out = []
     for cls in decomp.classes:
         if cls.distinguished or cls.is_zero:
@@ -253,11 +249,8 @@ def enumerate_infinite(d, include_atomic: bool = True) -> list[TailMeasure]:
     return out
 
 
-def tail_measure_of_cylinder(nu: TailMeasure, c):
-    """Value in [0, +inf] of the sigma-finite measure on a cylinder."""
-    path = c.path if isinstance(c, CylinderSet) else c
-    check_path(nu.diagram, path)
-    return nu.value(path.level, path.terminal)
+# a sigma-finite measure's cylinder values, in [0, +inf], read the same way
+tail_measure_of_cylinder = measure_of_cylinder
 
 
 def mass_proxy(decomp: ComponentDecomposition, alpha: int, n: int):
@@ -294,9 +287,5 @@ def borel_invariant(d) -> int:
     """Number of distinguished classes: the complete invariant for Borel
     isomorphism of the tail relation, and the count of ergodic
     probability measures."""
-    decomp = _as_decomp(d)
-    verdict = aperiodicity_check(decomp)
-    if not verdict:
-        raise NotAperiodicError(verdict.reason or verdict.kind,
-                                witness_class=verdict.witness_class)
+    decomp = _aperiodic(d)
     return len(distinguished_classes(decomp))

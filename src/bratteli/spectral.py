@@ -16,6 +16,12 @@ the sigma-finite valuations in ``measures``) is one linear solve per
 class, down the reversed triangular order, so each class is solved
 after every class it has access to.
 
+The extreme vector of a distinguished class b is positive exactly on the
+vertices whose class has access to b (the support law of the Frobenius
+normal form), so at one vertex per distinguished class the extreme
+vectors form a triangular matrix with a positive diagonal: cone
+membership is one square solve there, in either scalar type.
+
 Numeric policy: a block's Perron value is reported exactly whenever it
 is rational (it is then an integer root of the characteristic
 polynomial, certified by a strictly positive rational eigenvector), and
@@ -85,14 +91,6 @@ def nv_compare(a: NumericValue, b: NumericValue) -> int:
         raise AmbiguousComparison(
             f"values {a.render()} and {b.render()} are within the gap {DEFAULT_GAP}")
     return 1 if fa > fb else -1
-
-
-def nv_gt(a, b):
-    return nv_compare(a, b) > 0
-
-
-def nv_ge(a, b):
-    return nv_compare(a, b) >= 0
 
 
 def _power_perron(block):
@@ -246,7 +244,7 @@ def decompose(d: StationaryDiagram) -> ComponentDecomposition:
     zero_flags = [_is_zero(block) for block in blocks]
     rhos, vecs = zip(*map(perron_pair, blocks))
     distinguished = [not zero_flags[alpha]
-                     and all(nv_gt(rhos[alpha], rhos[b])
+                     and all(nv_compare(rhos[alpha], rhos[b]) > 0
                              for b in range(k) if b != alpha and access[b][alpha])
                      for alpha in range(k)]
     classes = tuple(ComponentClass(ci, tuple(comp), blocks[ci], zero_flags[ci], rhos[ci],
@@ -383,24 +381,16 @@ class CoreVerdict:
     coefficients: tuple | None = None
 
 
-def _solve_cone_exact(vectors, x):
-    """Solve sum c_i vectors[i] = x exactly; (coeffs, True) when solvable."""
-    rows = [[vec[v] for vec in vectors] for v in range(len(x))]
-    sol = linalg.solve_exact(rows, [Fraction(xx) for xx in x])
-    if sol is None:
-        return None
-    # solve_exact zeroes free variables; verify, since the system is overdetermined
-    for v in range(len(x)):
-        if sum(vec[v] * c for vec, c in zip(vectors, sol)) != x[v]:
-            return None
-    return sol
-
-
 def core_membership(decomp: ComponentDecomposition, x,
                     k_max: int | None = None) -> CoreVerdict:
-    """Is x in the limit cone of A?  Fast path: decompose x over the
-    distinguished extreme vectors.  Slow path (exact, N <= 12): first k
-    with ``A^k y = x, y >= 0`` infeasible."""
+    """Is x in the limit cone of A?  Fast path: x = sum c_e xi_e over the
+    distinguished extreme vectors.  xi_b(v) > 0 exactly when the class of
+    v has access to b, a partial order, so the equations at the first
+    vertex of each distinguished class are triangular with a positive
+    diagonal; one solve gives c in the scalar type of the xi.  In-core
+    when all of x reconstructs and c >= 0, exactly if every xi is exact,
+    else up to a residual of DEFAULT_GAP (1 + max|x|) and c >= -DEFAULT_GAP.
+    Slow path (exact, N <= 12): first k with ``A^k y = x, y >= 0`` infeasible."""
     check_primitive(decomp)
     n = len(decomp.a_matrix)
     if any(isinstance(v, float) for v in x):
@@ -412,24 +402,16 @@ def core_membership(decomp: ComponentDecomposition, x,
         k_max = 2 * n
     eig = [distinguished_eigenvector(decomp, alpha) for alpha in distinguished_classes(decomp)]
 
-    if all(e.is_exact for e in eig):
-        coeffs = _solve_cone_exact([e.xi for e in eig], x)
-        if coeffs is not None and all(c >= 0 for c in coeffs):
-            return CoreVerdict("in-core", coefficients=tuple(coeffs))
-    else:
-        cols = [[float(v) for v in e.xi] for e in eig]
-        gram = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
-        rhs = [sum(c * float(v) for c, v in zip(col, x)) for col in cols]
-        try:
-            coeffs = linalg.solve_square(gram, rhs)
-        except ZeroDivisionError:
-            coeffs = None
-        if coeffs is not None:
-            recon = [sum(c * col[v] for c, col in zip(coeffs, cols)) for v in range(n)]
-            scale = 1.0 + max(abs(float(v)) for v in x)
-            if (max(abs(r - float(v)) for r, v in zip(recon, x)) <= DEFAULT_GAP * scale
-                    and all(c >= -DEFAULT_GAP for c in coeffs)):
-                return CoreVerdict("in-core", coefficients=tuple(coeffs))
+    exact = all(e.is_exact for e in eig)
+    gap = 0 if exact else DEFAULT_GAP
+    cols = [e.xi if exact else [float(v) for v in e.xi] for e in eig]
+    xs = x if exact else [float(v) for v in x]
+    rows = [decomp.classes[e.alpha].vertices[0] for e in eig]
+    coeffs = linalg.solve_square([[col[v] for col in cols] for v in rows], [xs[v] for v in rows])
+    residual = max(abs(linalg.left_sum(c * col[v] for c, col in zip(coeffs, cols)) - xs[v])
+                   for v in range(n))
+    if residual <= gap * (1 + max(map(abs, xs))) and all(c >= -gap for c in coeffs):
+        return CoreVerdict("in-core", coefficients=tuple(coeffs))
 
     if n > 12:
         return CoreVerdict("unknown")
@@ -469,7 +451,7 @@ def aperiodicity_check(decomp: ComponentDecomposition) -> AperiodicityResult:
     one = NumericValue.exact(1)
     for alpha in decomp.initial_classes:
         cls = decomp.classes[alpha]
-        if cls.is_zero or not nv_gt(cls.rho, one):
+        if cls.is_zero or nv_compare(cls.rho, one) <= 0:
             return AperiodicityResult(
                 "not-aperiodic", witness_class=alpha,
                 reason=f"initial class {alpha} has Perron value {cls.rho.render()}")

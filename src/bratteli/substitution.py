@@ -18,10 +18,11 @@ from .diagram import StationaryDiagram
 from .errors import CapExceeded, NotGrowingError
 from .measures import ErgodicMeasure, TailMeasure, enumerate_ergodic, enumerate_infinite
 from .spectral import (ComponentDecomposition, NumericValue, decompose,
-                       nv_gt, telescope_to_primitive)
+                       nv_compare, telescope_to_primitive)
 from .vershik import OrderedDiagram, telescope_ordered
 
 EXPAND_CAP = 10 ** 7
+_PRINTABLE = 10 ** 4300  # str() of an int is limited to 4300 digits
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,10 @@ class Substitution:
         if len(letters) != len(self.alphabet):
             raise ValueError("alphabet letters must be distinct")
         for a in self.alphabet:
-            if len(a) != 1 or a.isspace():
-                raise ValueError(f"letters must be single non-blank characters: {a!r}")
+            # a rule line for '#' reads as a comment, one for ':' has no letter
+            if len(a) != 1 or a.isspace() or a in "#:":
+                raise ValueError("letters must be single non-blank characters other "
+                                 f"than '#' and ':': {a!r}")
         if set(self.rules) != letters:
             raise ValueError("rules must cover exactly the alphabet")
         for a, word in self.rules.items():
@@ -119,7 +122,7 @@ def _growth_report(s: Substitution, decomp: ComponentDecomposition) -> GrowthRep
 
     def rho_above_one(b):
         cls = decomp.classes[b]
-        return not cls.is_zero and nv_gt(cls.rho, one)
+        return not cls.is_zero and nv_compare(cls.rho, one) > 0
 
     def rho_is_one(b):
         cls = decomp.classes[b]
@@ -138,19 +141,23 @@ def _growth_report(s: Substitution, decomp: ComponentDecomposition) -> GrowthRep
     return GrowthReport(verdicts)
 
 
-def _image_length(s: Substitution, a: str, n: int) -> int:
-    m = [list(r) for r in substitution_matrix(s)]
-    col = s.index(a)
-    power = linalg.mat_pow(m, n)
-    return sum(power[i][col] for i in range(s.size))
+def _letter_counts(s: Substitution, a: str, n: int, cap: int) -> list[int]:
+    """Letter counts of sigma^n(a); CapExceeded when they add up to more
+    than cap, decided on the power clipped at cap + 1, with the count from
+    a power clipped at 10^4300: exact wherever Python prints it in full."""
+    m, col = substitution_matrix(s), s.index(a)
+    counts = [row[col] for row in linalg.mat_pow(m, n, max(cap, 0) + 1)]
+    if sum(counts) > cap:
+        total = sum(row[col] for row in linalg.mat_pow(m, n, _PRINTABLE))
+        shown = total if total < _PRINTABLE else "at least 10^4300"
+        raise CapExceeded(f"expansion has {shown} letters", required=total, cap=cap)
+    return counts
 
 
 def expand(s: Substitution, a: str, n: int, cap: int = EXPAND_CAP) -> str:
     """The word sigma^n(a); the length is checked against the cap before
     any expansion is materialized."""
-    length = _image_length(s, a, n)
-    if length > cap:
-        raise CapExceeded(f"expansion has {length} letters", required=length, cap=cap)
+    _letter_counts(s, a, n, cap)
     word = a
     seen = {word: 0}
     step = 0
@@ -172,13 +179,8 @@ def letter_frequencies(s: Substitution, a: str, n: int,
                        cap: int = EXPAND_CAP) -> tuple[Fraction, ...]:
     """Exact letter-count ratios of sigma^n(a), computed from matrix
     powers rather than the expanded word."""
-    m = [list(r) for r in substitution_matrix(s)]
-    col = s.index(a)
-    power = linalg.mat_pow(m, n)
-    counts = [power[i][col] for i in range(s.size)]
+    counts = _letter_counts(s, a, n, cap)
     total = sum(counts)
-    if total > cap:
-        raise CapExceeded(f"expansion has {total} letters", required=total, cap=cap)
     return tuple(Fraction(c, total) for c in counts)
 
 

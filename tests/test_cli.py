@@ -11,12 +11,15 @@ import io
 import math
 import random
 import re
+import signal
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bratteli
 from bratteli import (candidate_thetas, decompose, rational_eigenvalue_sufficient,
@@ -41,21 +44,21 @@ THUE_MORSE_SUB = "alphabet: a b\nrules:\na: ab\nb: ba\n"
 DOUBLE_MORSE_SUB = (
     "alphabet: a b c d 1\nrules:\na: ab\nb: ba\nc: cd\nd: dc\n1: a111c\n"
 )
+DOCS = {
+    "b1.txt": B1_DOC,
+    "b1o.txt": B1_ORDERED_DOC,
+    "wm_a.txt": WM_A_DOC,
+    "eig.txt": EIG_CHAIN_DOC,
+    "dm.txt": DOUBLE_MORSE_DOC,
+    "tm.sub": THUE_MORSE_SUB,
+    "dm.sub": DOUBLE_MORSE_SUB,
+}
 
 
 @pytest.fixture
 def docs(tmp_path):
-    names = {
-        "b1.txt": B1_DOC,
-        "b1o.txt": B1_ORDERED_DOC,
-        "wm_a.txt": WM_A_DOC,
-        "eig.txt": EIG_CHAIN_DOC,
-        "dm.txt": DOUBLE_MORSE_DOC,
-        "tm.sub": THUE_MORSE_SUB,
-        "dm.sub": DOUBLE_MORSE_SUB,
-    }
     paths = {}
-    for name, text in names.items():
+    for name, text in DOCS.items():
         p = tmp_path / name
         p.write_text(text)
         paths[name] = str(p)
@@ -68,6 +71,25 @@ def run_cli(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+class Hung(Exception):
+    """Raised by ``time_limit``; not an OSError, which ``main`` reports."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Turn a command that does not return into a failure."""
+    def expire(signum, frame):
+        raise Hung(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestAnalyze:
@@ -445,6 +467,14 @@ class TestVerify:
         assert code == 0
         assert "measure file: ok (2 measures match)\n" in out
         assert out.endswith("result: ok\n")
+        # an irrational Perron value: the report's float vector reads back
+        irrational = tmp_path / "r3.txt"
+        irrational.write_text("n: 2\nincidence:\n1 3\n1 1\n")
+        _, report, _ = run_cli("analyze", str(irrational), "--report")
+        mf.write_text(report)
+        code, out, _ = run_cli("verify", str(irrational), "--depth", "2",
+                               "--measures", str(mf))
+        assert code == 0 and "measure file: ok (1 measures match)\n" in out
 
     def test_corrupted_measure_file_exits_4(self, docs, tmp_path):
         _, report, _ = run_cli("analyze", docs["b1.txt"], "--report")
@@ -527,3 +557,130 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("vertices: 2\n")
+
+
+class TestCountOptions:
+    """Every count option answers at once: values outside its domain exit
+    2, and values that ask for more than a cap exit 5."""
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (("subst", "expand", "tm.sub", "--steps", "-1"), 2,
+         "error: --steps must be >= 0, got -1\n"),
+        (("subst", "freqs", "tm.sub", "--steps", "-1"), 2,
+         "error: --steps must be >= 0, got -1\n"),
+        (("subst", "freqs", "tm.sub", "--steps", "100000"), 5,
+         "error: expansion has at least 10^4300 letters\n"),
+        (("subst", "expand", "tm.sub", "--steps", "100000000000"), 5,
+         "error: expansion has at least 10^4300 letters\n"),
+        (("subst", "freqs", "tm.sub", "--letter", "z"), 2,
+         "error: --letter takes a letter of the alphabet, got 'z'\n"),
+        (("verify", "b1o.txt", "--depth", "0"), 2, "error: --depth must be >= 1, got 0\n"),
+        (("verify", "b1o.txt", "--depth", "-2"), 2, "error: --depth must be >= 1, got -2\n"),
+        (("eigenvalues", "b1o.txt", "--qmax", "100000000000"), 5,
+         "error: --qmax 100000000000 is above the cap of 1000000\n"),
+        (("eigenvalues", "b1o.txt", "--window", "1000000:1000000"), 5,
+         "error: --window level 1000000 is above the cap of 10000\n"),
+        (("analyze", "b1o.txt", "--telescope", "1000"), 5,
+         "error: telescoping by 1000 is above the cap of 1000000 levels or edges per level\n"),
+        (("analyze", "b1.txt", "--telescope", "100000"), 5,
+         "error: telescoping by 100000 is above the cap of 1000000 levels or edges per level\n"),
+    ])
+    def test_refused_at_once(self, docs, argv, code, err):
+        with time_limit(20):
+            assert run_cli(*(docs.get(a, a) for a in argv)) == (code, "", err)
+
+
+HUGE = str(10 ** 30)
+FUZZ_VALUES = {
+    # verify enumerates every path down to --depth (the oracle's path
+    # checks), and that alone takes 15 s on eig.txt at depth 5: bounded
+    "--depth": ["-2", "-1", "0", "1", "2"],
+    # expand applies the substitution once per step to the whole word, so
+    # a slowly growing letter under the cap takes seconds from 10^4 steps
+    # on: steps between 20 and 10^8 are left out; --cap stays at its default
+    "--steps": ["-2", "-1", "0", "1", "2", "3", "20", "100000000", HUGE],
+    "--qmax": ["-5", "0", "1", "12", "10000000", HUGE, "x"],
+    "--window": ["-1:2", "0:3", "1:1", "2:6", "6:12", "3:2", "1:10001", f"1:{HUGE}",
+                 f"{HUGE}:{HUGE}", "3", "a:b"],
+    "--telescope": ["auto", "x", "-1", "0", "1", "2", "3", "1000", HUGE],
+    "--class": ["-1", "0", "1", "5"],
+}
+SOUP = ["analyze", "cylinder", "eigenvalues", "subst", "verify", "export-dot", "expand",
+        "--report", "--path", "--measure", "--check-total", "--letter", "--graph",
+        "--measures", "-1", "0", "1", "1:2", "b1o.txt", "tm.sub", "r.txt", "x", *FUZZ_VALUES]
+
+
+@st.composite
+def diagram_docs(draw):
+    """Diagram text with entries -1..3 and, half the time, order words
+    drawn from the rows (sometimes one source short)."""
+    n = draw(st.integers(1, 3))
+    rows = [[draw(st.integers(-1, 3)) for _ in range(n)] for _ in range(n)]
+    text = f"n: {n}\nincidence:\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+    if draw(st.booleans()):
+        text += "order:\n"
+        for v, row in enumerate(rows):
+            word = draw(st.permutations([str(w + 1) for w, k in enumerate(row)
+                                         for _ in range(max(k, 0))]))
+            text += f"{v + 1}: {''.join(word[draw(st.integers(0, 1)):])}\n"
+    return text
+
+
+@st.composite
+def substitution_docs(draw):
+    letters = draw(st.sampled_from(["a", "ab", "ab1"]))
+    rules = "".join(f"{a}: {draw(st.text(letters, min_size=1, max_size=3))}\n"
+                    for a in letters)
+    return f"alphabet: {' '.join(letters)}\nrules:\n{rules}"
+
+
+@st.composite
+def cli_argvs(draw):
+    doc = draw(st.sampled_from(["b1.txt", "b1o.txt", "wm_a.txt", "eig.txt", "dm.txt",
+                                "r.txt", "absent.txt"]))
+    sub = draw(st.sampled_from(["tm.sub", "dm.sub", "r.sub", "absent.sub"]))
+    action = draw(st.sampled_from(["matrix", "diagram", "expand", "freqs", "measures"]))
+    argv, options = draw(st.sampled_from([
+        (["analyze", doc], ["--telescope"]),
+        (["analyze", doc, "--report"], ["--telescope"]),
+        (["cylinder", doc, "--measure", "0", "--path", "11"], ["--telescope"]),
+        (["cylinder", doc, "--measure", "1", "--check-total"], ["--telescope"]),
+        (["eigenvalues", doc], ["--class", "--qmax", "--window", "--telescope"]),
+        (["verify", doc, "--depth", "1"], ["--depth", "--telescope"]),
+        (["export-dot", doc], []),
+        (["subst", action, sub], ["--steps"]),
+        (["subst", action, sub, "--letter", "b"], ["--steps"]),
+    ]))
+    for option in options:
+        if draw(st.booleans()):
+            argv += [option, draw(st.sampled_from(FUZZ_VALUES[option]))]
+    # a command line holds no NUL and no surrogate outside surrogateescape
+    soup = draw(st.lists(st.sampled_from(SOUP) | st.text(st.characters(
+        exclude_categories=("Cs",), exclude_characters="\x00"), max_size=4),
+        max_size=5))
+    return draw(st.sampled_from([argv, argv, argv, argv + soup, soup]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in DOCS.items():
+        (root / name).write_text(text)
+    return root
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(argv=cli_argvs(), diagram=diagram_docs(), substitution=substitution_docs())
+def test_cli_fuzz_exits_with_a_documented_code(fuzz_dir, argv, diagram, substitution):
+    """Any command line ends, with exit 0, 2, 3, 4 or 5 and no traceback."""
+    (fuzz_dir / "r.txt").write_text(diagram)
+    (fuzz_dir / "r.sub").write_text(substitution)
+    files = set(DOCS) | {"r.txt", "r.sub", "absent.txt", "absent.sub"}
+    with time_limit(20):
+        try:
+            code, _, err = run_cli(*(str(fuzz_dir / a) if a in files else a for a in argv))
+        except SystemExit as e:  # argparse usage errors
+            code, err = e.code, ""
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err

@@ -30,6 +30,10 @@ def test_rejects_negative_entries():
 def test_rejects_duplicate_or_blank_labels():
     with pytest.raises(ValueError):
         StationaryDiagram(((1,),), labels=("",))
+    # labels the order section could not read back
+    for labels in (("a:", "b"), ("#a", "b"), ("x", "order:")):
+        with pytest.raises(ValueError):
+            StationaryDiagram(((1, 0), (0, 1)), labels=labels)
     with pytest.raises(ValueError):
         StationaryDiagram(((1, 0), (0, 1)), labels=("a", "a"))
     with pytest.raises(DimensionMismatch):

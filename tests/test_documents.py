@@ -4,11 +4,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from bratteli import (
+    BratteliError,
     OrderedDiagram,
     ParseError,
     StationaryDiagram,
+    Substitution,
     enumerate_ergodic,
     enumerate_infinite,
     measure_record,
@@ -181,3 +185,60 @@ class TestCoefficientDocuments:
             parse_coefficients("nope: 1\n")
         with pytest.raises(ParseError):
             parse_coefficients("coefficients: 1\ncoefficients: 1\n")
+
+
+LABEL_TEXT = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=3)
+
+
+@st.composite
+def labelled_diagrams(draw, entries=(0, 3)):
+    """A diagram of 1-3 vertices under an arbitrary label set (or none),
+    ordered half the time; label sets a diagram refuses are skipped."""
+    n = draw(st.integers(1, 3))
+    rows = tuple(tuple(draw(st.integers(*entries)) for _ in range(n)) for _ in range(n))
+    labels = draw(st.none() | st.lists(LABEL_TEXT | st.sampled_from(["1", "2", "10", "12"]),
+                                       min_size=n, max_size=n, unique=True))
+    try:
+        d = StationaryDiagram(rows, labels)
+    except ValueError:
+        assume(False)
+    if not draw(st.booleans()):
+        return d
+    return OrderedDiagram(d, tuple(
+        tuple(draw(st.permutations([w for w in range(n) for _ in range(row[w])])))
+        for row in rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_diagrams())
+@example(StationaryDiagram(((2, 0), (1, 2)), ("2", "1")))
+@example(OrderedDiagram(StationaryDiagram(((0, 1), (1, 0)), ("10", "1")), ((1,), (0,))))
+def test_diagram_documents_round_trip_under_any_labels(d):
+    assert parse_diagram(serialize_diagram(d)) == d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=4,
+                unique=True).flatmap(
+    lambda letters: st.tuples(st.just(letters), st.lists(
+        st.text(st.sampled_from(letters), min_size=1, max_size=4),
+        min_size=len(letters), max_size=len(letters)))))
+def test_substitution_documents_round_trip_under_any_letters(alphabet_and_words):
+    letters, words = alphabet_and_words
+    try:
+        s = Substitution(tuple(letters), dict(zip(letters, words)))
+    except ValueError:
+        assume(False)
+    assert parse_substitution(serialize_substitution(s)) == s
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_diagrams(entries=(0, 2)))
+def test_measure_reports_round_trip_under_any_labels(d):
+    base = d.base if isinstance(d, OrderedDiagram) else d
+    try:
+        measures = enumerate_ergodic(base) + enumerate_infinite(base)
+    except BratteliError:
+        assume(False)
+    records = [measure_record(m) for m in measures]
+    assert parse_measures(serialize_measures(measures)) == records

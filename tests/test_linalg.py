@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,21 @@ def test_mat_pow_matches_repeated_multiplication():
 
 def test_mat_pow_identity():
     assert linalg.mat_pow([[5, 1], [0, 2]], 0) == [[1, 0], [0, 1]]
+
+
+def test_mat_pow_refuses_negative_powers():
+    with pytest.raises(ValueError):
+        linalg.mat_pow([[1]], -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+           lambda n: st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                              min_size=n, max_size=n)),
+       st.integers(0, 12), st.integers(1, 10 ** 4))
+def test_clipped_mat_pow_is_the_clipped_power(a, k, limit):
+    clipped = [[min(x, limit) for x in row] for row in linalg.mat_pow(a, k)]
+    assert linalg.mat_pow(a, k, limit) == clipped
 
 
 def test_char_poly_companion_matrix():

@@ -233,6 +233,9 @@ class TestCoreMembership:
         # feasible for two preimage steps, impossible from the third on
         verdict = core_membership(dec, (1, 1))
         assert verdict.kind == "not-in-core" and verdict.k == 3
+        # 2 xi + 10^-12 e_2, off the cone at the vertex no equation is taken
+        # at: exact extreme vectors leave no gap to fall into
+        assert core_membership(dec, (2, Fraction(1, 10 ** 12))).kind == "unknown"
 
     def test_rejects_floats_and_bad_lengths(self, b1):
         dec = decompose(b1)

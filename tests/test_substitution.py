@@ -34,6 +34,10 @@ class TestConstruction:
             Substitution(("a",), {"a": ""})
         with pytest.raises(ValueError):
             Substitution(("a",), {"a": "ax"})
+        # a rule line for '#' is a comment, one for ':' has no letter
+        for letter in ("#", ":"):
+            with pytest.raises(ValueError):
+                Substitution(("a", letter), {"a": "a" + letter, letter: "a"})
 
     def test_apply(self, thue_morse):
         assert thue_morse.apply("ab") == "abba"
@@ -112,6 +116,14 @@ class TestExpansion:
         with pytest.raises(CapExceeded) as exc:
             expand(thue_morse, "a", 40, cap=10 ** 6)
         assert exc.value.required == 2 ** 40
+        # the count is exact while Python prints it in full, a bound after
+        with pytest.raises(CapExceeded) as exc:
+            expand(thue_morse, "a", 14000)
+        assert exc.value.required == 2 ** 14000
+        assert str(exc.value) == f"expansion has {2 ** 14000} letters"
+        with pytest.raises(CapExceeded) as exc:
+            expand(thue_morse, "a", 10 ** 11)
+        assert str(exc.value) == "expansion has at least 10^4300 letters"
 
     def test_cycling_letters_jump_by_periods(self):
         swap = Substitution(("a", "b"), {"a": "b", "b": "a"})
@@ -131,6 +143,13 @@ class TestExpansion:
     def test_frequencies_respect_the_cap(self, thue_morse):
         with pytest.raises(CapExceeded):
             letter_frequencies(thue_morse, "a", 200, cap=10 ** 6)
+        with pytest.raises(CapExceeded):
+            letter_frequencies(thue_morse, "a", 100000)
+
+    def test_negative_steps_are_refused(self, thue_morse):
+        for f in (expand, letter_frequencies):
+            with pytest.raises(ValueError):
+                f(thue_morse, "a", -1)
 
 
 class TestMeasureEnumeration:
