@@ -20,12 +20,11 @@ from .documents import (measure_record, parse_coefficients, parse_diagram,
                         serialize_diagram, serialize_measures)
 from .errors import (BratteliError, CapExceeded, NotAperiodicError,
                      NotInDomainError, ParseError, SizeRefused)
-from .linalg import left_sum, mat_pow
+from .linalg import left_sum
 from .measures import (InvariantMeasure, borel_invariant, enumerate_ergodic,
                        enumerate_infinite, measure_of_cylinder)
 from .oracle import brute_force_Q, verify_invariance
-from .spectral import (aperiodicity_check, decompose, positivity_power,
-                       telescope_to_primitive)
+from .spectral import _primitive_power, aperiodicity_check, decompose, positivity_power
 from .substitution import (diagram_from_substitution, expand, letter_frequencies,
                            substitution_matrix, substitution_measures)
 from .vershik import (OrderedDiagram, candidate_count, default_window,
@@ -39,7 +38,6 @@ EXIT_VERIFY = 4
 EXIT_CAP = 5
 
 # caps on how much work an option value may ask for; above them, exit 5
-TELESCOPE_CAP = 10 ** 6  # telescoping power, and edges per level after it
 QMAX_CAP = 10 ** 6       # --qmax (the candidate count sieve is linear in it)
 WINDOW_CAP = 10 ** 4     # top level of --window (heights are kept per level)
 
@@ -60,7 +58,7 @@ def _load_diagram(args, want_positive: bool = False):
     base = doc.base if ordered else doc
     spec = getattr(args, "telescope", "auto")
     if spec == "auto":
-        q = positivity_power(base) if want_positive else telescope_to_primitive(base)[1]
+        q = positivity_power(base) if want_positive else _primitive_power(base)
     else:
         try:
             q = int(spec)
@@ -69,11 +67,6 @@ def _load_diagram(args, want_positive: bool = False):
         if q < 1:
             raise ParseError("--telescope power must be >= 1")
     if q > 1:
-        # telescoping an ordered diagram composes its words once per level
-        if q > TELESCOPE_CAP or sum(map(sum, mat_pow(
-                base.incidence, q, TELESCOPE_CAP + 1))) > TELESCOPE_CAP:
-            raise CapExceeded(f"telescoping by {q} is above the cap of {TELESCOPE_CAP} "
-                              "levels or edges per level", cap=TELESCOPE_CAP)
         doc = telescope_ordered(doc, q) if ordered else telescope(base, q)
         base = doc.base if ordered else doc
     return doc, base, q
@@ -184,7 +177,11 @@ def _select_measure(args, base):
         class_id = int(args.measure)
     except ValueError:
         coeffs = parse_coefficients(_read(args.measure))
-        return InvariantMeasure(tuple(ergodic), coeffs)
+        try:
+            return InvariantMeasure(tuple(ergodic), coeffs)
+        except ValueError as e:
+            raise NotInDomainError(f"coefficient file: {e} "
+                                   f"({_plural(len(ergodic), 'ergodic measure')})") from None
     for m in ergodic:
         if m.class_id == class_id:
             return m

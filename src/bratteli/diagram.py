@@ -105,11 +105,21 @@ def heights(d: StationaryDiagram, n: int) -> HeightVector:
     return HeightVector(n, tuple(h))
 
 
+TELESCOPE_CAP = 10 ** 6  # telescoping power, and edges per level after it
+
+
 def telescope(d: StationaryDiagram, k: int) -> StationaryDiagram:
-    """Contract k consecutive levels into one: incidence becomes F**k."""
+    """Contract k consecutive levels into one: incidence becomes F**k.
+    A power above TELESCOPE_CAP, or more than TELESCOPE_CAP edges per
+    level in F**k, raises CapExceeded.  The edges are counted on F**k
+    clipped at TELESCOPE_CAP + 1, so no entry grows past the cap; under
+    the cap that clipped power is F**k itself."""
     if k < 1:
         raise ValueError("telescoping power must be >= 1")
-    fk = linalg.mat_pow([list(r) for r in d.incidence], k)
+    fk = linalg.mat_pow(d.incidence, k, TELESCOPE_CAP + 1) if k <= TELESCOPE_CAP else None
+    if fk is None or sum(map(sum, fk)) > TELESCOPE_CAP:
+        raise CapExceeded(f"telescoping by {k} is above the cap of {TELESCOPE_CAP} "
+                          "levels or edges per level", cap=TELESCOPE_CAP)
     return StationaryDiagram(tuple(tuple(row) for row in fk), d.labels)
 
 

@@ -104,8 +104,9 @@ class InvariantMeasure:
         if len(self.measures) != len(self.coefficients):
             raise ValueError("one coefficient per ergodic measure")
         gap = DEFAULT_GAP if any(isinstance(c, float) for c in self.coefficients) else 0
-        if (any(c < -gap for c in self.coefficients)
-                or abs(sum(self.coefficients) - 1) > gap):
+        # written so that a NaN coefficient fails too
+        if (not all(c >= -gap for c in self.coefficients)
+                or not abs(sum(self.coefficients) - 1) <= gap):
             raise ValueError("coefficients must be >= 0 and sum to 1")
 
     @property

@@ -290,29 +290,36 @@ def check_primitive(decomp: ComponentDecomposition):
             f"telescope by {q} first: some diagonal block is imprimitive", power=q)
 
 
+def _primitive_power(d: StationaryDiagram) -> int:
+    """Smallest power q = lcm of the block imprimitivity indices, so every
+    non-zero block of F**q is primitive.  Reads the class structure only,
+    not the Perron data, and forms no matrix power."""
+    return math.lcm(1, *(imprimitivity_index(block) for block in _class_structure(d)[4]
+                         if not _is_zero(block)))
+
+
 def telescope_to_primitive(d: StationaryDiagram):
-    """(telescoped diagram, q): smallest power q = lcm of the block
-    imprimitivity indices, so every non-zero block of F**q is primitive.
-    Reads the class structure only, not the Perron data."""
-    q = math.lcm(1, *(imprimitivity_index(block) for block in _class_structure(d)[4]
-                      if not _is_zero(block)))
+    """(telescoped diagram, q) for q = _primitive_power(d); CapExceeded
+    when F**q is above the telescoping cap."""
+    q = _primitive_power(d)
     return (d if q == 1 else telescope(d, q)), q
 
 
 def positivity_power(d: StationaryDiagram):
     """Power q such that every non-zero diagonal block of F**q is strictly
-    positive.  Computed on boolean patterns, so large entries cost nothing."""
-    base, q = telescope_to_primitive(d)
+    positive.  Computed on the boolean pattern of F**q (its power clipped
+    at 1), so large entries cost nothing and no telescoping cap applies."""
+    q = _primitive_power(d)
+    pattern = StationaryDiagram(tuple(map(tuple, linalg.mat_pow(d.incidence, q, 1))))
     extra = 1
-    for block in _class_structure(base)[4]:
+    for block in _class_structure(pattern)[4]:
         if _is_zero(block):
             continue
-        pattern = [[1 if x > 0 else 0 for x in row] for row in block]
-        m, current = 1, pattern
-        limit = (len(pattern) - 1) ** 2 + 2
+        m, current = 1, block
+        limit = (len(block) - 1) ** 2 + 2
         while any(x == 0 for row in current for x in row):
             current = [[1 if any(a and b for a, b in zip(row, col)) else 0
-                        for col in zip(*pattern)] for row in current]
+                        for col in zip(*block)] for row in current]
             m += 1
             if m > limit:
                 raise PrimitivityError("block never becomes positive; not primitive")

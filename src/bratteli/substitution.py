@@ -17,8 +17,8 @@ from . import linalg
 from .diagram import StationaryDiagram
 from .errors import CapExceeded, NotGrowingError
 from .measures import ErgodicMeasure, TailMeasure, enumerate_ergodic, enumerate_infinite
-from .spectral import (ComponentDecomposition, NumericValue, decompose,
-                       nv_compare, telescope_to_primitive)
+from .spectral import (ComponentDecomposition, NumericValue, _primitive_power, decompose,
+                       nv_compare)
 from .vershik import OrderedDiagram, telescope_ordered
 
 EXPAND_CAP = 10 ** 7
@@ -206,7 +206,7 @@ def substitution_measures(s: Substitution) -> SubstitutionMeasures:
     if not growth.growing:
         bad = growth.bounded_letters()[0]
         raise NotGrowingError(f"letter {bad!r} has bounded images", letter=bad)
-    _, q = telescope_to_primitive(od.base)
+    q = _primitive_power(od.base)
     if q > 1:
         od = telescope_ordered(od, q)
         decomp = decompose(od.base)

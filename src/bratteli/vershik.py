@@ -127,19 +127,12 @@ def successor(od: OrderedDiagram, p: PathWord) -> PathWord | None:
 
 def path_rank(od: OrderedDiagram, p: PathWord) -> int:
     """Position of p in the successor enumeration of E(v_0, terminal):
-    each edge contributes the heights of everything below it in its
-    bundle."""
+    ``_leg_low`` of the whole path read as a leg placed at level 1, each
+    edge contributing the heights of everything below it in its bundle."""
     check_path(od.base, p)
     if p.level == 1:
         return 0
-    h = _height_table(od.base, p.level - 1)
-    total = 0
-    for t in range(2, p.level + 1):
-        target = p.vertices[t - 1]
-        pos = od.bundle_rank(target, p.vertices[t - 2], p.indices[t - 2])
-        word = od.order[target]
-        total += sum(h[t - 1][word[q]] for q in range(pos))
-    return total
+    return _leg_low(od, Leg(p.vertices, p.indices), _height_table(od.base, p.level - 1), 1)
 
 
 def q_steps(od: OrderedDiagram, e: PathWord, e2: PathWord) -> int:
@@ -288,11 +281,17 @@ def _leg_low(od, leg: Leg, h, n: int) -> int:
     return total
 
 
+def _p_row(od, diamond: Diamond, h, levels) -> tuple[int, ...]:
+    """P_n for each n in levels, read from the height table h, which must
+    reach level max(levels) + diamond.length - 1."""
+    return tuple(_leg_low(od, diamond.leg_b, h, n) - _leg_low(od, diamond.leg_a, h, n)
+                 for n in levels)
+
+
 def p_value(od: OrderedDiagram, diamond: Diamond, n: int) -> int:
     """Return time P_n: successor steps from the tower of leg_a to the
     tower of leg_b when the diamond's source sits at level n."""
-    h = _height_table(od.base, n + diamond.length - 1)
-    return _leg_low(od, diamond.leg_b, h, n) - _leg_low(od, diamond.leg_a, h, n)
+    return _p_row(od, diamond, _height_table(od.base, n + diamond.length - 1), (n,))[0]
 
 
 @dataclass(frozen=True)
@@ -322,22 +321,8 @@ def recurrence_coefficients(d: StationaryDiagram) -> tuple[int, ...]:
 
 def p_sequence(od: OrderedDiagram, diamond: Diamond, n_max: int) -> PSequence:
     h = _height_table(od.base, n_max + diamond.length - 1)
-    values = tuple(_leg_low(od, diamond.leg_b, h, n) - _leg_low(od, diamond.leg_a, h, n)
-                   for n in range(1, n_max + 1))
-    return PSequence(diamond, values, recurrence_coefficients(od.base))
-
-
-def _signature(od, diamond: Diamond):
-    """P_n depends on the diamond only through per-step (target, rank,
-    rank') triples; used to dedupe the eigenvalue checks."""
-    sig = []
-    for t in range(diamond.length):
-        ta = diamond.leg_a.vertices[t + 1]
-        tb = diamond.leg_b.vertices[t + 1]
-        ra = od.bundle_rank(ta, diamond.leg_a.vertices[t], diamond.leg_a.mults[t])
-        rb = od.bundle_rank(tb, diamond.leg_b.vertices[t], diamond.leg_b.mults[t])
-        sig.append((ta, ra, tb, rb))
-    return tuple(sig)
+    return PSequence(diamond, _p_row(od, diamond, h, range(1, n_max + 1)),
+                     recurrence_coefficients(od.base))
 
 
 def _require_positive_blocks(decomp: ComponentDecomposition):
@@ -377,20 +362,14 @@ class EigenvalueVerdict:
 
 
 def _p_tables(od, decomp, alpha, window, cap=10 ** 6):
-    """Unique P value rows over the window, one per diamond signature,
-    paired with a representative diamond."""
+    """One (diamond, P row over the window) pair per diamond that
+    enumerate_diamonds lists, in its order.  No two listed diamonds share
+    a row by construction: a step's (target, bundle rank) names its edge
+    through edge_at, so the per-step ranks of both legs fix the diamond."""
     diamonds = enumerate_diamonds(od, decomp, alpha, max_len=2, cap=cap)
     n1, n2 = window
-    h = _height_table(od.base, n2 + 2)
-    rows = {}
-    for dm in diamonds:
-        sig = _signature(od, dm)
-        if sig in rows:
-            continue
-        rows[sig] = (dm, tuple(
-            _leg_low(od, dm.leg_b, h, n) - _leg_low(od, dm.leg_a, h, n)
-            for n in range(n1, n2 + 1)))
-    return list(rows.values())
+    h = _height_table(od.base, n2 + 1)     # legs have length <= 2
+    return [(dm, _p_row(od, dm, h, range(n1, n2 + 1))) for dm in diamonds]
 
 
 def _window_gcds(od, decomp, alpha, window):
@@ -446,6 +425,20 @@ def _window_gcds(od, decomp, alpha, window):
     return out
 
 
+def _class_window_gcd(od, alpha, window, decomp):
+    """Preamble of both eigenvalue tests: (decomposition, window, G) for
+    the distinguished class alpha, G the gcd of every P_n of the class
+    over the window (default_window when None)."""
+    if decomp is None:
+        decomp = decompose(od.base)
+    _require_positive_blocks(decomp)
+    if not decomp.classes[alpha].distinguished:
+        raise NotDistinguishedError(f"class {alpha} is not distinguished")
+    if window is None:
+        window = default_window(od.base)
+    return decomp, window, math.gcd(*_window_gcds(od, decomp, alpha, window))
+
+
 def eigenvalue_check(od: OrderedDiagram, alpha: int, theta,
                      window: tuple[int, int] | None = None,
                      decomp: ComponentDecomposition | None = None, *,
@@ -456,17 +449,11 @@ def eigenvalue_check(od: OrderedDiagram, alpha: int, theta,
     large n.  Requires strictly positive blocks (telescope first).  A pass
     is read off q | G; only a failure lists the diamonds, to name the
     first failing diamond and level (CapExceeded above cap diamonds)."""
-    if decomp is None:
-        decomp = decompose(od.base)
-    _require_positive_blocks(decomp)
-    if not decomp.classes[alpha].distinguished:
-        raise NotDistinguishedError(f"class {alpha} is not distinguished")
+    decomp, window, g = _class_window_gcd(od, alpha, window, decomp)
     theta = Fraction(theta)
-    if window is None:
-        window = default_window(od.base)
     decisive = is_decisive(od.base, window)
     p, q = theta.numerator, theta.denominator
-    if q == 1 or math.gcd(*_window_gcds(od, decomp, alpha, window)) % q == 0:
+    if g % q == 0:
         return EigenvalueVerdict(True, theta, window, decisive)
     for dm, values in _p_tables(od, decomp, alpha, window, cap):
         for offset, pn in enumerate(values):
@@ -511,14 +498,7 @@ def eigenvalue_search(od: OrderedDiagram, alpha: int, q_max: int,
     of G.  thetas, when given, replaces the candidates: those whose
     denominator divides G are returned, in the given order.
     """
-    if decomp is None:
-        decomp = decompose(od.base)
-    _require_positive_blocks(decomp)
-    if not decomp.classes[alpha].distinguished:
-        raise NotDistinguishedError(f"class {alpha} is not distinguished")
-    if window is None:
-        window = default_window(od.base)
-    g = math.gcd(*_window_gcds(od, decomp, alpha, window))
+    _, _, g = _class_window_gcd(od, alpha, window, decomp)
     if thetas is not None:
         return [t for t in map(Fraction, thetas) if g % t.denominator == 0]
     return sorted([Fraction(0)] + [Fraction(p, q) for q in range(2, q_max + 1)
@@ -611,9 +591,10 @@ def telescope_ordered(od: OrderedDiagram, k: int) -> OrderedDiagram:
     below it."""
     if k < 1:
         raise ValueError("telescope power must be >= 1")
+    base = telescope(od.base, k)    # the cap is checked before any word grows
     words = od.order
     for _ in range(k - 1):
         words = tuple(tuple(letter for pos in range(len(od.order[v]))
                             for letter in words[od.order[v][pos]])
                       for v in range(od.n_vertices))
-    return OrderedDiagram(telescope(od.base, k), words)
+    return OrderedDiagram(base, words)

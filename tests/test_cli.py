@@ -44,6 +44,12 @@ THUE_MORSE_SUB = "alphabet: a b\nrules:\na: ab\nb: ba\n"
 DOUBLE_MORSE_SUB = (
     "alphabet: a b c d 1\nrules:\na: ab\nb: ba\nc: cd\nd: dc\n1: a111c\n"
 )
+# cycles of lengths 2, 3, 5, 7 and 11, each letter -> the next letter of
+# its cycle twice: the primitive power is 2310, whose images are 2^2310
+# letters long
+CYCLES_SUB = "alphabet: " + " ".join("abcdefghijklmnopqrstuvwxyzAB") + "\nrules:\n" + "".join(
+    f"{c[i]}: {2 * c[(i + 1) % len(c)]}\n"
+    for c in ("ab", "cde", "fghij", "klmnopq", "rstuvwxyzAB") for i in range(len(c)))
 DOCS = {
     "b1.txt": B1_DOC,
     "b1o.txt": B1_ORDERED_DOC,
@@ -52,6 +58,7 @@ DOCS = {
     "dm.txt": DOUBLE_MORSE_DOC,
     "tm.sub": THUE_MORSE_SUB,
     "dm.sub": DOUBLE_MORSE_SUB,
+    "cycles.sub": CYCLES_SUB,
 }
 
 
@@ -255,6 +262,25 @@ class TestCylinder:
         code, out, _ = run_cli("cylinder", docs["dm.txt"],
                                "--measure", str(cf), "--check-total")
         assert code == 0 and out == "1\n"
+
+    @pytest.mark.parametrize("coefficients, reason", [
+        ("1", "one coefficient per ergodic measure"),
+        ("", "one coefficient per ergodic measure"),
+        ("-1", "one coefficient per ergodic measure"),
+        ("1/3", "one coefficient per ergodic measure"),
+        ("inf", "one coefficient per ergodic measure"),
+        ("1 -1", "coefficients must be >= 0 and sum to 1"),
+        ("1/3 1/3", "coefficients must be >= 0 and sum to 1"),
+        ("inf 0", "coefficients must be >= 0 and sum to 1"),
+        ("nan 1", "coefficients must be >= 0 and sum to 1"),
+    ])
+    def test_coefficient_file_outside_the_simplex_exits_3(self, docs, tmp_path,
+                                                          coefficients, reason):
+        cf = tmp_path / "bad.coef"
+        cf.write_text(f"coefficients: {coefficients}\n")
+        assert run_cli("cylinder", docs["wm_a.txt"], "--measure", str(cf),
+                       "--check-total") == (
+            3, "", f"error: coefficient file: {reason} (2 ergodic measures)\n")
 
     def test_root_token_rejects_edge_index(self, docs):
         code, _, err = run_cli("cylinder", docs["b1.txt"],
@@ -584,6 +610,8 @@ class TestCountOptions:
          "error: telescoping by 1000 is above the cap of 1000000 levels or edges per level\n"),
         (("analyze", "b1.txt", "--telescope", "100000"), 5,
          "error: telescoping by 100000 is above the cap of 1000000 levels or edges per level\n"),
+        (("subst", "measures", "cycles.sub"), 5,
+         "error: telescoping by 2310 is above the cap of 1000000 levels or edges per level\n"),
     ])
     def test_refused_at_once(self, docs, argv, code, err):
         with time_limit(20):
@@ -607,7 +635,8 @@ FUZZ_VALUES = {
 }
 SOUP = ["analyze", "cylinder", "eigenvalues", "subst", "verify", "export-dot", "expand",
         "--report", "--path", "--measure", "--check-total", "--letter", "--graph",
-        "--measures", "-1", "0", "1", "1:2", "b1o.txt", "tm.sub", "r.txt", "x", *FUZZ_VALUES]
+        "--measures", "-1", "0", "1", "1:2", "b1o.txt", "tm.sub", "r.txt", "r.coef", "x",
+        *FUZZ_VALUES]
 
 
 @st.composite
@@ -645,6 +674,7 @@ def cli_argvs(draw):
         (["analyze", doc, "--report"], ["--telescope"]),
         (["cylinder", doc, "--measure", "0", "--path", "11"], ["--telescope"]),
         (["cylinder", doc, "--measure", "1", "--check-total"], ["--telescope"]),
+        (["cylinder", doc, "--measure", "r.coef", "--check-total"], ["--telescope"]),
         (["eigenvalues", doc], ["--class", "--qmax", "--window", "--telescope"]),
         (["verify", doc, "--depth", "1"], ["--depth", "--telescope"]),
         (["export-dot", doc], []),
@@ -671,12 +701,16 @@ def fuzz_dir(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(argv=cli_argvs(), diagram=diagram_docs(), substitution=substitution_docs())
-def test_cli_fuzz_exits_with_a_documented_code(fuzz_dir, argv, diagram, substitution):
+@given(argv=cli_argvs(), diagram=diagram_docs(), substitution=substitution_docs(),
+       coefficients=st.lists(st.sampled_from("0 1 1/2 2/3 -1 0.5 inf x".split()),
+                             max_size=3))
+def test_cli_fuzz_exits_with_a_documented_code(fuzz_dir, argv, diagram, substitution,
+                                               coefficients):
     """Any command line ends, with exit 0, 2, 3, 4 or 5 and no traceback."""
     (fuzz_dir / "r.txt").write_text(diagram)
     (fuzz_dir / "r.sub").write_text(substitution)
-    files = set(DOCS) | {"r.txt", "r.sub", "absent.txt", "absent.sub"}
+    (fuzz_dir / "r.coef").write_text(f"coefficients: {' '.join(coefficients)}\n")
+    files = set(DOCS) | {"r.txt", "r.sub", "r.coef", "absent.txt", "absent.sub"}
     with time_limit(20):
         try:
             code, _, err = run_cli(*(str(fuzz_dir / a) if a in files else a for a in argv))

@@ -12,7 +12,9 @@ from bratteli import (
     check_path,
     enumerate_paths,
     heights,
+    positivity_power,
     telescope,
+    telescope_to_primitive,
     validate,
 )
 
@@ -77,6 +79,19 @@ def test_telescope_squares_incidence(b1):
     assert telescope(b1, 1).incidence == b1.incidence
     with pytest.raises(ValueError):
         telescope(b1, 0)
+
+
+def test_telescope_cap_counts_edges_per_level_before_forming_the_power():
+    assert telescope(StationaryDiagram(((1000,),)), 2).incidence == ((10 ** 6,),)
+    for d, k in ((StationaryDiagram(((1001,),)), 2), (StationaryDiagram(((2,),)), 10 ** 9),
+                 (StationaryDiagram(((0,),)), 10 ** 6 + 1)):
+        with pytest.raises(CapExceeded, match=f"telescoping by {k} is above the cap"):
+            telescope(d, k)
+    # the automatic powers read patterns or class structure, not F**q
+    big = StationaryDiagram(((0, 10 ** 7), (10 ** 7, 0)))
+    assert positivity_power(big) == 2
+    with pytest.raises(CapExceeded):
+        telescope_to_primitive(big)
 
 
 def test_path_word_shape_checks():

@@ -320,6 +320,10 @@ class TestWindowGcd:
         assert (len(cases), skipped) == (85, 72)
         nonzero = 0
         for od, dec, cls, rows in cases:
+            # one row per listed diamond, in listing order: no dedupe
+            listed = enumerate_diamonds(od, dec, cls.index, cap=ORACLE_DIAMONDS)
+            assert len(rows) == len(listed)
+            assert [dm for dm, _ in rows] == listed
             for n1, n2 in _oracle_windows(od.n_vertices):
                 want = [math.gcd(*(values[n - 1] for _, values in rows))
                         for n in range(n1, n2 + 1)]
