@@ -14,21 +14,21 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .diagram import CylinderSet, PathWord, check_path, heights, telescope
+from .diagram import CylinderSet, PathWord, check_path, height_table, heights, telescope
 from .documents import (measure_record, parse_coefficients, parse_diagram,
                         parse_measures, parse_substitution, render_scalar,
                         serialize_diagram, serialize_measures)
 from .errors import (BratteliError, CapExceeded, NotAperiodicError,
                      NotInDomainError, ParseError, SizeRefused)
 from .linalg import left_sum
-from .measures import (InvariantMeasure, borel_invariant, enumerate_ergodic,
-                       enumerate_infinite, measure_of_cylinder)
-from .oracle import brute_force_Q, verify_invariance
-from .spectral import _primitive_power, aperiodicity_check, decompose, positivity_power
+from .measures import (ErgodicMeasure, InvariantMeasure, _beyond_float, borel_invariant,
+                       enumerate_ergodic, enumerate_infinite, measure_of_cylinder)
+from .oracle import verify_invariance
+from .spectral import _primitive_power, decompose, positivity_power
 from .substitution import (diagram_from_substitution, expand, letter_frequencies,
                            substitution_matrix, substitution_measures)
 from .vershik import (OrderedDiagram, candidate_count, default_window,
-                      eigenvalue_search, is_decisive, min_path, successor,
+                      eigenvalue_search, is_decisive, min_path, path_rank, successor,
                       telescope_ordered)
 
 EXIT_OK = 0
@@ -106,16 +106,15 @@ def _parse_path_spec(spec: str, diagram) -> PathWord:
 
 
 def _measure_line(i: int, m, labels) -> str:
-    vec = " ".join(render_scalar(x) for x in (m.xi if hasattr(m, "xi") else m.base))
+    vec = " ".join(render_scalar(x) for x in m.vector)
     parts = [f"measure {i}: class={m.class_id}",
              f"eigenvalue={m.lam.render()}", f"vector=({vec})"]
-    if hasattr(m, "atomic"):
+    if m.kind != ErgodicMeasure.kind:
         parts.append(f"atomic={'yes' if m.atomic else 'no'}")
     elif m.full_support:
         parts.append("support=full")
-    else:
-        vs = sorted(v for c in m.support for v in m.decomp.classes[c].vertices)
-        parts.append("support=" + ",".join(labels[v] for v in vs))
+    else:   # the support law: xi > 0 exactly on the classes of the support
+        parts.append("support=" + ",".join(labels[v] for v, x in enumerate(m.vector) if x))
     return " ".join(parts)
 
 
@@ -133,10 +132,6 @@ def _measure_lines(ergodic, infinite, labels, verdict: str) -> list[str]:
 def cmd_analyze(args) -> int:
     _, base, q = _load_diagram(args)
     decomp = decompose(base)
-    verdict = aperiodicity_check(decomp)
-    if not verdict:
-        raise NotAperiodicError(f"not aperiodic: {verdict.reason}",
-                                witness_class=verdict.witness_class)
     labels = base.effective_labels
     out = [f"vertices: {base.n_vertices}"]
     if base.labels is not None:
@@ -202,7 +197,10 @@ def cmd_cylinder(args) -> int:
         print(render_scalar(measure_of_cylinder(m, CylinderSet(p))))
     if args.check_total:
         h = heights(base, level).values
-        total = left_sum(hv * m.value(level, v) for v, hv in enumerate(h))
+        try:
+            total = left_sum(hv * m.value(level, v) for v, hv in enumerate(h))
+        except OverflowError:   # a height too large for a float value
+            raise _beyond_float(level) from None
         print(render_scalar(total))
     if args.path is None and not args.check_total:
         raise ParseError("give --path and/or --check-total")
@@ -317,18 +315,17 @@ def cmd_verify(args) -> int:
             violations += len(report.violations)
 
     if ordered:
+        h = height_table(base, args.depth)
         for v in range(base.n_vertices):
-            lvl = args.depth
-            expected = heights(base, lvl).values[v]
-            while expected > 10 ** 4 and lvl > 1:
-                lvl -= 1
-                expected = heights(base, lvl).values[v]
-            first = last = min_path(doc, v, lvl)
+            # the deepest level whose tower is small enough to walk
+            lvl = next((n for n in range(args.depth, 1, -1) if h[n][v] <= 10 ** 4), 1)
+            expected = h[lvl][v]
+            last = min_path(doc, v, lvl)
             count = 1
             while (nxt := successor(doc, last)) is not None:
                 count, last = count + 1, nxt
-            span = brute_force_Q(doc, first, last)
-            ok = count == expected and span == expected - 1
+            # the walk and the rank formula must agree on the tower
+            ok = count == expected and path_rank(doc, last) == expected - 1
             if not ok:
                 violations += 1
             out.append(f"tower {labels[v]} level {lvl}: "

@@ -10,6 +10,7 @@ vector of heights satisfies ``h(n+1) = F h(n)``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import linalg
@@ -95,14 +96,25 @@ class HeightVector:
     values: tuple[int, ...]
 
 
+def height_levels(d: StationaryDiagram):
+    """h(1), h(2), ...: path counts from the root to each vertex of
+    successive levels, by h(n+1) = F h(n)."""
+    h = [1] * d.n_vertices
+    while True:
+        yield h
+        h = linalg.mat_vec(d.incidence, h)
+
+
+def height_table(d: StationaryDiagram, n_max: int) -> list:
+    """[None, h(1), ..., h(n_max)]: index n holds the heights of level n."""
+    return [None, *itertools.islice(height_levels(d), n_max)]
+
+
 def heights(d: StationaryDiagram, n: int) -> HeightVector:
     """Path counts from the root to each vertex of level n (n >= 1)."""
     if n < 1:
         raise ValueError("levels are 1-based")
-    h = [1] * d.n_vertices
-    for _ in range(n - 1):
-        h = linalg.mat_vec(d.incidence, h)
-    return HeightVector(n, tuple(h))
+    return HeightVector(n, tuple(next(itertools.islice(height_levels(d), n - 1, None))))
 
 
 TELESCOPE_CAP = 10 ** 6  # telescoping power, and edges per level after it

@@ -17,6 +17,10 @@ Diagram document:                Substitution document:
 
 Order words (and rule words) are written compactly when every label is
 a single character, space-separated otherwise.
+
+The four parsers read through one line cursor, ``_Reader``.  Every parse
+error is a ParseError that names a line: the offending one or, when a
+line or field is missing, the last content line of the document.
 """
 
 from __future__ import annotations
@@ -27,20 +31,57 @@ from fractions import Fraction
 
 from .diagram import StationaryDiagram
 from .errors import ParseError
-from .measures import ErgodicMeasure, TailMeasure
 from .substitution import Substitution
 from .vershik import OrderedDiagram
 
 
-def _lines(text):
-    """(lineno, content) with comments and blank lines removed."""
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        out.append((i, stripped))
-    return out
+class _Reader:
+    """Cursor over the content lines of a document: comments and blank
+    lines are dropped, and ``line`` is the number of the line last read
+    (1 before the first), so an error about a missing line names the last
+    content line of the document."""
+
+    def __init__(self, text):
+        self._lines = [(i, s) for i, raw in enumerate(text.splitlines(), start=1)
+                       if (s := raw.strip()) and not s.startswith("#")]
+        self._pos = 0
+        self.line = 1
+
+    def peek(self) -> str:
+        """The next content line without reading it; '' at the end."""
+        return self._lines[self._pos][1] if self._pos < len(self._lines) else ""
+
+    def next(self, missing: str) -> str:
+        """The next content line; ParseError(missing) at the end."""
+        if self._pos >= len(self._lines):
+            raise ParseError(missing, self.line)
+        self.line, content = self._lines[self._pos]
+        self._pos += 1
+        return content
+
+    def field(self, prefix: str, message: str | None = None) -> str:
+        """The rest of the next line, which must start with prefix;
+        ``message`` replaces both default errors."""
+        content = self.next(message or f"missing {prefix!r} field")
+        if not content.startswith(prefix):
+            raise ParseError(message or f"expected {prefix!r}, found {content!r}", self.line)
+        return content[len(prefix):].strip()
+
+    def keyed(self, section: str, noun: str, count: int | None = None):
+        """(key, rest) of the next count lines (every remaining line when
+        count is None), each written 'key: rest', the key stripped."""
+        for i in range(len(self._lines) - self._pos if count is None else count):
+            content = self.next(f"{section} needs {count} lines, found {i}")
+            key, sep, rest = content.partition(":")
+            if not sep:
+                raise ParseError(f"{section} line must be '{noun}: word', "
+                                 f"found {content!r}", self.line)
+            yield key.strip(), rest
+
+    def end(self):
+        """Refuse any content left after the document."""
+        if self.peek():
+            raise ParseError(f"unexpected content {self.peek()!r}", self._lines[self._pos][0])
 
 
 def _split_word(word: str, line: int, lookup: dict, compact: bool) -> tuple[int, ...]:
@@ -55,97 +96,62 @@ def _split_word(word: str, line: int, lookup: dict, compact: bool) -> tuple[int,
 def parse_diagram(text: str):
     """StationaryDiagram, or OrderedDiagram when the document has an
     order section."""
-    lines = _lines(text)
-    pos = 0
-
-    def expect(prefix):
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError(f"missing {prefix!r} field",
-                             lines[-1][0] if lines else 1)
-        lineno, content = lines[pos]
-        if not content.startswith(prefix):
-            raise ParseError(f"expected {prefix!r}, found {content!r}", lineno)
-        pos += 1
-        return lineno, content[len(prefix):].strip()
-
-    lineno, rest = expect("n:")
+    r = _Reader(text)
+    rest, first = r.field("n:"), r.line
     try:
         n = int(rest)
     except ValueError:
-        raise ParseError(f"vertex count must be an integer, found {rest!r}", lineno)
+        raise ParseError(f"vertex count must be an integer, found {rest!r}", r.line)
     if n < 1:
-        raise ParseError("vertex count must be positive", lineno)
+        raise ParseError("vertex count must be positive", r.line)
 
-    expect("incidence:")
+    r.field("incidence:")
     rows = []
     for _ in range(n):
-        if pos >= len(lines):
-            raise ParseError(f"incidence needs {n} rows, found {len(rows)}",
-                             lines[-1][0])
-        lineno, content = lines[pos]
-        pos += 1
+        content = r.next(f"incidence needs {n} rows, found {len(rows)}")
         try:
             row = tuple(int(x) for x in content.split())
         except ValueError:
-            raise ParseError(f"incidence row must be integers, found {content!r}",
-                             lineno)
+            raise ParseError(f"incidence row must be integers, found {content!r}", r.line)
         if len(row) != n:
-            raise ParseError(f"incidence row has {len(row)} entries, expected {n}",
-                             lineno)
+            raise ParseError(f"incidence row has {len(row)} entries, expected {n}", r.line)
         if any(x < 0 for x in row):
-            raise ParseError("incidence entries must be non-negative", lineno)
+            raise ParseError("incidence entries must be non-negative", r.line)
         rows.append(row)
 
     labels = None
-    if pos < len(lines) and lines[pos][1].startswith("labels:"):
-        lineno, content = lines[pos]
-        pos += 1
-        labels = tuple(content[len("labels:"):].split())
+    if r.peek().startswith("labels:"):
+        labels = tuple(r.field("labels:").split())
         if len(labels) != n:
-            raise ParseError(f"labels list has {len(labels)} entries, expected {n}",
-                             lineno)
+            raise ParseError(f"labels list has {len(labels)} entries, expected {n}", r.line)
 
     try:
         diagram = StationaryDiagram(tuple(rows), labels)
     except ValueError as e:
-        raise ParseError(str(e), lines[0][0]) from None
+        raise ParseError(str(e), first) from None
 
-    if pos >= len(lines):
+    if r.peek() != "order:":
+        r.end()
         return diagram
-    lineno, content = lines[pos]
-    if content != "order:":
-        raise ParseError(f"unexpected content {content!r}", lineno)
-    pos += 1
+    r.field("order:")
 
     # 1-based numbers are aliases; an explicit label of the same name wins
     lookup = {str(v + 1): v for v in range(n)}
     lookup.update({lbl: v for v, lbl in enumerate(diagram.effective_labels)})
     compact = all(len(lbl) == 1 for lbl in diagram.effective_labels)
     words: dict[int, tuple[int, ...]] = {}
-    for _ in range(n):
-        if pos >= len(lines):
-            raise ParseError(f"order needs {n} lines, found {len(words)}",
-                             lines[-1][0])
-        lineno, content = lines[pos]
-        pos += 1
-        key, sep, word = content.partition(":")
-        if not sep:
-            raise ParseError(f"order line must be 'vertex: word', found {content!r}",
-                             lineno)
-        key = key.strip()
+    for key, word in r.keyed("order", "vertex", n):
         if key not in lookup:
-            raise ParseError(f"unknown vertex {key!r} in order section", lineno)
+            raise ParseError(f"unknown vertex {key!r} in order section", r.line)
         v = lookup[key]
         if v in words:
-            raise ParseError(f"vertex {key!r} ordered twice", lineno)
-        words[v] = _split_word(word.strip(), lineno, lookup, compact)
-    if pos < len(lines):
-        raise ParseError(f"unexpected content {lines[pos][1]!r}", lines[pos][0])
+            raise ParseError(f"vertex {key!r} ordered twice", r.line)
+        words[v] = _split_word(word.strip(), r.line, lookup, compact)
+    r.end()
     try:
         return OrderedDiagram(diagram, tuple(words[v] for v in range(n)))
     except ValueError as e:
-        raise ParseError(str(e), lineno) from None
+        raise ParseError(str(e), r.line) from None
 
 
 def _render_word(vertex_ids, labels) -> str:
@@ -172,33 +178,24 @@ def serialize_diagram(d) -> str:
 
 
 def parse_substitution(text: str) -> Substitution:
-    lines = _lines(text)
-    if not lines or not lines[0][1].startswith("alphabet:"):
-        raise ParseError("substitution document must start with 'alphabet:'",
-                         lines[0][0] if lines else 1)
-    lineno, content = lines[0]
-    alphabet = tuple(content[len("alphabet:"):].split())
+    r = _Reader(text)
+    alphabet = tuple(r.field("alphabet:", "substitution document must start with "
+                                          "'alphabet:'").split())
     for a in alphabet:
         if len(a) != 1:
-            raise ParseError(f"letters must be single characters, found {a!r}", lineno)
-    if len(lines) < 2 or lines[1][1] != "rules:":
-        raise ParseError("expected 'rules:' after the alphabet",
-                         lines[1][0] if len(lines) > 1 else lineno)
+            raise ParseError(f"letters must be single characters, found {a!r}", r.line)
+    first, message = r.line, "expected 'rules:' after the alphabet"
+    if r.next(message) != "rules:":
+        raise ParseError(message, r.line)
     rules = {}
-    for lineno, content in lines[2:]:
-        key, sep, word = content.partition(":")
-        if not sep:
-            raise ParseError(f"rule line must be 'letter: word', found {content!r}",
-                             lineno)
-        key = key.strip()
-        word = "".join(word.split())
+    for key, word in r.keyed("rule", "letter"):
         if key in rules:
-            raise ParseError(f"duplicate rule for {key!r}", lineno)
-        rules[key] = word
+            raise ParseError(f"duplicate rule for {key!r}", r.line)
+        rules[key] = "".join(word.split())
     try:
         return Substitution(alphabet, rules)
     except ValueError as e:
-        raise ParseError(str(e), lines[0][0]) from None
+        raise ParseError(str(e), first) from None
 
 
 def serialize_substitution(s: Substitution) -> str:
@@ -242,19 +239,14 @@ class MeasureRecord:
 
 
 def measure_record(m) -> MeasureRecord:
-    labels = m.decomp.diagram.effective_labels
-    cls = m.decomp.classes[m.class_id]
-    members = tuple(labels[v] for v in cls.vertices)
-    if isinstance(m, ErgodicMeasure):
-        vec, kind = m.xi, m.kind
-        support = tuple(sorted(m.support))
-    elif isinstance(m, TailMeasure):
-        vec, kind = m.base, m.kind
-        support = tuple(sorted({m.decomp.class_of[v] for v, x in enumerate(m.base)
-                                if x != 0}))
-    else:
-        raise TypeError(f"cannot report {type(m).__name__}")
-    return MeasureRecord(m.class_id, members, kind, m.lam.render(), tuple(vec), support)
+    """The report entry of an ergodic or sigma-finite measure; its support
+    is the classes where the measure's vector is non-zero."""
+    decomp = m.decomp
+    members = tuple(decomp.diagram.effective_labels[v]
+                    for v in decomp.classes[m.class_id].vertices)
+    support = tuple(sorted({decomp.class_of[v] for v, x in enumerate(m.vector) if x != 0}))
+    return MeasureRecord(m.class_id, members, m.kind, m.lam.render(), tuple(m.vector),
+                         support)
 
 
 def serialize_measures(measures) -> str:
@@ -273,38 +265,26 @@ def serialize_measures(measures) -> str:
 
 
 def parse_measures(text: str) -> list[MeasureRecord]:
-    lines = _lines(text)
-    pos = 0
-
-    def take(prefix, lineno_hint=1):
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError(f"missing {prefix!r} field", lineno_hint)
-        lineno, content = lines[pos]
-        if not content.startswith(prefix):
-            raise ParseError(f"expected {prefix!r}, found {content!r}", lineno)
-        pos += 1
-        return lineno, content[len(prefix):].strip()
-
-    lineno, rest = take("measures:")
+    r = _Reader(text)
+    rest = r.field("measures:")
     try:
         count = int(rest)
     except ValueError:
-        raise ParseError(f"measure count must be an integer, found {rest!r}", lineno)
+        raise ParseError(f"measure count must be an integer, found {rest!r}", r.line)
     records = []
     for i in range(1, count + 1):
-        take(f"measure {i}:", lineno)
-        lineno, class_s = take("class:")
-        _, members_s = take("members:")
-        _, type_s = take("type:")
-        _, eig_s = take("eigenvalue:")
-        vec_line, vec_s = take("eigenvector:")
-        _, sup_s = take("support:")
+        r.field(f"measure {i}:")
+        class_s, class_line = r.field("class:"), r.line
+        members_s = r.field("members:")
+        type_s = r.field("type:")
+        eig_s = r.field("eigenvalue:")
+        vec_s, vec_line = r.field("eigenvector:"), r.line
+        sup_s = r.field("support:")
         try:
             class_id = int(class_s)
             support = tuple(int(x) for x in sup_s.split())
         except ValueError:
-            raise ParseError("class and support must be integers", lineno)
+            raise ParseError("class and support must be integers", class_line)
         try:
             # exact values are written as integers or p/q, floats as decimals
             vector = tuple(float(t) if "." in t or "e" in t else parse_scalar(t)
@@ -313,8 +293,7 @@ def parse_measures(text: str) -> list[MeasureRecord]:
             raise ParseError(str(e), vec_line) from None
         records.append(MeasureRecord(class_id, tuple(members_s.split()), type_s,
                                      eig_s, vector, support))
-    if pos < len(lines):
-        raise ParseError(f"unexpected content {lines[pos][1]!r}", lines[pos][0])
+    r.end()
     return records
 
 
@@ -323,13 +302,12 @@ def serialize_coefficients(coefficients) -> str:
 
 
 def parse_coefficients(text: str) -> tuple:
-    lines = _lines(text)
-    if len(lines) != 1 or not lines[0][1].startswith("coefficients:"):
-        raise ParseError("expected a single 'coefficients:' line",
-                         lines[0][0] if lines else 1)
-    lineno, content = lines[0]
+    r = _Reader(text)
+    message = "expected a single 'coefficients:' line"
+    rest = r.field("coefficients:", message)
+    if r.peek():
+        raise ParseError(message, r.line)
     try:
-        return tuple(parse_scalar(t)
-                     for t in content[len("coefficients:"):].split())
+        return tuple(parse_scalar(t) for t in rest.split())
     except ParseError as e:
-        raise ParseError(str(e), lineno) from None
+        raise ParseError(str(e), r.line) from None

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import linalg
 from .diagram import CylinderSet, StationaryDiagram, check_path, heights
-from .errors import NotAperiodicError, NotInDomainError, ZeroBlockError
+from .errors import CapExceeded, NotAperiodicError, NotInDomainError, ZeroBlockError
 from .spectral import (DEFAULT_GAP, ComponentDecomposition, NumericValue, _extend,
                        aperiodicity_check, check_primitive, core_membership, decompose,
                        distinguished_classes, distinguished_eigenvector, nv_compare)
@@ -34,9 +34,15 @@ def _aperiodic(d) -> ComponentDecomposition:
     decomp = _as_decomp(d)
     verdict = aperiodicity_check(decomp)
     if not verdict:
-        raise NotAperiodicError(verdict.reason or verdict.kind,
+        raise NotAperiodicError(f"not aperiodic: {verdict.reason}",
                                 witness_class=verdict.witness_class)
     return decomp
+
+
+def _beyond_float(level: int) -> CapExceeded:
+    """The refusal of a level whose float values (lam ** (level - 1) for a
+    float Perron value, or a height) overflow; exact values never do."""
+    return CapExceeded(f"level {level} is beyond float range")
 
 
 class _ClassMeasure:
@@ -62,13 +68,20 @@ class ErgodicMeasure(_ClassMeasure):
     kind = "ergodic-finite"
 
     @property
+    def vector(self):
+        return self.xi
+
+    @property
     def full_support(self):
         return len(self.support) == len(self.decomp.classes)
 
     def value(self, level: int, vertex: int):
         """Measure of any level-n cylinder ending at the given vertex;
         depends on the path only through (level, vertex)."""
-        return self.xi[vertex] / self.lam.value ** (level - 1)
+        try:
+            return self.xi[vertex] / self.lam.value ** (level - 1)
+        except OverflowError:
+            raise _beyond_float(level) from None
 
 
 def enumerate_ergodic(d) -> list[ErgodicMeasure]:
@@ -129,7 +142,10 @@ class InvariantMeasure:
         for c, m in zip(self.coefficients, self.measures):
             if c == 0:
                 continue
-            scale = scalar(c) / scalar(m.lam.value) ** (n - 1)
+            try:
+                scale = scalar(c) / scalar(m.lam.value) ** (n - 1)
+            except OverflowError:
+                raise _beyond_float(n) from None
             for v in range(size):
                 out[v] += scale * m.xi[v]
         return tuple(out)
@@ -189,11 +205,18 @@ class TailMeasure(_ClassMeasure):
     def kind(self):
         return "sigma-finite-atomic" if self.atomic else "sigma-finite"
 
+    @property
+    def vector(self):
+        return self.base
+
     def value(self, level: int, vertex: int):
         s = self.base[vertex]
         if s == math.inf:
             return math.inf
-        return s / self.lam.value ** (level - 1)
+        try:
+            return s / self.lam.value ** (level - 1)
+        except OverflowError:
+            raise _beyond_float(level) from None
 
 
 def tail_valuation(decomp: ComponentDecomposition, alpha: int):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .diagram import CylinderSet, PathWord, enumerate_paths, heights
+from .diagram import CylinderSet, PathWord, enumerate_paths, height_levels, heights
 from .errors import CapExceeded, EndpointMismatch, SizeRefused
 from .measures import measure_of_cylinder
 from .spectral import DEFAULT_GAP, ComponentDecomposition
@@ -62,7 +62,7 @@ def verify_invariance(d, m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport
     is_finite = not any(isinstance(m.value(1, v), float) and math.isinf(m.value(1, v))
                         for v in range(n))
 
-    for lvl in range(1, n_max + 1):
+    for lvl, h in zip(range(1, n_max + 1), height_levels(d)):
         p_now = [m.value(lvl, v) for v in range(n)]
         p_next = [m.value(lvl + 1, v) for v in range(n)]
 
@@ -101,7 +101,7 @@ def verify_invariance(d, m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport
         # (c) unit total mass, finite measures only
         if is_finite:
             checks += 1
-            total = sum(h * p for h, p in zip(heights(d, lvl).values, p_now))
+            total = sum(hv * p for hv, p in zip(h, p_now))
             if not _close(total, 1):
                 violations.append(f"(c) total mass at level {lvl} is {total}")
         elif lvl == 1:

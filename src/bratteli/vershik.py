@@ -19,13 +19,15 @@ listing the diamonds; the explicit diamond list is kept for witnesses.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .diagram import PathWord, StationaryDiagram, check_path, telescope
+from .diagram import (TELESCOPE_CAP, PathWord, StationaryDiagram, check_path, height_table,
+                      telescope)
 from .errors import (CapExceeded, EndpointMismatch, NotDistinguishedError,
                      PrimitivityError, ZeroMeasureCylinder)
 from .spectral import (ComponentDecomposition, decompose,
@@ -132,7 +134,7 @@ def path_rank(od: OrderedDiagram, p: PathWord) -> int:
     check_path(od.base, p)
     if p.level == 1:
         return 0
-    return _leg_low(od, Leg(p.vertices, p.indices), _height_table(od.base, p.level - 1), 1)
+    return _leg_low(od, Leg(p.vertices, p.indices), height_table(od.base, p.level - 1), 1)
 
 
 def q_steps(od: OrderedDiagram, e: PathWord, e2: PathWord) -> int:
@@ -140,15 +142,6 @@ def q_steps(od: OrderedDiagram, e: PathWord, e2: PathWord) -> int:
     if e.level != e2.level or e.terminal != e2.terminal:
         raise EndpointMismatch("paths must share level and terminal vertex")
     return path_rank(od, e2) - path_rank(od, e)
-
-
-def _height_table(d: StationaryDiagram, n_max: int):
-    """h[n][v] for n = 1..n_max (index 0 unused)."""
-    table = [None, [1] * d.n_vertices]
-    for _ in range(n_max - 1):
-        prev = table[-1]
-        table.append([sum(f * hh for f, hh in zip(row, prev)) for row in d.incidence])
-    return table
 
 
 @dataclass(frozen=True)
@@ -291,7 +284,7 @@ def _p_row(od, diamond: Diamond, h, levels) -> tuple[int, ...]:
 def p_value(od: OrderedDiagram, diamond: Diamond, n: int) -> int:
     """Return time P_n: successor steps from the tower of leg_a to the
     tower of leg_b when the diamond's source sits at level n."""
-    return _p_row(od, diamond, _height_table(od.base, n + diamond.length - 1), (n,))[0]
+    return _p_row(od, diamond, height_table(od.base, n + diamond.length - 1), (n,))[0]
 
 
 @dataclass(frozen=True)
@@ -320,7 +313,7 @@ def recurrence_coefficients(d: StationaryDiagram) -> tuple[int, ...]:
 
 
 def p_sequence(od: OrderedDiagram, diamond: Diamond, n_max: int) -> PSequence:
-    h = _height_table(od.base, n_max + diamond.length - 1)
+    h = height_table(od.base, n_max + diamond.length - 1)
     return PSequence(diamond, _p_row(od, diamond, h, range(1, n_max + 1)),
                      recurrence_coefficients(od.base))
 
@@ -368,7 +361,7 @@ def _p_tables(od, decomp, alpha, window, cap=10 ** 6):
     through edge_at, so the per-step ranks of both legs fix the diamond."""
     diamonds = enumerate_diamonds(od, decomp, alpha, max_len=2, cap=cap)
     n1, n2 = window
-    h = _height_table(od.base, n2 + 1)     # legs have length <= 2
+    h = height_table(od.base, n2 + 1)     # legs have length <= 2
     return [(dm, _p_row(od, dm, h, range(n1, n2 + 1))) for dm in diamonds]
 
 
@@ -391,7 +384,7 @@ def _window_gcds(od, decomp, alpha, window):
     scope = decomp.classes[alpha].vertices
     inside = set(scope)
     n1, n2 = window
-    h = _height_table(od.base, n2 + 1)
+    h = height_table(od.base, n2 + 1)
 
     def prefix_data(n):
         first, spread = {}, {}
@@ -521,7 +514,7 @@ def rational_eigenvalue_sufficient(d, alpha: int, theta,
         window = default_window(base)
     decisive = is_decisive(base, window)
     verts = decomp.classes[alpha].vertices
-    h = _height_table(base, window[1])
+    h = height_table(base, window[1])
     p, q = theta.numerator, theta.denominator
     for n in range(window[0], window[1] + 1):
         for j in verts:
@@ -588,13 +581,30 @@ def nonmixing_witness(od: OrderedDiagram, alpha: int, diamond: Diamond,
 def telescope_ordered(od: OrderedDiagram, k: int) -> OrderedDiagram:
     """Order induced on the k-fold telescope: the bundle of a composite
     edge sorts by its top edge first, then recursively by the path
-    below it."""
+    below it.  The words W_j of the j-fold telescope compose by repeated
+    squaring, W_(a+b)(v) = the W_b(s) for s in W_a(v), in O(log k) steps;
+    a step over TELESCOPE_CAP letters (only possible with an empty order
+    word) raises CapExceeded before it is built."""
     if k < 1:
         raise ValueError("telescope power must be >= 1")
-    base = telescope(od.base, k)    # the cap is checked before any word grows
-    words = od.order
-    for _ in range(k - 1):
-        words = tuple(tuple(letter for pos in range(len(od.order[v]))
-                            for letter in words[od.order[v][pos]])
-                      for v in range(od.n_vertices))
-    return OrderedDiagram(base, words)
+    base = telescope(od.base, k)    # caps the edges of F**k before any word grows
+
+    def compose(a, b, power):
+        lengths = [len(word) for word in b]
+        size = sum(sum(map(lengths.__getitem__, word)) for word in a)
+        if size > TELESCOPE_CAP:
+            raise CapExceeded(f"telescoping by {k} needs {size} order letters at "
+                              f"power {power}, above the cap of {TELESCOPE_CAP}",
+                              size, TELESCOPE_CAP)
+        return tuple(tuple(itertools.chain.from_iterable(map(b.__getitem__, word)))
+                     for word in a)
+
+    words, done, step, size = None, 0, od.order, 1    # W_done and W_size
+    while True:
+        if k & size:
+            done += size
+            words = step if words is None else compose(words, step, done)
+        if done == k:
+            return OrderedDiagram(base, words)
+        size *= 2
+        step = compose(step, step, size)

@@ -22,11 +22,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bratteli
-from bratteli import (candidate_thetas, decompose, rational_eigenvalue_sufficient,
+import bratteli.cli
+from bratteli import (candidate_thetas, decompose, path_rank, rational_eigenvalue_sufficient,
                       serialize_diagram, serialize_substitution, telescope)
 from bratteli.cli import main
 
 from conftest import aperiodic_corpus, random_order
+from test_documents import MALFORMED, MALFORMED_IDS
 
 B1_DOC = "n: 2\nincidence:\n2 0\n1 2\n"
 B1_ORDERED_DOC = "n: 2\nincidence:\n2 0\n1 2\norder:\n1: 11\n2: 122\n"
@@ -40,6 +42,13 @@ DOUBLE_MORSE_DOC = (
     "1 1 0 0 0\n1 1 0 0 0\n0 0 1 1 0\n0 0 1 1 0\n1 0 1 0 3\n"
     "labels: a b c d 1\n"
 )
+# F = ((1,0),(1,1)): the telescoped words grow linearly, F**999000 has
+# 999,002 edges, just under the telescoping cap
+LINEAR_DOC = "n: 2\nincidence:\n1 0\n1 1\norder:\n1: 1\n2: 12\n"
+GOLDEN_MEAN_DOC = "n: 2\nincidence:\n1 1\n1 0\n"
+# a nilpotent chain: F**3 = 0, but the words of F**2 would hold 10^8 letters
+CHAIN_DOC = ("n: 3\nincidence:\n0 0 0\n10000 0 0\n0 10000 0\n"
+             "order:\n1:\n2: " + "1" * 10 ** 4 + "\n3: " + "2" * 10 ** 4 + "\n")
 THUE_MORSE_SUB = "alphabet: a b\nrules:\na: ab\nb: ba\n"
 DOUBLE_MORSE_SUB = (
     "alphabet: a b c d 1\nrules:\na: ab\nb: ba\nc: cd\nd: dc\n1: a111c\n"
@@ -56,6 +65,9 @@ DOCS = {
     "wm_a.txt": WM_A_DOC,
     "eig.txt": EIG_CHAIN_DOC,
     "dm.txt": DOUBLE_MORSE_DOC,
+    "lin.txt": LINEAR_DOC,
+    "gm.txt": GOLDEN_MEAN_DOC,
+    "chain.txt": CHAIN_DOC,
     "tm.sub": THUE_MORSE_SUB,
     "dm.sub": DOUBLE_MORSE_SUB,
     "cycles.sub": CYCLES_SUB,
@@ -179,6 +191,9 @@ class TestAnalyze:
         code, out, err = run_cli("analyze", str(p))
         assert code == 3 and out == ""
         assert err == "error: not aperiodic: initial class 0 has Perron value 1\n"
+        # one gate: every command refuses with the same words
+        assert run_cli("cylinder", str(p), "--measure", "0", "--check-total") == (3, out, err)
+        assert run_cli("verify", str(p)) == (3, out, err)
 
     def test_equal_irrational_radii_are_exact_after_telescoping(self, tmp_path):
         # two chained period-2 classes with Perron value sqrt(2): the
@@ -281,6 +296,27 @@ class TestCylinder:
         assert run_cli("cylinder", docs["wm_a.txt"], "--measure", str(cf),
                        "--check-total") == (
             3, "", f"error: coefficient file: {reason} (2 ergodic measures)\n")
+
+    def test_float_values_beyond_float_range_exit_5(self, docs, tmp_path):
+        # the golden mean to the power 1475 overflows a float
+        path = ",".join(["1"] + ["1.0"] * 1599)
+        err = "error: level 1600 is beyond float range\n"
+        assert run_cli("cylinder", docs["gm.txt"], "--measure", "0",
+                       "--path", path) == (5, "", err)
+        cf = tmp_path / "one.coef"
+        cf.write_text("coefficients: 1\n")
+        assert run_cli("cylinder", docs["gm.txt"], "--measure", str(cf),
+                       "--path", path) == (5, "", err)
+        # an exact value at the same level
+        assert run_cli("cylinder", docs["b1.txt"], "--measure", "0", "--path", path) == (
+            0, f"1/{2 ** 1599}\n", "")
+        # a height beyond float range, under a float value that is not
+        mix = tmp_path / "mix.txt"
+        mix.write_text("n: 3\nincidence:\n1 1 0\n1 0 0\n1 0 3\n")
+        code, out, err = run_cli("cylinder", str(mix), "--measure", "0",
+                                 "--path", ",".join(["1"] + ["1.0"] * 700), "--check-total")
+        assert (code, len(out.splitlines()), err) == (
+            5, 1, "error: level 701 is beyond float range\n")
 
     def test_root_token_rejects_edge_index(self, docs):
         code, _, err = run_cli("cylinder", docs["b1.txt"],
@@ -484,6 +520,13 @@ class TestVerify:
             "result: ok\n"
         )
 
+    def test_tower_walk_is_checked_against_the_rank_formula(self, docs, monkeypatch):
+        monkeypatch.setattr(bratteli.cli, "path_rank", lambda od, p: path_rank(od, p) + 1)
+        code, out, _ = run_cli("verify", docs["b1o.txt"])
+        assert code == 4
+        assert "tower 1 level 5: FAIL (16 paths)\n" in out
+        assert out.endswith("result: 2 violations\n")
+
     def test_matching_measure_file(self, docs, tmp_path):
         _, report, _ = run_cli("analyze", docs["b1.txt"], "--report")
         mf = tmp_path / "b1.measures"
@@ -524,6 +567,19 @@ class TestVerify:
                                "--measures", str(mf))
         assert code == 4
         assert "measure file: FAIL (lists 1 measures, diagram has 2)\n" in out
+
+
+@pytest.mark.parametrize("parser, text, line, message", MALFORMED, ids=MALFORMED_IDS)
+def test_every_parse_error_exits_2_naming_its_line(docs, tmp_path, parser, text, line,
+                                                   message):
+    bad = str(tmp_path / "bad.txt")
+    (tmp_path / "bad.txt").write_text(text)
+    argv = {"diagram": ["analyze", bad],
+            "substitution": ["subst", "measures", bad],
+            "measures": ["verify", docs["b1o.txt"], "--depth", "1", "--measures", bad],
+            "coefficients": ["cylinder", docs["b1.txt"], "--measure", bad, "--check-total"],
+            }[parser]
+    assert run_cli(*argv) == (2, "", f"error: line {line}: {message}\n")
 
 
 class TestExportDot:
@@ -617,6 +673,15 @@ class TestCountOptions:
         with time_limit(20):
             assert run_cli(*(docs.get(a, a) for a in argv)) == (code, "", err)
 
+    def test_telescoped_order_takes_log_k_compositions(self, docs):
+        with time_limit(30):
+            assert run_cli("analyze", docs["lin.txt"], "--telescope", "999000") == (
+                3, "", "error: not aperiodic: initial class 0 has Perron value 1\n")
+        with time_limit(20):
+            assert run_cli("analyze", docs["chain.txt"], "--telescope", "3") == (
+                5, "", "error: telescoping by 3 needs 100000000 order letters at power 2, "
+                       "above the cap of 1000000\n")
+
 
 HUGE = str(10 ** 30)
 FUZZ_VALUES = {
@@ -630,7 +695,7 @@ FUZZ_VALUES = {
     "--qmax": ["-5", "0", "1", "12", "10000000", HUGE, "x"],
     "--window": ["-1:2", "0:3", "1:1", "2:6", "6:12", "3:2", "1:10001", f"1:{HUGE}",
                  f"{HUGE}:{HUGE}", "3", "a:b"],
-    "--telescope": ["auto", "x", "-1", "0", "1", "2", "3", "1000", HUGE],
+    "--telescope": ["auto", "x", "-1", "0", "1", "2", "3", "1000", "999999", HUGE],
     "--class": ["-1", "0", "1", "5"],
 }
 SOUP = ["analyze", "cylinder", "eigenvalues", "subst", "verify", "export-dot", "expand",

@@ -187,6 +187,83 @@ class TestCoefficientDocuments:
             parse_coefficients("coefficients: 1\ncoefficients: 1\n")
 
 
+REPORT = ("measures: 1\nmeasure 1:\nclass: 0\nmembers: 1\ntype: ergodic-finite\n"
+          "eigenvalue: 2\neigenvector: 1 0\nsupport: 0\n")
+# (parser, document, line, message): one row per ParseError message of each
+# parser; a missing line or field names the last content line
+MALFORMED = [
+    ("diagram", "", 1, "missing 'n:' field"),
+    ("diagram", "# c\nx: 1\n", 2, "expected 'n:', found 'x: 1'"),
+    ("diagram", "n: x\n", 1, "vertex count must be an integer, found 'x'"),
+    ("diagram", "n: 0\n", 1, "vertex count must be positive"),
+    ("diagram", "# c\nn: 2\n\n", 2, "missing 'incidence:' field"),
+    ("diagram", "n: 2\nrows:\n", 2, "expected 'incidence:', found 'rows:'"),
+    ("diagram", "n: 2\nincidence:\n2 0\n# c\n", 3, "incidence needs 2 rows, found 1"),
+    ("diagram", "n: 2\nincidence:\n2 x\n", 3, "incidence row must be integers, found '2 x'"),
+    ("diagram", "n: 2\nincidence:\n2 0\n1 2 3\n", 4, "incidence row has 3 entries, expected 2"),
+    ("diagram", "n: 2\nincidence:\n2 0\n-1 2\n", 4, "incidence entries must be non-negative"),
+    ("diagram", "n: 2\nincidence:\n2 0\n1 2\nlabels: a\n", 5,
+     "labels list has 1 entries, expected 2"),
+    ("diagram", "# c\nn: 2\nincidence:\n2 0\n1 2\nlabels: a a\n", 2, "labels must be distinct"),
+    ("diagram", "n: 2\nincidence:\n2 0\n1 2\nextra: 1\n", 5, "unexpected content 'extra: 1'"),
+    ("diagram", "n: 2\nincidence:\n2 0\n1 2\norder:\n1: 11\n", 6, "order needs 2 lines, found 1"),
+    ("diagram", "n: 2\nincidence:\n2 0\n1 2\norder:\n1 11\n", 6,
+     "order line must be 'vertex: word', found '1 11'"),
+    ("diagram", "n: 2\nincidence:\n2 0\n1 2\norder:\nz: 11\n", 6,
+     "unknown vertex 'z' in order section"),
+    ("diagram", "n: 2\nincidence:\n2 0\n1 2\norder:\n1: 11\n1: 11\n", 7,
+     "vertex '1' ordered twice"),
+    ("diagram", "n: 2\nincidence:\n2 0\n1 2\norder:\n1: 11\n2: 1zz\n", 7,
+     "unknown vertex 'z' in order word"),
+    ("diagram", "n: 2\nincidence:\n2 0\n1 2\norder:\n1: 11\n2: 122\n3: 1\n", 8,
+     "unexpected content '3: 1'"),
+    ("diagram", "n: 2\nincidence:\n2 0\n1 2\norder:\n2: 122\n1: 12\n", 7,
+     "order word of vertex 0 does not match its incoming bundle"),
+    ("substitution", "", 1, "substitution document must start with 'alphabet:'"),
+    ("substitution", "# c\nrules:\n", 2, "substitution document must start with 'alphabet:'"),
+    ("substitution", "alphabet: ab\n", 1, "letters must be single characters, found 'ab'"),
+    ("substitution", "alphabet: a\n# c\n", 1, "expected 'rules:' after the alphabet"),
+    ("substitution", "alphabet: a\nrules: a\n", 2, "expected 'rules:' after the alphabet"),
+    ("substitution", "alphabet: a\nrules:\na a\n", 3,
+     "rule line must be 'letter: word', found 'a a'"),
+    ("substitution", "alphabet: a\nrules:\na: a\na: aa\n", 4, "duplicate rule for 'a'"),
+    ("substitution", "# c\nalphabet: a b\nrules:\na: ab\n", 2,
+     "rules must cover exactly the alphabet"),
+    ("measures", "", 1, "missing 'measures:' field"),
+    ("measures", "count: 1\n", 1, "expected 'measures:', found 'count: 1'"),
+    ("measures", "measures: x\n", 1, "measure count must be an integer, found 'x'"),
+    ("measures", "measures: 1\n# c\n", 1, "missing 'measure 1:' field"),
+    ("measures", "measures: 1\nmeasure 2:\n", 2, "expected 'measure 1:', found 'measure 2:'"),
+    ("measures", REPORT.replace("measures: 1", "measures: 2"), 8, "missing 'measure 2:' field"),
+    ("measures", "measures: 1\nmeasure 1:\n", 2, "missing 'class:' field"),
+    ("measures", REPORT.split("support:")[0], 7, "missing 'support:' field"),
+    ("measures", REPORT.replace("class: 0", "class: x"), 3, "class and support must be integers"),
+    ("measures", REPORT.replace("support: 0", "support: 0 y"), 3,
+     "class and support must be integers"),
+    ("measures", REPORT.replace("eigenvector: 1 0", "eigenvector: 1 x"), 7, "not a number: 'x'"),
+    ("measures", REPORT.replace("eigenvector: 1 0", "eigenvector: 1 1.x"), 7,
+     "could not convert string to float: '1.x'"),
+    ("measures", REPORT + "leftover\n", 9, "unexpected content 'leftover'"),
+    ("coefficients", "", 1, "expected a single 'coefficients:' line"),
+    ("coefficients", "# c\nnope: 1\n", 2, "expected a single 'coefficients:' line"),
+    ("coefficients", "coefficients: 1\ncoefficients: 1\n", 1,
+     "expected a single 'coefficients:' line"),
+    ("coefficients", "\ncoefficients: 1 x\n", 2, "not a number: 'x'"),
+]
+PARSERS = {"diagram": parse_diagram, "substitution": parse_substitution,
+           "measures": parse_measures, "coefficients": parse_coefficients}
+
+
+MALFORMED_IDS = [f"{parser}-line{line}-{message}" for parser, _, line, message in MALFORMED]
+
+
+@pytest.mark.parametrize("parser, text, line, message", MALFORMED, ids=MALFORMED_IDS)
+def test_every_parse_error_names_its_line(parser, text, line, message):
+    with pytest.raises(ParseError) as exc:
+        PARSERS[parser](text)
+    assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
+
+
 LABEL_TEXT = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=3)
 
 

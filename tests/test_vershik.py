@@ -384,6 +384,35 @@ class TestTelescopeOrdered:
         with pytest.raises(ValueError):
             telescope_ordered(b1_ordered, 0)
 
+    def test_squaring_matches_one_level_at_a_time(self):
+        def stepwise(od, k):
+            words = od.order
+            for _ in range(k - 1):
+                words = tuple(tuple(letter for s in od.order[v] for letter in words[s])
+                              for v in range(od.n_vertices))
+            return words
+
+        rng = random.Random(7)
+        for _ in range(400):
+            n = rng.randint(1, 3)
+            # zero rows allowed: empty order words
+            d = StationaryDiagram(tuple(tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+                                        for _ in range(n)))
+            od = random_order(rng, d)
+            k = rng.randint(1, 8)
+            t = telescope_ordered(od, k)
+            assert t.base == telescope(d, k)
+            assert t.order == stepwise(od, k)
+
+    def test_a_composition_over_the_cap_is_refused_before_it_is_built(self):
+        m = 2000        # the words of F**2 would hold m * m letters
+        od = OrderedDiagram(StationaryDiagram(((0, 0, 0), (m, 0, 0), (0, m, 0))),
+                            ((), (0,) * m, (1,) * m))
+        with pytest.raises(CapExceeded) as exc:
+            telescope_ordered(od, 3)
+        assert "power 2" in str(exc.value)
+        assert telescope_ordered(od, 1) == od
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 6))
