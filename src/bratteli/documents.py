@@ -204,13 +204,28 @@ def serialize_substitution(s: Substitution) -> str:
     return "\n".join(out) + "\n"
 
 
+def _decimal(n: int) -> str:
+    """str(n) at any size.  Python refuses to convert an int of more than
+    4300 digits (by default), so a long one is split at a power of ten
+    and each part converted on its own."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= 1900:  # under 640 digits, the least limit Python accepts
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) is about 0.3
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).rjust(k, "0")
+
+
 def render_scalar(x) -> str:
-    """Exact rationals as p/q, floats as 17-significant-digit decimals,
-    infinity as 'inf'."""
+    """Exact rationals as p/q at any size, floats as 17-significant-digit
+    decimals, infinity as 'inf'."""
     if isinstance(x, float):
         return "inf" if math.isinf(x) else f"{x:.17g}"
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if x.denominator == 1:
+        return _decimal(x.numerator)
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
 def parse_scalar(token: str):

@@ -14,6 +14,7 @@ as large as the carrying one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,8 +42,28 @@ def _aperiodic(d) -> ComponentDecomposition:
 
 def _beyond_float(level: int) -> CapExceeded:
     """The refusal of a level whose float values (lam ** (level - 1) for a
-    float Perron value, or a height) overflow; exact values never do."""
+    float Perron value, or a height) overflow, or whose non-zero values
+    fall below the normal float range (subnormal or flushed to 0) and so
+    lose significant digits; exact values never do."""
     return CapExceeded(f"level {level} is beyond float range")
+
+
+def _underflows(x, value) -> bool:
+    """Is ``value``, computed from the non-zero ``x``, a float below the
+    normal range?"""
+    return isinstance(value, float) and abs(value) < sys.float_info.min and bool(x)
+
+
+def _scaled(x, lam, level: int):
+    """x / lam ** (level - 1), refused with ``_beyond_float`` when a float
+    result overflows or underflows."""
+    try:
+        value = x / lam ** (level - 1)
+    except OverflowError:
+        raise _beyond_float(level) from None
+    if _underflows(x, value):
+        raise _beyond_float(level)
+    return value
 
 
 class _ClassMeasure:
@@ -78,10 +99,7 @@ class ErgodicMeasure(_ClassMeasure):
     def value(self, level: int, vertex: int):
         """Measure of any level-n cylinder ending at the given vertex;
         depends on the path only through (level, vertex)."""
-        try:
-            return self.xi[vertex] / self.lam.value ** (level - 1)
-        except OverflowError:
-            raise _beyond_float(level) from None
+        return _scaled(self.xi[vertex], self.lam.value, level)
 
 
 def enumerate_ergodic(d) -> list[ErgodicMeasure]:
@@ -142,12 +160,12 @@ class InvariantMeasure:
         for c, m in zip(self.coefficients, self.measures):
             if c == 0:
                 continue
-            try:
-                scale = scalar(c) / scalar(m.lam.value) ** (n - 1)
-            except OverflowError:
-                raise _beyond_float(n) from None
-            for v in range(size):
-                out[v] += scale * m.xi[v]
+            scale = _scaled(scalar(c), scalar(m.lam.value), n)
+            for v, x in enumerate(m.xi):
+                term = scale * x
+                if _underflows(x, term):
+                    raise _beyond_float(n)
+                out[v] += term
         return tuple(out)
 
     def value(self, level: int, vertex: int):
@@ -211,12 +229,7 @@ class TailMeasure(_ClassMeasure):
 
     def value(self, level: int, vertex: int):
         s = self.base[vertex]
-        if s == math.inf:
-            return math.inf
-        try:
-            return s / self.lam.value ** (level - 1)
-        except OverflowError:
-            raise _beyond_float(level) from None
+        return math.inf if s == math.inf else _scaled(s, self.lam.value, level)
 
 
 def tail_valuation(decomp: ComponentDecomposition, alpha: int):
@@ -281,15 +294,19 @@ def mass_proxy(decomp: ComponentDecomposition, alpha: int, n: int):
     """Mass of the level-n tail set staying in class alpha, computed with
     the full diagram's heights: sum over v in alpha of h_v(n) y_v
     lam^(1-n).  Diverges for non-distinguished alpha, converges to a
-    positive constant for distinguished alpha."""
+    positive constant for distinguished alpha.  A float sum beyond float
+    range is refused with ``_beyond_float``."""
     cls = decomp.classes[alpha]
     if cls.is_zero:
         raise ZeroBlockError(f"class {alpha} has a zero block")
     h = heights(decomp.diagram, n).values
     total = linalg.left_sum(cls.perron)
     lam = cls.rho
-    return linalg.left_sum(h[v] * yv / total / lam.value ** (n - 1)
-                           for v, yv in zip(cls.vertices, cls.perron))
+    try:
+        return linalg.left_sum(h[v] * yv / total / lam.value ** (n - 1)
+                               for v, yv in zip(cls.vertices, cls.perron))
+    except OverflowError:
+        raise _beyond_float(n) from None
 
 
 def truncated_extension(decomp: ComponentDecomposition, alpha: int, m: int):

@@ -22,15 +22,21 @@ normal form), so at one vertex per distinguished class the extreme
 vectors form a triangular matrix with a positive diagonal: cone
 membership is one square solve there, in either scalar type.
 
-Numeric policy: a block's Perron value is reported exactly whenever it
-is rational (it is then an integer root of the characteristic
-polynomial, certified by a strictly positive rational eigenvector), and
-as a float with a certified residual bound otherwise.  Everything read
-off a Perron value is computed once, in its scalar type: ``Fraction``
-when it is exact, ``float`` otherwise.  Comparing two values involves a
-float only when one of them is approximate; such a comparison has the
-fixed gap ``DEFAULT_GAP`` = 1e-9 and raises ``AmbiguousComparison``
-rather than guess inside it.
+Numeric policy: a block's Perron value rho is reported exactly whenever
+it is rational, and as a float with a certified residual bound
+otherwise.  A rational rho is an integer (a root of the monic integer
+characteristic polynomial), so an exact Collatz-Wielandt bracket
+lo <= rho <= hi decides which: the row sums when they are all equal,
+else the quotients (As)_i/s_i of an integer-scaled power-iteration
+vector s.  No integer in the bracket means rho is irrational; one
+integer (after bisection, when there are several, it is floor(rho)) is
+rho exactly when it has a strictly positive rational eigenvector.  The
+characteristic polynomial itself is never computed here.  Everything
+read off a Perron value is computed once, in its scalar type:
+``Fraction`` when it is exact, ``float`` otherwise.  Comparing two
+values involves a float only when one of them is approximate; such a
+comparison has the fixed gap ``DEFAULT_GAP`` = 1e-9 and raises
+``AmbiguousComparison`` rather than guess inside it.
 """
 
 from __future__ import annotations
@@ -120,31 +126,75 @@ def _is_zero(block):
     return all(x == 0 for row in block for x in row)
 
 
+def _perron_bracket(block):
+    """(lo, hi, power) with lo <= rho <= hi exactly, by Collatz-Wielandt:
+    for every positive vector s, min (As)_i/s_i <= rho <= max (As)_i/s_i.
+    s = 1 first, so the bracket is the least and greatest row sum; when
+    those differ, s is the power-iteration vector scaled to positive
+    integers and ``power`` is that iteration's (lam, vector, residual),
+    otherwise None."""
+    row_sums = [sum(row) for row in block]
+    if min(row_sums) == max(row_sums):
+        return row_sums[0], row_sums[0], None
+    power = _power_perron(block)
+    s = [max(1, math.floor(x * 2 ** 60)) for x in power[1]]
+    quotients = [Fraction(linalg.left_sum(a * x for a, x in zip(row, s)), si)
+                 for row, si in zip(block, s)]
+    return min(quotients), max(quotients), power
+
+
+def _exceeds_perron(block, r):
+    """Is the integer r above rho?  Exactly when rI - block, whose
+    off-diagonal entries are <= 0, is a non-singular M-matrix, that is when
+    every leading principal minor is positive: Gaussian elimination without
+    pivoting meets only positive pivots."""
+    m = [[Fraction((r if i == j else 0) - x) for j, x in enumerate(row)]
+         for i, row in enumerate(block)]
+    for k, pivot_row in enumerate(m):
+        if pivot_row[k] <= 0:
+            return False
+        for row in m[k + 1:]:
+            f = row[k] / pivot_row[k]
+            for j in range(k + 1, len(row)):
+                row[j] -= f * pivot_row[j]
+    return True
+
+
 def perron_pair(block):
     """(NumericValue, eigenvector) for an irreducible non-negative integer
     block; exact rationals when the Perron value is rational, floats with
     a certified residual otherwise.  A zero block reports exactly 0.
-    The characteristic polynomial is monic in Z[z], so a rational root is
-    an integer, and the Perron value lies between the least and greatest
-    row sums (Perron-Frobenius): only those integers are tried, and only
-    the Perron value has a strictly positive eigenvector."""
+
+    The characteristic polynomial is monic in Z[z], so a rational Perron
+    value is an integer, and it lies in the exact bracket of
+    ``_perron_bracket``.  A bracket holding more than one integer (a power
+    iteration stopped by its step cap) is narrowed to floor(rho) by
+    bisection with ``_exceeds_perron``.  The one integer r left is rho
+    exactly when block - r*I has a strictly positive kernel vector (only
+    the Perron value has one); that vector is returned.  Otherwise rho is
+    irrational and is reported with the power iteration's value, vector
+    and residual."""
     n = len(block)
     if _is_zero(block):
         return NumericValue.exact(0), (Fraction(1),) * n
-    poly = linalg.char_poly(block)
-    row_sums = [sum(row) for row in block]
-    for r in range(max(1, min(row_sums)), max(row_sums) + 1):
-        if linalg.poly_eval(poly, r) != 0:
-            continue
-        shifted = [[Fraction(x) - (r if i == j else 0) for j, x in enumerate(row)]
+    lo, hi, power = _perron_bracket(block)
+    lo, hi = max(1, math.ceil(lo)), math.floor(hi)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _exceeds_perron(block, mid):
+            hi = mid - 1
+        else:
+            lo = mid
+    if lo == hi:
+        shifted = [[Fraction(x) - (lo if i == j else 0) for j, x in enumerate(row)]
                    for i, row in enumerate(block)]
         for vec in linalg.kernel_basis(shifted):
             if all(x > 0 for x in vec):
-                return NumericValue.exact(r), tuple(vec)
+                return NumericValue.exact(lo), tuple(vec)
             if all(x < 0 for x in vec):
-                return NumericValue.exact(r), tuple(-x for x in vec)
-    lam, vec, residual = _power_perron(block)
-    if residual > 1e-12 * max(row_sums):
+                return NumericValue.exact(lo), tuple(-x for x in vec)
+    lam, vec, residual = power or _power_perron(block)
+    if residual > 1e-12 * max(map(sum, block)):
         raise ArithmeticError(f"power iteration residual {residual} above target")
     return NumericValue.approx(lam, residual), tuple(vec)
 

@@ -318,6 +318,33 @@ class TestCylinder:
         assert (code, len(out.splitlines()), err) == (
             5, 1, "error: level 701 is beyond float range\n")
 
+    def test_float_values_below_normal_range_exit_5(self, docs):
+        # from level 1472 on, a golden-mean value is subnormal (below
+        # 2.2e-308) at vertex 2, and from 1473 on at vertex 1 too
+        def path(level):
+            return ",".join(["1"] + ["1.0"] * (level - 1))
+
+        assert run_cli("cylinder", docs["gm.txt"], "--measure", "0", "--path", path(1471),
+                       "--check-total") == (0, "3.7947327224140634e-308\n1.0000000000015645\n", "")
+        assert run_cli("cylinder", docs["gm.txt"], "--measure", "0", "--path", path(1472),
+                       "--check-total") == (5, "2.3452738006733134e-308\n",
+                                            "error: level 1472 is beyond float range\n")
+        assert run_cli("cylinder", docs["gm.txt"], "--measure", "0", "--path", path(1473)) == (
+            5, "", "error: level 1473 is beyond float range\n")
+
+    def test_exact_values_print_at_any_level(self, docs):
+        # 1/2^14999: its denominator has 4516 digits, more than Python's
+        # default int-to-str limit of 4300
+        path = ",".join(["1"] + ["1.0"] * 14999)
+        with time_limit(20):
+            code, out, err = run_cli("cylinder", docs["b1.txt"], "--measure", "0", "--path", path)
+        assert (code, err) == (0, "")
+        numerator, denominator = out.rstrip("\n").split("/")
+        assert numerator == "1" and len(denominator) == 4516
+        # read back in parts below the limit
+        head, tail = denominator[:2000], denominator[2000:]
+        assert int(head) * 10 ** len(tail) + int(tail) == 2 ** 14999
+
     def test_root_token_rejects_edge_index(self, docs):
         code, _, err = run_cli("cylinder", docs["b1.txt"],
                                "--measure", "1", "--path", "2.1,2.0")
@@ -672,6 +699,16 @@ class TestCountOptions:
     def test_refused_at_once(self, docs, argv, code, err):
         with time_limit(20):
             assert run_cli(*(docs.get(a, a) for a in argv)) == (code, "", err)
+
+    def test_row_sums_far_apart_decide_in_seconds(self, tmp_path):
+        # row sums 1 and 10^9 bracket rho = 1 + sqrt(10^9), which is irrational
+        doc = tmp_path / "wide.txt"
+        doc.write_text("n: 2\nincidence:\n1 1000000000\n1 1\n")
+        with time_limit(10):
+            code, out, err = run_cli("analyze", str(doc))
+        assert (code, err) == (0, "")
+        rho = re.search(r"rho=([0-9.]+)±", out).group(1)
+        assert abs(float(rho) - (1 + math.sqrt(10 ** 9))) < 1e-6
 
     def test_telescoped_order_takes_log_k_compositions(self, docs):
         with time_limit(30):

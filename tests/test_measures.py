@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bratteli import (
+    CapExceeded,
     InvariantMeasure,
     NotAperiodicError,
     NotInDomainError,
@@ -225,6 +226,42 @@ class TestMassAndTruncation:
             mass_proxy(dec, 1, 3)
         with pytest.raises(ZeroBlockError):
             truncated_extension(dec, 1, 3)
+
+
+class TestFloatRange:
+    """Float cylinder values are refused with CapExceeded at the first
+    level where one overflows or falls below the normal float range."""
+
+    # the golden mean class {0, 1} (rho about 1.618) is fed by the class
+    # {2} of rho 3, so it carries a float tail measure as well
+    FED_GOLDEN_MEAN = StationaryDiagram(((1, 1, 1), (1, 0, 0), (0, 0, 3)))
+
+    NORMAL_MIN = 2.2250738585072014e-308  # the least normal float
+
+    def test_ergodic_and_mixture_values_stop_at_the_first_subnormal(self):
+        dec = decompose(StationaryDiagram(((1, 1), (1, 0))))
+        (mu,) = enumerate_ergodic(dec)
+        mix = InvariantMeasure((mu,), (1.0,))
+        for m in (mu, mix):
+            assert min(m.value(1471, 0), m.value(1471, 1)) >= self.NORMAL_MIN
+            with pytest.raises(CapExceeded, match="level 1472 is beyond float range"):
+                m.value(1472, 1)
+            with pytest.raises(CapExceeded, match="level 1600 is beyond float range"):
+                m.value(1600, 0)
+
+    def test_tail_values_stop_at_the_first_subnormal(self):
+        dec = decompose(self.FED_GOLDEN_MEAN)
+        (tail,) = enumerate_infinite(dec)
+        assert not tail.is_exact and tail.base[2] == math.inf
+        assert tail.value(1471, 1) >= self.NORMAL_MIN and tail.value(1472, 2) == math.inf
+        with pytest.raises(CapExceeded, match="level 1472 is beyond float range"):
+            tail.value(1472, 1)
+
+    def test_mass_proxy_beyond_float_range(self):
+        dec = decompose(StationaryDiagram(((1, 1), (1, 0))))
+        assert abs(mass_proxy(dec, 0, 1475) - mass_proxy(dec, 0, 40)) < 1e-9
+        with pytest.raises(CapExceeded, match="level 1600 is beyond float range"):
+            mass_proxy(dec, 0, 1600)
 
 
 class TestInvariants:

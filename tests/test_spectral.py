@@ -28,7 +28,8 @@ from bratteli import (
     spectral_radius,
     telescope_to_primitive,
 )
-from bratteli.spectral import nv_compare
+from bratteli import spectral
+from bratteli.spectral import _exceeds_perron, _perron_bracket, nv_compare
 
 from conftest import random_diagram
 
@@ -111,6 +112,172 @@ class TestPerronData:
         assert imprimitivity_index([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 3
         with pytest.raises(ZeroBlockError):
             imprimitivity_index([[0]])
+
+
+def char_poly_perron_pair(block):
+    """The Perron search of the characteristic polynomial: every integer
+    between the least and greatest row sum that is a root and has a
+    strictly positive kernel vector.  The reference for ``perron_pair``."""
+    n = len(block)
+    if all(x == 0 for row in block for x in row):
+        return NumericValue.exact(0), (Fraction(1),) * n
+    poly = linalg.char_poly(block)
+    row_sums = [sum(row) for row in block]
+    for r in range(max(1, min(row_sums)), max(row_sums) + 1):
+        if linalg.poly_eval(poly, r) != 0:
+            continue
+        shifted = [[Fraction(x) - (r if i == j else 0) for j, x in enumerate(row)]
+                   for i, row in enumerate(block)]
+        for vec in linalg.kernel_basis(shifted):
+            if all(x > 0 for x in vec):
+                return NumericValue.exact(r), tuple(vec)
+            if all(x < 0 for x in vec):
+                return NumericValue.exact(r), tuple(-x for x in vec)
+    lam, vec, residual = spectral._power_perron(block)
+    assert residual <= 1e-12 * max(row_sums)
+    return NumericValue.approx(lam, residual), tuple(vec)
+
+
+def above_every_eigenvalue(poly, x):
+    """Is x > rho, read off the characteristic polynomial p alone?  Every
+    eigenvalue has modulus at most rho, so for x > rho each factor z + x - lam
+    of p(z + x), paired with its conjugate, has positive coefficients; for
+    x <= rho, p(z + x) vanishes at z = rho - x >= 0, which positive
+    coefficients forbid.  So: do all coefficients of p(z + x) exceed 0?"""
+    shifted = list(poly)
+    for i in range(1, len(shifted)):  # repeated synthetic division by z - x
+        for j in range(1, len(shifted) - i + 1):
+            shifted[j] += x * shifted[j - 1]
+    return all(c > 0 for c in shifted)
+
+
+def irreducible_block(rng, n, entry_max):
+    """A random non-negative block made irreducible by a positive n-cycle."""
+    block = [[rng.choice((0, 0, rng.randint(1, entry_max))) for _ in range(n)]
+             for _ in range(n)]
+    for i in range(n):
+        block[i][(i + 1) % n] = max(1, block[i][(i + 1) % n])
+    return block
+
+
+def conjugated_constant_row_sums(rng, n):
+    """D K D^-1 for a block K of constant row sums and a positive diagonal
+    D: the Perron value is the integer row sum of K, while the row sums of
+    D K D^-1 differ."""
+    d = [rng.randint(1, 4) for _ in range(n)]
+    scale = math.lcm(*d)
+    k = irreducible_block(rng, n, 5)
+    total = max(map(sum, k))
+    for row in k:
+        row[rng.randrange(n)] += total - sum(row)
+    return [[d[i] * scale * k[i][j] // d[j] for j in range(n)] for i in range(n)]
+
+
+def equivalence_blocks():
+    rng = random.Random(11)
+    blocks = [[[1, 2], [3, 2]], [[1, 2, 1], [3, 4, 0], [4, 0, 4]], [[1, 1], [2, 1]],
+              [[2, 1], [1, 2]], [[0, 1], [1, 0]], [[0]], [[3]], [[0, 4], [1, 0]]]
+    blocks += [conjugated_constant_row_sums(rng, rng.randint(2, 6)) for _ in range(15)]
+    blocks += [irreducible_block(rng, rng.randint(1, 7), 9) for _ in range(30)]
+    blocks += [[[rng.randint(1, 9) for _ in range(n)] for _ in range(n)] for n in range(2, 10)]
+    return blocks
+
+
+class TestPerronBracket:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_bracket_holds_the_perron_value(self, seed):
+        rng = random.Random(seed)
+        block = irreducible_block(rng, rng.randint(1, 6), rng.choice((1, 3, 9)))
+        lo, hi, _ = _perron_bracket(block)
+        assert lo <= hi
+        poly = linalg.char_poly(block)
+        eps = Fraction(1, 10 ** 9)
+        # a sign change of p over [lo - eps, hi + eps] puts a real root
+        # there, and no eigenvalue lies at or above hi + eps, so that root
+        # is the largest real one, rho
+        assert linalg.poly_eval(poly, lo - eps) < 0 < linalg.poly_eval(poly, hi + eps)
+        assert above_every_eigenvalue(poly, hi + eps)
+        assert not above_every_eigenvalue(poly, lo - eps)
+
+    def test_equal_row_sums_bracket_without_power_iteration(self, monkeypatch):
+        def refuse(block):
+            raise AssertionError("power iteration on constant row sums")
+
+        monkeypatch.setattr(spectral, "_power_perron", refuse)
+        assert _perron_bracket([[2, 5], [6, 1]]) == (7, 7, None)
+        lam, vec = perron_pair([[2, 5], [6, 1]])
+        assert lam == NumericValue.exact(7) and vec == (Fraction(1), Fraction(1))
+
+    def test_exceeds_perron_matches_the_characteristic_polynomial(self):
+        for block in equivalence_blocks():
+            if all(x == 0 for row in block for x in row):
+                continue
+            poly = linalg.char_poly(block)
+            row_sums = [sum(row) for row in block]
+            for r in range(min(row_sums) - 1, max(row_sums) + 2):
+                assert _exceeds_perron(block, r) == above_every_eigenvalue(poly, r), (block, r)
+
+    def test_matches_the_characteristic_polynomial_search(self):
+        exact = 0
+        for block in equivalence_blocks():
+            lam, vec = perron_pair(block)
+            ref_lam, ref_vec = char_poly_perron_pair(block)
+            assert lam == ref_lam and type(lam.value) is type(ref_lam.value), block
+            assert vec == ref_vec, block
+            assert [type(x) for x in vec] == [type(x) for x in ref_vec], block
+            exact += lam.is_exact
+        assert exact >= 20
+
+    def test_one_integer_in_the_bracket_needs_no_bisection(self, monkeypatch):
+        steps = []
+
+        def counted(block, r):
+            steps.append(r)
+            return _exceeds_perron(block, r)
+
+        monkeypatch.setattr(spectral, "_exceeds_perron", counted)
+        assert perron_pair([[1, 2], [3, 2]])[0] == NumericValue.exact(4)
+        assert perron_pair([[2, 5], [6, 1]])[0] == NumericValue.exact(7)
+        assert not perron_pair([[1, 1], [2, 1]])[0].is_exact
+        assert steps == []
+
+    def test_wide_bracket_is_bisected_to_the_one_candidate(self, monkeypatch):
+        # a power iteration that stops at once: the bracket is then the row
+        # sum range, which holds several integers
+        steps = []
+
+        def crude(block):
+            return 0.5, [1.0 / len(block)] * len(block), 0.0
+
+        def counted(block, r):
+            steps.append(r)
+            return _exceeds_perron(block, r)
+
+        monkeypatch.setattr(spectral, "_power_perron", crude)
+        monkeypatch.setattr(spectral, "_exceeds_perron", counted)
+        # eigenvalues -1, 4 and 6 with row sums 4, 7 and 8: the integer
+        # eigenvalue 4 lies in the bracket, but the bisection skips it
+        block = [[1, 2, 1], [3, 4, 0], [4, 0, 4]]
+        assert _perron_bracket(block)[:2] == (4, 8)
+        assert perron_pair(block) == char_poly_perron_pair(block)
+        assert steps == [6, 7]
+        # rho = 1 + sqrt 2 in [2, 3]: floor(rho) = 2 has no positive kernel
+        # vector, so the power iteration's value is reported
+        steps.clear()
+        assert perron_pair([[1, 1], [2, 1]]) == (NumericValue.approx(0.5, 0.0), (0.5, 0.5))
+        assert steps == [3]
+
+    def test_iteration_cap_leaves_a_wide_bracket(self):
+        # eigenvalues 1 +- 10^6 of nearly equal modulus: 200,000 power steps
+        # leave a bracket of millions of integers, and about 22 bisection
+        # steps find rho exactly
+        block = [[1, 10 ** 12], [1, 1]]
+        lo, hi, _ = _perron_bracket(block)
+        assert math.floor(hi) - math.ceil(lo) > 10 ** 6
+        lam, vec = perron_pair(block)
+        assert lam == NumericValue.exact(10 ** 6 + 1)
+        assert vec == (Fraction(10 ** 6), Fraction(1))
 
 
 class TestDecomposition:
