@@ -26,6 +26,7 @@ line or field is missing, the last content line of the document.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -228,9 +229,32 @@ def render_scalar(x) -> str:
     return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
+def _integer(digits: str) -> int:
+    """int(digits) at any length, the inverse of ``_decimal``: a long
+    string of digits is split at 10^k and each part converted on its own."""
+    if len(digits) <= 640:
+        return int(digits)
+    k = len(digits) // 2
+    return _integer(digits[:-k]) * 10 ** k + _integer(digits[-k:])
+
+
+_RATIONAL = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
+
+
 def parse_scalar(token: str):
+    """Inverse of ``render_scalar``.  Integers and p/q are exact at any
+    length, 'inf' is infinity, and any other token is read by
+    ``Fraction``, else by ``float``."""
     if token == "inf":
         return math.inf
+    exact = _RATIONAL.fullmatch(token)
+    if exact:
+        sign, num, den = exact.groups()
+        den = _integer(den or "1")
+        if den == 0:
+            raise ParseError(f"zero denominator: {token!r}")
+        x = Fraction(_integer(num), den)
+        return -x if sign == "-" else x
     try:
         return Fraction(token)
     except ValueError:

@@ -28,15 +28,15 @@ otherwise.  A rational rho is an integer (a root of the monic integer
 characteristic polynomial), so an exact Collatz-Wielandt bracket
 lo <= rho <= hi decides which: the row sums when they are all equal,
 else the quotients (As)_i/s_i of an integer-scaled power-iteration
-vector s.  No integer in the bracket means rho is irrational; one
-integer (after bisection, when there are several, it is floor(rho)) is
-rho exactly when it has a strictly positive rational eigenvector.  The
-characteristic polynomial itself is never computed here.  Everything
-read off a Perron value is computed once, in its scalar type:
-``Fraction`` when it is exact, ``float`` otherwise.  Comparing two
-values involves a float only when one of them is approximate; such a
-comparison has the fixed gap ``DEFAULT_GAP`` = 1e-9 and raises
-``AmbiguousComparison`` rather than guess inside it.
+vector s.  A binary search over its integers r runs one fraction-free
+elimination of rI - A per step, whose pivots give the sign of r - rho
+and, at r = rho, the Perron vector.  No integer at sign 0 means rho is
+irrational.  The characteristic polynomial itself is never computed
+here.  Everything read off a Perron value is computed once, in its
+scalar type: ``Fraction`` when it is exact, ``float`` otherwise.
+Comparing two values involves a float only when one of them is
+approximate; such a comparison has the fixed gap ``DEFAULT_GAP`` = 1e-9
+and raises ``AmbiguousComparison`` rather than guess inside it.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ from fractions import Fraction
 
 from . import linalg
 from .diagram import StationaryDiagram, telescope, validate
-from .errors import (AmbiguousComparison, NotDistinguishedError, PrimitivityError,
+from .errors import (AmbiguousComparison, CapExceeded, NotDistinguishedError, PrimitivityError,
                      SizeRefused, ZeroBlockError)
 
 DEFAULT_GAP = 1e-9
+_POWER_STEPS = 200000
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ def _power_perron(block):
                for i, row in enumerate(block)]
     v = [1.0 / n] * n
     lo, hi = 0.0, math.inf
-    for _ in range(200000):
+    for _ in range(_POWER_STEPS):
         w = [linalg.left_sum(r * x for r, x in zip(row, v)) for row in shifted]
         quotients = [wi / vi for wi, vi in zip(w, v)]
         lo, hi = min(quotients), max(quotients)
@@ -143,21 +144,34 @@ def _perron_bracket(block):
     return min(quotients), max(quotients), power
 
 
-def _exceeds_perron(block, r):
-    """Is the integer r above rho?  Exactly when rI - block, whose
-    off-diagonal entries are <= 0, is a non-singular M-matrix, that is when
-    every leading principal minor is positive: Gaussian elimination without
-    pivoting meets only positive pivots."""
-    m = [[Fraction((r if i == j else 0) - x) for j, x in enumerate(row)]
+def _perron_sign(block, r):
+    """(sign of r - rho, Perron vector or None) for an integer r, from one
+    fraction-free elimination (Bareiss) in ``int``, without pivoting, of
+    Q = rI - block; its k-th pivot is the k-th leading principal minor.
+    r > rho exactly when Q is a non-singular M-matrix: every pivot > 0.
+    Leading blocks of order k < N have Perron values below rho, so a pivot
+    <= 0 before the last means r < rho; after N - 1 positive pivots the
+    last has the sign of a Schur complement that increases strictly with
+    r and is 0 at rho alone.  The first N - 1 columns are then independent,
+    so back-substitution from a last entry ``Fraction(1)`` gives the kernel
+    vector with that entry, which is the positive Perron vector."""
+    m = [[(r if i == j else 0) - x for j, x in enumerate(row)]
          for i, row in enumerate(block)]
+    n, prev = len(m), 1
     for k, pivot_row in enumerate(m):
-        if pivot_row[k] <= 0:
-            return False
+        pivot = pivot_row[k]
+        if pivot < 0 or pivot == 0 and k < n - 1:
+            return -1, None
         for row in m[k + 1:]:
-            f = row[k] / pivot_row[k]
-            for j in range(k + 1, len(row)):
-                row[j] -= f * pivot_row[j]
-    return True
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - row[k] * pivot_row[j]) // prev
+        prev = pivot
+    if prev > 0:
+        return 1, None
+    vec = [Fraction(1)]
+    for k in range(n - 2, -1, -1):
+        vec.insert(0, -sum(a * x for a, x in zip(m[k][k + 1:], vec)) / m[k][k])
+    return 0, tuple(vec)
 
 
 def perron_pair(block):
@@ -167,35 +181,23 @@ def perron_pair(block):
 
     The characteristic polynomial is monic in Z[z], so a rational Perron
     value is an integer, and it lies in the exact bracket of
-    ``_perron_bracket``.  A bracket holding more than one integer (a power
-    iteration stopped by its step cap) is narrowed to floor(rho) by
-    bisection with ``_exceeds_perron``.  The one integer r left is rho
-    exactly when block - r*I has a strictly positive kernel vector (only
-    the Perron value has one); that vector is returned.  Otherwise rho is
-    irrational and is reported with the power iteration's value, vector
-    and residual."""
-    n = len(block)
-    if _is_zero(block):
-        return NumericValue.exact(0), (Fraction(1),) * n
+    ``_perron_bracket``.  A binary search over its integers stops where
+    ``_perron_sign`` finds rho, with its vector; one integer in the
+    bracket (the usual case) costs one elimination.  No integer is rho
+    when rho is irrational: then the power iteration's value, vector and
+    residual are reported, or CapExceeded is raised past its step cap."""
     lo, hi, power = _perron_bracket(block)
-    lo, hi = max(1, math.ceil(lo)), math.floor(hi)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _exceeds_perron(block, mid):
-            hi = mid - 1
-        else:
-            lo = mid
-    if lo == hi:
-        shifted = [[Fraction(x) - (lo if i == j else 0) for j, x in enumerate(row)]
-                   for i, row in enumerate(block)]
-        for vec in linalg.kernel_basis(shifted):
-            if all(x > 0 for x in vec):
-                return NumericValue.exact(lo), tuple(vec)
-            if all(x < 0 for x in vec):
-                return NumericValue.exact(lo), tuple(-x for x in vec)
-    lam, vec, residual = power or _power_perron(block)
+    lo, hi = math.ceil(lo), math.floor(hi)
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        sign, vec = _perron_sign(block, mid)
+        if sign == 0:
+            return NumericValue.exact(mid), vec
+        lo, hi = (lo, mid - 1) if sign > 0 else (mid + 1, hi)
+    lam, vec, residual = power
     if residual > 1e-12 * max(map(sum, block)):
-        raise ArithmeticError(f"power iteration residual {residual} above target")
+        raise CapExceeded(f"power iteration stopped at its cap of {_POWER_STEPS} steps "
+                          f"with residual {residual:.3g} above target", cap=_POWER_STEPS)
     return NumericValue.approx(lam, residual), tuple(vec)
 
 

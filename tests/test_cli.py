@@ -710,6 +710,18 @@ class TestCountOptions:
         rho = re.search(r"rho=([0-9.]+)±", out).group(1)
         assert abs(float(rho) - (1 + math.sqrt(10 ** 9))) < 1e-6
 
+    def test_unconverged_power_iteration_exits_5(self, tmp_path):
+        # eigenvalues 1 +- sqrt(10^12 + 1), irrational and of nearly equal
+        # moduli: the power iteration stops at its step cap
+        doc = tmp_path / "far.txt"
+        doc.write_text("n: 2\nincidence:\n1 1000000000001\n1 1\n")
+        with time_limit(10):
+            code, out, err = run_cli("analyze", str(doc))
+        assert (code, out) == (5, "")
+        assert err.startswith("error: power iteration stopped at its cap of 200000 steps "
+                              "with residual ")
+        assert "Traceback" not in err
+
     def test_telescoped_order_takes_log_k_compositions(self, docs):
         with time_limit(30):
             assert run_cli("analyze", docs["lin.txt"], "--telescope", "999000") == (

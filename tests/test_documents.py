@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bratteli import (
     BratteliError,
+    MeasureRecord,
     OrderedDiagram,
     ParseError,
     StationaryDiagram,
@@ -119,8 +120,13 @@ class TestScalars:
             parse_scalar("seven")
 
     def test_round_trip(self):
-        for x in (Fraction(22, 7), Fraction(-3), math.inf, Fraction(0)):
-            assert parse_scalar(render_scalar(x)) == x
+        # the last four have more digits than Python converts from a
+        # string by default
+        for x in (Fraction(22, 7), Fraction(-3), math.inf, Fraction(0),
+                  Fraction(1, 2 ** 14999), Fraction(10 ** 5000), Fraction(-10 ** 5000),
+                  Fraction(-3 ** 9000, 7 ** 8000)):
+            back = parse_scalar(render_scalar(x))
+            assert back == x and type(back) is type(x)
 
 
 class TestMeasureReports:
@@ -163,6 +169,9 @@ class TestMeasureReports:
             measures = enumerate_ergodic(d) + enumerate_infinite(d)
             records = [measure_record(m) for m in measures]
             assert parse_measures(serialize_measures(measures)) == records
+        record = MeasureRecord(0, ("a", "b"), "ergodic-finite", "2",
+                               (Fraction(1, 2 ** 14999), Fraction(10 ** 5000), 0.5), (0,))
+        assert parse_measures(serialize_measures([record])) == [record]
 
     def test_report_errors(self):
         with pytest.raises(ParseError):
@@ -243,12 +252,15 @@ MALFORMED = [
     ("measures", REPORT.replace("eigenvector: 1 0", "eigenvector: 1 x"), 7, "not a number: 'x'"),
     ("measures", REPORT.replace("eigenvector: 1 0", "eigenvector: 1 1.x"), 7,
      "could not convert string to float: '1.x'"),
+    ("measures", REPORT.replace("eigenvector: 1 0", "eigenvector: 1 1/0"), 7,
+     "zero denominator: '1/0'"),
     ("measures", REPORT + "leftover\n", 9, "unexpected content 'leftover'"),
     ("coefficients", "", 1, "expected a single 'coefficients:' line"),
     ("coefficients", "# c\nnope: 1\n", 2, "expected a single 'coefficients:' line"),
     ("coefficients", "coefficients: 1\ncoefficients: 1\n", 1,
      "expected a single 'coefficients:' line"),
     ("coefficients", "\ncoefficients: 1 x\n", 2, "not a number: 'x'"),
+    ("coefficients", "coefficients: 1/0 1\n", 1, "zero denominator: '1/0'"),
 ]
 PARSERS = {"diagram": parse_diagram, "substitution": parse_substitution,
            "measures": parse_measures, "coefficients": parse_coefficients}

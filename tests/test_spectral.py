@@ -29,7 +29,8 @@ from bratteli import (
     telescope_to_primitive,
 )
 from bratteli import spectral
-from bratteli.spectral import _exceeds_perron, _perron_bracket, nv_compare
+from bratteli.errors import CapExceeded
+from bratteli.spectral import _perron_bracket, _perron_sign, nv_compare
 
 from conftest import random_diagram
 
@@ -95,16 +96,17 @@ class TestPerronData:
 
     def test_dense_constant_row_sum_block_is_exact(self):
         rng = random.Random(16)
-        total = 150  # above 16 * 9, so the adjusted entry stays positive
-        block = []
-        for _ in range(16):
-            row = [rng.randint(1, 9) for _ in range(16)]
-            row[rng.randrange(16)] += total - sum(row)
-            block.append(row)
-        assert all(x > 0 for row in block for x in row)
-        lam, vec = perron_pair(block)
-        assert lam.is_exact and lam.value == total
-        assert len(set(vec)) == 1 and vec[0] > 0
+        # each total is above n * 9, so the adjusted entry stays positive
+        for n, total in ((16, 150), (48, 500)):
+            block = []
+            for _ in range(n):
+                row = [rng.randint(1, 9) for _ in range(n)]
+                row[rng.randrange(n)] += total - sum(row)
+                block.append(row)
+            assert all(x > 0 for row in block for x in row)
+            lam, vec = perron_pair(block)
+            assert lam.is_exact and lam.value == total
+            assert len(set(vec)) == 1 and vec[0] > 0
 
     def test_imprimitivity_index(self):
         assert imprimitivity_index([[1, 1], [1, 1]]) == 1
@@ -209,14 +211,16 @@ class TestPerronBracket:
         lam, vec = perron_pair([[2, 5], [6, 1]])
         assert lam == NumericValue.exact(7) and vec == (Fraction(1), Fraction(1))
 
-    def test_exceeds_perron_matches_the_characteristic_polynomial(self):
+    def test_perron_sign_matches_the_characteristic_polynomial(self):
         for block in equivalence_blocks():
-            if all(x == 0 for row in block for x in row):
-                continue
             poly = linalg.char_poly(block)
+            ref_lam, ref_vec = char_poly_perron_pair(block)
             row_sums = [sum(row) for row in block]
             for r in range(min(row_sums) - 1, max(row_sums) + 2):
-                assert _exceeds_perron(block, r) == above_every_eigenvalue(poly, r), (block, r)
+                sign, vec = _perron_sign(block, r)
+                assert (sign > 0) == above_every_eigenvalue(poly, r), (block, r)
+                assert (sign == 0) == (ref_lam.is_exact and r == ref_lam.value), (block, r)
+                assert vec == (ref_vec if sign == 0 else None), (block, r)
 
     def test_matches_the_characteristic_polynomial_search(self):
         exact = 0
@@ -234,11 +238,13 @@ class TestPerronBracket:
 
         def counted(block, r):
             steps.append(r)
-            return _exceeds_perron(block, r)
+            return _perron_sign(block, r)
 
-        monkeypatch.setattr(spectral, "_exceeds_perron", counted)
+        monkeypatch.setattr(spectral, "_perron_sign", counted)
         assert perron_pair([[1, 2], [3, 2]])[0] == NumericValue.exact(4)
         assert perron_pair([[2, 5], [6, 1]])[0] == NumericValue.exact(7)
+        assert steps == [4, 7]
+        steps.clear()
         assert not perron_pair([[1, 1], [2, 1]])[0].is_exact
         assert steps == []
 
@@ -252,21 +258,22 @@ class TestPerronBracket:
 
         def counted(block, r):
             steps.append(r)
-            return _exceeds_perron(block, r)
+            return _perron_sign(block, r)
 
         monkeypatch.setattr(spectral, "_power_perron", crude)
-        monkeypatch.setattr(spectral, "_exceeds_perron", counted)
+        monkeypatch.setattr(spectral, "_perron_sign", counted)
         # eigenvalues -1, 4 and 6 with row sums 4, 7 and 8: the integer
-        # eigenvalue 4 lies in the bracket, but the bisection skips it
+        # eigenvalue 4 lies in the bracket, but the search never tests it;
+        # the midpoint 6 is rho
         block = [[1, 2, 1], [3, 4, 0], [4, 0, 4]]
         assert _perron_bracket(block)[:2] == (4, 8)
         assert perron_pair(block) == char_poly_perron_pair(block)
-        assert steps == [6, 7]
-        # rho = 1 + sqrt 2 in [2, 3]: floor(rho) = 2 has no positive kernel
-        # vector, so the power iteration's value is reported
+        assert steps == [6]
+        # rho = 1 + sqrt 2 in [2, 3]: 2 is below rho and 3 above, so the
+        # power iteration's value is reported
         steps.clear()
         assert perron_pair([[1, 1], [2, 1]]) == (NumericValue.approx(0.5, 0.0), (0.5, 0.5))
-        assert steps == [3]
+        assert steps == [2, 3]
 
     def test_iteration_cap_leaves_a_wide_bracket(self):
         # eigenvalues 1 +- 10^6 of nearly equal modulus: 200,000 power steps
@@ -278,6 +285,13 @@ class TestPerronBracket:
         lam, vec = perron_pair(block)
         assert lam == NumericValue.exact(10 ** 6 + 1)
         assert vec == (Fraction(10 ** 6), Fraction(1))
+
+    def test_unconverged_power_iteration_is_refused(self):
+        # eigenvalues 1 +- sqrt(10^12 + 1): irrational, and of moduli so
+        # close that the power iteration stops at its step cap
+        with pytest.raises(CapExceeded, match=r"cap of 200000 steps with residual \S+ above target") as e:
+            perron_pair([[1, 10 ** 12 + 1], [1, 1]])
+        assert e.value.cap == 200000
 
 
 class TestDecomposition:
