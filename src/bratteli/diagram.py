@@ -174,13 +174,10 @@ class PathWord:
 
 def check_path(d: StationaryDiagram, p: PathWord):
     """Raise if p does not describe an actual path of the diagram."""
-    n = d.n_vertices
-    if any(not (0 <= v < n) for v in p.vertices):
+    if min(p.vertices) < 0 or max(p.vertices) >= d.n_vertices:
         raise DimensionMismatch("path visits an unknown vertex")
-    for i in range(1, len(p.vertices)):
-        w, v = p.vertices[i - 1], p.vertices[i]
+    for w, v, j in zip(p.vertices, p.vertices[1:], p.indices):
         bundle = d.incidence[v][w]
-        j = p.indices[i - 1]
         if not (0 <= j < bundle):
             raise ValueError(
                 f"no edge {j} from vertex {d.effective_labels[w]} to "

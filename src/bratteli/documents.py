@@ -241,6 +241,14 @@ def _integer(digits: str) -> int:
 _RATIONAL = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
 
 
+def _float(token: str) -> float:
+    """float(token), refusing a decimal (not 'inf': no digit) that overflows."""
+    x = float(token)
+    if math.isinf(x) and any(c.isdigit() for c in token):
+        raise ParseError(f"decimal beyond float range: {token[:30]!r}" + "..." * (len(token) > 30))
+    return x
+
+
 def parse_scalar(token: str):
     """Inverse of ``render_scalar``.  Integers and p/q are exact at any
     length, 'inf' is infinity, and any other token is read by
@@ -260,7 +268,7 @@ def parse_scalar(token: str):
     except ValueError:
         pass
     try:
-        return float(token)
+        return _float(token)
     except ValueError:
         raise ParseError(f"not a number: {token!r}") from None
 
@@ -326,7 +334,7 @@ def parse_measures(text: str) -> list[MeasureRecord]:
             raise ParseError("class and support must be integers", class_line)
         try:
             # exact values are written as integers or p/q, floats as decimals
-            vector = tuple(float(t) if "." in t or "e" in t else parse_scalar(t)
+            vector = tuple(_float(t) if "." in t or "e" in t else parse_scalar(t)
                            for t in vec_s.split())
         except (ParseError, ValueError) as e:
             raise ParseError(str(e), vec_line) from None

@@ -59,7 +59,7 @@ class PrimitivityError(BratteliError):
 
 
 class NotInDomainError(BratteliError):
-    """Vector is not a normalized point of the invariant-measure simplex."""
+    """Vector off the invariant-measure simplex, or a reducible block."""
 
 
 class EndpointMismatch(BratteliError):

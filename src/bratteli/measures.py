@@ -77,6 +77,17 @@ class _ClassMeasure:
     def is_exact(self):
         return self.lam.is_exact
 
+    def value(self, level: int, vertex: int):
+        """Measure of any level-n cylinder ending at the given vertex; one level's
+        values are kept, outside ==, hash and repr, and never a refusal."""
+        cached, values = self.__dict__.get("_level_values", (None, None))
+        if cached != level:
+            values = {}
+            object.__setattr__(self, "_level_values", (level, values))
+        if vertex not in values:
+            values[vertex] = self._value(level, vertex)
+        return values[vertex]
+
 
 @dataclass(frozen=True)
 class ErgodicMeasure(_ClassMeasure):
@@ -96,9 +107,7 @@ class ErgodicMeasure(_ClassMeasure):
     def full_support(self):
         return len(self.support) == len(self.decomp.classes)
 
-    def value(self, level: int, vertex: int):
-        """Measure of any level-n cylinder ending at the given vertex;
-        depends on the path only through (level, vertex)."""
+    def _value(self, level: int, vertex: int):
         return _scaled(self.xi[vertex], self.lam.value, level)
 
 
@@ -227,7 +236,7 @@ class TailMeasure(_ClassMeasure):
     def vector(self):
         return self.base
 
-    def value(self, level: int, vertex: int):
+    def _value(self, level: int, vertex: int):
         s = self.base[vertex]
         return math.inf if s == math.inf else _scaled(s, self.lam.value, level)
 

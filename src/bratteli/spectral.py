@@ -47,8 +47,8 @@ from fractions import Fraction
 
 from . import linalg
 from .diagram import StationaryDiagram, telescope, validate
-from .errors import (AmbiguousComparison, CapExceeded, NotDistinguishedError, PrimitivityError,
-                     SizeRefused, ZeroBlockError)
+from .errors import (AmbiguousComparison, CapExceeded, NotDistinguishedError, NotInDomainError,
+                     PrimitivityError, SizeRefused, ZeroBlockError)
 
 DEFAULT_GAP = 1e-9
 _POWER_STEPS = 200000
@@ -179,19 +179,23 @@ def perron_pair(block):
     block; exact rationals when the Perron value is rational, floats with
     a certified residual otherwise.  A zero block reports exactly 0.
 
-    The characteristic polynomial is monic in Z[z], so a rational Perron
-    value is an integer, and it lies in the exact bracket of
-    ``_perron_bracket``.  A binary search over its integers stops where
-    ``_perron_sign`` finds rho, with its vector; one integer in the
-    bracket (the usual case) costs one elimination.  No integer is rho
-    when rho is irrational: then the power iteration's value, vector and
-    residual are reported, or CapExceeded is raised past its step cap."""
+    Equal row sums s give s and the all-ones vector.  Otherwise a rational
+    Perron value is an integer (a root of a monic polynomial in Z[z]) in the
+    exact bracket of ``_perron_bracket``, binary-searched until ``_perron_sign``
+    finds rho with its vector (a reducible block has no positive one:
+    NotInDomainError); one integer in the bracket (the usual case) costs one
+    elimination.  No integer is rho when rho is irrational: then the power
+    iteration's value, vector and residual are reported, or CapExceeded."""
     lo, hi, power = _perron_bracket(block)
+    if power is None:
+        return NumericValue.exact(lo), (Fraction(1),) * len(block)
     lo, hi = math.ceil(lo), math.floor(hi)
     while lo <= hi:
         mid = (lo + hi) // 2
         sign, vec = _perron_sign(block, mid)
         if sign == 0:
+            if min(vec) <= 0:
+                raise NotInDomainError(f"reducible block: no positive kernel vector at {mid}")
             return NumericValue.exact(mid), vec
         lo, hi = (lo, mid - 1) if sign > 0 else (mid + 1, hi)
     lam, vec, residual = power

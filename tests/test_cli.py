@@ -734,8 +734,8 @@ class TestCountOptions:
 
 HUGE = str(10 ** 30)
 FUZZ_VALUES = {
-    # verify enumerates every path down to --depth (the oracle's path
-    # checks), and that alone takes 15 s on eig.txt at depth 5: bounded
+    # verify enumerates and prices every path down to --depth (the
+    # oracle's path checks), which takes 3.5 s on eig.txt at depth 5: bounded
     "--depth": ["-2", "-1", "0", "1", "2"],
     # expand applies the substitution once per step to the whole word, so
     # a slowly growing letter under the cap takes seconds from 10^4 steps

@@ -127,6 +127,10 @@ class TestScalars:
                   Fraction(-3 ** 9000, 7 ** 8000)):
             back = parse_scalar(render_scalar(x))
             assert back == x and type(back) is type(x)
+        # a decimal that float() reads as infinity is refused, not read as 'inf'
+        assert parse_scalar("-inf") == -math.inf and math.isnan(parse_scalar("nan"))
+        with pytest.raises(ParseError, match="decimal beyond float range"):
+            parse_scalar("1" * 5000 + ".5")
 
 
 class TestMeasureReports:
@@ -170,8 +174,12 @@ class TestMeasureReports:
             records = [measure_record(m) for m in measures]
             assert parse_measures(serialize_measures(measures)) == records
         record = MeasureRecord(0, ("a", "b"), "ergodic-finite", "2",
-                               (Fraction(1, 2 ** 14999), Fraction(10 ** 5000), 0.5), (0,))
+                               (Fraction(1, 2 ** 14999), Fraction(10 ** 5000), 0.5,
+                                1.7976931348623157e308, math.inf), (0,))
         assert parse_measures(serialize_measures([record])) == [record]
+        with pytest.raises(ParseError, match="line 7: decimal beyond float range: "
+                                             "'1.7976931348623157e400'"):
+            parse_measures(serialize_measures([record]).replace("e+308", "e400"))
 
     def test_report_errors(self):
         with pytest.raises(ParseError):
@@ -254,6 +262,10 @@ MALFORMED = [
      "could not convert string to float: '1.x'"),
     ("measures", REPORT.replace("eigenvector: 1 0", "eigenvector: 1 1/0"), 7,
      "zero denominator: '1/0'"),
+    ("measures", REPORT.replace("eigenvector: 1 0", "eigenvector: 1 1e400"), 7,
+     "decimal beyond float range: '1e400'"),
+    ("measures", REPORT.replace("eigenvector: 1 0", "eigenvector: -1.5e999 0"), 7,
+     "decimal beyond float range: '-1.5e999'"),
     ("measures", REPORT + "leftover\n", 9, "unexpected content 'leftover'"),
     ("coefficients", "", 1, "expected a single 'coefficients:' line"),
     ("coefficients", "# c\nnope: 1\n", 2, "expected a single 'coefficients:' line"),
@@ -261,6 +273,9 @@ MALFORMED = [
      "expected a single 'coefficients:' line"),
     ("coefficients", "\ncoefficients: 1 x\n", 2, "not a number: 'x'"),
     ("coefficients", "coefficients: 1/0 1\n", 1, "zero denominator: '1/0'"),
+    # more digits than Fraction reads, so read by float, which overflows
+    ("coefficients", "coefficients: 0 " + "1" * 5000 + ".5\n", 1,
+     "decimal beyond float range: '" + "1" * 30 + "'..."),
 ]
 PARSERS = {"diagram": parse_diagram, "substitution": parse_substitution,
            "measures": parse_measures, "coefficients": parse_coefficients}

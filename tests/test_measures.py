@@ -27,8 +27,10 @@ from bratteli import (
     support_classes,
     tail_measure_of_cylinder,
     tail_valuation,
+    telescope_to_primitive,
     truncated_extension,
 )
+from bratteli.measures import _scaled
 
 from conftest import aperiodic_corpus
 
@@ -199,6 +201,34 @@ class TestSigmaFinite:
         assert (checked, extended) == (9, 1)
 
 
+class TestLevelCache:
+    """``value`` keeps the values of one level; they are the formula's."""
+
+    def test_cached_values_are_the_formula_values(self):
+        count = 0
+        for d in aperiodic_corpus():
+            dec = decompose(telescope_to_primitive(d)[0])
+            for m in enumerate_ergodic(dec) + enumerate_infinite(dec):
+                for level in range(1, 9):
+                    expected = [x if x == math.inf else _scaled(x, m.lam.value, level)
+                                for x in m.vector]
+                    for _ in range(2):  # the second pass reads the cache
+                        got = [m.value(level, v) for v in range(len(expected))]
+                        assert ([(repr(x), type(x)) for x in got]
+                                == [(repr(x), type(x)) for x in expected]), (d, level)
+                count += 1
+        assert count == 25
+
+    def test_cache_is_outside_equality_hash_and_repr(self, b1):
+        dec = decompose(b1)
+        (fresh,), (used,) = enumerate_ergodic(dec), enumerate_ergodic(dec)
+        (tail,), (used_tail,) = enumerate_infinite(dec), enumerate_infinite(dec)
+        used.value(3, 0)
+        used_tail.value(3, 0)
+        for a, b in ((fresh, used), (tail, used_tail)):
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
 class TestMassAndTruncation:
     def test_distinguished_mass_stays_bounded(self, b1):
         dec = decompose(b1)
@@ -244,8 +274,9 @@ class TestFloatRange:
         mix = InvariantMeasure((mu,), (1.0,))
         for m in (mu, mix):
             assert min(m.value(1471, 0), m.value(1471, 1)) >= self.NORMAL_MIN
-            with pytest.raises(CapExceeded, match="level 1472 is beyond float range"):
-                m.value(1472, 1)
+            for _ in range(2):  # a refusal is never kept by the level cache
+                with pytest.raises(CapExceeded, match="level 1472 is beyond float range"):
+                    m.value(1472, 1)
             with pytest.raises(CapExceeded, match="level 1600 is beyond float range"):
                 m.value(1600, 0)
 
@@ -254,8 +285,9 @@ class TestFloatRange:
         (tail,) = enumerate_infinite(dec)
         assert not tail.is_exact and tail.base[2] == math.inf
         assert tail.value(1471, 1) >= self.NORMAL_MIN and tail.value(1472, 2) == math.inf
-        with pytest.raises(CapExceeded, match="level 1472 is beyond float range"):
-            tail.value(1472, 1)
+        for _ in range(2):  # a refusal is never kept by the level cache
+            with pytest.raises(CapExceeded, match="level 1472 is beyond float range"):
+                tail.value(1472, 1)
 
     def test_mass_proxy_beyond_float_range(self):
         dec = decompose(StationaryDiagram(((1, 1), (1, 0))))

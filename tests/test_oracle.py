@@ -22,12 +22,15 @@ from bratteli import (
     enumerate_ergodic,
     enumerate_infinite,
     enumerate_paths,
+    heights,
     max_path,
+    measure_of_cylinder,
     min_path,
     q_steps,
     telescope_to_primitive,
     verify_invariance,
 )
+from bratteli import oracle
 
 
 class _ConstantStub:
@@ -60,6 +63,25 @@ class TestInvariance:
         assert not report.ok
         assert any(v.startswith("(b)") for v in report.violations)
         assert any("total mass" in v for v in report.violations)
+
+    def test_every_enumerated_path_is_priced(self, eig_chain, monkeypatch):
+        # cylinder values are kept per level, yet each path of each level
+        # is still validated and priced on its own
+        d = eig_chain.base
+        priced = []
+
+        def counted(mu, c):
+            priced.append(c)
+            return measure_of_cylinder(mu, c)
+
+        monkeypatch.setattr(oracle, "measure_of_cylinder", counted)
+        paths = [p for lvl in range(1, 4) for v in range(d.n_vertices)
+                 for p in enumerate_paths(d, v, lvl)]
+        assert len(paths) == sum(sum(heights(d, lvl).values) for lvl in range(1, 4))
+        for m in enumerate_ergodic(d) + enumerate_infinite(d):
+            priced.clear()
+            assert verify_invariance(d, m, n_max=3).ok
+            assert priced == paths
 
     def test_cap_produces_skips_not_failures(self, b1):
         (mu,) = enumerate_ergodic(b1)

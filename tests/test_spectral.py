@@ -12,6 +12,7 @@ from bratteli import linalg
 from bratteli import (
     AmbiguousComparison,
     NotDistinguishedError,
+    NotInDomainError,
     NumericValue,
     PrimitivityError,
     StationaryDiagram,
@@ -211,6 +212,33 @@ class TestPerronBracket:
         lam, vec = perron_pair([[2, 5], [6, 1]])
         assert lam == NumericValue.exact(7) and vec == (Fraction(1), Fraction(1))
 
+    def test_equal_row_sums_need_no_elimination(self, monkeypatch):
+        blocks = [b for b in equivalence_blocks() if len({sum(row) for row in b}) == 1]
+        assert len(blocks) == 11 and [[0]] in blocks
+        eliminated = [_perron_sign(b, sum(b[0])) for b in blocks]
+        steps = []
+
+        def counted(block, r):
+            steps.append(r)
+            return _perron_sign(block, r)
+
+        monkeypatch.setattr(spectral, "_perron_sign", counted)
+        for block, (sign, ref_vec) in zip(blocks, eliminated):
+            lam, vec = perron_pair(block)
+            assert sign == 0 and repr(lam) == repr(NumericValue.exact(sum(block[0])))
+            assert repr(vec) == repr(ref_vec), block
+        assert steps == []
+
+    def test_reducible_blocks(self):
+        # equal row sums s: rho = s with the all-ones eigenvector, reducible
+        # or not; otherwise a kernel vector with a zero entry is refused
+        one = Fraction(1)
+        assert perron_pair([[1, 0], [0, 1]]) == (NumericValue.exact(1), (one, one))
+        assert perron_pair([[0, 0], [0, 0]]) == (NumericValue.exact(0), (one, one))
+        with pytest.raises(NotInDomainError, match="reducible block: no positive kernel "
+                                                   "vector at 2"):
+            perron_pair([[1, 0], [0, 2]])
+
     def test_perron_sign_matches_the_characteristic_polynomial(self):
         for block in equivalence_blocks():
             poly = linalg.char_poly(block)
@@ -242,8 +270,8 @@ class TestPerronBracket:
 
         monkeypatch.setattr(spectral, "_perron_sign", counted)
         assert perron_pair([[1, 2], [3, 2]])[0] == NumericValue.exact(4)
-        assert perron_pair([[2, 5], [6, 1]])[0] == NumericValue.exact(7)
-        assert steps == [4, 7]
+        assert perron_pair([[1, 2, 1], [3, 4, 0], [4, 0, 4]])[0] == NumericValue.exact(6)
+        assert steps == [4, 6]
         steps.clear()
         assert not perron_pair([[1, 1], [2, 1]])[0].is_exact
         assert steps == []
