@@ -21,8 +21,8 @@ from .documents import (measure_record, parse_coefficients, parse_diagram,
 from .errors import (BratteliError, CapExceeded, NotAperiodicError,
                      NotInDomainError, ParseError, SizeRefused)
 from .linalg import left_sum
-from .measures import (ErgodicMeasure, InvariantMeasure, _beyond_float, borel_invariant,
-                       enumerate_ergodic, enumerate_infinite, measure_of_cylinder)
+from .measures import (ErgodicMeasure, InvariantMeasure, borel_invariant, enumerate_ergodic,
+                       enumerate_infinite, measure_of_cylinder, within_float_range)
 from .oracle import verify_invariance
 from .spectral import _primitive_power, decompose, positivity_power
 from .substitution import (diagram_from_substitution, expand, letter_frequencies,
@@ -197,11 +197,9 @@ def cmd_cylinder(args) -> int:
         print(render_scalar(measure_of_cylinder(m, CylinderSet(p))))
     if args.check_total:
         h = heights(base, level).values
-        try:
-            total = left_sum(hv * m.value(level, v) for v, hv in enumerate(h))
-        except OverflowError:   # a height too large for a float value
-            raise _beyond_float(level) from None
-        print(render_scalar(total))
+        # a height can be too large to multiply a float value
+        print(render_scalar(within_float_range(level, None, lambda: left_sum(
+            hv * m.value(level, v) for v, hv in enumerate(h)))))
     if args.path is None and not args.check_total:
         raise ParseError("give --path and/or --check-total")
     return EXIT_OK

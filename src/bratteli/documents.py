@@ -220,9 +220,9 @@ def _decimal(n: int) -> str:
 
 def render_scalar(x) -> str:
     """Exact rationals as p/q at any size, floats as 17-significant-digit
-    decimals, infinity as 'inf'."""
+    decimals, infinity as 'inf' or '-inf'."""
     if isinstance(x, float):
-        return "inf" if math.isinf(x) else f"{x:.17g}"
+        return f"{x:.17g}"
     x = Fraction(x)
     if x.denominator == 1:
         return _decimal(x.numerator)
@@ -239,12 +239,17 @@ def _integer(digits: str) -> int:
 
 
 _RATIONAL = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
+# the digit limit Fraction enforces on a significand; a larger exponent
+# would have it compute a power of ten of that many digits
+_MAX_EXPONENT = 4300
 
 
 def _float(token: str) -> float:
-    """float(token), refusing a decimal (not 'inf': no digit) that overflows."""
+    """float(token), refusing a decimal whose significand has a non-zero
+    digit but which overflows or reads as 0 ('inf' has no digit)."""
     x = float(token)
-    if math.isinf(x) and any(c.isdigit() for c in token):
+    if (math.isinf(x) or x == 0) and any(c in "123456789" for c in
+                                         token.lower().partition("e")[0]):
         raise ParseError(f"decimal beyond float range: {token[:30]!r}" + "..." * (len(token) > 30))
     return x
 
@@ -252,7 +257,8 @@ def _float(token: str) -> float:
 def parse_scalar(token: str):
     """Inverse of ``render_scalar``.  Integers and p/q are exact at any
     length, 'inf' is infinity, and any other token is read by
-    ``Fraction``, else by ``float``."""
+    ``Fraction`` when its exponent is at most ``_MAX_EXPONENT`` in
+    magnitude, else by ``float``."""
     if token == "inf":
         return math.inf
     exact = _RATIONAL.fullmatch(token)
@@ -263,8 +269,10 @@ def parse_scalar(token: str):
             raise ParseError(f"zero denominator: {token!r}")
         x = Fraction(_integer(num), den)
         return -x if sign == "-" else x
+    exponent = token.lower().partition("e")[2].lstrip("+-0")
     try:
-        return Fraction(token)
+        if len(exponent) <= 4 and int(exponent or 0) <= _MAX_EXPONENT:
+            return Fraction(token)
     except ValueError:
         pass
     try:
@@ -334,7 +342,7 @@ def parse_measures(text: str) -> list[MeasureRecord]:
             raise ParseError("class and support must be integers", class_line)
         try:
             # exact values are written as integers or p/q, floats as decimals
-            vector = tuple(_float(t) if "." in t or "e" in t else parse_scalar(t)
+            vector = tuple(_float(t) if "." in t or "e" in t.lower() else parse_scalar(t)
                            for t in vec_s.split())
         except (ParseError, ValueError) as e:
             raise ParseError(str(e), vec_line) from None

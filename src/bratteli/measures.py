@@ -40,30 +40,20 @@ def _aperiodic(d) -> ComponentDecomposition:
     return decomp
 
 
-def _beyond_float(level: int) -> CapExceeded:
-    """The refusal of a level whose float values (lam ** (level - 1) for a
-    float Perron value, or a height) overflow, or whose non-zero values
-    fall below the normal float range (subnormal or flushed to 0) and so
-    lose significant digits; exact values never do."""
-    return CapExceeded(f"level {level} is beyond float range")
-
-
-def _underflows(x, value) -> bool:
-    """Is ``value``, computed from the non-zero ``x``, a float below the
-    normal range?"""
-    return isinstance(value, float) and abs(value) < sys.float_info.min and bool(x)
-
-
-def _scaled(x, lam, level: int):
-    """x / lam ** (level - 1), refused with ``_beyond_float`` when a float
-    result overflows or underflows."""
+def within_float_range(level: int, x, compute):
+    """compute(), a value computed from x at the given level.  A float
+    computation that overflows, or a float result below the normal range
+    (subnormal or flushed to 0, so short of significant digits) although
+    x is non-zero, is refused with CapExceeded; exact values pass through
+    untouched.  Pass x None where only overflow can occur."""
     try:
-        value = x / lam ** (level - 1)
+        value = compute()
     except OverflowError:
-        raise _beyond_float(level) from None
-    if _underflows(x, value):
-        raise _beyond_float(level)
-    return value
+        pass
+    else:
+        if not (isinstance(value, float) and abs(value) < sys.float_info.min and x):
+            return value
+    raise CapExceeded(f"level {level} is beyond float range")
 
 
 class _ClassMeasure:
@@ -88,6 +78,13 @@ class _ClassMeasure:
             values[vertex] = self._value(level, vertex)
         return values[vertex]
 
+    def _value(self, level: int, vertex: int):
+        x = self.vector[vertex]
+        if x == math.inf:
+            return x
+        lam = self.lam.value
+        return within_float_range(level, x, lambda: x / lam ** (level - 1))
+
 
 @dataclass(frozen=True)
 class ErgodicMeasure(_ClassMeasure):
@@ -106,9 +103,6 @@ class ErgodicMeasure(_ClassMeasure):
     @property
     def full_support(self):
         return len(self.support) == len(self.decomp.classes)
-
-    def _value(self, level: int, vertex: int):
-        return _scaled(self.xi[vertex], self.lam.value, level)
 
 
 def enumerate_ergodic(d) -> list[ErgodicMeasure]:
@@ -169,12 +163,10 @@ class InvariantMeasure:
         for c, m in zip(self.coefficients, self.measures):
             if c == 0:
                 continue
-            scale = _scaled(scalar(c), scalar(m.lam.value), n)
+            c, lam = scalar(c), scalar(m.lam.value)
+            scale = within_float_range(n, c, lambda: c / lam ** (n - 1))
             for v, x in enumerate(m.xi):
-                term = scale * x
-                if _underflows(x, term):
-                    raise _beyond_float(n)
-                out[v] += term
+                out[v] += within_float_range(n, x, lambda: scale * x)
         return tuple(out)
 
     def value(self, level: int, vertex: int):
@@ -235,10 +227,6 @@ class TailMeasure(_ClassMeasure):
     @property
     def vector(self):
         return self.base
-
-    def _value(self, level: int, vertex: int):
-        s = self.base[vertex]
-        return math.inf if s == math.inf else _scaled(s, self.lam.value, level)
 
 
 def tail_valuation(decomp: ComponentDecomposition, alpha: int):
@@ -304,33 +292,30 @@ def mass_proxy(decomp: ComponentDecomposition, alpha: int, n: int):
     the full diagram's heights: sum over v in alpha of h_v(n) y_v
     lam^(1-n).  Diverges for non-distinguished alpha, converges to a
     positive constant for distinguished alpha.  A float sum beyond float
-    range is refused with ``_beyond_float``."""
+    range is refused by ``within_float_range``."""
     cls = decomp.classes[alpha]
     if cls.is_zero:
         raise ZeroBlockError(f"class {alpha} has a zero block")
     h = heights(decomp.diagram, n).values
     total = linalg.left_sum(cls.perron)
-    lam = cls.rho
-    try:
-        return linalg.left_sum(h[v] * yv / total / lam.value ** (n - 1)
-                               for v, yv in zip(cls.vertices, cls.perron))
-    except OverflowError:
-        raise _beyond_float(n) from None
+    lam = cls.rho.value
+    return within_float_range(n, None, lambda: linalg.left_sum(
+        h[v] * yv / total / lam ** (n - 1) for v, yv in zip(cls.vertices, cls.perron)))
 
 
 def truncated_extension(decomp: ComponentDecomposition, alpha: int, m: int):
     """s_m(v) = lam^(-m) sum_{w in alpha} (A^m)_{v,w} y_w: the truncated
-    series whose limit the exact solve computes.  Non-decreasing in m."""
+    series whose limit the exact solve computes.  Non-decreasing in m;
+    refused by ``within_float_range`` beyond float range."""
     cls = decomp.classes[alpha]
     if cls.is_zero:
         raise ZeroBlockError(f"class {alpha} has a zero block")
-    lam = cls.rho
+    lam = cls.rho.as_float
     total = float(sum(cls.perron))
     y = {v: float(yv) / total for v, yv in zip(cls.vertices, cls.perron)}
     power = linalg.mat_pow([list(r) for r in decomp.a_matrix], m)
-    scale = lam.as_float ** m
-    return tuple(sum(power[v][w] * yw for w, yw in y.items()) / scale
-                 for v in range(len(power)))
+    return within_float_range(m, None, lambda: tuple(
+        sum(power[v][w] * yw for w, yw in y.items()) / lam ** m for v in range(len(power))))
 
 
 def borel_invariant(d) -> int:

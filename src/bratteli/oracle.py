@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import linalg
 from .diagram import CylinderSet, PathWord, enumerate_paths, height_levels, heights
 from .errors import CapExceeded, EndpointMismatch, SizeRefused
-from .measures import measure_of_cylinder
+from .measures import measure_of_cylinder, within_float_range
 from .spectral import DEFAULT_GAP, ComponentDecomposition
 from .vershik import OrderedDiagram, successor
 
@@ -247,12 +247,12 @@ def asymptotics_check(decomp: ComponentDecomposition, alpha: int, i: int, j: int
     Tail-ratio test: consecutive-ratio below 1 - 1/20 (or a zero tail)
     reads as Vanishing, anything flatter as Converging-positive.  The
     access hypotheses relating i, j and alpha are assumed, not checked.
+    A float ratio is refused by ``within_float_range`` beyond float range.
     """
     ns = sorted(n_range)
     if len(ns) < 2:
         raise ValueError("need at least two sample points")
-    lam = decomp.classes[alpha].rho
-    ratios = []
+    lam = decomp.classes[alpha].rho.value
     power = [list(r) for r in decomp.a_matrix]
     table = {}
     for n in range(1, ns[-1] + 1):
@@ -260,8 +260,7 @@ def asymptotics_check(decomp: ComponentDecomposition, alpha: int, i: int, j: int
             power = linalg.mat_mul(power, decomp.a_matrix)
         if n in ns:
             table[n] = power[i][j]
-    for n in ns:
-        ratios.append(table[n] / lam.value ** n)
+    ratios = [within_float_range(n, table[n], lambda: table[n] / lam ** n) for n in ns]
     last, prev = ratios[-1], ratios[-2]
     if last == 0:
         verdict = "Vanishing"

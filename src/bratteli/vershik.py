@@ -30,6 +30,7 @@ from .diagram import (TELESCOPE_CAP, PathWord, StationaryDiagram, check_path, he
                       telescope)
 from .errors import (CapExceeded, EndpointMismatch, NotDistinguishedError,
                      PrimitivityError, ZeroMeasureCylinder)
+from .measures import within_float_range
 from .spectral import (ComponentDecomposition, decompose,
                        distinguished_eigenvector, positivity_power)
 
@@ -547,7 +548,8 @@ def nonmixing_witness(od: OrderedDiagram, alpha: int, diamond: Diamond,
     positive infimum over growing n rules out strong mixing.  The
     order_constant x_i / (x_range lam^k) gives the scale of the limit
     (and equals it when the cylinder ends in the diamond's range vertex
-    and the class asymptotics are exact)."""
+    and the class asymptotics are exact).  A float ratio is refused by
+    ``within_float_range`` beyond float range."""
     if decomp is None:
         decomp = decompose(od.base)
     check_path(od.base, e)
@@ -572,7 +574,8 @@ def nonmixing_witness(od: OrderedDiagram, alpha: int, diamond: Diamond,
         if n < m:
             raise ValueError("witness levels must reach below the cylinder")
         paths_ij = linalg.mat_pow(a, n + 1 - m)[i][j]
-        ratios.append(xi[jp] * paths_ij / lam ** (n + k) / (xi[i] / lam ** (m - 1)))
+        ratios.append(within_float_range(n, paths_ij, lambda: (
+            xi[jp] * paths_ij / lam ** (n + k) / (xi[i] / lam ** (m - 1)))))
     order_constant = xi[i] / (xi[jp] * lam ** k)
     return NonmixingReport(alpha, diamond, e, n_values, tuple(ratios),
                            min(ratios), order_constant)

@@ -27,6 +27,7 @@ from bratteli import (candidate_thetas, decompose, path_rank, rational_eigenvalu
                       serialize_diagram, serialize_substitution, telescope)
 from bratteli.cli import main
 
+import equivalence
 from conftest import aperiodic_corpus, random_order
 from test_documents import MALFORMED, MALFORMED_IDS
 
@@ -296,6 +297,17 @@ class TestCylinder:
         assert run_cli("cylinder", docs["wm_a.txt"], "--measure", str(cf),
                        "--check-total") == (
             3, "", f"error: coefficient file: {reason} (2 ergodic measures)\n")
+
+    @pytest.mark.parametrize("token", ["1e10000000", "-1E10000000", "1e-10000000"])
+    def test_coefficient_with_a_huge_exponent_exits_2_at_once(self, docs, tmp_path, token):
+        # read exactly, the token would first build a power of ten of ten
+        # million digits
+        cf = tmp_path / "big.coef"
+        cf.write_text(f"coefficients: {token}\n")
+        with time_limit(5):
+            assert run_cli("cylinder", docs["b1.txt"], "--measure", str(cf),
+                           "--check-total") == (
+                2, "", f"error: line 1: decimal beyond float range: {token!r}\n")
 
     def test_float_values_beyond_float_range_exit_5(self, docs, tmp_path):
         # the golden mean to the power 1475 overflows a float
@@ -832,3 +844,12 @@ def test_cli_fuzz_exits_with_a_documented_code(fuzz_dir, argv, diagram, substitu
             code, err = e.code, ""
     assert code in (0, 2, 3, 4, 5)
     assert "Traceback" not in err
+
+
+def test_equivalence_corpus_slice():
+    """The first cases of the seeded corpus of ``equivalence.py`` give the
+    exit codes and output digests recorded in ``equivalence.json``."""
+    rows = equivalence.record(80)
+    assert len(rows) == 720
+    assert equivalence.compare(equivalence.load(Path(__file__).with_name("equivalence.json")),
+                               rows) == []

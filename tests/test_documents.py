@@ -110,6 +110,7 @@ class TestScalars:
         assert render_scalar(Fraction(5)) == "5"
         assert render_scalar(5) == "5"
         assert render_scalar(math.inf) == "inf"
+        assert render_scalar(-math.inf) == "-inf"
         assert render_scalar(0.5) == "0.5"
 
     def test_parse(self):
@@ -118,11 +119,14 @@ class TestScalars:
         assert parse_scalar("7") == 7
         with pytest.raises(ParseError):
             parse_scalar("seven")
+        # an exponent within the bound stays exact in either case
+        assert [parse_scalar(t) for t in ("0.0", "0e5", "-0.0")] == [0] * 3
+        assert parse_scalar("1e400") == parse_scalar("1E400") == 10 ** 400
 
     def test_round_trip(self):
         # the last four have more digits than Python converts from a
         # string by default
-        for x in (Fraction(22, 7), Fraction(-3), math.inf, Fraction(0),
+        for x in (Fraction(22, 7), Fraction(-3), math.inf, -math.inf, Fraction(0),
                   Fraction(1, 2 ** 14999), Fraction(10 ** 5000), Fraction(-10 ** 5000),
                   Fraction(-3 ** 9000, 7 ** 8000)):
             back = parse_scalar(render_scalar(x))
@@ -175,7 +179,7 @@ class TestMeasureReports:
             assert parse_measures(serialize_measures(measures)) == records
         record = MeasureRecord(0, ("a", "b"), "ergodic-finite", "2",
                                (Fraction(1, 2 ** 14999), Fraction(10 ** 5000), 0.5,
-                                1.7976931348623157e308, math.inf), (0,))
+                                1.7976931348623157e308, 5e-324, math.inf, -math.inf), (0,))
         assert parse_measures(serialize_measures([record])) == [record]
         with pytest.raises(ParseError, match="line 7: decimal beyond float range: "
                                              "'1.7976931348623157e400'"):
@@ -266,6 +270,11 @@ MALFORMED = [
      "decimal beyond float range: '1e400'"),
     ("measures", REPORT.replace("eigenvector: 1 0", "eigenvector: -1.5e999 0"), 7,
      "decimal beyond float range: '-1.5e999'"),
+    ("measures", REPORT.replace("eigenvector: 1 0", "eigenvector: 1 1E400"), 7,
+     "decimal beyond float range: '1E400'"),
+    # a non-zero decimal that float() reads as 0
+    ("measures", REPORT.replace("eigenvector: 1 0", "eigenvector: 1e-400 0"), 7,
+     "decimal beyond float range: '1e-400'"),
     ("measures", REPORT + "leftover\n", 9, "unexpected content 'leftover'"),
     ("coefficients", "", 1, "expected a single 'coefficients:' line"),
     ("coefficients", "# c\nnope: 1\n", 2, "expected a single 'coefficients:' line"),
@@ -276,6 +285,11 @@ MALFORMED = [
     # more digits than Fraction reads, so read by float, which overflows
     ("coefficients", "coefficients: 0 " + "1" * 5000 + ".5\n", 1,
      "decimal beyond float range: '" + "1" * 30 + "'..."),
+    ("coefficients", "coefficients: 1 0." + "0" * 5000 + "1\n", 1,
+     "decimal beyond float range: '0." + "0" * 28 + "'..."),
+    # an exponent beyond the bound is read by float, not by Fraction
+    ("coefficients", "coefficients: 1e300000000\n", 1,
+     "decimal beyond float range: '1e300000000'"),
 ]
 PARSERS = {"diagram": parse_diagram, "substitution": parse_substitution,
            "measures": parse_measures, "coefficients": parse_coefficients}

@@ -10,13 +10,16 @@ from bratteli import (
     InvariantMeasure,
     NotAperiodicError,
     NotInDomainError,
+    OrderedDiagram,
     PathWord,
     StationaryDiagram,
     ZeroBlockError,
     borel_invariant,
+    asymptotics_check,
     decompose,
     distinguished_classes,
     distinguished_eigenvector,
+    enumerate_diamonds,
     enumerate_ergodic,
     enumerate_infinite,
     heights,
@@ -24,13 +27,13 @@ from bratteli import (
     measure_from_point,
     measure_of_cylinder,
     minimal_components,
+    nonmixing_witness,
     support_classes,
     tail_measure_of_cylinder,
     tail_valuation,
     telescope_to_primitive,
     truncated_extension,
 )
-from bratteli.measures import _scaled
 
 from conftest import aperiodic_corpus
 
@@ -210,8 +213,7 @@ class TestLevelCache:
             dec = decompose(telescope_to_primitive(d)[0])
             for m in enumerate_ergodic(dec) + enumerate_infinite(dec):
                 for level in range(1, 9):
-                    expected = [x if x == math.inf else _scaled(x, m.lam.value, level)
-                                for x in m.vector]
+                    expected = [m._value(level, v) for v in range(len(m.vector))]
                     for _ in range(2):  # the second pass reads the cache
                         got = [m.value(level, v) for v in range(len(expected))]
                         assert ([(repr(x), type(x)) for x in got]
@@ -294,6 +296,25 @@ class TestFloatRange:
         assert abs(mass_proxy(dec, 0, 1475) - mass_proxy(dec, 0, 40)) < 1e-9
         with pytest.raises(CapExceeded, match="level 1600 is beyond float range"):
             mass_proxy(dec, 0, 1600)
+
+    @pytest.mark.parametrize("call, level", [
+        (lambda dec, od, dm: truncated_extension(dec, 0, 1500), 1500),
+        # the first sampled level whose ratio overflows
+        (lambda dec, od, dm: asymptotics_check(dec, 0, 0, 0, [1499, 1500]), 1499),
+        (lambda dec, od, dm: nonmixing_witness(od, 0, dm, PathWord((0,)), [1500]), 1500),
+        # a vanishing ratio is refused once it is subnormal
+        (lambda dec, od, dm: asymptotics_check(
+            decompose(StationaryDiagram(((1, 0, 0), (1, 1, 1), (1, 1, 0)))), 1, 0, 0,
+            [1000, 1473]), 1473),
+    ], ids=["truncated_extension", "asymptotics_check", "nonmixing_witness",
+            "asymptotics_check-vanishing"])
+    def test_library_floats_beyond_float_range(self, call, level):
+        gm = StationaryDiagram(((1, 1), (1, 0)))
+        dec = decompose(gm)
+        od = OrderedDiagram(gm, ((0, 1), (0,)))
+        (dm,) = enumerate_diamonds(od, dec, 0)
+        with pytest.raises(CapExceeded, match=f"level {level} is beyond float range"):
+            call(dec, od, dm)
 
 
 class TestInvariants:
