@@ -97,8 +97,8 @@ def _parse_path_spec(spec: str, diagram) -> PathWord:
             indices.append(int(idx) if dot else 0)
         except ValueError:
             raise ParseError(f"bad edge index in path token {token!r}") from None
-    p = PathWord(tuple(vertices), tuple(indices))
     try:
+        p = PathWord(tuple(vertices), tuple(indices))
         check_path(diagram, p)
     except (ValueError, BratteliError) as e:
         raise ParseError(str(e)) from None
@@ -358,19 +358,23 @@ def cmd_export_dot(args) -> int:
     base = doc.base if isinstance(doc, OrderedDiagram) else doc
     labels = base.effective_labels
     out = []
+
+    def quoted(text):  # a DOT quoted string; labels may hold '"' and '\\'
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     if args.graph == "levels":
         out.append("digraph levels {")
         out.append("  rankdir=BT;")
         for n in (1, 2):
             for v in range(base.n_vertices):
-                out.append(f'  "{n}:{labels[v]}";')
+                out.append(f"  {quoted(f'{n}:{labels[v]}')};")
         for v in range(base.n_vertices):
             for w in range(base.n_vertices):
                 k = base.incidence[v][w]
                 if k == 0:
                     continue
                 tag = f' [label="{k}"]' if k > 1 else ""
-                out.append(f'  "1:{labels[w]}" -> "2:{labels[v]}"{tag};')
+                out.append(f"  {quoted(f'1:{labels[w]}')} -> {quoted(f'2:{labels[v]}')}{tag};")
         out.append("}")
     else:
         decomp = decompose(base)
@@ -378,12 +382,12 @@ def cmd_export_dot(args) -> int:
                  for c in decomp.classes]
         out.append("digraph reduced {")
         for c in decomp.classes:
-            out.append(f'  "{names[c.index]}" '
-                       f'[label="{names[c.index]} rho={c.rho.render()}"];')
+            out.append(f"  {quoted(names[c.index])} "
+                       f"[label={quoted(f'{names[c.index]} rho={c.rho.render()}')}];")
         direct = {(decomp.class_of[v], decomp.class_of[w])
                   for v in range(base.n_vertices) for w in range(base.n_vertices)
                   if base.incidence[v][w] > 0 and decomp.class_of[v] != decomp.class_of[w]}
-        out.extend(f'  "{names[b]}" -> "{names[a]}";' for b, a in sorted(direct))
+        out.extend(f"  {quoted(names[b])} -> {quoted(names[a])};" for b, a in sorted(direct))
         out.append("}")
     print("\n".join(out))
     return EXIT_OK

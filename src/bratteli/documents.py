@@ -258,7 +258,7 @@ def parse_scalar(token: str):
     """Inverse of ``render_scalar``.  Integers and p/q are exact at any
     length, 'inf' is infinity, and any other token is read by
     ``Fraction`` when its exponent is at most ``_MAX_EXPONENT`` in
-    magnitude, else by ``float``."""
+    magnitude, else by ``float``; a zero significand is exactly 0."""
     if token == "inf":
         return math.inf
     exact = _RATIONAL.fullmatch(token)
@@ -276,7 +276,7 @@ def parse_scalar(token: str):
     except ValueError:
         pass
     try:
-        return _float(token)
+        return _float(token) or Fraction(0)
     except ValueError:
         raise ParseError(f"not a number: {token!r}") from None
 

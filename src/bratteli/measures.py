@@ -56,16 +56,8 @@ def within_float_range(level: int, x, compute):
     raise CapExceeded(f"level {level} is beyond float range")
 
 
-class _ClassMeasure:
-    """What the measures carried by one class (``decomp``, ``lam``) share."""
-
-    @property
-    def diagram(self) -> StationaryDiagram:
-        return self.decomp.diagram
-
-    @property
-    def is_exact(self):
-        return self.lam.is_exact
+class _LevelValues:
+    """``value`` for a measure that prices one vertex with ``_value``."""
 
     def value(self, level: int, vertex: int):
         """Measure of any level-n cylinder ending at the given vertex; one level's
@@ -77,6 +69,18 @@ class _ClassMeasure:
         if vertex not in values:
             values[vertex] = self._value(level, vertex)
         return values[vertex]
+
+
+class _ClassMeasure(_LevelValues):
+    """What the measures carried by one class (``decomp``, ``lam``) share."""
+
+    @property
+    def diagram(self) -> StationaryDiagram:
+        return self.decomp.diagram
+
+    @property
+    def is_exact(self):
+        return self.lam.is_exact
 
     def _value(self, level: int, vertex: int):
         x = self.vector[vertex]
@@ -125,7 +129,7 @@ def measure_of_cylinder(mu, c):
 
 
 @dataclass(frozen=True)
-class InvariantMeasure:
+class InvariantMeasure(_LevelValues):
     """Convex combination of the ergodic measures, one coefficient per
     distinguished class in class order."""
 
@@ -153,24 +157,22 @@ class InvariantMeasure:
                 and all(not isinstance(c, float) for c in self.coefficients))
 
     def p_vector(self, n: int = 1) -> tuple:
-        """p(n) = sum_i c_i lambda_i^(1-n) xi_i; satisfies A p(n+1) = p(n).
-        Exact when every measure and coefficient is; otherwise every
-        operand is taken to float first (a float scale times a Fraction
-        entry multiplies the two as floats)."""
-        size = self.diagram.n_vertices
+        """p(n) = sum_i c_i lambda_i^(1-n) xi_i; satisfies A p(n+1) = p(n)."""
+        return tuple(self.value(n, v) for v in range(self.diagram.n_vertices))
+
+    def _value(self, n: int, v: int):
+        """Entry v of p(n).  Exact when every measure and coefficient is;
+        otherwise every operand is taken to float first (a float scale
+        times a Fraction entry multiplies the two as floats)."""
         scalar = Fraction if self.is_exact else float
-        out = [scalar(0)] * size
+        out = scalar(0)
         for c, m in zip(self.coefficients, self.measures):
             if c == 0:
                 continue
-            c, lam = scalar(c), scalar(m.lam.value)
+            c, lam, x = scalar(c), scalar(m.lam.value), m.xi[v]
             scale = within_float_range(n, c, lambda: c / lam ** (n - 1))
-            for v, x in enumerate(m.xi):
-                out[v] += within_float_range(n, x, lambda: scale * x)
-        return tuple(out)
-
-    def value(self, level: int, vertex: int):
-        return self.p_vector(level)[vertex]
+            out += within_float_range(n, x, lambda: scale * x)
+        return out
 
 
 def measure_from_point(d, p1) -> InvariantMeasure:

@@ -155,24 +155,25 @@ def _letter_counts(s: Substitution, a: str, n: int, cap: int) -> list[int]:
 
 
 def expand(s: Substitution, a: str, n: int, cap: int = EXPAND_CAP) -> str:
-    """The word sigma^n(a); the length is checked against the cap before
-    any expansion is materialized."""
+    """The word sigma^n(a), its length checked against the cap first.  Each
+    (letter, k) word is built once: sigma^k(c) is sigma^(k - k//2) of each
+    letter of sigma^(k//2)(c), and no word is longer than the result."""
     _letter_counts(s, a, n, cap)
-    word = a
-    seen = {word: 0}
-    step = 0
-    while step < n:
-        word = s.apply(word)
-        step += 1
-        if word in seen:
-            # bounded letters cycle; jump ahead by whole periods
-            period = step - seen[word]
-            remaining = (n - step) % period
-            for _ in range(remaining):
-                word = s.apply(word)
-            return word
-        seen[word] = step
-    return word
+    words, todo = {}, [(a, n)]
+    while todo:
+        c, k = todo[-1]
+        h = k // 2
+        if (c, k) in words:
+            todo.pop()
+        elif k <= 1:
+            words[c, k] = s.rules[c] if k else c
+        elif (c, h) not in words:
+            todo.append((c, h))
+        elif missing := [(b, k - h) for b in set(words[c, h]) if (b, k - h) not in words]:
+            todo.extend(missing)
+        else:
+            words[c, k] = "".join(words[b, k - h] for b in words[c, h])
+    return words[a, n]
 
 
 def letter_frequencies(s: Substitution, a: str, n: int,

@@ -1,10 +1,31 @@
-"""Shared fixtures: the golden diagrams and a seeded random corpus."""
+"""Shared fixtures: the golden diagrams, a seeded random corpus and a time limit."""
 
+import contextlib
 import random
+import signal
 
 import pytest
 
 from bratteli import OrderedDiagram, StationaryDiagram, Substitution
+
+
+class Hung(Exception):
+    """Raised by ``time_limit``; not an OSError, which ``main`` reports."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Turn a command that does not return into a failure."""
+    def expire(signum, frame):
+        raise Hung(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def from_composition_matrix(m, labels=None):

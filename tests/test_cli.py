@@ -11,7 +11,6 @@ import io
 import math
 import random
 import re
-import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -28,7 +27,7 @@ from bratteli import (candidate_thetas, decompose, path_rank, rational_eigenvalu
 from bratteli.cli import main
 
 import equivalence
-from conftest import aperiodic_corpus, random_order
+from conftest import aperiodic_corpus, random_order, time_limit
 from test_documents import MALFORMED, MALFORMED_IDS
 
 B1_DOC = "n: 2\nincidence:\n2 0\n1 2\n"
@@ -51,6 +50,8 @@ GOLDEN_MEAN_DOC = "n: 2\nincidence:\n1 1\n1 0\n"
 CHAIN_DOC = ("n: 3\nincidence:\n0 0 0\n10000 0 0\n0 10000 0\n"
              "order:\n1:\n2: " + "1" * 10 ** 4 + "\n3: " + "2" * 10 ** 4 + "\n")
 THUE_MORSE_SUB = "alphabet: a b\nrules:\na: ab\nb: ba\n"
+# sigma^n(a) = a b^n: one letter grows linearly, the other is fixed
+LINEAR_SUB = "alphabet: a b\nrules:\na: ab\nb: b\n"
 DOUBLE_MORSE_SUB = (
     "alphabet: a b c d 1\nrules:\na: ab\nb: ba\nc: cd\nd: dc\n1: a111c\n"
 )
@@ -70,6 +71,7 @@ DOCS = {
     "gm.txt": GOLDEN_MEAN_DOC,
     "chain.txt": CHAIN_DOC,
     "tm.sub": THUE_MORSE_SUB,
+    "lin.sub": LINEAR_SUB,
     "dm.sub": DOUBLE_MORSE_SUB,
     "cycles.sub": CYCLES_SUB,
 }
@@ -91,25 +93,6 @@ def run_cli(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
-
-
-class Hung(Exception):
-    """Raised by ``time_limit``; not an OSError, which ``main`` reports."""
-
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Turn a command that does not return into a failure."""
-    def expire(signum, frame):
-        raise Hung(f"no answer within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestAnalyze:
@@ -363,6 +346,15 @@ class TestCylinder:
         assert code == 2
         assert "root vertex" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("", "a path has length at least 1"),
+        (" ", "a path has length at least 1"),
+        (",", "unknown vertex '' in path"),
+    ])
+    def test_malformed_path_exits_2(self, docs, spec, message):
+        assert run_cli("cylinder", docs["b1.txt"], "--measure", "0", "--path", spec) == (
+            2, "", f"error: {message}\n")
+
     def test_requires_path_or_total(self, docs):
         code, _, err = run_cli("cylinder", docs["b1.txt"], "--measure", "0")
         assert code == 2
@@ -507,6 +499,11 @@ class TestSubst:
                                "--letter", "a", "--steps", "3")
         assert code == 0
         assert out == "abbabaab\n"
+
+    def test_expand_of_a_slowly_growing_letter_answers_at_once(self, docs):
+        with time_limit(5):
+            code, out, err = run_cli("subst", "expand", docs["lin.sub"], "--steps", "100000")
+        assert (code, out, err) == (0, "a" + "b" * 10 ** 5 + "\n", "")
 
     def test_expand_over_cap_exits_5(self, docs):
         code, _, err = run_cli("subst", "expand", docs["tm.sub"],
@@ -653,6 +650,27 @@ class TestExportDot:
             "}\n"
         )
 
+    def test_quotes_and_backslashes_in_labels_are_escaped(self, tmp_path):
+        doc = tmp_path / "quoted.txt"
+        doc.write_text('n: 2\nincidence:\n1 0\n1 1\nlabels: a" b\\\n')
+        assert run_cli("export-dot", str(doc)) == (0, (
+            "digraph reduced {\n"
+            '  "{a\\"}" [label="{a\\"} rho=1"];\n'
+            '  "{b\\\\}" [label="{b\\\\} rho=1"];\n'
+            '  "{b\\\\}" -> "{a\\"}";\n'
+            "}\n"), "")
+        assert run_cli("export-dot", str(doc), "--graph", "levels") == (0, (
+            "digraph levels {\n"
+            "  rankdir=BT;\n"
+            '  "1:a\\"";\n'
+            '  "1:b\\\\";\n'
+            '  "2:a\\"";\n'
+            '  "2:b\\\\";\n'
+            '  "1:a\\"" -> "2:a\\"";\n'
+            '  "1:a\\"" -> "2:b\\\\";\n'
+            '  "1:b\\\\" -> "2:b\\\\";\n'
+            "}\n"), "")
+
     def test_default_graph_is_reduced(self, docs):
         code, out, _ = run_cli("export-dot", docs["b1.txt"])
         assert code == 0
@@ -749,10 +767,11 @@ FUZZ_VALUES = {
     # verify enumerates and prices every path down to --depth (the
     # oracle's path checks), which takes 3.5 s on eig.txt at depth 5: bounded
     "--depth": ["-2", "-1", "0", "1", "2"],
-    # expand applies the substitution once per step to the whole word, so
-    # a slowly growing letter under the cap takes seconds from 10^4 steps
-    # on: steps between 20 and 10^8 are left out; --cap stays at its default
-    "--steps": ["-2", "-1", "0", "1", "2", "3", "20", "100000000", HUGE],
+    # expand builds each (letter, k) word once, no longer than the result,
+    # so a slowly growing letter answers at any count; --cap stays at its default
+    "--steps": ["-2", "-1", "0", "1", "2", "3", "20", "1000", "100000", "1000000",
+                "100000000", HUGE],
+    "--path": ["11", "", " ", ",", "1,1.0", "2.1,2.0"],
     "--qmax": ["-5", "0", "1", "12", "10000000", HUGE, "x"],
     "--window": ["-1:2", "0:3", "1:1", "2:6", "6:12", "3:2", "1:10001", f"1:{HUGE}",
                  f"{HUGE}:{HUGE}", "3", "a:b"],
@@ -793,12 +812,12 @@ def substitution_docs(draw):
 def cli_argvs(draw):
     doc = draw(st.sampled_from(["b1.txt", "b1o.txt", "wm_a.txt", "eig.txt", "dm.txt",
                                 "r.txt", "absent.txt"]))
-    sub = draw(st.sampled_from(["tm.sub", "dm.sub", "r.sub", "absent.sub"]))
+    sub = draw(st.sampled_from(["tm.sub", "dm.sub", "lin.sub", "r.sub", "absent.sub"]))
     action = draw(st.sampled_from(["matrix", "diagram", "expand", "freqs", "measures"]))
     argv, options = draw(st.sampled_from([
         (["analyze", doc], ["--telescope"]),
         (["analyze", doc, "--report"], ["--telescope"]),
-        (["cylinder", doc, "--measure", "0", "--path", "11"], ["--telescope"]),
+        (["cylinder", doc, "--measure", "0", "--path", "11"], ["--path", "--telescope"]),
         (["cylinder", doc, "--measure", "1", "--check-total"], ["--telescope"]),
         (["cylinder", doc, "--measure", "r.coef", "--check-total"], ["--telescope"]),
         (["eigenvalues", doc], ["--class", "--qmax", "--window", "--telescope"]),

@@ -121,6 +121,9 @@ class TestScalars:
             parse_scalar("seven")
         # an exponent within the bound stays exact in either case
         assert [parse_scalar(t) for t in ("0.0", "0e5", "-0.0")] == [0] * 3
+        # a zero significand is exactly 0 beyond the bound too
+        for token in ("0e300000000", "0.0e5000", "-0e-300000000"):
+            assert parse_scalar(token) == 0 and type(parse_scalar(token)) is Fraction
         assert parse_scalar("1e400") == parse_scalar("1E400") == 10 ** 400
 
     def test_round_trip(self):

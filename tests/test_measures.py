@@ -221,13 +221,32 @@ class TestLevelCache:
                 count += 1
         assert count == 25
 
+    def test_mixture_values_are_the_p_vector_entries(self, double_morse):
+        count = 0
+        for d in [double_morse, *aperiodic_corpus()]:
+            measures = tuple(enumerate_ergodic(decompose(telescope_to_primitive(d)[0])))
+            k = len(measures)
+            for coefficients in ((Fraction(1, k),) * k, (1 / k,) * k):
+                mix = InvariantMeasure(measures, coefficients)
+                for level in range(1, 9):
+                    expected = mix.p_vector(level)
+                    assert expected == tuple(mix._value(level, v) for v in range(len(expected)))
+                    for _ in range(2):  # the second pass reads the cache
+                        got = tuple(mix.value(level, v) for v in range(len(expected)))
+                        assert ([(repr(x), type(x)) for x in got]
+                                == [(repr(x), type(x)) for x in expected]), (d, level)
+                count += 1
+        assert count == 42
+
     def test_cache_is_outside_equality_hash_and_repr(self, b1):
         dec = decompose(b1)
         (fresh,), (used,) = enumerate_ergodic(dec), enumerate_ergodic(dec)
         (tail,), (used_tail,) = enumerate_infinite(dec), enumerate_infinite(dec)
+        mix, used_mix = InvariantMeasure((fresh,), (1,)), InvariantMeasure((used,), (1,))
         used.value(3, 0)
         used_tail.value(3, 0)
-        for a, b in ((fresh, used), (tail, used_tail)):
+        used_mix.value(3, 0)
+        for a, b in ((fresh, used), (tail, used_tail), (mix, used_mix)):
             assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
@@ -281,6 +300,8 @@ class TestFloatRange:
                     m.value(1472, 1)
             with pytest.raises(CapExceeded, match="level 1600 is beyond float range"):
                 m.value(1600, 0)
+        # a mixture refuses only the vertices whose own terms leave float range
+        assert mix.value(1472, 0) == mu.value(1472, 0) >= self.NORMAL_MIN
 
     def test_tail_values_stop_at_the_first_subnormal(self):
         dec = decompose(self.FED_GOLDEN_MEAN)

@@ -1,6 +1,7 @@
 """Substitutions, their matrices and diagrams, growth, measure enumeration."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ from bratteli import (
     substitution_matrix,
     substitution_measures,
 )
+
+from conftest import time_limit
 
 
 class TestConstruction:
@@ -124,11 +127,49 @@ class TestExpansion:
         with pytest.raises(CapExceeded) as exc:
             expand(thue_morse, "a", 10 ** 11)
         assert str(exc.value) == "expansion has at least 10^4300 letters"
+        # a huge n costs only its digits: counts by squaring, words by halving
+        swap = Substitution(("a", "b"), {"a": "b", "b": "a"})
+        with time_limit(5):
+            assert expand(swap, "a", 10 ** 400) == "a"
+            assert expand(swap, "a", 10 ** 400 + 1) == "b"
 
     def test_cycling_letters_jump_by_periods(self):
         swap = Substitution(("a", "b"), {"a": "b", "b": "a"})
         assert expand(swap, "a", 10 ** 9) == "a"
         assert expand(swap, "a", 10 ** 9 + 1) == "b"
+
+    def test_slowly_growing_letter_answers_at_once(self):
+        s = Substitution(("a", "b"), {"a": "ab", "b": "b"})
+        with time_limit(5):
+            assert expand(s, "a", 10 ** 5) == "a" + "b" * 10 ** 5
+
+    def test_agrees_with_applying_sigma_step_by_step(self):
+        def stepwise(s, a, n, cap):
+            """sigma applied n times; None once the word is over the cap
+            (image lengths never shrink)."""
+            word = a
+            for _ in range(n):
+                word = s.apply(word)
+                if len(word) > cap:
+                    return None
+            return word
+
+        rng = random.Random(5)
+        refused = 0
+        for _ in range(60):
+            letters = "abcd"[:rng.randint(1, 4)]
+            s = Substitution(tuple(letters), {c: "".join(
+                rng.choice(letters) for _ in range(rng.randint(1, 3))) for c in letters})
+            for a in letters:
+                for n in range(41):
+                    want = stepwise(s, a, n, 200)
+                    if want is None:
+                        refused += 1
+                        with pytest.raises(CapExceeded):
+                            expand(s, a, n, cap=200)
+                    else:
+                        assert expand(s, a, n, cap=200) == want, (s, a, n)
+        assert refused > 0
 
     def test_frequencies_match_expanded_counts(self, double_morse_substitution):
         s = double_morse_substitution
