@@ -10,6 +10,7 @@ disabled), 4 verification failure, 5 refused by a size cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -206,6 +207,8 @@ def cmd_cylinder(args) -> int:
 
 
 def cmd_eigenvalues(args) -> int:
+    if args.qmax < 1:
+        raise ParseError(f"--qmax must be >= 1, got {args.qmax}")
     if args.qmax > QMAX_CAP:
         raise CapExceeded(f"--qmax {args.qmax} is above the cap of {QMAX_CAP}",
                           args.qmax, QMAX_CAP)
@@ -262,6 +265,8 @@ def cmd_subst(args) -> int:
     s = parse_substitution(_read(args.substitution))
     if args.steps < 0:
         raise ParseError(f"--steps must be >= 0, got {args.steps}")
+    if args.cap < 1:
+        raise ParseError(f"--cap must be >= 1, got {args.cap}")
     letter = args.letter or s.alphabet[0]
     if letter not in s.alphabet:
         raise ParseError(f"--letter takes a letter of the alphabet, got {letter!r}")
@@ -393,6 +398,7 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache   # built on the first main call, then shared: parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bratteli",

@@ -697,6 +697,51 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.startswith("vertices: 2\n")
 
+class TestSharedParser:
+    """main builds its parser once per process; a call leaves nothing in
+    it that changes the next call."""
+
+    SEQUENCE = [
+        ("eigenvalues", "wm_a.txt", "--qmax", "x"),   # argparse usage error
+        ("analyze", "b1.txt"),
+        ("subst", "expand", "tm.sub", "--steps", "3"),
+        ("subst", "expand", "tm.sub"),
+        ("eigenvalues", "wm_a.txt", "--class", "1"),
+        ("eigenvalues", "wm_a.txt"),
+        # class 0 is not the default on wm_a.txt, so a kept value would show
+        ("eigenvalues", "wm_a.txt", "--class", "0"),
+        ("eigenvalues", "wm_a.txt"),
+        ("subst", "freqs", "tm.sub", "--cap", "0"),
+        ("subst", "freqs", "tm.sub"),
+    ]
+
+    @staticmethod
+    def run_sequence(docs):
+        """(exit code, stdout, stderr) of each command line, in order."""
+        results = []
+        for argv in TestSharedParser.SEQUENCE:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main([docs.get(a, a) for a in argv])
+                except SystemExit as e:  # argparse usage errors
+                    code = e.code
+            results.append((code, out.getvalue(), err.getvalue()))
+        return results
+
+    def test_parser_is_built_once(self):
+        assert bratteli.cli._build_parser() is bratteli.cli._build_parser()
+
+    def test_calls_match_a_fresh_parser_each(self, docs, monkeypatch):
+        shared = self.run_sequence(docs)
+        # the oracle: every call builds its own parser
+        monkeypatch.setattr(bratteli.cli, "_build_parser",
+                            bratteli.cli._build_parser.__wrapped__)
+        assert self.run_sequence(docs) == shared
+        assert [r[0] for r in shared] == [2, 0, 0, 0, 0, 0, 0, 0, 2, 0]
+        assert shared[0][2].startswith("usage: bratteli eigenvalues")
+        assert shared[3][1] == "ab\n" and shared[6][1] != shared[7][1]
+
 
 class TestCountOptions:
     """Every count option answers at once: values outside its domain exit
@@ -713,8 +758,18 @@ class TestCountOptions:
          "error: expansion has at least 10^4300 letters\n"),
         (("subst", "freqs", "tm.sub", "--letter", "z"), 2,
          "error: --letter takes a letter of the alphabet, got 'z'\n"),
+        (("subst", "expand", "tm.sub", "--cap", "-1"), 2,
+         "error: --cap must be >= 1, got -1\n"),
+        (("subst", "expand", "tm.sub", "--cap", "0", "--steps", "0"), 2,
+         "error: --cap must be >= 1, got 0\n"),
+        (("subst", "freqs", "tm.sub", "--cap", "0"), 2,
+         "error: --cap must be >= 1, got 0\n"),
         (("verify", "b1o.txt", "--depth", "0"), 2, "error: --depth must be >= 1, got 0\n"),
         (("verify", "b1o.txt", "--depth", "-2"), 2, "error: --depth must be >= 1, got -2\n"),
+        (("eigenvalues", "wm_a.txt", "--qmax", "-3"), 2,
+         "error: --qmax must be >= 1, got -3\n"),
+        (("eigenvalues", "wm_a.txt", "--qmax", "0"), 2,
+         "error: --qmax must be >= 1, got 0\n"),
         (("eigenvalues", "b1o.txt", "--qmax", "100000000000"), 5,
          "error: --qmax 100000000000 is above the cap of 1000000\n"),
         (("eigenvalues", "b1o.txt", "--window", "1000000:1000000"), 5,
