@@ -21,9 +21,9 @@ from fractions import Fraction
 from . import linalg
 from .diagram import CylinderSet, StationaryDiagram, check_path, heights
 from .errors import CapExceeded, NotAperiodicError, NotInDomainError, ZeroBlockError
-from .spectral import (DEFAULT_GAP, ComponentDecomposition, NumericValue, _extend,
-                       aperiodicity_check, check_primitive, core_membership, decompose,
-                       distinguished_classes, distinguished_eigenvector, nv_compare)
+from .spectral import (DEFAULT_GAP, ComponentDecomposition, NumericValue, _exact_vector,
+                       _extend, aperiodicity_check, check_primitive, core_membership,
+                       decompose, distinguished_classes, nv_compare)
 
 
 def _as_decomp(d) -> ComponentDecomposition:
@@ -113,11 +113,8 @@ def enumerate_ergodic(d) -> list[ErgodicMeasure]:
     """All ergodic probability measures, one per distinguished class, in
     class index order.  Requires primitive blocks and aperiodicity."""
     decomp = _aperiodic(d)
-    out = []
-    for alpha in distinguished_classes(decomp):
-        e = distinguished_eigenvector(decomp, alpha)
-        out.append(ErgodicMeasure(decomp, alpha, e.lam, e.xi, e.support_classes))
-    return out
+    return [ErgodicMeasure(decomp, e.alpha, e.lam, e.xi, e.support_classes)
+            for e in decomp._cone[0]]  # the extreme vectors core_membership reads
 
 
 def measure_of_cylinder(mu, c):
@@ -177,13 +174,12 @@ class InvariantMeasure(_LevelValues):
 
 def measure_from_point(d, p1) -> InvariantMeasure:
     """The unique invariant probability measure whose level-1 cylinder
-    vector is p1.  p1 must be rational, weigh to 1 against the level-1
-    heights (all ones), and lie in the cone of the extreme vectors."""
+    vector is p1.  p1 must hold int or Fraction entries, weigh to 1
+    against the level-1 heights (all ones), and lie in the cone of the
+    extreme vectors."""
     decomp = _as_decomp(d)
     measures = enumerate_ergodic(decomp)
-    p = [Fraction(x) if not isinstance(x, float) else x for x in p1]
-    if any(isinstance(x, float) for x in p):
-        raise TypeError("p1 must be exact rational")
+    p = _exact_vector(p1)
     if sum(p) != 1:
         raise NotInDomainError("level-1 vector does not have total mass 1")
     verdict = core_membership(decomp, p)

@@ -20,7 +20,13 @@ The extreme vector of a distinguished class b is positive exactly on the
 vertices whose class has access to b (the support law of the Frobenius
 normal form), so at one vertex per distinguished class the extreme
 vectors form a triangular matrix with a positive diagonal: cone
-membership is one square solve there, in either scalar type.
+membership is one square solve there, in either scalar type.  A vector
+outside that cone is placed by the first k at which A^k y = x has no
+solution y >= 0.  When A is invertible the only solution is y = A^-k x,
+so each level is one sign test on an integer vector, stepped by A^-1
+scaled to integers; a singular A takes the exact simplex at every level.
+What does not depend on x (the extreme vectors, the triangular system,
+the scaled inverse) is computed once and kept on the decomposition.
 
 Numeric policy: a block's Perron value rho is reported exactly whenever
 it is rational, and as a float with a certified residual bound
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from . import linalg
@@ -263,6 +270,38 @@ class ComponentDecomposition:
         labels = self.diagram.effective_labels
         return tuple(labels[v] for v in self.classes[alpha].vertices)
 
+    # The cached properties below are kept in the instance dict, outside
+    # the dataclass fields, so ==, hash and repr do not see them.
+
+    @cached_property
+    def _cone(self):
+        """What ``core_membership`` computes without looking at x:
+        (Eigendata of each distinguished class in class order, whether all
+        of them are exact, their vectors in that one scalar type, the
+        first vertex of each class, and the triangular matrix of the
+        vectors at those vertices).  PrimitivityError unless every
+        non-zero block is primitive."""
+        check_primitive(self)
+        eig = tuple(distinguished_eigenvector(self, alpha) for alpha in distinguished_classes(self))
+        exact = all(e.is_exact for e in eig)
+        cols = [e.xi if exact else [float(v) for v in e.xi] for e in eig]
+        rows = [self.classes[e.alpha].vertices[0] for e in eig]
+        return eig, exact, cols, rows, [[col[v] for col in cols] for v in rows]
+
+    @cached_property
+    def _scaled_inverse(self):
+        """(M, L) with M = L A^-1 an integer matrix and L > 0 the least
+        integer that makes it one, column by column from exact solves
+        against the unit vectors; None when A is singular."""
+        n = len(self.a_matrix)
+        a = [[Fraction(x) for x in row] for row in self.a_matrix]
+        try:
+            cols = [linalg.solve_square(a, [int(i == j) for i in range(n)]) for j in range(n)]
+        except ZeroDivisionError:
+            return None
+        scale = math.lcm(*(x.denominator for col in cols for x in col))
+        return [[int(col[i] * scale) for col in cols] for i in range(n)], scale
+
 
 def _class_structure(d: StationaryDiagram):
     """(A = F^T, classes, class_of, access, blocks), all read off one
@@ -444,6 +483,14 @@ class CoreVerdict:
     coefficients: tuple | None = None
 
 
+def _exact_vector(x):
+    """x as a list of Fractions; TypeError unless every entry is an
+    ``int`` or a ``Fraction``."""
+    if not all(isinstance(v, (int, Fraction)) for v in x):
+        raise TypeError("takes exact rational vectors: int or Fraction entries")
+    return [Fraction(v) for v in x]
+
+
 def core_membership(decomp: ComponentDecomposition, x,
                     k_max: int | None = None) -> CoreVerdict:
     """Is x in the limit cone of A?  Fast path: x = sum c_e xi_e over the
@@ -453,30 +500,44 @@ def core_membership(decomp: ComponentDecomposition, x,
     diagonal; one solve gives c in the scalar type of the xi.  In-core
     when all of x reconstructs and c >= 0, exactly if every xi is exact,
     else up to a residual of DEFAULT_GAP (1 + max|x|) and c >= -DEFAULT_GAP.
-    Slow path (exact, N <= 12): first k with ``A^k y = x, y >= 0`` infeasible."""
-    check_primitive(decomp)
+
+    Slow path (exact, N <= 12): the first k <= k_max (2N by default) at
+    which ``A^k y = x, y >= 0`` is infeasible, else unknown.  When A is
+    invertible y = A^-k x is the only solution, so with M = L A^-1 in
+    integers (L > 0) and z_0 = x scaled to integers, z_k = M z_(k-1) is a
+    positive multiple of y: level k is infeasible exactly when z_k has a
+    negative entry, and A z_k = L z_(k-1) is verified at every step.  A
+    singular A runs the exact simplex ``linalg.lp_nonneg_solve`` on each
+    power instead.  The extreme vectors, the triangular system and M are
+    computed once per decomposition and kept on it.  Entries of x must be
+    ``int`` or ``Fraction`` (TypeError otherwise)."""
+    _, exact, cols, rows, square = decomp._cone
     n = len(decomp.a_matrix)
-    if any(isinstance(v, float) for v in x):
-        raise TypeError("membership queries take exact rational vectors")
-    x = [Fraction(v) for v in x]
+    x = _exact_vector(x)
     if len(x) != n:
         raise ValueError("vector length must match the vertex count")
     if k_max is None:
         k_max = 2 * n
-    eig = [distinguished_eigenvector(decomp, alpha) for alpha in distinguished_classes(decomp)]
 
-    exact = all(e.is_exact for e in eig)
     gap = 0 if exact else DEFAULT_GAP
-    cols = [e.xi if exact else [float(v) for v in e.xi] for e in eig]
     xs = x if exact else [float(v) for v in x]
-    rows = [decomp.classes[e.alpha].vertices[0] for e in eig]
-    coeffs = linalg.solve_square([[col[v] for col in cols] for v in rows], [xs[v] for v in rows])
+    coeffs = linalg.solve_square(square, [xs[v] for v in rows])
     residual = max(abs(linalg.left_sum(c * col[v] for c, col in zip(coeffs, cols)) - xs[v])
                    for v in range(n))
     if residual <= gap * (1 + max(map(abs, xs))) and all(c >= -gap for c in coeffs):
         return CoreVerdict("in-core", coefficients=tuple(coeffs))
 
     if n > 12:
+        return CoreVerdict("unknown")
+    if decomp._scaled_inverse is not None:
+        m, scale = decomp._scaled_inverse
+        lcm = math.lcm(*(v.denominator for v in x))
+        z = [v.numerator * (lcm // v.denominator) for v in x]
+        for k in range(1, k_max + 1):
+            z, prev = linalg.mat_vec(m, z), z
+            assert linalg.mat_vec(decomp.a_matrix, z) == [scale * v for v in prev]
+            if min(z) < 0:
+                return CoreVerdict("not-in-core", k=k)
         return CoreVerdict("unknown")
     a = [list(row) for row in decomp.a_matrix]
     power = a

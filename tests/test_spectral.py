@@ -20,10 +20,12 @@ from bratteli import (
     aperiodicity_check,
     check_primitive,
     core_membership,
+    core_preimage_oracle,
     decompose,
     distinguished_classes,
     distinguished_eigenvector,
     imprimitivity_index,
+    measure_from_point,
     perron_pair,
     positivity_power,
     spectral_radius,
@@ -450,8 +452,76 @@ class TestCoreMembership:
         dec = decompose(b1)
         with pytest.raises(TypeError):
             core_membership(dec, (1.0, 0.0))
+        # strings would parse as Fractions; only int and Fraction entries pass
+        with pytest.raises(TypeError):
+            core_membership(dec, ("1/2", "0"))
+        with pytest.raises(TypeError):
+            measure_from_point(b1, ("1", "0"))
         with pytest.raises(ValueError):
             core_membership(dec, (1, 0, 0))
+
+    def test_verdicts_match_the_preimage_oracle_at_every_level(self):
+        """Seeded random A with N <= 6, singular and invertible with either
+        sign of det A, against the exact simplex of core_preimage_oracle at
+        every k <= 2N.  A^k y = x, y >= 0 feasible implies it at k - 1
+        (take A y), so the verdict's k must be the first infeasible level,
+        and in-core or unknown means feasible at every level."""
+        rng = random.Random(271828)
+        seen = {"singular": 0, "det > 0": 0, "det < 0": 0}
+        deep = 0
+        while min(seen.values()) < 6:
+            n = rng.randint(2, 6)
+            f = tuple(tuple(rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(n)) for _ in range(n))
+            dec = decompose(StationaryDiagram(f))
+            try:
+                check_primitive(dec)
+            except PrimitivityError:
+                continue
+            a = dec.a_matrix
+            det = (-1) ** n * linalg.char_poly(a)[-1]
+            kind = "singular" if det == 0 else "det > 0" if det > 0 else "det < 0"
+            if seen[kind] == 6:
+                continue
+            seen[kind] += 1
+            xis = [distinguished_eigenvector(dec, alpha).xi
+                   for alpha in distinguished_classes(dec)]
+            exact = not any(isinstance(v, float) for xi in xis for v in xi)
+            for _ in range(8):
+                draw = rng.random()
+                if draw < 0.4:  # inside A^j R+^N, mostly outside the core
+                    y = [Fraction(rng.randint(0, 4), rng.choice((1, 2, 3, 5))) for _ in range(n)]
+                    x = linalg.mat_vec(linalg.mat_pow(a, rng.randint(1, 3)), y)
+                elif draw < 0.55 and exact:  # a point of the core
+                    w = [Fraction(rng.randint(0, 4), rng.choice((1, 2, 7))) for _ in xis]
+                    x = [sum(c * xi[v] for c, xi in zip(w, xis)) for v in range(n)]
+                else:
+                    x = [Fraction(rng.randint(-1, 8), rng.choice((1, 2, 3, 5, 7)))
+                         for _ in range(n)]
+                verdict = core_membership(dec, x)
+                first = verdict.k if verdict.kind == "not-in-core" else 2 * n + 1
+                for k in range(1, 2 * n + 1):
+                    assert core_preimage_oracle(a, x, k).feasible == (k < first), (f, x, k)
+                if verdict.kind == "in-core" and exact:
+                    c = verdict.coefficients
+                    assert all(ci >= 0 for ci in c)
+                    assert [sum(ci * xi[v] for ci, xi in zip(c, xis)) for v in range(n)] == x
+                deep += verdict.kind == "not-in-core" and verdict.k > 1
+        assert deep > 0
+
+    def test_query_independent_work_stays_outside_eq_hash_and_repr(self, b1, double_morse):
+        # b1 has an invertible A, double_morse a singular one
+        queries = {b1: [(2, 0), (0, 1), (1, 1), (2, Fraction(1, 10 ** 12))],
+                   double_morse: [(1, 0, 0, 0, 0), (Fraction(1, 2), Fraction(1, 2), 0, 0, 0),
+                                  (2, 1, 2, 1, 3), (0, 0, 1, 2, Fraction(1, 3))]}
+        for d, xs in queries.items():
+            dec, twin = decompose(d), decompose(d)
+            before = repr(dec)
+            first = [core_membership(dec, x) for x in xs]
+            assert [core_membership(dec, x) for x in xs] == first
+            assert [core_membership(decompose(d), x) for x in xs] == first
+            assert {"_cone", "_scaled_inverse"} <= vars(dec).keys()  # kept on dec
+            assert dec == twin and hash(dec) == hash(twin)
+            assert repr(dec) == before
 
     def test_large_diagrams_answer_unknown_instead_of_guessing(self):
         n = 13
