@@ -30,7 +30,7 @@ from .measures import (ErgodicMeasure, InvariantMeasure, TailMeasure,
 from .oracle import (AsymptoticsReport, CoreOracleResult, InvarianceReport,
                      OrbitFrequency, asymptotics_check, brute_force_Q,
                      core_preimage_oracle, empirical_orbit_frequency,
-                     verify_invariance)
+                     verify_invariance, verify_measures)
 from .spectral import (AperiodicityResult, ComponentClass,
                        ComponentDecomposition, CoreVerdict, Eigendata,
                        NumericValue, aperiodicity_check, check_primitive,

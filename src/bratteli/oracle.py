@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .diagram import CylinderSet, PathWord, enumerate_paths, height_levels, heights
+from .diagram import (CylinderSet, PathWord, check_path, enumerate_paths, height_levels,
+                      heights)
 from .errors import CapExceeded, EndpointMismatch, SizeRefused
-from .measures import measure_of_cylinder, within_float_range
+from .measures import within_float_range
 from .spectral import DEFAULT_GAP, ComponentDecomposition
 from .vershik import OrderedDiagram, successor
 
@@ -47,14 +48,12 @@ class InvarianceReport:
         return not self.violations
 
 
-def verify_invariance(d, m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport:
-    """Check that m is tail invariant on d up to level n_max.
+def _checks(d, m, n_max: int, cap: int):
+    """Checks (a)-(c) of one measure, in report order, as a generator.
 
-    (a) every enumerated path to the same level-n vertex gets the same
-        mass, and a cylinder's mass equals the sum over its one-edge
-        extensions; (b) the vertex mass vectors satisfy A p(n+1) = p(n);
-    (c) total mass at each level is 1.  Infinite measures skip (c) and
-    compare infinities positionally in (b).
+    At each (level, vertex) it yields ``(level, vertex, height)`` and is
+    sent the vertex's paths, already validated against ``m.diagram``, or
+    None when the height is over cap; it returns the InvarianceReport.
     """
     a = linalg.transpose(d.incidence)
     n = d.n_vertices
@@ -70,15 +69,14 @@ def verify_invariance(d, m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport
 
         # (a) constancy over paths and one-edge additivity
         for v in range(n):
-            try:
-                paths = enumerate_paths(d, v, lvl, cap)
-            except CapExceeded:
+            paths = yield lvl, v, h[v]
+            if paths is None:
                 skipped.append(f"path enumeration at level {lvl} vertex {v} "
                                f"exceeds cap {cap}")
                 continue
             for p in paths:
                 checks += 1
-                got = measure_of_cylinder(m, p)
+                got = m.value(p.level, p.terminal)
                 if not _close(got, p_now[v]):
                     violations.append(
                         f"(a) path {p.vertices} mass {got} != vertex mass "
@@ -103,13 +101,73 @@ def verify_invariance(d, m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport
         # (c) unit total mass, finite measures only
         if is_finite:
             checks += 1
-            total = sum(hv * p for hv, p in zip(h, p_now))
+            total = within_float_range(lvl, None,
+                                       lambda: sum(hv * p for hv, p in zip(h, p_now)))
             if not _close(total, 1):
                 violations.append(f"(c) total mass at level {lvl} is {total}")
         elif lvl == 1:
             skipped.append("(c) total mass skipped for an infinite measure")
 
     return InvarianceReport(n_max, checks, tuple(violations), tuple(skipped))
+
+
+def verify_measures(d, measures, n_max: int, cap: int = STEP_CAP) -> list[InvarianceReport]:
+    """One InvarianceReport per measure: verify_invariance for each, in
+    one walk over the levels.
+
+    Each (level, vertex) has its paths enumerated once (skipped without
+    enumerating when its height is over cap) and validated with
+    ``check_path`` once per distinct ``m.diagram``; every measure then
+    prices every path with ``m.value``.  Only one (level, vertex) path
+    list is held at a time.  A measure's checks stop at its first
+    exception, and after the walk the exception of the first measure in
+    order that raised is raised, as a loop of verify_invariance calls
+    would raise it.
+    """
+    measures = list(measures)
+    walks = [_checks(d, m, n_max, cap) for m in measures]
+    reports = [None] * len(walks)
+    live = list(range(len(walks)))  # the measures still walking, in order
+    failure = paths = None  # None starts each walk
+    while live:
+        validated = set()  # the diagrams these paths passed check_path on
+        for i in list(live):
+            if i not in live:
+                continue  # an earlier measure raised
+            try:
+                diagram = measures[i].diagram
+                if paths and diagram not in validated:
+                    for p in paths:
+                        check_path(diagram, p)
+                    validated.add(diagram)
+                # every live walk waits on the same (level, vertex)
+                lvl, v, height = walks[i].send(paths)
+            except StopIteration as done:
+                reports[i] = done.value
+                live.remove(i)
+            except Exception as exc:  # raised after the walk
+                failure = exc  # the measures after i no longer matter
+                del live[live.index(i):]
+        if live:
+            paths = None if height > cap else enumerate_paths(d, v, lvl, cap)
+    if failure is not None:
+        raise failure
+    return reports
+
+
+def verify_invariance(d, m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport:
+    """Check that m is tail invariant on d up to level n_max.
+
+    (a) every enumerated path to the same level-n vertex gets the same
+        mass, and a cylinder's mass equals the sum over its one-edge
+        extensions; (b) the vertex mass vectors satisfy A p(n+1) = p(n);
+    (c) total mass at each level is 1.  Infinite measures skip (c) and
+    compare infinities positionally in (b).  A float total beyond float
+    range is refused by ``within_float_range``.  Paths to a vertex whose
+    height is over cap are skipped, and so reported.  The walk is
+    verify_measures' for the one measure m.
+    """
+    return verify_measures(d, (m,), n_max, cap)[0]
 
 
 def brute_force_Q(od: OrderedDiagram, e: PathWord, e2: PathWord,

@@ -488,7 +488,7 @@ def _exact_vector(x):
     ``int`` or a ``Fraction``."""
     if not all(isinstance(v, (int, Fraction)) for v in x):
         raise TypeError("takes exact rational vectors: int or Fraction entries")
-    return [Fraction(v) for v in x]
+    return [v if isinstance(v, Fraction) else Fraction(v) for v in x]
 
 
 def core_membership(decomp: ComponentDecomposition, x,

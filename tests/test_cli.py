@@ -819,8 +819,9 @@ class TestCountOptions:
 
 HUGE = str(10 ** 30)
 FUZZ_VALUES = {
-    # verify enumerates and prices every path down to --depth (the
-    # oracle's path checks), which takes 3.5 s on eig.txt at depth 5: bounded
+    # verify enumerates every path down to --depth once and prices it for
+    # each measure (the oracle's path checks), which takes about 3 s on
+    # eig.txt at depth 5: bounded
     "--depth": ["-2", "-1", "0", "1", "2"],
     # expand builds each (letter, k) word once, no longer than the result,
     # so a slowly growing letter answers at any count; --cap stays at its default

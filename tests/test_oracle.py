@@ -1,20 +1,27 @@
 """First-principles cross-checks: the oracles that validate the formulas."""
 
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import aperiodic_corpus
+from conftest import aperiodic_corpus, random_diagram
 
 from bratteli import (
     CapExceeded,
     CylinderSet,
     EndpointMismatch,
+    InvarianceReport,
+    NotAperiodicError,
+    PrimitivityError,
     PathWord,
     SizeRefused,
+    StationaryDiagram,
     asymptotics_check,
     brute_force_Q,
+    check_path,
     core_membership,
     core_preimage_oracle,
     decompose,
@@ -31,6 +38,19 @@ from bratteli import (
     verify_invariance,
 )
 from bratteli import oracle
+
+
+class _Counting:
+    """A measure that counts its value(level, vertex) calls."""
+
+    def __init__(self, measure):
+        self.measure = measure
+        self.diagram = measure.diagram
+        self.calls = Counter()
+
+    def value(self, level, vertex):
+        self.calls[level, vertex] += 1
+        return self.measure.value(level, vertex)
 
 
 class _ConstantStub:
@@ -65,29 +85,152 @@ class TestInvariance:
         assert any("total mass" in v for v in report.violations)
 
     def test_every_enumerated_path_is_priced(self, eig_chain, monkeypatch):
-        # cylinder values are kept per level, yet each path of each level
-        # is still validated and priced on its own
+        # one walk serves every measure: each (level, vertex) is enumerated
+        # once and each path validated once, and each measure asks value()
+        # once per path on top of the calls a walk with every enumeration
+        # skipped (cap 0, so enumerate_paths is not called) makes
         d = eig_chain.base
-        priced = []
+        validated = []
+        enumerated = []
 
-        def counted(mu, c):
-            priced.append(c)
-            return measure_of_cylinder(mu, c)
+        def counted(diagram, p):
+            validated.append((diagram, p))
+            return check_path(diagram, p)
 
-        monkeypatch.setattr(oracle, "measure_of_cylinder", counted)
+        def listed(d, v, n, cap):
+            enumerated.append((n, v))
+            return enumerate_paths(d, v, n, cap)
+
+        monkeypatch.setattr(oracle, "check_path", counted)
+        monkeypatch.setattr(oracle, "enumerate_paths", listed)
         paths = [p for lvl in range(1, 4) for v in range(d.n_vertices)
                  for p in enumerate_paths(d, v, lvl)]
         assert len(paths) == sum(sum(heights(d, lvl).values) for lvl in range(1, 4))
-        for m in enumerate_ergodic(d) + enumerate_infinite(d):
-            priced.clear()
-            assert verify_invariance(d, m, n_max=3).ok
-            assert priced == paths
+        measures = enumerate_ergodic(d) + enumerate_infinite(d)
+        assert len(measures) == 3
+        bare = [_Counting(m) for m in measures]
+        oracle.verify_measures(d, bare, n_max=3, cap=0)
+        assert validated == enumerated == []
+        full = [_Counting(m) for m in measures]
+        assert all(r.ok for r in oracle.verify_measures(d, full, n_max=3))
+        assert validated == [(d, p) for p in paths]
+        assert enumerated == [(lvl, v) for lvl in range(1, 4) for v in range(d.n_vertices)]
+        priced = Counter((p.level, p.terminal) for p in paths)
+        for m, skipping in zip(full, bare):
+            assert m.calls == skipping.calls + priced
+
+    def test_float_range_is_refused_in_measure_order(self):
+        # (c) on measure 0 leaves float range at level 738, measure 1's
+        # values at 735; a walk over both raises what the first raises
+        d = StationaryDiagram(((1, 1, 0, 0), (1, 0, 0, 0), (1, 0, 2, 1), (0, 0, 1, 1)))
+        m0, m1 = enumerate_ergodic(d)
+        with pytest.raises(CapExceeded, match="^level 738 is beyond float range$"):
+            verify_invariance(d, m0, 738, cap=50)
+        with pytest.raises(CapExceeded, match="^level 735 is beyond float range$"):
+            verify_invariance(d, m1, 738, cap=50)
+        with pytest.raises(CapExceeded, match="^level 738 "):
+            oracle.verify_measures(d, (m0, m1), 738, cap=50)
+        with pytest.raises(CapExceeded, match="^level 735 "):
+            oracle.verify_measures(d, (m1, m0), 738, cap=50)
+        assert all(r.ok for r in oracle.verify_measures(d, (m0, m1), 733, cap=50))
 
     def test_cap_produces_skips_not_failures(self, b1):
         (mu,) = enumerate_ergodic(b1)
         report = verify_invariance(b1, mu, n_max=8, cap=10)
         assert report.ok
         assert any("exceeds cap" in s for s in report.skipped)
+
+
+def _sequential_reference(d, m, n_max, cap):
+    """verify_invariance as one walk of the paths per measure: the
+    reference for the shared walk of verify_measures."""
+    a = [list(col) for col in zip(*d.incidence)]
+    n = d.n_vertices
+    violations = []
+    skipped = []
+    checks = 0
+    is_finite = not any(isinstance(m.value(1, v), float) and math.isinf(m.value(1, v))
+                        for v in range(n))
+
+    for lvl in range(1, n_max + 1):
+        h = heights(d, lvl).values
+        p_now = [m.value(lvl, v) for v in range(n)]
+        p_next = [m.value(lvl + 1, v) for v in range(n)]
+
+        for v in range(n):
+            try:
+                paths = enumerate_paths(d, v, lvl, cap)
+            except CapExceeded:
+                skipped.append(f"path enumeration at level {lvl} vertex {v} "
+                               f"exceeds cap {cap}")
+                continue
+            for p in paths:
+                checks += 1
+                got = measure_of_cylinder(m, p)
+                if not oracle._close(got, p_now[v]):
+                    violations.append(
+                        f"(a) path {p.vertices} mass {got} != vertex mass "
+                        f"{p_now[v]} at level {lvl}")
+            extension_mass = sum(d.incidence[w][v] * p_next[w] for w in range(n)
+                                 if d.incidence[w][v])
+            checks += 1
+            if not oracle._close(extension_mass, p_now[v]):
+                violations.append(
+                    f"(a) extensions of vertex {v} level {lvl} sum to "
+                    f"{extension_mass}, cylinder mass is {p_now[v]}")
+
+        for v in range(n):
+            checks += 1
+            lhs = sum(a[v][w] * p_next[w] for w in range(n) if a[v][w])
+            if not oracle._close(lhs, p_now[v]):
+                violations.append(
+                    f"(b) (A p({lvl + 1}))[{v}] = {lhs} != p({lvl})[{v}] "
+                    f"= {p_now[v]}")
+
+        if is_finite:
+            checks += 1
+            total = sum(hv * p for hv, p in zip(h, p_now))
+            if not oracle._close(total, 1):
+                violations.append(f"(c) total mass at level {lvl} is {total}")
+        elif lvl == 1:
+            skipped.append("(c) total mass skipped for an infinite measure")
+
+    return InvarianceReport(n_max, checks, tuple(violations), tuple(skipped))
+
+
+def _outcome(run):
+    try:
+        return repr(run())
+    except Exception as exc:
+        return type(exc), exc.args
+
+
+def test_sweep_matches_the_sequential_reference():
+    """verify_measures gives the reports, or raises the exception, of one
+    reference walk per measure, on random diagrams with their measures
+    (when aperiodic) and a measure that violates every check; in a
+    quarter of the draws a measure of the previous diagram, whose paths
+    may fail check_path, joins at a random place."""
+    rng = random.Random(5)
+    place = random.Random(6)
+    walked = 0
+    previous = None
+    for _ in range(400):
+        d = random_diagram(rng, n_max=4, entry_max=3)
+        depth = rng.randint(1, 6)
+        cap = rng.choice((5, 50, 10 ** 6))
+        try:
+            measures = enumerate_ergodic(d) + enumerate_infinite(d)
+        except (NotAperiodicError, PrimitivityError):
+            measures = []
+        measures.append(_ConstantStub(d))
+        if previous is not None and place.random() < 0.25:
+            measures.insert(place.randint(0, len(measures)), _ConstantStub(previous))
+        previous = d
+        want = _outcome(lambda: [_sequential_reference(d, m, depth, cap) for m in measures])
+        assert _outcome(lambda: oracle.verify_measures(d, measures, depth, cap)) == want
+        walked += len(measures)
+    assert walked > 400
 
 
 class TestBruteForceSteps:

@@ -460,6 +460,15 @@ class TestCoreMembership:
         with pytest.raises(ValueError):
             core_membership(dec, (1, 0, 0))
 
+    def test_exact_vector_converts_only_ints(self):
+        half = Fraction(1, 2)
+        x = spectral._exact_vector((half, 3, 0))
+        assert x == [half, 3, 0]
+        assert x[0] is half
+        assert all(type(v) is Fraction for v in x)
+        with pytest.raises(TypeError):
+            spectral._exact_vector((half, 0.5))
+
     def test_verdicts_match_the_preimage_oracle_at_every_level(self):
         """Seeded random A with N <= 6, singular and invertible with either
         sign of det A, against the exact simplex of core_preimage_oracle at
