@@ -199,27 +199,39 @@ class CylinderSet:
         return self.path.terminal
 
 
+def paths_by_sequence(d: StationaryDiagram, v: int, n: int):
+    """The paths from the root to vertex v at level n as pairs
+    ``(vertices, paths)``, one per vertex sequence (v1, ..., vn = v):
+    the level n-1 vertex ascends first, then level n-2, and so on, from
+    an explicit stack.  A sequence's paths share its ``vertices`` tuple
+    and take their bundle indices in ``itertools.product`` order.  No cap
+    is checked here."""
+    f = d.incidence
+    sources = [[w for w, e in enumerate(row) if e] for row in f]
+    # stack[k] walks the choices at level n - k; upper holds those taken above
+    stack, upper = [iter((v,))], ()
+    while stack:
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            upper = upper[1:]
+        elif len(stack) < n:
+            upper = (w, *upper)
+            stack.append(iter(sources[w]))
+        else:  # w is the level-1 vertex
+            vs = (w, *upper)
+            yield vs, [PathWord(vs, idx) for idx in itertools.product(
+                *[range(f[b][a]) for a, b in zip(vs, upper)])]
+
+
 def enumerate_paths(d: StationaryDiagram, v: int, n: int, cap: int = 10 ** 6) -> list[PathWord]:
     """All paths from the root to vertex v at level n, in a fixed
     deterministic order (sources ascending, bundle indices ascending,
-    most significant choice at the top level)."""
+    most significant choice at the top level): the paths of
+    ``paths_by_sequence`` one sequence after another."""
     total = heights(d, n).values[v]
     if total > cap:
         raise CapExceeded(f"{total} paths exceed the cap of {cap}", total, cap)
-
-    def build(target, lvl):
-        if lvl == 1:
-            return [PathWord((target,))]
-        out = []
-        for w in range(d.n_vertices):
-            bundle = d.incidence[target][w]
-            if bundle == 0:
-                continue
-            for p in build(w, lvl - 1):
-                for j in range(bundle):
-                    out.append(PathWord(p.vertices + (target,), p.indices + (j,)))
-        return out
-
-    paths = build(v, n)
+    paths = [p for _, batch in paths_by_sequence(d, v, n) for p in batch]
     assert len(paths) == total
     return paths

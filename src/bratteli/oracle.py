@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .diagram import (CylinderSet, PathWord, check_path, enumerate_paths, height_levels,
-                      heights)
+from .diagram import CylinderSet, PathWord, check_path, height_levels, heights, paths_by_sequence
 from .errors import CapExceeded, EndpointMismatch, SizeRefused
 from .measures import within_float_range
 from .spectral import DEFAULT_GAP, ComponentDecomposition
@@ -52,8 +51,10 @@ def _checks(d, m, n_max: int, cap: int):
     """Checks (a)-(c) of one measure, in report order, as a generator.
 
     At each (level, vertex) it yields ``(level, vertex, height)`` and is
-    sent the vertex's paths, already validated against ``m.diagram``, or
-    None when the height is over cap; it returns the InvarianceReport.
+    sent the vertex's ``paths_by_sequence`` pairs, already validated
+    against ``m.diagram``, or None when the height is over cap; it returns
+    the InvarianceReport.  A path whose mass is the previous path's object
+    reuses its ``_close`` verdict; float sums run left to right.
     """
     a = linalg.transpose(d.incidence)
     n = d.n_vertices
@@ -74,15 +75,19 @@ def _checks(d, m, n_max: int, cap: int):
                 skipped.append(f"path enumeration at level {lvl} vertex {v} "
                                f"exceeds cap {cap}")
                 continue
-            for p in paths:
-                checks += 1
-                got = m.value(p.level, p.terminal)
-                if not _close(got, p_now[v]):
-                    violations.append(
-                        f"(a) path {p.vertices} mass {got} != vertex mass "
-                        f"{p_now[v]} at level {lvl}")
-            extension_mass = sum(d.incidence[w][v] * p_next[w] for w in range(n)
-                                 if d.incidence[w][v])
+            last, ok = object(), False  # the previous path's mass and verdict
+            for _, batch in paths:
+                checks += len(batch)
+                for p in batch:
+                    got = m.value(p.level, p.terminal)
+                    if got is not last:
+                        last, ok = got, _close(got, p_now[v])
+                    if not ok:
+                        violations.append(
+                            f"(a) path {p.vertices} mass {got} != vertex mass "
+                            f"{p_now[v]} at level {lvl}")
+            extension_mass = linalg.left_sum(d.incidence[w][v] * p_next[w] for w in range(n)
+                                             if d.incidence[w][v])
             checks += 1
             if not _close(extension_mass, p_now[v]):
                 violations.append(
@@ -92,7 +97,7 @@ def _checks(d, m, n_max: int, cap: int):
         # (b) stationarity of the mass vectors
         for v in range(n):
             checks += 1
-            lhs = sum(a[v][w] * p_next[w] for w in range(n) if a[v][w])
+            lhs = linalg.left_sum(a[v][w] * p_next[w] for w in range(n) if a[v][w])
             if not _close(lhs, p_now[v]):
                 violations.append(
                     f"(b) (A p({lvl + 1}))[{v}] = {lhs} != p({lvl})[{v}] "
@@ -102,7 +107,7 @@ def _checks(d, m, n_max: int, cap: int):
         if is_finite:
             checks += 1
             total = within_float_range(lvl, None,
-                                       lambda: sum(hv * p for hv, p in zip(h, p_now)))
+                                       lambda: linalg.left_sum(hv * p for hv, p in zip(h, p_now)))
             if not _close(total, 1):
                 violations.append(f"(c) total mass at level {lvl} is {total}")
         elif lvl == 1:
@@ -115,14 +120,15 @@ def verify_measures(d, measures, n_max: int, cap: int = STEP_CAP) -> list[Invari
     """One InvarianceReport per measure: verify_invariance for each, in
     one walk over the levels.
 
-    Each (level, vertex) has its paths enumerated once (skipped without
-    enumerating when its height is over cap) and validated with
-    ``check_path`` once per distinct ``m.diagram``; every measure then
-    prices every path with ``m.value``.  Only one (level, vertex) path
-    list is held at a time.  A measure's checks stop at its first
-    exception, and after the walk the exception of the first measure in
-    order that raised is raised, as a loop of verify_invariance calls
-    would raise it.
+    Each (level, vertex) has its paths built once with
+    ``paths_by_sequence`` (not when its height is over cap), and only that
+    batch is held.  Each sequence is checked once per distinct
+    ``m.diagram``: its paths pass if its vertices are there and none of
+    its bundles in d is larger there; if not, ``check_path`` runs on its
+    paths in order and raises.  Every measure then prices every path with
+    ``m.value``.  A measure's checks stop at its first exception, and
+    after the walk the exception of the first measure in order that
+    raised is raised, as a loop of verify_invariance calls would raise it.
     """
     measures = list(measures)
     walks = [_checks(d, m, n_max, cap) for m in measures]
@@ -130,15 +136,19 @@ def verify_measures(d, measures, n_max: int, cap: int = STEP_CAP) -> list[Invari
     live = list(range(len(walks)))  # the measures still walking, in order
     failure = paths = None  # None starts each walk
     while live:
-        validated = set()  # the diagrams these paths passed check_path on
+        validated = set()  # the diagrams these paths were checked against
         for i in list(live):
             if i not in live:
                 continue  # an earlier measure raised
             try:
                 diagram = measures[i].diagram
                 if paths and diagram not in validated:
-                    for p in paths:
-                        check_path(diagram, p)
+                    g = diagram.incidence
+                    for vs, batch in paths:
+                        if max(vs) >= len(g) or any(d.incidence[b][a] > g[b][a]
+                                                    for a, b in zip(vs, vs[1:])):
+                            for p in batch:
+                                check_path(diagram, p)
                     validated.add(diagram)
                 # every live walk waits on the same (level, vertex)
                 lvl, v, height = walks[i].send(paths)
@@ -149,7 +159,9 @@ def verify_measures(d, measures, n_max: int, cap: int = STEP_CAP) -> list[Invari
                 failure = exc  # the measures after i no longer matter
                 del live[live.index(i):]
         if live:
-            paths = None if height > cap else enumerate_paths(d, v, lvl, cap)
+            if paths:  # the walks hold it too; empty it before the next is built
+                paths.clear()
+            paths = None if height > cap else list(paths_by_sequence(d, v, lvl))
     if failure is not None:
         raise failure
     return reports

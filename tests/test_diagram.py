@@ -1,5 +1,7 @@
 """Diagram construction, heights, telescoping and explicit path words."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from bratteli import (
     telescope_to_primitive,
     validate,
 )
+from bratteli.diagram import paths_by_sequence
 
 
 def test_rejects_non_square_incidence():
@@ -138,6 +141,37 @@ def test_enumerate_paths_orders_sources_before_bundle_indices(b1):
         ((1, 1), (0,)),
         ((1, 1), (1,)),
     ]
+
+
+def _recursive_paths(d, target, lvl):
+    """The paths to target at level lvl as a recursion over the levels
+    builds them: the reference order of enumerate_paths."""
+    if lvl == 1:
+        return [PathWord((target,))]
+    out = []
+    for w in range(d.n_vertices):
+        bundle = d.incidence[target][w]
+        if bundle == 0:
+            continue
+        for p in _recursive_paths(d, w, lvl - 1):
+            for j in range(bundle):
+                out.append(PathWord(p.vertices + (target,), p.indices + (j,)))
+    return out
+
+
+def test_enumerate_paths_keeps_the_recursive_order():
+    # zero rows and columns included, so some sequences end short of level 1
+    rng = random.Random(1)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        d = StationaryDiagram(tuple(tuple(rng.choice((0, 0, 0, 1, 1, 2, 3)) for _ in range(n))
+                                    for _ in range(n)))
+        v, lvl = rng.randrange(n), rng.randint(1, 6)
+        want = _recursive_paths(d, v, lvl)
+        assert enumerate_paths(d, v, lvl) == want
+        groups = list(paths_by_sequence(d, v, lvl))
+        assert [vs for vs, _ in groups] == list(dict.fromkeys(p.vertices for p in want))
+        assert all(batch and all(p.vertices is vs for p in batch) for vs, batch in groups)
 
 
 def test_enumerate_paths_refuses_past_cap(b1):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from conftest import aperiodic_corpus, random_diagram
 from bratteli import (
     CapExceeded,
     CylinderSet,
+    DimensionMismatch,
     EndpointMismatch,
     InvarianceReport,
     NotAperiodicError,
@@ -38,6 +40,7 @@ from bratteli import (
     verify_invariance,
 )
 from bratteli import oracle
+from bratteli.diagram import paths_by_sequence
 
 
 class _Counting:
@@ -63,6 +66,30 @@ class _ConstantStub:
         return 1
 
 
+class _Drifting:
+    """Fake measure whose mass changes from call to call: NaN on every
+    k-th call, 1 otherwise."""
+
+    def __init__(self, diagram, every):
+        self.diagram = diagram
+        self.every = every
+        self.calls = 0
+
+    def value(self, level, vertex):
+        self.calls += 1
+        return math.nan if self.calls % self.every == 0 else 1
+
+
+class _Skewed:
+    """Fake measure with float masses that cancel: 1e16, 1.0, -1e16."""
+
+    def __init__(self, diagram):
+        self.diagram = diagram
+
+    def value(self, level, vertex):
+        return (1e16, 1.0, -1e16)[vertex]
+
+
 class TestInvariance:
     def test_ergodic_measure_passes(self, b1):
         (mu,) = enumerate_ergodic(b1)
@@ -85,39 +112,99 @@ class TestInvariance:
         assert any("total mass" in v for v in report.violations)
 
     def test_every_enumerated_path_is_priced(self, eig_chain, monkeypatch):
-        # one walk serves every measure: each (level, vertex) is enumerated
-        # once and each path validated once, and each measure asks value()
-        # once per path on top of the calls a walk with every enumeration
-        # skipped (cap 0, so enumerate_paths is not called) makes
+        # one walk serves every measure: each (level, vertex) is built once,
+        # as the list enumerate_paths gives, no path of the measures' own
+        # diagram goes through check_path, and each measure asks value()
+        # once per path on top of the calls a walk with every batch skipped
+        # (cap 0, so no path is built) makes
         d = eig_chain.base
         validated = []
-        enumerated = []
+        walked = []
 
         def counted(diagram, p):
             validated.append((diagram, p))
             return check_path(diagram, p)
 
-        def listed(d, v, n, cap):
-            enumerated.append((n, v))
-            return enumerate_paths(d, v, n, cap)
+        def listed(d, v, n):
+            groups = list(paths_by_sequence(d, v, n))
+            walked.append(((n, v), [p for _, batch in groups for p in batch]))
+            return iter(groups)
 
         monkeypatch.setattr(oracle, "check_path", counted)
-        monkeypatch.setattr(oracle, "enumerate_paths", listed)
-        paths = [p for lvl in range(1, 4) for v in range(d.n_vertices)
-                 for p in enumerate_paths(d, v, lvl)]
-        assert len(paths) == sum(sum(heights(d, lvl).values) for lvl in range(1, 4))
+        monkeypatch.setattr(oracle, "paths_by_sequence", listed)
+        levels = range(1, 4)
+        want = [((lvl, v), enumerate_paths(d, v, lvl))
+                for lvl in levels for v in range(d.n_vertices)]
+        paths = [p for _, batch in want for p in batch]
+        assert len(paths) == sum(sum(heights(d, lvl).values) for lvl in levels)
         measures = enumerate_ergodic(d) + enumerate_infinite(d)
         assert len(measures) == 3
         bare = [_Counting(m) for m in measures]
         oracle.verify_measures(d, bare, n_max=3, cap=0)
-        assert validated == enumerated == []
+        assert validated == walked == []
         full = [_Counting(m) for m in measures]
         assert all(r.ok for r in oracle.verify_measures(d, full, n_max=3))
-        assert validated == [(d, p) for p in paths]
-        assert enumerated == [(lvl, v) for lvl in range(1, 4) for v in range(d.n_vertices)]
+        assert validated == []
+        assert walked == want
         priced = Counter((p.level, p.terminal) for p in paths)
         for m, skipping in zip(full, bare):
             assert m.calls == skipping.calls + priced
+
+    def test_one_batch_is_held_at_a_time(self, monkeypatch):
+        # when a batch is built, the paths of the one before are gone, but
+        # for its last sequence, which the walks' loops still name
+        held = []
+        dropped = 0
+
+        def built(d, v, n):
+            nonlocal dropped
+            assert all(ref() is None for ref in held)
+            dropped += len(held)
+            groups = list(paths_by_sequence(d, v, n))
+            held[:] = [weakref.ref(p) for _, batch in groups[:-1] for p in batch]
+            return iter(groups)
+
+        monkeypatch.setattr(oracle, "paths_by_sequence", built)
+        d = StationaryDiagram(((1, 1, 0, 0), (1, 0, 0, 0), (1, 0, 2, 1), (0, 0, 1, 1)))
+        assert all(r.ok for r in oracle.verify_measures(d, enumerate_ergodic(d), n_max=8))
+        assert dropped > 1000
+
+    def test_each_path_gets_its_own_verdict(self, eig_chain):
+        # masses that change from path to path, NaN among them, give the
+        # reference's violations, and most paths pass; a verdict is reused
+        # only for the object the previous path got
+        for d in (eig_chain.base, StationaryDiagram(((1, 2), (1, 0)))):
+            for every in (3, 5, 7):
+                want = _sequential_reference(d, _Drifting(d, every), 4, 10 ** 6)
+                got = verify_invariance(d, _Drifting(d, every), 4)
+                assert got == want
+                failed = sum(v.startswith("(a) path") for v in got.violations)
+                assert 0 < failed < got.checks_run / 2
+
+    def test_sums_run_left_to_right(self):
+        # from Python 3.12 on, sum() of floats is compensated and would
+        # print 1.0 here
+        d = StationaryDiagram(((1, 1, 1),) * 3)
+        report = verify_invariance(d, _Skewed(d), n_max=1)
+        assert "(b) (A p(2))[0] = 0.0 != p(1)[0] = 1e+16" in report.violations
+        assert ("(a) extensions of vertex 0 level 1 sum to 0.0, cylinder mass is 1e+16"
+                in report.violations)
+        assert "(c) total mass at level 1 is 0.0" in report.violations
+
+    @pytest.mark.parametrize("other", [
+        ((5, 0, 0), (2, 2, 0), (0, 2, 25)),  # the bundle 2 -> 2 one edge short
+        ((5, 0, 0), (2, 3, 0), (0, 2, 24)),  # the bundle 3 -> 3 one edge short
+        ((5, 0), (2, 3)),  # vertex 3 missing
+    ])
+    def test_paths_off_the_measure_diagram_raise_as_the_reference(self, eig_chain, other):
+        d = eig_chain.base
+        stub = _ConstantStub(StationaryDiagram(other))
+        mu = enumerate_ergodic(d)[0]
+        for measures in ((stub,), (mu, stub)):
+            want = _outcome(lambda: [_sequential_reference(d, m, 3, 10 ** 6)
+                                     for m in measures])
+            assert want[0] in (ValueError, DimensionMismatch)
+            assert _outcome(lambda: oracle.verify_measures(d, measures, 3)) == want
 
     def test_float_range_is_refused_in_measure_order(self):
         # (c) on measure 0 leaves float range at level 738, measure 1's
