@@ -41,6 +41,7 @@ EXIT_CAP = 5
 # caps on how much work an option value may ask for; above them, exit 5
 QMAX_CAP = 10 ** 6       # --qmax (the candidate count sieve is linear in it)
 WINDOW_CAP = 10 ** 4     # top level of --window (heights are kept per level)
+DEPTH_CAP = 10 ** 4      # verify --depth (checks and heights run per level)
 
 
 def _plural(n: int, noun: str) -> str:
@@ -298,6 +299,9 @@ def cmd_subst(args) -> int:
 def cmd_verify(args) -> int:
     if args.depth < 1:
         raise ParseError(f"--depth must be >= 1, got {args.depth}")
+    if args.depth > DEPTH_CAP:
+        raise CapExceeded(f"--depth {args.depth} is above the cap of {DEPTH_CAP}",
+                          args.depth, DEPTH_CAP)
     doc, base, _ = _load_diagram(args)
     ordered = isinstance(doc, OrderedDiagram)
     decomp = decompose(base)

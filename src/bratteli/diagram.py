@@ -199,15 +199,13 @@ class CylinderSet:
         return self.path.terminal
 
 
-def paths_by_sequence(d: StationaryDiagram, v: int, n: int):
-    """The paths from the root to vertex v at level n as pairs
-    ``(vertices, paths)``, one per vertex sequence (v1, ..., vn = v):
-    the level n-1 vertex ascends first, then level n-2, and so on, from
-    an explicit stack.  A sequence's paths share its ``vertices`` tuple
-    and take their bundle indices in ``itertools.product`` order.  No cap
-    is checked here."""
-    f = d.incidence
-    sources = [[w for w, e in enumerate(row) if e] for row in f]
+def vertex_sequences(d: StationaryDiagram, v: int, n: int):
+    """The vertex sequences (v1, ..., vn = v) of the paths from the root
+    to vertex v at level n, as tuples: the level n-1 vertex ascends
+    first, then level n-2, and so on, from an explicit stack.  A sequence
+    carries the product of its bundle sizes ``F[v(i+1)][v(i)]`` paths.
+    No cap is checked here."""
+    sources = [[w for w, e in enumerate(row) if e] for row in d.incidence]
     # stack[k] walks the choices at level n - k; upper holds those taken above
     stack, upper = [iter((v,))], ()
     while stack:
@@ -219,19 +217,20 @@ def paths_by_sequence(d: StationaryDiagram, v: int, n: int):
             upper = (w, *upper)
             stack.append(iter(sources[w]))
         else:  # w is the level-1 vertex
-            vs = (w, *upper)
-            yield vs, [PathWord(vs, idx) for idx in itertools.product(
-                *[range(f[b][a]) for a, b in zip(vs, upper)])]
+            yield (w, *upper)
 
 
 def enumerate_paths(d: StationaryDiagram, v: int, n: int, cap: int = 10 ** 6) -> list[PathWord]:
     """All paths from the root to vertex v at level n, in a fixed
     deterministic order (sources ascending, bundle indices ascending,
-    most significant choice at the top level): the paths of
-    ``paths_by_sequence`` one sequence after another."""
+    most significant choice at the top level): for each sequence of
+    ``vertex_sequences`` in turn, its paths with bundle indices in
+    ``itertools.product`` order."""
     total = heights(d, n).values[v]
     if total > cap:
         raise CapExceeded(f"{total} paths exceed the cap of {cap}", total, cap)
-    paths = [p for _, batch in paths_by_sequence(d, v, n) for p in batch]
+    f = d.incidence
+    paths = [PathWord(vs, idx) for vs in vertex_sequences(d, v, n)
+             for idx in itertools.product(*[range(f[b][a]) for a, b in zip(vs, vs[1:])])]
     assert len(paths) == total
     return paths

@@ -9,12 +9,13 @@ simulation and when a measure itself carries approximate data.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .diagram import CylinderSet, PathWord, check_path, height_levels, heights, paths_by_sequence
+from .diagram import CylinderSet, PathWord, check_path, height_levels, heights, vertex_sequences
 from .errors import CapExceeded, EndpointMismatch, SizeRefused
 from .measures import within_float_range
 from .spectral import DEFAULT_GAP, ComponentDecomposition
@@ -47,17 +48,30 @@ class InvarianceReport:
         return not self.violations
 
 
-def _checks(d, m, n_max: int, cap: int):
-    """Checks (a)-(c) of one measure, in report order, as a generator.
+def verify_invariance(d, m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport:
+    """Check that m is tail invariant on d up to level n_max.
 
-    At each (level, vertex) it yields ``(level, vertex, height)`` and is
-    sent the vertex's ``paths_by_sequence`` pairs, already validated
-    against ``m.diagram``, or None when the height is over cap; it returns
-    the InvarianceReport.  A path whose mass is the previous path's object
-    reuses its ``_close`` verdict; float sums run left to right.
+    (a) every path to the same level-n vertex gets the same mass, and a
+        cylinder's mass equals the sum over its one-edge extensions;
+    (b) the vertex mass vectors satisfy A p(n+1) = p(n); (c) total mass
+    at each level is 1.  Infinite measures skip (c) and compare
+    infinities positionally in (b).  A float total beyond float range is
+    refused by ``within_float_range``; float sums run left to right.
+
+    (a) walks the ``vertex_sequences`` of each (level, vertex) whose
+    height is at most cap (the others are skipped, and so reported); no
+    path object is built for it.  A sequence carries the product of its
+    bundle sizes paths, each priced with one ``m.value`` call; a mass
+    that is the object the previous path got reuses its ``_close``
+    verdict.  A sequence whose vertices are all in ``m.diagram`` and none
+    of whose bundles in d is larger there holds only paths of
+    ``m.diagram``; any other has ``check_path`` run on its paths, in
+    ``enumerate_paths`` order, which raises.
     """
-    a = linalg.transpose(d.incidence)
+    f = d.incidence
+    a = linalg.transpose(f)
     n = d.n_vertices
+    g = m.diagram.incidence
     violations = []
     skipped = []
     checks = 0
@@ -70,24 +84,27 @@ def _checks(d, m, n_max: int, cap: int):
 
         # (a) constancy over paths and one-edge additivity
         for v in range(n):
-            paths = yield lvl, v, h[v]
-            if paths is None:
+            if h[v] > cap:
                 skipped.append(f"path enumeration at level {lvl} vertex {v} "
                                f"exceeds cap {cap}")
                 continue
             last, ok = object(), False  # the previous path's mass and verdict
-            for _, batch in paths:
-                checks += len(batch)
-                for p in batch:
-                    got = m.value(p.level, p.terminal)
+            for vs in vertex_sequences(d, v, lvl):
+                steps = list(zip(vs, vs[1:]))
+                if max(vs) >= len(g) or any(f[t][s] > g[t][s] for s, t in steps):
+                    for idx in itertools.product(*[range(f[t][s]) for s, t in steps]):
+                        check_path(m.diagram, PathWord(vs, idx))
+                count = math.prod(f[t][s] for s, t in steps)
+                checks += count
+                for _ in range(count):
+                    got = m.value(lvl, v)
                     if got is not last:
                         last, ok = got, _close(got, p_now[v])
                     if not ok:
                         violations.append(
-                            f"(a) path {p.vertices} mass {got} != vertex mass "
+                            f"(a) path {vs} mass {got} != vertex mass "
                             f"{p_now[v]} at level {lvl}")
-            extension_mass = linalg.left_sum(d.incidence[w][v] * p_next[w] for w in range(n)
-                                             if d.incidence[w][v])
+            extension_mass = linalg.left_sum(f[w][v] * p_next[w] for w in range(n) if f[w][v])
             checks += 1
             if not _close(extension_mass, p_now[v]):
                 violations.append(
@@ -117,69 +134,10 @@ def _checks(d, m, n_max: int, cap: int):
 
 
 def verify_measures(d, measures, n_max: int, cap: int = STEP_CAP) -> list[InvarianceReport]:
-    """One InvarianceReport per measure: verify_invariance for each, in
-    one walk over the levels.
-
-    Each (level, vertex) has its paths built once with
-    ``paths_by_sequence`` (not when its height is over cap), and only that
-    batch is held.  Each sequence is checked once per distinct
-    ``m.diagram``: its paths pass if its vertices are there and none of
-    its bundles in d is larger there; if not, ``check_path`` runs on its
-    paths in order and raises.  Every measure then prices every path with
-    ``m.value``.  A measure's checks stop at its first exception, and
-    after the walk the exception of the first measure in order that
-    raised is raised, as a loop of verify_invariance calls would raise it.
-    """
-    measures = list(measures)
-    walks = [_checks(d, m, n_max, cap) for m in measures]
-    reports = [None] * len(walks)
-    live = list(range(len(walks)))  # the measures still walking, in order
-    failure = paths = None  # None starts each walk
-    while live:
-        validated = set()  # the diagrams these paths were checked against
-        for i in list(live):
-            if i not in live:
-                continue  # an earlier measure raised
-            try:
-                diagram = measures[i].diagram
-                if paths and diagram not in validated:
-                    g = diagram.incidence
-                    for vs, batch in paths:
-                        if max(vs) >= len(g) or any(d.incidence[b][a] > g[b][a]
-                                                    for a, b in zip(vs, vs[1:])):
-                            for p in batch:
-                                check_path(diagram, p)
-                    validated.add(diagram)
-                # every live walk waits on the same (level, vertex)
-                lvl, v, height = walks[i].send(paths)
-            except StopIteration as done:
-                reports[i] = done.value
-                live.remove(i)
-            except Exception as exc:  # raised after the walk
-                failure = exc  # the measures after i no longer matter
-                del live[live.index(i):]
-        if live:
-            if paths:  # the walks hold it too; empty it before the next is built
-                paths.clear()
-            paths = None if height > cap else list(paths_by_sequence(d, v, lvl))
-    if failure is not None:
-        raise failure
-    return reports
-
-
-def verify_invariance(d, m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport:
-    """Check that m is tail invariant on d up to level n_max.
-
-    (a) every enumerated path to the same level-n vertex gets the same
-        mass, and a cylinder's mass equals the sum over its one-edge
-        extensions; (b) the vertex mass vectors satisfy A p(n+1) = p(n);
-    (c) total mass at each level is 1.  Infinite measures skip (c) and
-    compare infinities positionally in (b).  A float total beyond float
-    range is refused by ``within_float_range``.  Paths to a vertex whose
-    height is over cap are skipped, and so reported.  The walk is
-    verify_measures' for the one measure m.
-    """
-    return verify_measures(d, (m,), n_max, cap)[0]
+    """One InvarianceReport per measure, by ``verify_invariance`` on each
+    in order; the first measure that raises ends the list with its
+    exception."""
+    return [verify_invariance(d, m, n_max, cap) for m in measures]
 
 
 def brute_force_Q(od: OrderedDiagram, e: PathWord, e2: PathWord,

@@ -766,6 +766,8 @@ class TestCountOptions:
          "error: --cap must be >= 1, got 0\n"),
         (("verify", "b1o.txt", "--depth", "0"), 2, "error: --depth must be >= 1, got 0\n"),
         (("verify", "b1o.txt", "--depth", "-2"), 2, "error: --depth must be >= 1, got -2\n"),
+        (("verify", "b1o.txt", "--depth", "10001"), 5,
+         "error: --depth 10001 is above the cap of 10000\n"),
         (("eigenvalues", "wm_a.txt", "--qmax", "-3"), 2,
          "error: --qmax must be >= 1, got -3\n"),
         (("eigenvalues", "wm_a.txt", "--qmax", "0"), 2,
@@ -819,10 +821,10 @@ class TestCountOptions:
 
 HUGE = str(10 ** 30)
 FUZZ_VALUES = {
-    # verify enumerates every path down to --depth once and prices it for
-    # each measure (the oracle's path checks), which takes about 3 s on
-    # eig.txt at depth 5: bounded
-    "--depth": ["-2", "-1", "0", "1", "2"],
+    # verify prices every path down to --depth once per measure (the
+    # oracle's path checks), which takes about 0.4 s on eig.txt at depth 5:
+    # kept to depth 4; above 10^4 it is refused at once
+    "--depth": ["-2", "-1", "0", "1", "2", "4", "10001", HUGE],
     # expand builds each (letter, k) word once, no longer than the result,
     # so a slowly growing letter answers at any count; --cap stays at its default
     "--steps": ["-2", "-1", "0", "1", "2", "3", "20", "1000", "100000", "1000000",

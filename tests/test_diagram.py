@@ -19,7 +19,7 @@ from bratteli import (
     telescope_to_primitive,
     validate,
 )
-from bratteli.diagram import paths_by_sequence
+from bratteli.diagram import vertex_sequences
 
 
 def test_rejects_non_square_incidence():
@@ -169,9 +169,7 @@ def test_enumerate_paths_keeps_the_recursive_order():
         v, lvl = rng.randrange(n), rng.randint(1, 6)
         want = _recursive_paths(d, v, lvl)
         assert enumerate_paths(d, v, lvl) == want
-        groups = list(paths_by_sequence(d, v, lvl))
-        assert [vs for vs, _ in groups] == list(dict.fromkeys(p.vertices for p in want))
-        assert all(batch and all(p.vertices is vs for p in batch) for vs, batch in groups)
+        assert list(vertex_sequences(d, v, lvl)) == list(dict.fromkeys(p.vertices for p in want))
 
 
 def test_enumerate_paths_refuses_past_cap(b1):

@@ -3,7 +3,7 @@
 import itertools
 import math
 import random
-import weakref
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -40,7 +40,7 @@ from bratteli import (
     verify_invariance,
 )
 from bratteli import oracle
-from bratteli.diagram import paths_by_sequence
+from bratteli.diagram import vertex_sequences
 
 
 class _Counting:
@@ -112,11 +112,11 @@ class TestInvariance:
         assert any("total mass" in v for v in report.violations)
 
     def test_every_enumerated_path_is_priced(self, eig_chain, monkeypatch):
-        # one walk serves every measure: each (level, vertex) is built once,
-        # as the list enumerate_paths gives, no path of the measures' own
-        # diagram goes through check_path, and each measure asks value()
-        # once per path on top of the calls a walk with every batch skipped
-        # (cap 0, so no path is built) makes
+        # each measure walks each (level, vertex) once, over the distinct
+        # vertex tuples of enumerate_paths' list in order, no path of the
+        # measures' own diagram goes through check_path, and each measure
+        # asks value() once per path on top of the calls a walk with every
+        # vertex skipped (cap 0, so no sequence is walked) makes
         d = eig_chain.base
         validated = []
         walked = []
@@ -126,12 +126,12 @@ class TestInvariance:
             return check_path(diagram, p)
 
         def listed(d, v, n):
-            groups = list(paths_by_sequence(d, v, n))
-            walked.append(((n, v), [p for _, batch in groups for p in batch]))
-            return iter(groups)
+            sequences = list(vertex_sequences(d, v, n))
+            walked.append(((n, v), sequences))
+            return iter(sequences)
 
         monkeypatch.setattr(oracle, "check_path", counted)
-        monkeypatch.setattr(oracle, "paths_by_sequence", listed)
+        monkeypatch.setattr(oracle, "vertex_sequences", listed)
         levels = range(1, 4)
         want = [((lvl, v), enumerate_paths(d, v, lvl))
                 for lvl in levels for v in range(d.n_vertices)]
@@ -145,29 +145,27 @@ class TestInvariance:
         full = [_Counting(m) for m in measures]
         assert all(r.ok for r in oracle.verify_measures(d, full, n_max=3))
         assert validated == []
-        assert walked == want
+        sequences = [(key, list(dict.fromkeys(p.vertices for p in batch)))
+                     for key, batch in want]
+        assert walked == sequences * len(measures)
         priced = Counter((p.level, p.terminal) for p in paths)
         for m, skipping in zip(full, bare):
             assert m.calls == skipping.calls + priced
 
-    def test_one_batch_is_held_at_a_time(self, monkeypatch):
-        # when a batch is built, the paths of the one before are gone, but
-        # for its last sequence, which the walks' loops still name
-        held = []
-        dropped = 0
-
-        def built(d, v, n):
-            nonlocal dropped
-            assert all(ref() is None for ref in held)
-            dropped += len(held)
-            groups = list(paths_by_sequence(d, v, n))
-            held[:] = [weakref.ref(p) for _, batch in groups[:-1] for p in batch]
-            return iter(groups)
-
-        monkeypatch.setattr(oracle, "paths_by_sequence", built)
+    def test_the_walk_holds_no_paths(self):
+        # masses are priced per vertex sequence and no path object is
+        # built, so the walk's traced peak stays far below one (level,
+        # vertex)'s paths: a list of PathWords to level 10 takes megabytes
         d = StationaryDiagram(((1, 1, 0, 0), (1, 0, 0, 0), (1, 0, 2, 1), (0, 0, 1, 1)))
-        assert all(r.ok for r in oracle.verify_measures(d, enumerate_ergodic(d), n_max=8))
-        assert dropped > 1000
+        measures = enumerate_ergodic(d)
+        tracemalloc.start()
+        try:
+            reports = oracle.verify_measures(d, measures, n_max=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.ok for r in reports)
+        assert peak < 2 ** 19
 
     def test_each_path_gets_its_own_verdict(self, eig_chain):
         # masses that change from path to path, NaN among them, give the
@@ -229,8 +227,9 @@ class TestInvariance:
 
 
 def _sequential_reference(d, m, n_max, cap):
-    """verify_invariance as one walk of the paths per measure: the
-    reference for the shared walk of verify_measures."""
+    """verify_invariance as one walk of enumerate_paths' paths per
+    measure, each priced with measure_of_cylinder: the reference for the
+    walk by vertex sequence."""
     a = [list(col) for col in zip(*d.incidence)]
     n = d.n_vertices
     violations = []
