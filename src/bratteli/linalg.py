@@ -204,6 +204,33 @@ def solve_square(a, b):
     return x
 
 
+def scaled_inverse(a):
+    """(M, L) with M = L a^-1 an integer matrix and L > 0 the least
+    integer that makes it one, for a square integer matrix a; (W, 0) when
+    a is singular, with integer rows w, w a = 0, spanning its left kernel.
+
+    One fraction-free Gauss-Jordan elimination (Bareiss 1968) on [a | I],
+    each step divided exactly by the previous pivot.  With N pivots the
+    left half is d I (d the last pivot) beside d a^-1, and M, L are d a^-1
+    and d over their signed gcd; else the rows without a pivot are 0 | w."""
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev, rank = 1, 0
+    for c in range(n):
+        p = next((i for i in range(rank, n) if m[i][c]), None)
+        if p is not None:
+            m[rank], m[p] = m[p], m[rank]
+            prow = m[rank]
+            m = [row if i == rank else
+                 [(x * prow[c] - row[c] * y) // prev for x, y in zip(row, prow)]
+                 for i, row in enumerate(m)]
+            prev, rank = prow[c], rank + 1
+    if rank < n:
+        return [row[n:] for row in m[rank:]], 0
+    g = math.gcd(prev, *(x for row in m for x in row[n:])) * (1 if prev > 0 else -1)
+    return [[x // g for x in row[n:]] for row in m], prev // g
+
+
 def lp_nonneg_solve(m, b):
     """Exact feasibility of ``m y = b, y >= 0`` over the rationals.
 

@@ -21,8 +21,8 @@ from fractions import Fraction
 from . import linalg
 from .diagram import CylinderSet, StationaryDiagram, check_path, heights
 from .errors import CapExceeded, NotAperiodicError, NotInDomainError, ZeroBlockError
-from .spectral import (DEFAULT_GAP, ComponentDecomposition, NumericValue, _exact_vector,
-                       _extend, aperiodicity_check, check_primitive, core_membership,
+from .spectral import (DEFAULT_GAP, ComponentDecomposition, NumericValue, _extend,
+                       _require_exact, aperiodicity_check, check_primitive, core_membership,
                        decompose, distinguished_classes, nv_compare)
 
 
@@ -179,10 +179,9 @@ def measure_from_point(d, p1) -> InvariantMeasure:
     extreme vectors."""
     decomp = _as_decomp(d)
     measures = enumerate_ergodic(decomp)
-    p = _exact_vector(p1)
-    if sum(p) != 1:
+    if sum(_require_exact(p1)) != 1:
         raise NotInDomainError("level-1 vector does not have total mass 1")
-    verdict = core_membership(decomp, p)
+    verdict = core_membership(decomp, p1)
     if verdict.kind != "in-core":
         raise NotInDomainError(f"level-1 vector is outside the measure cone "
                                f"({verdict.kind})")

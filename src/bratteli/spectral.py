@@ -20,13 +20,14 @@ The extreme vector of a distinguished class b is positive exactly on the
 vertices whose class has access to b (the support law of the Frobenius
 normal form), so at one vertex per distinguished class the extreme
 vectors form a triangular matrix with a positive diagonal: cone
-membership is one square solve there, in either scalar type.  A vector
-outside that cone is placed by the first k at which A^k y = x has no
-solution y >= 0.  When A is invertible the only solution is y = A^-k x,
-so each level is one sign test on an integer vector, stepped by A^-1
-scaled to integers; a singular A takes the exact simplex at every level.
-What does not depend on x (the extreme vectors, the triangular system,
-the scaled inverse) is computed once and kept on the decomposition.
+membership is one integer test there when the vectors are exact, one
+float solve otherwise.  A vector outside that cone is placed by the
+first k at which A^k y = x has no solution y >= 0.  When A is
+invertible that is y = A^-k x, so each level is one sign test on an
+integer vector, stepped by L A^-1 from one fraction-free elimination; a
+singular A tests x against the left kernel that elimination leaves, then
+takes the exact simplex at every level.  What does not depend on x is
+computed once and kept on the decomposition.
 
 Numeric policy: a block's Perron value rho is reported exactly whenever
 it is rational, and as a float with a certified residual bound
@@ -275,12 +276,12 @@ class ComponentDecomposition:
 
     @cached_property
     def _cone(self):
-        """What ``core_membership`` computes without looking at x:
-        (Eigendata of each distinguished class in class order, whether all
-        of them are exact, their vectors in that one scalar type, the
-        first vertex of each class, and the triangular matrix of the
-        vectors at those vertices).  PrimitivityError unless every
-        non-zero block is primitive."""
+        """The extreme vectors ``core_membership`` reads: (Eigendata of
+        each distinguished class in class order, whether all of them are
+        exact, their vectors in that one scalar type, the first vertex of
+        each class, and the triangular matrix of the vectors at those
+        vertices, which the float path solves).  PrimitivityError unless
+        every non-zero block is primitive."""
         check_primitive(self)
         eig = tuple(distinguished_eigenvector(self, alpha) for alpha in distinguished_classes(self))
         exact = all(e.is_exact for e in eig)
@@ -289,18 +290,19 @@ class ComponentDecomposition:
         return eig, exact, cols, rows, [[col[v] for col in cols] for v in rows]
 
     @cached_property
-    def _scaled_inverse(self):
-        """(M, L) with M = L A^-1 an integer matrix and L > 0 the least
-        integer that makes it one, column by column from exact solves
-        against the unit vectors; None when A is singular."""
-        n = len(self.a_matrix)
-        a = [[Fraction(x) for x in row] for row in self.a_matrix]
-        try:
-            cols = [linalg.solve_square(a, [int(i == j) for i in range(n)]) for j in range(n)]
-        except ZeroDivisionError:
-            return None
-        scale = math.lcm(*(x.denominator for col in cols for x in col))
-        return [[int(col[i] * scale) for col in cols] for i in range(n)], scale
+    def _exact_cone(self):
+        """The exact extreme vectors in integers: (Y, M, L, S), S > 0 the
+        lcm of their denominators, Y[v] = (S xi_e(v))_e, and (M, L) the
+        ``linalg.scaled_inverse`` of S times the triangle of ``_cone``."""
+        _, _, cols, rows, _ = self._cone
+        s = math.lcm(*(x.denominator for col in cols for x in col))
+        ys = [[int(col[v] * s) for col in cols] for v in range(len(self.a_matrix))]
+        return ys, *linalg.scaled_inverse([ys[v] for v in rows]), s
+
+    @cached_property
+    def _elimination(self):
+        """``linalg.scaled_inverse`` of A: (L A^-1, L) or (left kernel, 0)."""
+        return linalg.scaled_inverse(self.a_matrix)
 
 
 def _class_structure(d: StationaryDiagram):
@@ -483,69 +485,71 @@ class CoreVerdict:
     coefficients: tuple | None = None
 
 
-def _exact_vector(x):
-    """x as a list of Fractions; TypeError unless every entry is an
-    ``int`` or a ``Fraction``."""
+def _require_exact(x):
+    """x itself; TypeError unless every entry is an ``int`` or a ``Fraction``."""
     if not all(isinstance(v, (int, Fraction)) for v in x):
         raise TypeError("takes exact rational vectors: int or Fraction entries")
-    return [v if isinstance(v, Fraction) else Fraction(v) for v in x]
+    return x
 
 
 def core_membership(decomp: ComponentDecomposition, x,
                     k_max: int | None = None) -> CoreVerdict:
     """Is x in the limit cone of A?  Fast path: x = sum c_e xi_e over the
-    distinguished extreme vectors.  xi_b(v) > 0 exactly when the class of
-    v has access to b, a partial order, so the equations at the first
-    vertex of each distinguished class are triangular with a positive
-    diagonal; one solve gives c in the scalar type of the xi.  In-core
-    when all of x reconstructs and c >= 0, exactly if every xi is exact,
-    else up to a residual of DEFAULT_GAP (1 + max|x|) and c >= -DEFAULT_GAP.
+    distinguished extreme vectors, c read off the triangular equations at
+    the first vertex of each distinguished class (xi_b(v) > 0 exactly when
+    the class of v has access to b).  In-core when all of x reconstructs
+    and c >= 0: in integers when every xi is exact (x = z / q, then
+    c = S M z[rows] / (L q) by ``_exact_cone`` and Y M z[rows] = L z), else
+    up to a float residual of DEFAULT_GAP (1 + max|x|), c >= -DEFAULT_GAP.
 
-    Slow path (exact, N <= 12): the first k <= k_max (2N by default) at
-    which ``A^k y = x, y >= 0`` is infeasible, else unknown.  When A is
-    invertible y = A^-k x is the only solution, so with M = L A^-1 in
-    integers (L > 0) and z_0 = x scaled to integers, z_k = M z_(k-1) is a
-    positive multiple of y: level k is infeasible exactly when z_k has a
-    negative entry, and A z_k = L z_(k-1) is verified at every step.  A
-    singular A runs the exact simplex ``linalg.lp_nonneg_solve`` on each
-    power instead.  The extreme vectors, the triangular system and M are
-    computed once per decomposition and kept on it.  Entries of x must be
-    ``int`` or ``Fraction`` (TypeError otherwise)."""
+    Slow path (exact): the first k <= k_max (2N by default) at which
+    ``A^k y = x, y >= 0`` is infeasible, else unknown.  For invertible A,
+    y = A^-k x, and z_k = M z_(k-1) with M = L A^-1 from ``_elimination``
+    is a positive multiple of it: level k is infeasible exactly when z_k
+    has a negative entry (A z_k = L z_(k-1) is checked at every step).
+    For singular A, x is outside A R+^N when w z != 0 for a row w of its
+    left kernel; otherwise the exact simplex ``linalg.lp_nonneg_solve``
+    runs on each power for N <= 12, and N > 12 answers unknown.  Entries
+    of x must be ``int`` or ``Fraction`` (TypeError otherwise)."""
     _, exact, cols, rows, square = decomp._cone
     n = len(decomp.a_matrix)
-    x = _exact_vector(x)
-    if len(x) != n:
+    q = math.lcm(*(v.denominator for v in _require_exact(x)))
+    z = [v.numerator * (q // v.denominator) for v in x]
+    if len(z) != n:
         raise ValueError("vector length must match the vertex count")
-    if k_max is None:
-        k_max = 2 * n
+    k_max = 2 * n if k_max is None else k_max
 
-    gap = 0 if exact else DEFAULT_GAP
-    xs = x if exact else [float(v) for v in x]
-    coeffs = linalg.solve_square(square, [xs[v] for v in rows])
-    residual = max(abs(linalg.left_sum(c * col[v] for c, col in zip(coeffs, cols)) - xs[v])
-                   for v in range(n))
-    if residual <= gap * (1 + max(map(abs, xs))) and all(c >= -gap for c in coeffs):
-        return CoreVerdict("in-core", coefficients=tuple(coeffs))
+    if exact:
+        ys, t_inv, t_scale, s = decomp._exact_cone
+        c = linalg.mat_vec(t_inv, [z[v] for v in rows])
+        if all(ci >= 0 for ci in c) and linalg.mat_vec(ys, c) == [t_scale * v for v in z]:
+            return CoreVerdict("in-core", coefficients=tuple(Fraction(s * ci, t_scale * q)
+                                                             for ci in c))
+    else:
+        xs = [float(v) for v in x]
+        coeffs = linalg.solve_square(square, [xs[v] for v in rows])
+        residual = max(abs(linalg.left_sum(c * col[v] for c, col in zip(coeffs, cols)) - xs[v])
+                       for v in range(n))
+        if (residual <= DEFAULT_GAP * (1 + max(map(abs, xs)))
+                and all(c >= -DEFAULT_GAP for c in coeffs)):
+            return CoreVerdict("in-core", coefficients=tuple(coeffs))
 
-    if n > 12:
-        return CoreVerdict("unknown")
-    if decomp._scaled_inverse is not None:
-        m, scale = decomp._scaled_inverse
-        lcm = math.lcm(*(v.denominator for v in x))
-        z = [v.numerator * (lcm // v.denominator) for v in x]
+    m, scale = decomp._elimination
+    if scale:
         for k in range(1, k_max + 1):
             z, prev = linalg.mat_vec(m, z), z
             assert linalg.mat_vec(decomp.a_matrix, z) == [scale * v for v in prev]
             if min(z) < 0:
                 return CoreVerdict("not-in-core", k=k)
         return CoreVerdict("unknown")
-    a = [list(row) for row in decomp.a_matrix]
-    power = a
+    if k_max > 0 and any(linalg.mat_vec(m, z)):
+        return CoreVerdict("not-in-core", k=1)
+    if n > 12:
+        return CoreVerdict("unknown")
+    power = linalg.identity(n)
     for k in range(1, k_max + 1):
-        if k > 1:
-            power = linalg.mat_mul(power, a)
-        y, _ = linalg.lp_nonneg_solve(power, x)
-        if y is None:
+        power = linalg.mat_mul(power, decomp.a_matrix)
+        if linalg.lp_nonneg_solve(power, z)[0] is None:
             return CoreVerdict("not-in-core", k=k)
     return CoreVerdict("unknown")
 

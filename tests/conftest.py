@@ -1,12 +1,15 @@
-"""Shared fixtures: the golden diagrams, a seeded random corpus and a time limit."""
+"""Shared fixtures: the golden diagrams, a seeded random corpus, a time
+limit and a reference for the integer inverse."""
 
 import contextlib
+import math
 import random
 import signal
+from fractions import Fraction
 
 import pytest
 
-from bratteli import OrderedDiagram, StationaryDiagram, Substitution
+from bratteli import OrderedDiagram, StationaryDiagram, Substitution, linalg
 
 
 class Hung(Exception):
@@ -170,3 +173,17 @@ def aperiodic_corpus(seed=20260814, count=20, n_max=4, entry_max=3):
         if verdict:
             out.append(d)
     return out
+
+
+def scaled_inverse_by_solves(a):
+    """(M, L) with M = L a^-1 and L > 0 the least such integer, from N
+    Fraction solves against the unit vectors, as cone membership built it
+    before ``linalg.scaled_inverse``; None when a is singular."""
+    n = len(a)
+    fa = [[Fraction(x) for x in row] for row in a]
+    try:
+        cols = [linalg.solve_square(fa, [int(i == j) for i in range(n)]) for j in range(n)]
+    except ZeroDivisionError:
+        return None
+    scale = math.lcm(*(x.denominator for col in cols for x in col))
+    return [[int(col[i] * scale) for col in cols] for i in range(n)], scale

@@ -1,5 +1,6 @@
 """Exact linear algebra kernel: the foundation everything else trusts."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bratteli import linalg
+
+from conftest import scaled_inverse_by_solves
 
 
 def test_mat_pow_matches_repeated_multiplication():
@@ -231,3 +234,69 @@ def test_char_poly_trace_and_determinant(rows):
     assert coeffs == _char_poly_by_interpolation(rows)
     assert coeffs[1] == -sum(rows[i][i] for i in range(n))
     assert coeffs[-1] == (-1) ** n * _det(rows)
+
+
+def _rank(rows):
+    """Rank by Fraction Gaussian elimination, independent of linalg."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        p = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
+        if p is None:
+            continue
+        m[rank], m[p] = m[p], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][c] / m[rank][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_scaled_inverse_matches_the_fraction_solves():
+    """Seeded invertible A, three with N <= 12 and one with N = 24 for
+    each sign of det A; every other one is doubled, so that L < |det A|
+    and the gcd reduction matters."""
+    rng = random.Random(1968)
+    wanted = {(n_class, sign): count for n_class, count in (("small", 3), ("24", 1))
+              for sign in (1, -1)}
+    seen = dict.fromkeys(wanted, 0)
+    reduced = 0
+    while seen != wanted:
+        n_class = "small" if seen[("small", 1)] + seen[("small", -1)] < 6 else "24"
+        n = rng.randint(1, 12) if n_class == "small" else 24
+        a = [[rng.choice((0, 0, 1, 2, 3, -1)) for _ in range(n)] for _ in range(n)]
+        if sum(seen.values()) % 2:
+            a = [[2 * x for x in row] for row in a]
+        det = _det(a)
+        key = (n_class, 1 if det > 0 else -1)
+        if det == 0 or seen[key] == wanted[key]:
+            continue
+        seen[key] += 1
+        m, scale = linalg.scaled_inverse(a)
+        assert (m, scale) == scaled_inverse_by_solves(a)
+        assert all(type(x) is int for row in m for x in row) and type(scale) is int
+        reduced += scale < abs(det)
+    assert reduced >= 3
+    assert linalg.scaled_inverse([[2, 0], [0, 2]]) == ([[1, 0], [0, 1]], 2)
+    assert linalg.scaled_inverse([[0, 1], [1, 0]]) == ([[0, 1], [1, 0]], 1)
+    assert linalg.scaled_inverse([[-3]]) == ([[-1]], 3)
+
+
+def test_scaled_inverse_spans_the_left_kernel_of_a_singular_matrix():
+    rng = random.Random(2026)
+    ranks = set()
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        r = rng.randint(0, n - 1)
+        # rank at most r: n x r times r x n, with rows and columns mixed in
+        b = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+        c = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+        a = linalg.mat_mul(b, c) if r else [[0] * n for _ in range(n)]
+        w, scale = linalg.scaled_inverse(a)
+        rank = _rank(a)
+        ranks.add((n, rank))
+        assert scale == 0
+        assert len(w) == n - rank
+        assert _rank(w) == n - rank
+        assert all(linalg.mat_vec(linalg.transpose(a), row) == [0] * n for row in w)
+    assert len(ranks) > 10

@@ -435,8 +435,9 @@ def _in_power_cone(a, k, x):
 
 def test_cone_oracle_agrees_with_caratheodory_subsets():
     """core_preimage_oracle runs the exact simplex, and so does
-    core_membership when A is singular (an invertible A takes an integer
-    sign test on A^-k x instead); an independent decision of x in A^k R+^n
+    core_membership when A is singular and x passes its left-kernel test
+    (an invertible A takes an integer sign test on A^-k x instead); an
+    independent decision of x in A^k R+^n
     checks both of them on the telescoped corpus, at k = 1 and at the
     verdict's k (2N without one)."""
     rng = random.Random(314159)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bratteli import linalg
 from bratteli import (
     AmbiguousComparison,
+    CoreVerdict,
     NotDistinguishedError,
     NotInDomainError,
     NumericValue,
@@ -35,7 +36,7 @@ from bratteli import spectral
 from bratteli.errors import CapExceeded
 from bratteli.spectral import _perron_bracket, _perron_sign, nv_compare
 
-from conftest import random_diagram
+from conftest import random_diagram, scaled_inverse_by_solves
 
 
 class TestNumericValue:
@@ -460,62 +461,75 @@ class TestCoreMembership:
         with pytest.raises(ValueError):
             core_membership(dec, (1, 0, 0))
 
-    def test_exact_vector_converts_only_ints(self):
+    def test_require_exact_passes_the_vector_through(self):
+        # no entry is converted: core_membership scales x to integers itself
         half = Fraction(1, 2)
-        x = spectral._exact_vector((half, 3, 0))
-        assert x == [half, 3, 0]
-        assert x[0] is half
-        assert all(type(v) is Fraction for v in x)
-        with pytest.raises(TypeError):
-            spectral._exact_vector((half, 0.5))
+        x = (half, 3, 0)
+        assert spectral._require_exact(x) is x
+        for bad in ((half, 0.5), ("1/2", 0), (half, None)):
+            with pytest.raises(TypeError):
+                spectral._require_exact(bad)
 
     def test_verdicts_match_the_preimage_oracle_at_every_level(self):
-        """Seeded random A with N <= 6, singular and invertible with either
-        sign of det A, against the exact simplex of core_preimage_oracle at
-        every k <= 2N.  A^k y = x, y >= 0 feasible implies it at k - 1
-        (take A y), so the verdict's k must be the first infeasible level,
-        and in-core or unknown means feasible at every level."""
-        rng = random.Random(271828)
-        seen = {"singular": 0, "det > 0": 0, "det < 0": 0}
+        """The seeded recipe of ``_seeded_cone_queries`` against the exact
+        simplex of core_preimage_oracle at every k <= 2N.  A^k y = x, y >= 0
+        feasible implies it at k - 1 (take A y), so the verdict's k must be
+        the first infeasible level, and in-core or unknown means feasible
+        at every level."""
         deep = 0
-        while min(seen.values()) < 6:
-            n = rng.randint(2, 6)
-            f = tuple(tuple(rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(n)) for _ in range(n))
-            dec = decompose(StationaryDiagram(f))
-            try:
-                check_primitive(dec)
-            except PrimitivityError:
-                continue
-            a = dec.a_matrix
-            det = (-1) ** n * linalg.char_poly(a)[-1]
-            kind = "singular" if det == 0 else "det > 0" if det > 0 else "det < 0"
-            if seen[kind] == 6:
-                continue
-            seen[kind] += 1
-            xis = [distinguished_eigenvector(dec, alpha).xi
-                   for alpha in distinguished_classes(dec)]
-            exact = not any(isinstance(v, float) for xi in xis for v in xi)
-            for _ in range(8):
-                draw = rng.random()
-                if draw < 0.4:  # inside A^j R+^N, mostly outside the core
-                    y = [Fraction(rng.randint(0, 4), rng.choice((1, 2, 3, 5))) for _ in range(n)]
-                    x = linalg.mat_vec(linalg.mat_pow(a, rng.randint(1, 3)), y)
-                elif draw < 0.55 and exact:  # a point of the core
-                    w = [Fraction(rng.randint(0, 4), rng.choice((1, 2, 7))) for _ in xis]
-                    x = [sum(c * xi[v] for c, xi in zip(w, xis)) for v in range(n)]
-                else:
-                    x = [Fraction(rng.randint(-1, 8), rng.choice((1, 2, 3, 5, 7)))
-                         for _ in range(n)]
-                verdict = core_membership(dec, x)
-                first = verdict.k if verdict.kind == "not-in-core" else 2 * n + 1
-                for k in range(1, 2 * n + 1):
-                    assert core_preimage_oracle(a, x, k).feasible == (k < first), (f, x, k)
-                if verdict.kind == "in-core" and exact:
-                    c = verdict.coefficients
-                    assert all(ci >= 0 for ci in c)
-                    assert [sum(ci * xi[v] for ci, xi in zip(c, xis)) for v in range(n)] == x
-                deep += verdict.kind == "not-in-core" and verdict.k > 1
+        for dec, xis, exact, x in _seeded_cone_queries():
+            a, n = dec.a_matrix, len(x)
+            verdict = core_membership(dec, x)
+            first = verdict.k if verdict.kind == "not-in-core" else 2 * n + 1
+            for k in range(1, 2 * n + 1):
+                assert core_preimage_oracle(a, x, k).feasible == (k < first), (a, x, k)
+            if verdict.kind == "in-core" and exact:
+                c = verdict.coefficients
+                assert all(ci >= 0 for ci in c)
+                assert [sum(ci * xi[v] for ci, xi in zip(c, xis)) for v in range(n)] == x
+            deep += verdict.kind == "not-in-core" and verdict.k > 1
         assert deep > 0
+
+    def test_integer_paths_match_the_fraction_reference(self):
+        """Kind, k, coefficient values and their types against
+        ``_reference_core_membership`` on the seeded recipe, with int
+        entries, signed combinations of the extreme vectors and shallow
+        k_max too, and on the all-zero diagram, which has no distinguished
+        class and so an empty coefficient tuple."""
+        rng = random.Random(1968)
+        cases = []
+        for dec, xis, exact, x in _seeded_cone_queries():
+            cases += [(dec, x), (dec, [v.numerator for v in x])]
+            if exact and len(xis) > 1:  # in the span of the xi, with signed weights
+                w = [rng.choice((-1, 0, 1, Fraction(2, 3))) for _ in xis]
+                cases.append((dec, [sum(c * xi[v] for c, xi in zip(w, xis))
+                                    for v in range(len(x))]))
+        zero = decompose(StationaryDiagram(((0, 0), (0, 0))))
+        cases += [(zero, x) for x in ((0, 0), (Fraction(0), 0), (1, 0), (Fraction(1, 2), 3))]
+        kinds = set()
+        for dec, x in cases:
+            for k_max in (None, 0, 1):
+                got = core_membership(dec, x, k_max)
+                want = _reference_core_membership(decompose(dec.diagram), x, k_max)
+                assert repr(got) == repr(want), (dec.a_matrix, x, k_max)
+                assert list(map(type, got.coefficients or ())) == \
+                    list(map(type, want.coefficients or ()))
+                kinds.add(got.kind)
+        assert kinds == {"in-core", "not-in-core", "unknown"}
+        assert core_membership(zero, (0, 0)) == CoreVerdict("in-core", coefficients=())
+
+    def test_exact_queries_make_no_solve(self, b1, double_morse, monkeypatch):
+        # b1 has an invertible A, double_morse a singular one; once the
+        # per-decomposition data exist, an exact query is integer work
+        queries = {b1: [(2, 0), (0, 1), (1, 1), (Fraction(1, 3), 0)],
+                   double_morse: [(1, 0, 0, 0, 0), (2, 1, 2, 1, 3), (0, 0, 1, 2, Fraction(1, 3))]}
+        decs = {d: decompose(d) for d in queries}
+        first = {d: [core_membership(decs[d], x) for x in xs] for d, xs in queries.items()}
+
+        def refuse(*args):
+            raise AssertionError("solve_square called by an exact query")
+        monkeypatch.setattr(linalg, "solve_square", refuse)
+        assert {d: [core_membership(decs[d], x) for x in xs] for d, xs in queries.items()} == first
 
     def test_query_independent_work_stays_outside_eq_hash_and_repr(self, b1, double_morse):
         # b1 has an invertible A, double_morse a singular one
@@ -528,17 +542,143 @@ class TestCoreMembership:
             first = [core_membership(dec, x) for x in xs]
             assert [core_membership(dec, x) for x in xs] == first
             assert [core_membership(decompose(d), x) for x in xs] == first
-            assert {"_cone", "_scaled_inverse"} <= vars(dec).keys()  # kept on dec
+            assert {"_cone", "_exact_cone", "_elimination"} <= vars(dec).keys()  # kept on dec
             assert dec == twin and hash(dec) == hash(twin)
             assert repr(dec) == before
 
-    def test_large_diagrams_answer_unknown_instead_of_guessing(self):
+    def test_large_invertible_diagrams_are_decided(self):
+        # N = 13 used to answer unknown past the fast path; an invertible A
+        # is decided by the sign steps at any N
         n = 13
         rows = [[2 if i == j else (1 if j == i - 1 else 0) for j in range(n)]
                 for i in range(n)]
         dec = decompose(StationaryDiagram(tuple(tuple(r) for r in rows)))
         x = tuple(Fraction(0) if i < n - 1 else Fraction(1) for i in range(n))
-        assert core_membership(dec, x).kind == "unknown"
+        verdict = core_membership(dec, x)
+        assert verdict == CoreVerdict("not-in-core", k=_first_negative_preimage(dec.a_matrix, x))
+        # A^-k x >= 0 at every k <= 2N: unknown after all 2N sign steps
+        x = tuple(linalg.mat_vec(linalg.mat_pow(dec.a_matrix, 2 * n), [1] * n))
+        assert _first_negative_preimage(dec.a_matrix, x) is None
+        assert core_membership(dec, x) == CoreVerdict("unknown")
+
+    def test_large_singular_diagrams_take_the_kernel_test(self):
+        n = 13
+        rng = random.Random(13)
+        f = [[rng.randint(1, 2) for _ in range(n)] for _ in range(n)]
+        f[12] = list(f[11])  # two equal columns of A
+        dec = decompose(StationaryDiagram(tuple(map(tuple, f))))
+        a = dec.a_matrix
+        # outside the range of A: not even A y = x has a solution
+        x = tuple(Fraction(int(i == 0)) for i in range(n))
+        augmented = [list(row) + [v] for row, v in zip(a, x)]
+        assert len(linalg.rref(augmented)[1]) == len(linalg.rref(a)[1]) + 1
+        assert core_membership(dec, x) == CoreVerdict("not-in-core", k=1)
+        # in the range of A and off the Perron ray: the simplex is not run past N = 12
+        x = tuple(linalg.mat_vec(a, [1] + [0] * (n - 1)))
+        assert core_membership(dec, x) == CoreVerdict("unknown")
+
+
+def _first_negative_preimage(a, x):
+    """The first k <= 2N at which the y_k of A y_k = y_(k-1), y_0 = x,
+    has a negative entry, None when there is none; each level is one
+    Fraction Gauss-Jordan solve, independent of bratteli."""
+    n = len(a)
+    y = [Fraction(v) for v in x]
+    for k in range(1, 2 * n + 1):
+        rows = [[Fraction(v) for v in row] + [y[i]] for i, row in enumerate(a)]
+        for c in range(n):
+            p = next(r for r in range(c, n) if rows[r][c] != 0)
+            rows[c], rows[p] = rows[p], rows[c]
+            rows[c] = [v / rows[c][c] for v in rows[c]]
+            for r in range(n):
+                if r != c and rows[r][c] != 0:
+                    f = rows[r][c]
+                    rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+        y = [row[n] for row in rows]
+        if min(y) < 0:
+            return k
+    return None
+
+
+def _seeded_cone_queries():
+    """Seeded random A with N <= 6, 6 of them singular, 6 with det A > 0 and
+    6 with det A < 0, with 8 vectors x each of mixed denominators: some in
+    A^j R+^N, some in the cone of the extreme vectors when those are exact,
+    the rest anywhere.  Yields (decomposition, extreme vectors, whether
+    they are exact, x)."""
+    rng = random.Random(271828)
+    seen = {"singular": 0, "det > 0": 0, "det < 0": 0}
+    while min(seen.values()) < 6:
+        n = rng.randint(2, 6)
+        f = tuple(tuple(rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(n)) for _ in range(n))
+        dec = decompose(StationaryDiagram(f))
+        try:
+            check_primitive(dec)
+        except PrimitivityError:
+            continue
+        a = dec.a_matrix
+        det = (-1) ** n * linalg.char_poly(a)[-1]
+        kind = "singular" if det == 0 else "det > 0" if det > 0 else "det < 0"
+        if seen[kind] == 6:
+            continue
+        seen[kind] += 1
+        xis = [distinguished_eigenvector(dec, alpha).xi for alpha in distinguished_classes(dec)]
+        exact = not any(isinstance(v, float) for xi in xis for v in xi)
+        for _ in range(8):
+            draw = rng.random()
+            if draw < 0.4:  # inside A^j R+^n, mostly outside the core
+                y = [Fraction(rng.randint(0, 4), rng.choice((1, 2, 3, 5))) for _ in range(n)]
+                x = linalg.mat_vec(linalg.mat_pow(a, rng.randint(1, 3)), y)
+            elif draw < 0.55 and exact:  # a point of the core
+                w = [Fraction(rng.randint(0, 4), rng.choice((1, 2, 7))) for _ in xis]
+                x = [sum(c * xi[v] for c, xi in zip(w, xis)) for v in range(n)]
+            else:
+                x = [Fraction(rng.randint(-1, 8), rng.choice((1, 2, 3, 5, 7))) for _ in range(n)]
+            yield dec, xis, exact, x
+
+
+def _reference_core_membership(decomp, x, k_max=None):
+    """``core_membership`` as it was decided in Fractions: one Fraction
+    solve and residual for the fast path, A^-1 from N Fraction solves for
+    the sign steps, the simplex for a singular A, and unknown past the
+    fast path for N > 12."""
+    check_primitive(decomp)
+    eig = [distinguished_eigenvector(decomp, alpha) for alpha in distinguished_classes(decomp)]
+    exact = all(e.is_exact for e in eig)
+    cols = [e.xi if exact else [float(v) for v in e.xi] for e in eig]
+    rows = [decomp.classes[e.alpha].vertices[0] for e in eig]
+    square = [[col[v] for col in cols] for v in rows]
+    n = len(decomp.a_matrix)
+    x = [Fraction(v) for v in x]
+    if k_max is None:
+        k_max = 2 * n
+    gap = 0 if exact else spectral.DEFAULT_GAP
+    xs = x if exact else [float(v) for v in x]
+    coeffs = linalg.solve_square(square, [xs[v] for v in rows])
+    residual = max(abs(linalg.left_sum(c * col[v] for c, col in zip(coeffs, cols)) - xs[v])
+                   for v in range(n))
+    if residual <= gap * (1 + max(map(abs, xs))) and all(c >= -gap for c in coeffs):
+        return CoreVerdict("in-core", coefficients=tuple(coeffs))
+    if n > 12:
+        return CoreVerdict("unknown")
+    inverse = scaled_inverse_by_solves(decomp.a_matrix)
+    if inverse is not None:
+        m, scale = inverse
+        lcm = math.lcm(*(v.denominator for v in x))
+        z = [v.numerator * (lcm // v.denominator) for v in x]
+        for k in range(1, k_max + 1):
+            z = linalg.mat_vec(m, z)
+            if min(z) < 0:
+                return CoreVerdict("not-in-core", k=k)
+        return CoreVerdict("unknown")
+    a = [list(row) for row in decomp.a_matrix]
+    power = a
+    for k in range(1, k_max + 1):
+        if k > 1:
+            power = linalg.mat_mul(power, a)
+        if linalg.lp_nonneg_solve(power, x)[0] is None:
+            return CoreVerdict("not-in-core", k=k)
+    return CoreVerdict("unknown")
 
 
 class TestAperiodicity:
