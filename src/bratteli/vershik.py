@@ -12,9 +12,10 @@ non-mixing lower bounds.
 
 For theta = p/q in lowest terms, q | p*P_n holds exactly when q | P_n, so
 the divisibility test over a window is the single condition q | G, where
-G is the gcd of every P_n in the window.  G is computed per level from
-bundle prefix sums of the heights, in time linear in the edges, without
-listing the diamonds; the explicit diamond list is kept for witnesses.
+G is the gcd of every P_n in the window.  Each level's G takes one pass
+over the bundles plus 3N^2 gcd terms, N the class size, without listing
+the diamonds; this needs strictly positive class blocks (telescope
+first).  The explicit diamond list is kept for witnesses.
 """
 
 from __future__ import annotations
@@ -212,12 +213,12 @@ def make_diamond(od: OrderedDiagram, leg_a: Leg, leg_b: Leg,
 def enumerate_diamonds(od: OrderedDiagram, decomp: ComponentDecomposition | None = None,
                        alpha: int | None = None, max_len: int = 2,
                        cap: int = 10 ** 6) -> list[Diamond]:
-    """All diamonds of length <= max_len (<= 2), one per unordered leg
+    """All diamonds of length <= max_len (1 or 2), one per unordered leg
     pair.  With alpha set, every visited vertex must lie in that class.
     Length-2 pairs sharing their middle vertex are omitted: they split
     into two length-1 diamonds.  The output is counted from the incidence
     matrix first; more than cap diamonds raises CapExceeded."""
-    if max_len > 2:
+    if not 1 <= max_len <= 2:
         raise ValueError("only lengths 1 and 2 are enumerated")
     f = od.base.incidence
     if alpha is not None:
@@ -285,6 +286,8 @@ def _p_row(od, diamond: Diamond, h, levels) -> tuple[int, ...]:
 def p_value(od: OrderedDiagram, diamond: Diamond, n: int) -> int:
     """Return time P_n: successor steps from the tower of leg_a to the
     tower of leg_b when the diamond's source sits at level n."""
+    if n < 1:
+        raise ValueError("levels are 1-based")
     return _p_row(od, diamond, height_table(od.base, n + diamond.length - 1), (n,))[0]
 
 
@@ -295,6 +298,8 @@ class PSequence:
     coefficients: tuple[int, ...]
 
     def value(self, n: int) -> int:
+        if n < 1:
+            raise ValueError("levels are 1-based")
         return self.values[n - 1]
 
     def extended(self, extra: int) -> "PSequence":
@@ -368,22 +373,21 @@ def _p_tables(od, decomp, alpha, window, cap=10 ** 6):
 
 def _window_gcds(od, decomp, alpha, window):
     """G_n for each level n of the window: the gcd of P_n over every
-    diamond that enumerate_diamonds(od, decomp, alpha, 2) lists, computed
-    from bundle prefix sums of the heights without building a Diamond.
+    diamond that enumerate_diamonds(od, decomp, alpha, 2) lists, from
+    bundle prefix sums of the heights without building a Diamond.
 
-    For a class vertex v and a class source s, c_n(v, s) is the prefix
-    height below the first occurrence of s in order[v], and d_n(v, s) the
-    gcd of the later prefixes minus c_n(v, s).  Length-1 diamonds give
-    every d_n(v, s).  The length-2 legs j -> i -> j' through one middle i
-    form a sumset, whose differences have gcd gcd(d_n(i, j), d_{n+1}(j', i)),
-    the first term being a length-1 spread already.  Once two middles exist
-    the differences across middles generate every pairwise difference, so
-    c_n(i, j) + c_{n+1}(j', i) relative to the first middle completes the
-    gcd.  A single middle makes no length-2 diamond and contributes
-    nothing, which keeps the top level of the window exact."""
-    f = od.base.incidence
+    For class vertices v and s, c_n(v, s) is the prefix height below the
+    first s in order[v] and d_n(v, s) the gcd of the later prefixes minus
+    c_n(v, s); length-1 diamonds give every d_n(v, s).  The block must be
+    positive (_require_positive_blocks), so every class vertex i is a
+    middle of every leg j -> i -> j'.  These legs differ by the spreads
+    d_n(i, j) and d_{n+1}(j', i) and by the A_ij + B_ij', where
+    A_ij = c_n(i, j) - c_n(i0, j), B_ij' = c_{n+1}(j', i) - c_{n+1}(j', i0)
+    and i0 is the first class vertex.  A_ii0 + B_ii0, A_ij - A_ii0 and
+    B_ij' - B_ii0 span the same group: 3N^2 gcd terms per level.  A
+    one-vertex class has no length-2 diamond, so only its d_n count."""
     scope = decomp.classes[alpha].vertices
-    inside = set(scope)
+    inside, i0 = set(scope), scope[0]
     n1, n2 = window
     h = height_table(od.base, n2 + 1)
 
@@ -400,21 +404,14 @@ def _window_gcds(od, decomp, alpha, window):
                 below += h[n][s]
         return first, spread
 
-    middles = []
-    for j in scope:
-        for jp in scope:
-            mids = [i for i in scope if f[i][j] and f[jp][i]]
-            if len(mids) >= 2:
-                middles.append((j, jp, mids))
-    data = {n: prefix_data(n) for n in range(n1, n2 + 2)}
+    levels = [prefix_data(n) for n in range(n1, n2 + 2)]
     out = []
-    for n in range(n1, n2 + 1):
-        (c, d), (c1, d1) = data[n], data[n + 1]
-        g = math.gcd(*d.values())
-        for j, jp, mids in middles:
-            base = c[mids[0], j] + c1[jp, mids[0]]
-            for i in mids:
-                g = math.gcd(g, d1[jp, i], c[i, j] + c1[jp, i] - base)
+    for (c, d), (c1, d1) in zip(levels, levels[1:]):
+        g = math.gcd(*d.values(), *(d1.values() if len(scope) > 1 else ()))
+        for i in scope[1:]:
+            a0, b0 = c[i, i0] - c[i0, i0], c1[i0, i] - c1[i0, i0]
+            g = math.gcd(g, a0 + b0, *(c[i, j] - c[i0, j] - a0 for j in scope),
+                         *(c1[j, i] - c1[j, i0] - b0 for j in scope))
         out.append(g)
     return out
 

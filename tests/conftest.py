@@ -1,5 +1,5 @@
 """Shared fixtures: the golden diagrams, a seeded random corpus, a time
-limit and a reference for the integer inverse."""
+limit, and references for the integer inverse and the window gcds."""
 
 import contextlib
 import math
@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from bratteli import OrderedDiagram, StationaryDiagram, Substitution, linalg
+from bratteli.diagram import height_table
 
 
 class Hung(Exception):
@@ -187,3 +188,54 @@ def scaled_inverse_by_solves(a):
         return None
     scale = math.lcm(*(x.denominator for col in cols for x in col))
     return [[int(col[i] * scale) for col in cols] for i in range(n)], scale
+
+
+def window_gcds_by_middles(od, decomp, alpha, window):
+    """Per-level gcds of every listed diamond's P_n in the window, with the
+    length-2 terms taken over the middles of each (source, range) pair, as
+    ``vershik._window_gcds`` built them before every class vertex was a
+    middle; valid for any class block, positive or not."""
+    f = od.base.incidence
+    scope = decomp.classes[alpha].vertices
+    inside = set(scope)
+    n1, n2 = window
+    h = height_table(od.base, n2 + 1)
+
+    def prefix_data(n):
+        first, spread = {}, {}
+        for v in scope:
+            below = 0
+            for s in od.order[v]:
+                if s in inside:
+                    if (v, s) in first:
+                        spread[v, s] = math.gcd(spread[v, s], below - first[v, s])
+                    else:
+                        first[v, s], spread[v, s] = below, 0
+                below += h[n][s]
+        return first, spread
+
+    middles = []
+    for j in scope:
+        for jp in scope:
+            mids = [i for i in scope if f[i][j] and f[jp][i]]
+            if len(mids) >= 2:
+                middles.append((j, jp, mids))
+    data = {n: prefix_data(n) for n in range(n1, n2 + 2)}
+    out = []
+    for n in range(n1, n2 + 1):
+        (c, d), (c1, d1) = data[n], data[n + 1]
+        g = math.gcd(*d.values())
+        for j, jp, mids in middles:
+            base = c[mids[0], j] + c1[jp, mids[0]]
+            for i in mids:
+                g = math.gcd(g, d1[jp, i], c[i, j] + c1[jp, i] - base)
+        out.append(g)
+    return out
+
+
+def dense_ordered(n, seed=0):
+    """A dense n x n ordered diagram: entries 1..9 drawn row by row from
+    random.Random(seed), then random_order on the same generator."""
+    rng = random.Random(seed)
+    d = StationaryDiagram(tuple(tuple(rng.randint(1, 9) for _ in range(n)) for _ in range(n)))
+    return random_order(rng, d)

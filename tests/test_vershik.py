@@ -46,7 +46,8 @@ from bratteli import (
 )
 from bratteli.vershik import _p_tables, _window_gcds
 
-from conftest import aperiodic_corpus, random_diagram, random_order
+from conftest import (aperiodic_corpus, dense_ordered, random_diagram, random_order,
+                      window_gcds_by_middles)
 
 
 class TestOrderedDiagram:
@@ -140,6 +141,12 @@ class TestDiamonds:
         with pytest.raises(ValueError):
             enumerate_diamonds(wm_a, max_len=3)
 
+    @pytest.mark.parametrize("max_len", (0, -1))
+    def test_lengths_below_one_are_refused(self, b1_ordered, max_len):
+        # not read as max_len=1, nor counted against the cap
+        with pytest.raises(ValueError):
+            enumerate_diamonds(b1_ordered, max_len=max_len, cap=0)
+
     def test_count_cap_is_exact_and_checked_first(self, wm_a):
         assert len(enumerate_diamonds(wm_a, cap=29)) == 29
         with pytest.raises(CapExceeded) as exc:
@@ -165,6 +172,18 @@ class TestReturnTimes:
             assert seq.value(n) == 5 * seq.value(n - 1) - 6 * seq.value(n - 2)
         assert seq.extended(3).values[:6] == seq.values
         assert seq.extended(3).values[6] == 5 * seq.values[5] - 6 * seq.values[4]
+
+    def test_levels_are_1_based(self, b1_ordered):
+        dm = enumerate_diamonds(b1_ordered)[0]
+        seq = p_sequence(b1_ordered, dm, 4)
+        assert seq.values == (1, 2, 4, 8)
+        assert seq.value(1) == 1
+        for n in (0, -1):
+            # not read from the end of the values
+            with pytest.raises(ValueError, match="1-based"):
+                seq.value(n)
+            with pytest.raises(ValueError, match="1-based"):
+                p_value(b1_ordered, dm, n)
 
     def test_odometer_return_times_are_dyadic(self, two_odometer):
         (dm,) = enumerate_diamonds(two_odometer)
@@ -342,6 +361,32 @@ class TestWindowGcd:
                                if all(t.numerator * pn % t.denominator == 0
                                       for _, values in rows for pn in values[n1 - 1:n2]))
                 assert eigenvalue_search(od, cls.index, 30, (n1, n2), dec) == brute
+
+    def test_matches_the_middles_reference_on_random_orders(self):
+        # every class with a positive block of 600 random orders, telescoped:
+        # 318 of the 747 classes have one vertex
+        rng = random.Random(7)
+        windows = 0
+        for _ in range(600):
+            od = random_order(rng, random_diagram(rng, n_max=5, entry_max=3))
+            od = telescope_ordered(od, positivity_power(od.base))
+            dec = decompose(od.base)
+            n = od.n_vertices
+            for cls in dec.classes:
+                if cls.is_zero:
+                    continue
+                for window in ((n, 3 * n), (1, 2), (5, 9)):
+                    assert (_window_gcds(od, dec, cls.index, window)
+                            == window_gcds_by_middles(od, dec, cls.index, window))
+                    windows += 1
+        assert windows == 2241
+
+    @pytest.mark.parametrize("n", (8, 12, 16))
+    def test_matches_the_middles_reference_on_dense_classes(self, n):
+        od = dense_ordered(n)
+        dec = decompose(od.base)
+        for window in ((n, 3 * n), (1, 2)):
+            assert _window_gcds(od, dec, 0, window) == window_gcds_by_middles(od, dec, 0, window)
 
 
 class TestNonmixing:
