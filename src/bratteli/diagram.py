@@ -11,13 +11,13 @@ vector of heights satisfies ``h(n+1) = F h(n)``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import linalg
 from .errors import CapExceeded, DimensionMismatch
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class StationaryDiagram:
     incidence: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = None
@@ -69,7 +69,7 @@ class StationaryDiagram:
             raise KeyError(f"no vertex named {name!r}") from None
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     kind: str
     vertex: int
@@ -90,7 +90,7 @@ def validate(d: StationaryDiagram) -> list[Diagnostic]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class HeightVector:
     level: int
     values: tuple[int, ...]
@@ -135,7 +135,7 @@ def telescope(d: StationaryDiagram, k: int) -> StationaryDiagram:
     return StationaryDiagram(tuple(tuple(row) for row in fk), d.labels)
 
 
-@dataclass(frozen=True)
+@record
 class PathWord:
     """Finite path from the root: the vertex visited at each level 1..n
     plus, for each level >= 2, the 0-based index of the edge inside the
@@ -184,7 +184,7 @@ def check_path(d: StationaryDiagram, p: PathWord):
                 f"{d.effective_labels[v]} (bundle size {bundle})")
 
 
-@dataclass(frozen=True)
+@record
 class CylinderSet:
     """All infinite paths extending a finite path."""
 

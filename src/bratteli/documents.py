@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import StationaryDiagram
 from .errors import ParseError
+from .record import record
 from .substitution import Substitution
 from .vershik import OrderedDiagram
 
@@ -281,7 +281,7 @@ def parse_scalar(token: str):
         raise ParseError(f"not a number: {token!r}") from None
 
 
-@dataclass(frozen=True)
+@record
 class MeasureRecord:
     """One entry of a measure report, as written or read back."""
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .diagram import CylinderSet, StationaryDiagram, check_path, heights
 from .errors import CapExceeded, NotAperiodicError, NotInDomainError, ZeroBlockError
+from .record import record
 from .spectral import (DEFAULT_GAP, ComponentDecomposition, NumericValue, _extend,
                        _require_exact, aperiodicity_check, check_primitive, core_membership,
                        decompose, distinguished_classes, nv_compare)
@@ -90,7 +90,7 @@ class _ClassMeasure(_LevelValues):
         return within_float_range(level, x, lambda: x / lam ** (level - 1))
 
 
-@dataclass(frozen=True)
+@record
 class ErgodicMeasure(_ClassMeasure):
     decomp: ComponentDecomposition
     class_id: int
@@ -125,7 +125,7 @@ def measure_of_cylinder(mu, c):
     return mu.value(path.level, path.terminal)
 
 
-@dataclass(frozen=True)
+@record
 class InvariantMeasure(_LevelValues):
     """Convex combination of the ergodic measures, one coefficient per
     distinguished class in class order."""
@@ -203,7 +203,7 @@ def support_classes(mu: ErgodicMeasure):
     return tuple(sorted(mu.support)), mu.full_support
 
 
-@dataclass(frozen=True)
+@record
 class TailMeasure(_ClassMeasure):
     """Sigma-finite measure carried by a non-distinguished class: cylinder
     values y_v lambda^(1-n) on the class, the solved extension elsewhere,

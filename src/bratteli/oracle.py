@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .diagram import CylinderSet, PathWord, check_path, height_levels, heights, vertex_sequences
 from .errors import CapExceeded, EndpointMismatch, SizeRefused
 from .measures import within_float_range
+from .record import record
 from .spectral import DEFAULT_GAP, ComponentDecomposition
 from .vershik import OrderedDiagram, successor
 
@@ -34,7 +34,7 @@ def _close(a, b):
     return abs(a - b) <= DEFAULT_GAP * (1 + max(abs(a), abs(b)))
 
 
-@dataclass(frozen=True)
+@record
 class InvarianceReport:
     """Outcome of the three stationarity checks for one measure."""
 
@@ -172,7 +172,7 @@ def brute_force_Q(od: OrderedDiagram, e: PathWord, e2: PathWord,
     raise ArithmeticError("paths share a tower but neither reaches the other")
 
 
-@dataclass(frozen=True)
+@record
 class CoreOracleResult:
     feasible: bool
     k: int
@@ -203,7 +203,7 @@ def core_preimage_oracle(a_matrix, x, k: int) -> CoreOracleResult:
     return CoreOracleResult(False, k, None, tuple(cert))
 
 
-@dataclass(frozen=True)
+@record
 class OrbitFrequency:
     visits: int
     steps: int
@@ -253,7 +253,7 @@ def empirical_orbit_frequency(od: OrderedDiagram, start: PathWord, steps: int,
     return OrbitFrequency(visits, taken, exhausted, working)
 
 
-@dataclass(frozen=True)
+@record
 class AsymptoticsReport:
     """Ratios (A^n)[i][j] / lam^n over a window, with a tail verdict."""
 

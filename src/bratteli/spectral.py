@@ -49,7 +49,6 @@ and raises ``AmbiguousComparison`` rather than guess inside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -57,12 +56,13 @@ from . import linalg
 from .diagram import StationaryDiagram, telescope, validate
 from .errors import (AmbiguousComparison, CapExceeded, NotDistinguishedError, NotInDomainError,
                      PrimitivityError, SizeRefused, ZeroBlockError)
+from .record import record
 
 DEFAULT_GAP = 1e-9
 _POWER_STEPS = 200000
 
 
-@dataclass(frozen=True)
+@record
 class NumericValue:
     """Either an exact rational or a float with a certified residual bound
     on the eigen-equation it came from."""
@@ -80,7 +80,7 @@ class NumericValue:
 
     @staticmethod
     def exact(x):
-        return NumericValue(Fraction(x))
+        return NumericValue(Fraction(x), None)
 
     @staticmethod
     def approx(x, residual_bound):
@@ -239,7 +239,7 @@ def imprimitivity_index(block) -> int:
     return abs(g)
 
 
-@dataclass(frozen=True)
+@record
 class ComponentClass:
     index: int
     vertices: tuple[int, ...]
@@ -251,7 +251,7 @@ class ComponentClass:
     perron: tuple | None
 
 
-@dataclass(frozen=True)
+@record
 class ComponentDecomposition:
     diagram: StationaryDiagram
     a_matrix: tuple[tuple[int, ...], ...]
@@ -272,7 +272,7 @@ class ComponentDecomposition:
         return tuple(labels[v] for v in self.classes[alpha].vertices)
 
     # The cached properties below are kept in the instance dict, outside
-    # the dataclass fields, so ==, hash and repr do not see them.
+    # the record's fields, so ==, hash and repr do not see them.
 
     @cached_property
     def _cone(self):
@@ -451,7 +451,7 @@ def _extend(decomp: ComponentDecomposition, alpha: int, y, classes):
     return s
 
 
-@dataclass(frozen=True)
+@record
 class Eigendata:
     alpha: int
     lam: NumericValue
@@ -478,8 +478,10 @@ def distinguished_eigenvector(decomp: ComponentDecomposition, alpha: int) -> Eig
     return Eigendata(alpha, cls.rho, tuple(xi), support)
 
 
-@dataclass(frozen=True)
+@record
 class CoreVerdict:
+    # built once per query, so core_membership passes all three fields by
+    # position: a record binds keywords and defaults in Python
     kind: str  # "in-core" | "not-in-core" | "unknown"
     k: int | None = None
     coefficients: tuple | None = None
@@ -507,6 +509,8 @@ def core_membership(decomp: ComponentDecomposition, x,
     y = A^-k x, and z_k = M z_(k-1) with M = L A^-1 from ``_elimination``
     is a positive multiple of it: level k is infeasible exactly when z_k
     has a negative entry (A z_k = L z_(k-1) is checked at every step).
+    Each z_k is then divided by the gcd of its entries, which keeps it a
+    positive multiple of A^-k x and its size from growing with k.
     For singular A, x is outside A R+^N when w z != 0 for a row w of its
     left kernel; otherwise the exact simplex ``linalg.lp_nonneg_solve``
     runs on each power for N <= 12, and N > 12 answers unknown.  Entries
@@ -523,8 +527,8 @@ def core_membership(decomp: ComponentDecomposition, x,
         ys, t_inv, t_scale, s = decomp._exact_cone
         c = linalg.mat_vec(t_inv, [z[v] for v in rows])
         if all(ci >= 0 for ci in c) and linalg.mat_vec(ys, c) == [t_scale * v for v in z]:
-            return CoreVerdict("in-core", coefficients=tuple(Fraction(s * ci, t_scale * q)
-                                                             for ci in c))
+            return CoreVerdict("in-core", None, tuple(Fraction(s * ci, t_scale * q)
+                                                         for ci in c))
     else:
         xs = [float(v) for v in x]
         coeffs = linalg.solve_square(square, [xs[v] for v in rows])
@@ -532,7 +536,7 @@ def core_membership(decomp: ComponentDecomposition, x,
                        for v in range(n))
         if (residual <= DEFAULT_GAP * (1 + max(map(abs, xs)))
                 and all(c >= -DEFAULT_GAP for c in coeffs)):
-            return CoreVerdict("in-core", coefficients=tuple(coeffs))
+            return CoreVerdict("in-core", None, tuple(coeffs))
 
     m, scale = decomp._elimination
     if scale:
@@ -540,21 +544,24 @@ def core_membership(decomp: ComponentDecomposition, x,
             z, prev = linalg.mat_vec(m, z), z
             assert linalg.mat_vec(decomp.a_matrix, z) == [scale * v for v in prev]
             if min(z) < 0:
-                return CoreVerdict("not-in-core", k=k)
-        return CoreVerdict("unknown")
+                return CoreVerdict("not-in-core", k, None)
+            content = math.gcd(*z)
+            if content > 1:
+                z = [v // content for v in z]
+        return CoreVerdict("unknown", None, None)
     if k_max > 0 and any(linalg.mat_vec(m, z)):
-        return CoreVerdict("not-in-core", k=1)
+        return CoreVerdict("not-in-core", 1, None)
     if n > 12:
-        return CoreVerdict("unknown")
+        return CoreVerdict("unknown", None, None)
     power = linalg.identity(n)
     for k in range(1, k_max + 1):
         power = linalg.mat_mul(power, decomp.a_matrix)
         if linalg.lp_nonneg_solve(power, z)[0] is None:
-            return CoreVerdict("not-in-core", k=k)
-    return CoreVerdict("unknown")
+            return CoreVerdict("not-in-core", k, None)
+    return CoreVerdict("unknown", None, None)
 
 
-@dataclass(frozen=True)
+@record
 class AperiodicityResult:
     kind: str  # "aperiodic" | "not-aperiodic" | "invalid"
     witness_class: int | None = None

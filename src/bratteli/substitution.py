@@ -10,13 +10,13 @@ substitution matrix in the role of the vertex-transition matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .diagram import StationaryDiagram
 from .errors import CapExceeded, NotGrowingError
 from .measures import ErgodicMeasure, TailMeasure, enumerate_ergodic, enumerate_infinite
+from .record import record
 from .spectral import (ComponentDecomposition, NumericValue, _primitive_power, decompose,
                        nv_compare)
 from .vershik import OrderedDiagram, telescope_ordered
@@ -25,7 +25,7 @@ EXPAND_CAP = 10 ** 7
 _PRINTABLE = 10 ** 4300  # str() of an int is limited to 4300 digits
 
 
-@dataclass(frozen=True)
+@record
 class Substitution:
     alphabet: tuple[str, ...]
     rules: dict[str, str]
@@ -96,7 +96,7 @@ def substitution_from_diagram(od: OrderedDiagram) -> Substitution:
     return Substitution(labels, rules)
 
 
-@dataclass(frozen=True)
+@record
 class GrowthReport:
     verdicts: dict[str, str]
 
@@ -185,7 +185,7 @@ def letter_frequencies(s: Substitution, a: str, n: int,
     return tuple(Fraction(c, total) for c in counts)
 
 
-@dataclass(frozen=True)
+@record
 class SubstitutionMeasures:
     substitution: Substitution
     ordered: OrderedDiagram

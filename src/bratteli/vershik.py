@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -32,11 +31,12 @@ from .diagram import (TELESCOPE_CAP, PathWord, StationaryDiagram, check_path, he
 from .errors import (CapExceeded, EndpointMismatch, NotDistinguishedError,
                      PrimitivityError, ZeroMeasureCylinder)
 from .measures import within_float_range
+from .record import record
 from .spectral import (ComponentDecomposition, decompose,
                        distinguished_eigenvector, positivity_power)
 
 
-@dataclass(frozen=True)
+@record
 class OrderedDiagram:
     base: StationaryDiagram
     order: tuple[tuple[int, ...], ...]
@@ -85,7 +85,9 @@ class OrderedDiagram:
         return self._rank_tables[1][vertex][pos]
 
 
-def _extreme_path(od: OrderedDiagram, v: int, n: int, last: bool) -> PathWord:
+def _extreme_edges(od: OrderedDiagram, v: int, n: int, last: bool):
+    """(vertices, mults) of the path to (v, n) whose edges are all
+    bundle-minimal, or all bundle-maximal when last."""
     vertices = [v]
     mults = []
     for _ in range(n - 1):
@@ -96,16 +98,16 @@ def _extreme_path(od: OrderedDiagram, v: int, n: int, last: bool) -> PathWord:
         mults.append(mult)
     vertices.reverse()
     mults.reverse()
-    return PathWord(tuple(vertices), tuple(mults))
+    return tuple(vertices), tuple(mults)
 
 
 def min_path(od: OrderedDiagram, v: int, n: int) -> PathWord:
     """The unique path to (v, n) all of whose edges are bundle-minimal."""
-    return _extreme_path(od, v, n, last=False)
+    return PathWord(*_extreme_edges(od, v, n, last=False))
 
 
 def max_path(od: OrderedDiagram, v: int, n: int) -> PathWord:
-    return _extreme_path(od, v, n, last=True)
+    return PathWord(*_extreme_edges(od, v, n, last=True))
 
 
 def is_maximal(od: OrderedDiagram, p: PathWord) -> bool:
@@ -123,9 +125,8 @@ def successor(od: OrderedDiagram, p: PathWord) -> PathWord | None:
         if pos == len(od.order[target]) - 1:
             continue
         source, mult = od.edge_at(target, pos + 1)
-        below = min_path(od, source, t - 1)
-        return PathWord(below.vertices + p.vertices[t - 1:],
-                        below.indices + (mult,) + p.indices[t - 1:])
+        vertices, mults = _extreme_edges(od, source, t - 1, last=False)
+        return PathWord(vertices + p.vertices[t - 1:], mults + (mult,) + p.indices[t - 1:])
     return None
 
 
@@ -146,7 +147,7 @@ def q_steps(od: OrderedDiagram, e: PathWord, e2: PathWord) -> int:
     return path_rank(od, e2) - path_rank(od, e)
 
 
-@dataclass(frozen=True)
+@record
 class Leg:
     """A path between two levels, source first; mults index parallel
     edges, so a leg is placeable at any level."""
@@ -171,7 +172,7 @@ class Leg:
         return self.vertices[-1]
 
 
-@dataclass(frozen=True)
+@record
 class Diamond:
     leg_a: Leg
     leg_b: Leg
@@ -291,7 +292,7 @@ def p_value(od: OrderedDiagram, diamond: Diamond, n: int) -> int:
     return _p_row(od, diamond, height_table(od.base, n + diamond.length - 1), (n,))[0]
 
 
-@dataclass(frozen=True)
+@record
 class PSequence:
     diamond: Diamond
     values: tuple[int, ...]
@@ -300,6 +301,9 @@ class PSequence:
     def value(self, n: int) -> int:
         if n < 1:
             raise ValueError("levels are 1-based")
+        if n > len(self.values):
+            raise IndexError(f"P_{n} is beyond the {len(self.values)} computed levels; "
+                             f"extended({n - len(self.values)}) continues the sequence")
         return self.values[n - 1]
 
     def extended(self, extra: int) -> "PSequence":
@@ -319,6 +323,9 @@ def recurrence_coefficients(d: StationaryDiagram) -> tuple[int, ...]:
 
 
 def p_sequence(od: OrderedDiagram, diamond: Diamond, n_max: int) -> PSequence:
+    """P_1, ..., P_n_max of the diamond (n_max >= 1)."""
+    if n_max < 1:
+        raise ValueError("levels are 1-based")
     h = height_table(od.base, n_max + diamond.length - 1)
     return PSequence(diamond, _p_row(od, diamond, h, range(1, n_max + 1)),
                      recurrence_coefficients(od.base))
@@ -346,7 +353,7 @@ def is_decisive(d: StationaryDiagram, window) -> bool:
     return window[0] >= n and window[1] - window[0] + 1 >= 2 * n
 
 
-@dataclass(frozen=True)
+@record
 class EigenvalueVerdict:
     passed: bool
     theta: Fraction
@@ -522,7 +529,7 @@ def rational_eigenvalue_sufficient(d, alpha: int, theta,
     return EigenvalueVerdict(True, theta, window, decisive)
 
 
-@dataclass(frozen=True)
+@record
 class NonmixingReport:
     alpha: int
     diamond: Diamond

@@ -561,6 +561,26 @@ class TestCoreMembership:
         assert _first_negative_preimage(dec.a_matrix, x) is None
         assert core_membership(dec, x) == CoreVerdict("unknown")
 
+    def test_dividing_sign_steps_by_their_content_keeps_verdicts(self):
+        """Kind and k against ``_undivided_sign_steps`` for every query of
+        ``_seeded_cone_queries`` on an invertible A and for the dense N = 48
+        diagram of the CI step, both of whose queries take sign steps."""
+        cases = [(dec, x) for dec, _, _, x in _seeded_cone_queries()
+                 if linalg.scaled_inverse(dec.a_matrix)[1]]
+        rng = random.Random(48)
+        n = 48
+        row = [rng.randint(1, 3) for _ in range(n)]
+        dense = decompose(StationaryDiagram(tuple(tuple(rng.sample(row, n)) for _ in range(n))))
+        cases += [(dense, [rng.randint(0, 9) for _ in range(n)]),
+                  (dense, linalg.mat_vec(linalg.mat_pow(dense.a_matrix, 2 * n), [1] * n))]
+        verdicts = [core_membership(dec, x) for dec, x in cases]
+        for (dec, x), got in zip(cases, verdicts):
+            if got.kind != "in-core":
+                assert (got.kind, got.k) == _undivided_sign_steps(dec.a_matrix, x), (dec.a_matrix, x)
+        # seeded queries that take several steps; at N = 48 one step, then all 96
+        assert any(v.kind == "not-in-core" and v.k > 1 for v in verdicts[:-2])
+        assert [(v.kind, v.k) for v in verdicts[-2:]] == [("not-in-core", 1), ("unknown", None)]
+
     def test_large_singular_diagrams_take_the_kernel_test(self):
         n = 13
         rng = random.Random(13)
@@ -576,6 +596,20 @@ class TestCoreMembership:
         # in the range of A and off the Perron ray: the simplex is not run past N = 12
         x = tuple(linalg.mat_vec(a, [1] + [0] * (n - 1)))
         assert core_membership(dec, x) == CoreVerdict("unknown")
+
+
+def _undivided_sign_steps(a, x):
+    """(kind, k) of the sign steps z_k = M z_(k-1), M = L A^-1 and z_0 the
+    integer multiple of x, for an invertible A and k <= 2N, with no z_k
+    divided by the gcd of its entries."""
+    m, _ = linalg.scaled_inverse(a)
+    q = math.lcm(*(Fraction(v).denominator for v in x))
+    z = [int(v * q) for v in x]
+    for k in range(1, 2 * len(a) + 1):
+        z = linalg.mat_vec(m, z)
+        if min(z) < 0:
+            return "not-in-core", k
+    return "unknown", None
 
 
 def _first_negative_preimage(a, x):

@@ -184,6 +184,16 @@ class TestReturnTimes:
                 seq.value(n)
             with pytest.raises(ValueError, match="1-based"):
                 p_value(b1_ordered, dm, n)
+        for n_max in (0, -1, -2):
+            with pytest.raises(ValueError, match="1-based"):
+                p_sequence(b1_ordered, dm, n_max)
+
+    def test_value_beyond_the_computed_levels_points_to_extended(self, b1_ordered):
+        dm = enumerate_diamonds(b1_ordered)[0]
+        seq = p_sequence(b1_ordered, dm, 4)
+        with pytest.raises(IndexError, match=r"P_5 is beyond the 4 computed levels; extended\(1\)"):
+            seq.value(5)
+        assert seq.extended(1).value(5) == 16
 
     def test_odometer_return_times_are_dyadic(self, two_odometer):
         (dm,) = enumerate_diamonds(two_odometer)
