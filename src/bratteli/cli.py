@@ -28,9 +28,8 @@ from .oracle import verify_measures
 from .spectral import _primitive_power, decompose, positivity_power
 from .substitution import (diagram_from_substitution, expand, letter_frequencies,
                            substitution_matrix, substitution_measures)
-from .vershik import (OrderedDiagram, candidate_count, default_window,
-                      eigenvalue_search, is_decisive, min_path, path_rank, successor,
-                      telescope_ordered)
+from .vershik import (OrderedDiagram, _extreme_edges, _step, candidate_count, default_window,
+                      eigenvalue_search, is_decisive, path_rank, telescope_ordered)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -328,11 +327,12 @@ def cmd_verify(args) -> int:
             # the deepest level whose tower is small enough to walk
             lvl = next((n for n in range(args.depth, 1, -1) if h[n][v] <= 10 ** 4), 1)
             expected = h[lvl][v]
-            last = min_path(doc, v, lvl)
+            vertices, mults = map(list, _extreme_edges(doc, v, lvl, last=False))
             count = 1
-            while (nxt := successor(doc, last)) is not None:
-                count, last = count + 1, nxt
+            while _step(doc, vertices, mults):
+                count += 1
             # the walk and the rank formula must agree on the tower
+            last = PathWord(tuple(vertices), tuple(mults))
             ok = count == expected and path_rank(doc, last) == expected - 1
             if not ok:
                 violations += 1

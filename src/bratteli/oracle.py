@@ -19,7 +19,7 @@ from .errors import CapExceeded, EndpointMismatch, SizeRefused
 from .measures import within_float_range
 from .record import record
 from .spectral import DEFAULT_GAP, ComponentDecomposition
-from .vershik import OrderedDiagram, successor
+from .vershik import OrderedDiagram, _step
 
 STEP_CAP = 10 ** 6
 
@@ -151,24 +151,22 @@ def brute_force_Q(od: OrderedDiagram, e: PathWord, e2: PathWord,
         raise EndpointMismatch(
             f"paths end at level {e.level} vertex {e.terminal} vs "
             f"level {e2.level} vertex {e2.terminal}")
+    check_path(od.base, e)
+    check_path(od.base, e2)
     tower = heights(od.base, e.level).values[e.terminal]
     if tower > cap:
         raise CapExceeded(f"tower of {tower} paths exceeds step cap",
                           required=tower, cap=cap)
     if e == e2:
         return 0
-    cur, steps = e, 0
-    while cur is not None and steps < tower:
-        cur = successor(od, cur)
-        steps += 1
-        if cur == e2:
-            return steps
-    cur, steps = e2, 0
-    while cur is not None and steps < tower:
-        cur = successor(od, cur)
-        steps += 1
-        if cur == e:
-            return -steps
+    for a, b, sign in ((e, e2, 1), (e2, e, -1)):
+        vertices, mults = list(a.vertices), list(a.indices)
+        goal = (list(b.vertices), list(b.indices))
+        steps = 0
+        while steps < tower and _step(od, vertices, mults):
+            steps += 1
+            if (vertices, mults) == goal:
+                return sign * steps
     raise ArithmeticError("paths share a tower but neither reaches the other")
 
 
@@ -225,6 +223,7 @@ def empirical_orbit_frequency(od: OrderedDiagram, start: PathWord, steps: int,
     counts as the first iterate.  Hitting the maximal path ends the walk
     early with a partial count.
     """
+    check_path(od.base, start)
     if steps < 1:
         raise ValueError("need at least one step")
     if steps > STEP_CAP:
@@ -233,21 +232,20 @@ def empirical_orbit_frequency(od: OrderedDiagram, start: PathWord, steps: int,
     t = target.path if isinstance(target, CylinderSet) else target
     working = max(start.level, t.level + 4)
 
-    cur = start
-    while cur.level < working:
-        w = cur.terminal
-        v = next(u for u in range(od.base.n_vertices) if od.base.incidence[u][w])
-        cur = PathWord(cur.vertices + (v,), cur.indices + (0,))
+    vertices, mults = list(start.vertices), list(start.indices)
+    while len(vertices) < working:
+        w = vertices[-1]
+        vertices.append(next(u for u in range(od.base.n_vertices) if od.base.incidence[u][w]))
+        mults.append(0)
 
-    visits = 0
-    taken = 0
+    k, prefix = t.level, (list(t.vertices), list(t.indices))
+    visits = taken = 0
     exhausted = False
     for _ in range(steps):
         taken += 1
-        if cur.prefix(t.level) == t:
+        if (vertices[:k], mults[:k - 1]) == prefix:
             visits += 1
-        cur = successor(od, cur)
-        if cur is None:
+        if not _step(od, vertices, mults):
             exhausted = taken < steps
             break
     return OrbitFrequency(visits, taken, exhausted, working)

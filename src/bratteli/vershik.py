@@ -3,12 +3,13 @@
 An order assigns each vertex a word listing the sources of its incoming
 edge bundle from smallest to largest.  That single piece of data yields
 the minimal and maximal paths, the successor map on finite paths, and
-the rank of a path inside its cylinder class.  Return times between the
-two legs of a diamond (a pair of distinct equal-endpoint paths) form
-integer sequences P_n obeying the characteristic-polynomial recurrence
-of A; exact divisibility of those sequences decides which rational
-rotation numbers can be eigenvalues, and the same machinery produces the
-non-mixing lower bounds.
+the rank of a path inside its cylinder class.  Towers are walked in place,
+at amortized O(1) levels per step when every bundle has two or more
+edges.  Return times between the two legs of a diamond (a pair of
+distinct equal-endpoint paths) form integer sequences P_n obeying the
+characteristic-polynomial recurrence of A; exact divisibility of those
+sequences decides which rational rotation numbers can be eigenvalues,
+and the same machinery produces the non-mixing lower bounds.
 
 For theta = p/q in lowest terms, q | p*P_n holds exactly when q | P_n, so
 the divisibility test over a window is the single condition q | G, where
@@ -115,19 +116,30 @@ def is_maximal(od: OrderedDiagram, p: PathWord) -> bool:
                for _, s, t, m in p.edges if s is not None)
 
 
+def _step(od: OrderedDiagram, vertices: list, mults: list) -> bool:
+    """Step the unchecked path in the two lists to its successor in place;
+    False, the lists untouched, at the maximal path."""
+    by_letter, by_pos = od._rank_tables
+    for t, mult in enumerate(mults):
+        target = vertices[t + 1]
+        decode = by_pos[target]
+        pos = by_letter[target][vertices[t]][mult] + 1
+        if pos < len(decode):
+            vertices[t], mults[t] = decode[pos]
+            for s in range(t - 1, -1, -1):
+                vertices[s], mults[s] = by_pos[vertices[s + 1]][0]
+            return True
+    return False
+
+
 def successor(od: OrderedDiagram, p: PathWord) -> PathWord | None:
     """Next path in the rank order of E(v_0, terminal); None when p is the
     maximal path (the expected terminal case, not a fault)."""
     check_path(od.base, p)
-    for t in range(2, p.level + 1):
-        target = p.vertices[t - 1]
-        pos = od.bundle_rank(target, p.vertices[t - 2], p.indices[t - 2])
-        if pos == len(od.order[target]) - 1:
-            continue
-        source, mult = od.edge_at(target, pos + 1)
-        vertices, mults = _extreme_edges(od, source, t - 1, last=False)
-        return PathWord(vertices + p.vertices[t - 1:], mults + (mult,) + p.indices[t - 1:])
-    return None
+    vertices, mults = list(p.vertices), list(p.indices)
+    if not _step(od, vertices, mults):
+        return None
+    return PathWord(tuple(vertices), tuple(mults))
 
 
 def path_rank(od: OrderedDiagram, p: PathWord) -> int:

@@ -1,5 +1,6 @@
 """Shared fixtures: the golden diagrams, a seeded random corpus, a time
-limit, and references for the integer inverse and the window gcds."""
+limit, and references for the integer inverse, the window gcds and the
+successor map."""
 
 import contextlib
 import math
@@ -9,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from bratteli import OrderedDiagram, StationaryDiagram, Substitution, linalg
+from bratteli import (OrderedDiagram, PathWord, StationaryDiagram, Substitution, check_path,
+                      linalg, min_path)
 from bratteli.diagram import height_table
 
 
@@ -231,6 +233,50 @@ def window_gcds_by_middles(od, decomp, alpha, window):
                 g = math.gcd(g, d1[jp, i], c[i, j] + c1[jp, i] - base)
         out.append(g)
     return out
+
+
+def successor_by_rebuild(od, p):
+    """The successor of p, or None at the maximal path: the lowest edge
+    that is not bundle-maximal moves to the next edge of its bundle, with
+    the minimal path to its source below it, built as a new path, as
+    ``vershik.successor`` did before it stepped in place."""
+    check_path(od.base, p)
+    for t in range(2, p.level + 1):
+        target = p.vertices[t - 1]
+        pos = od.bundle_rank(target, p.vertices[t - 2], p.indices[t - 2])
+        if pos == len(od.order[target]) - 1:
+            continue
+        source, mult = od.edge_at(target, pos + 1)
+        below = min_path(od, source, t - 1)
+        return PathWord(below.vertices + p.vertices[t - 1:],
+                        below.indices + (mult,) + p.indices[t - 1:])
+    return None
+
+
+def tower_by_successor(od, v, n):
+    """The paths to (v, n) in rank order: ``min_path``, then
+    ``successor_by_rebuild`` until None, as ``verify`` walked a tower."""
+    p = min_path(od, v, n)
+    while p is not None:
+        yield p
+        p = successor_by_rebuild(od, p)
+
+
+def random_path(rng, od, v, n):
+    """A path to (v, n) with each edge drawn uniformly from its bundle."""
+    vertices, mults = [v], []
+    for _ in range(n - 1):
+        source, mult = od.edge_at(vertices[-1], rng.randrange(len(od.order[vertices[-1]])))
+        vertices.append(source)
+        mults.append(mult)
+    return PathWord(tuple(reversed(vertices)), tuple(reversed(mults)))
+
+
+def seeded_orders(count=200, seed=7):
+    """``random_order(rng, random_diagram(rng))`` count times from
+    random.Random(seed)."""
+    rng = random.Random(seed)
+    return [random_order(rng, random_diagram(rng)) for _ in range(count)]
 
 
 def dense_ordered(n, seed=0):

@@ -8,7 +8,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import aperiodic_corpus, random_diagram
+from conftest import (aperiodic_corpus, random_diagram, random_path, seeded_orders,
+                      successor_by_rebuild)
 
 from bratteli import (
     CapExceeded,
@@ -40,7 +41,7 @@ from bratteli import (
     verify_invariance,
 )
 from bratteli import oracle
-from bratteli.diagram import vertex_sequences
+from bratteli.diagram import height_table, vertex_sequences
 
 
 class _Counting:
@@ -337,6 +338,37 @@ class TestBruteForceSteps:
         with pytest.raises(EndpointMismatch):
             brute_force_Q(b1_ordered, PathWord((0,)), PathWord((1,)))
 
+    def test_agrees_with_q_steps_on_seeded_orders(self):
+        """Every ordered pair of paths in each tower of at most 64 paths, at
+        levels <= 7, of the first 10 seeded orders; q_steps is read as the
+        difference of the two ranks it subtracts."""
+        pairs = 0
+        for od in seeded_orders()[:10]:
+            h = height_table(od.base, 7)
+            for n in range(1, 8):
+                for v in range(od.n_vertices):
+                    if h[n][v] <= 64:
+                        paths = enumerate_paths(od.base, v, n)
+                        ranks = [q_steps(od, paths[0], e) for e in paths]
+                        for e, r in zip(paths, ranks):
+                            for e2, r2 in zip(paths, ranks):
+                                assert brute_force_Q(od, e, e2) == r2 - r
+                        pairs += len(paths) ** 2
+        assert pairs > 40_000
+
+    def test_edge_outside_its_bundle_is_refused(self, eig_chain):
+        # a path compared with itself is still checked against the diagram
+        p = PathWord((0, 0, 0), (0, 9))
+        with pytest.raises(ValueError, match="no edge 9"):
+            q_steps(eig_chain, p, p)
+        with pytest.raises(ValueError, match="no edge 9"):
+            brute_force_Q(eig_chain, p, p)
+
+    def test_unknown_terminal_vertex_is_a_dimension_mismatch(self, eig_chain):
+        p = PathWord((0, 7), (0,))
+        with pytest.raises(DimensionMismatch):
+            brute_force_Q(eig_chain, p, p)
+
     def test_tower_cap(self, two_odometer):
         lo = min_path(two_odometer, 0, 21)
         hi = max_path(two_odometer, 0, 21)
@@ -470,6 +502,30 @@ def test_cone_oracle_agrees_with_caratheodory_subsets():
     assert checks == 2 * 20 * len(corpus)
 
 
+def _orbit_reference(od, start, steps, target):
+    """(visits, steps, exhausted, working level) of the orbit of start,
+    extended upward and stepped as path objects by ``successor_by_rebuild``,
+    as ``empirical_orbit_frequency`` walked it before it stepped in place."""
+    t = target.path if isinstance(target, CylinderSet) else target
+    working = max(start.level, t.level + 4)
+    cur = start
+    while cur.level < working:
+        w = cur.terminal
+        v = next(u for u in range(od.base.n_vertices) if od.base.incidence[u][w])
+        cur = PathWord(cur.vertices + (v,), cur.indices + (0,))
+    visits = taken = 0
+    exhausted = False
+    for _ in range(steps):
+        taken += 1
+        if cur.prefix(t.level) == t:
+            visits += 1
+        cur = successor_by_rebuild(od, cur)
+        if cur is None:
+            exhausted = taken < steps
+            break
+    return visits, taken, exhausted, working
+
+
 class TestOrbitFrequency:
     def test_odometer_halves(self, two_odometer):
         target = PathWord((0, 0), (0,))
@@ -484,6 +540,28 @@ class TestOrbitFrequency:
         assert report.exhausted
         assert report.steps == 32
         assert report.frequency == Fraction(1, 2)
+
+    def test_unknown_start_vertex_is_a_dimension_mismatch(self, eig_chain):
+        with pytest.raises(DimensionMismatch):
+            empirical_orbit_frequency(eig_chain, PathWord((7,)), 5, PathWord((0,)))
+
+    def test_matches_the_successor_walk_on_seeded_orders(self):
+        """Random start paths, targets and step counts on the 200 seeded
+        orders, against the orbit walked by ``successor_by_rebuild``."""
+        rng = random.Random(9)
+        visits = exhausted = 0
+        for od in seeded_orders():
+            start = random_path(rng, od, rng.randrange(od.n_vertices), rng.randint(1, 3))
+            target = random_path(rng, od, rng.randrange(od.n_vertices), rng.randint(1, 3))
+            if rng.random() < 0.5:
+                target = CylinderSet(target)
+            steps = rng.randint(1, 300)
+            report = empirical_orbit_frequency(od, start, steps, target)
+            want = _orbit_reference(od, start, steps, target)
+            assert (report.visits, report.steps, report.exhausted, report.working_level) == want
+            visits += report.visits
+            exhausted += report.exhausted
+        assert visits > 1000 and exhausted > 10
 
     def test_step_validation(self, two_odometer):
         target = PathWord((0,))

@@ -44,10 +44,22 @@ from bratteli import (
     telescope,
     telescope_ordered,
 )
-from bratteli.vershik import _p_tables, _window_gcds
+from bratteli.diagram import height_table
+from bratteli.vershik import _p_tables, _step, _window_gcds
 
 from conftest import (aperiodic_corpus, dense_ordered, random_diagram, random_order,
+                      random_path, seeded_orders, successor_by_rebuild, tower_by_successor,
                       window_gcds_by_middles)
+
+ORDERED_FIXTURES = ("two_odometer", "b1_ordered", "wm_a", "eig_chain", "wm_b")
+
+
+def _fixtures_and_seeded_orders(request):
+    return [request.getfixturevalue(name) for name in ORDERED_FIXTURES] + seeded_orders()
+
+
+def _lists(p):
+    return list(p.vertices), list(p.indices)
 
 
 class TestOrderedDiagram:
@@ -105,6 +117,63 @@ class TestSuccessor:
             q_steps(b1_ordered, PathWord((0,)), PathWord((1,)))
         with pytest.raises(EndpointMismatch):
             q_steps(b1_ordered, PathWord((0,)), PathWord((0, 0), (0,)))
+
+
+class TestStep:
+    """``_step`` against ``tower_by_successor``, the walk that rebuilds a
+    path per step, on every (vertex, level <= 7) tower of the ordered
+    fixtures and of 200 seeded random orders."""
+
+    def test_walks_every_tower_like_the_reference(self, request):
+        """Path by path up to 2,000 paths.  Up to 10^4 paths, the largest
+        tower verify walks, by count and last path, which for the reference
+        are the height and the maximal path.  Above that, one step from
+        each of 20 random paths and from the same paths with their lowest
+        k edges made bundle-maximal, for every k."""
+        rng = random.Random(8)
+        kinds = [0, 0, 0]
+        for od in _fixtures_and_seeded_orders(request):
+            h = height_table(od.base, 7)
+            for n in range(1, 8):
+                for v in range(od.n_vertices):
+                    vertices, mults = _lists(min_path(od, v, n))
+                    if h[n][v] <= 2000:
+                        kinds[0] += 1
+                        for p in tower_by_successor(od, v, n):
+                            assert (vertices, mults) == _lists(p)
+                            moved = _step(od, vertices, mults)
+                        assert not moved
+                    elif h[n][v] <= 10 ** 4:
+                        kinds[1] += 1
+                        count = 1
+                        while _step(od, vertices, mults):
+                            count += 1
+                        assert count == h[n][v]
+                        assert (vertices, mults) == _lists(max_path(od, v, n))
+                    else:
+                        kinds[2] += 1
+                        for _ in range(20):
+                            p = random_path(rng, od, v, n)
+                            for k in range(n):
+                                top = max_path(od, p.vertices[k], k + 1)
+                                q = PathWord(top.vertices + p.vertices[k + 1:],
+                                             top.indices + p.indices[k:])
+                                nxt = successor_by_rebuild(od, q)
+                                vertices, mults = _lists(q)
+                                assert _step(od, vertices, mults) == (nxt is not None)
+                                assert (vertices, mults) == _lists(nxt or q)
+                                assert successor(od, q) == nxt
+        assert min(kinds) > 0
+
+    def test_stops_at_the_maximal_path_untouched(self, request):
+        for od in _fixtures_and_seeded_orders(request):
+            for n in range(1, 8):
+                for v in range(od.n_vertices):
+                    top = max_path(od, v, n)
+                    vertices, mults = _lists(top)
+                    assert not _step(od, vertices, mults)
+                    assert (vertices, mults) == _lists(top)
+                    assert successor(od, top) is None
 
 
 class TestDiamonds:
