@@ -20,14 +20,15 @@ The extreme vector of a distinguished class b is positive exactly on the
 vertices whose class has access to b (the support law of the Frobenius
 normal form), so at one vertex per distinguished class the extreme
 vectors form a triangular matrix with a positive diagonal: cone
-membership is one integer test there when the vectors are exact, one
-float solve otherwise.  A vector outside that cone is placed by the
-first k at which A^k y = x has no solution y >= 0.  When A is
-invertible that is y = A^-k x, so each level is one sign test on an
-integer vector, stepped by L A^-1 from one fraction-free elimination; a
-singular A tests x against the left kernel that elimination leaves, then
-takes the exact simplex at every level.  What does not depend on x is
-computed once and kept on the decomposition.
+membership is one integer test there when the vectors are exact.  A
+vector outside that cone is placed by the first k at which A^k y = x
+has no solution y >= 0.  When A is invertible that is y = A^-k x, so
+each level is one sign test on an integer vector, stepped by L A^-1 from
+one fraction-free elimination; a singular A tests x against the left
+kernel that elimination leaves, then takes the exact simplex at every
+level.  Irrational vectors take one float solve of the triangle, and
+only when no level is refuted.  What does not depend on x is computed
+once and kept on the decomposition.
 
 Numeric policy: a block's Perron value rho is reported exactly whenever
 it is rational, and as a float with a certified residual bound
@@ -280,8 +281,8 @@ class ComponentDecomposition:
         each distinguished class in class order, whether all of them are
         exact, their vectors in that one scalar type, the first vertex of
         each class, and the triangular matrix of the vectors at those
-        vertices, which the float path solves).  PrimitivityError unless
-        every non-zero block is primitive."""
+        vertices, which the float path solves only after the exact level
+        tests).  PrimitivityError unless every non-zero block is primitive."""
         check_primitive(self)
         eig = tuple(distinguished_eigenvector(self, alpha) for alpha in distinguished_classes(self))
         exact = all(e.is_exact for e in eig)
@@ -363,16 +364,8 @@ def decompose(d: StationaryDiagram) -> ComponentDecomposition:
         depth[c] = max((depth[b] + 1 for b in range(k) if b != c and access[b][c]), default=0)
     perm = tuple(v for c in sorted(range(k), key=lambda c: (depth[c], c)) for v in comps[c])
 
-    return ComponentDecomposition(
-        diagram=d,
-        a_matrix=tuple(tuple(row) for row in a),
-        classes=classes,
-        class_of=tuple(class_of),
-        access=tuple(tuple(row) for row in access),
-        initial_classes=initial,
-        final_classes=final,
-        fnf_permutation=perm,
-    )
+    return ComponentDecomposition(d, tuple(tuple(row) for row in a), classes, tuple(class_of),
+                                  tuple(tuple(row) for row in access), initial, final, perm)
 
 
 def distinguished_classes(decomp: ComponentDecomposition) -> tuple[int, ...]:
@@ -496,25 +489,19 @@ def _require_exact(x):
 
 def core_membership(decomp: ComponentDecomposition, x,
                     k_max: int | None = None) -> CoreVerdict:
-    """Is x in the limit cone of A?  Fast path: x = sum c_e xi_e over the
-    distinguished extreme vectors, c read off the triangular equations at
-    the first vertex of each distinguished class (xi_b(v) > 0 exactly when
-    the class of v has access to b).  In-core when all of x reconstructs
-    and c >= 0: in integers when every xi is exact (x = z / q, then
-    c = S M z[rows] / (L q) by ``_exact_cone`` and Y M z[rows] = L z), else
-    up to a float residual of DEFAULT_GAP (1 + max|x|), c >= -DEFAULT_GAP.
-
-    Slow path (exact): the first k <= k_max (2N by default) at which
-    ``A^k y = x, y >= 0`` is infeasible, else unknown.  For invertible A,
-    y = A^-k x, and z_k = M z_(k-1) with M = L A^-1 from ``_elimination``
-    is a positive multiple of it: level k is infeasible exactly when z_k
-    has a negative entry (A z_k = L z_(k-1) is checked at every step).
-    Each z_k is then divided by the gcd of its entries, which keeps it a
-    positive multiple of A^-k x and its size from growing with k.
-    For singular A, x is outside A R+^N when w z != 0 for a row w of its
-    left kernel; otherwise the exact simplex ``linalg.lp_nonneg_solve``
-    runs on each power for N <= 12, and N > 12 answers unknown.  Entries
-    of x must be ``int`` or ``Fraction`` (TypeError otherwise)."""
+    """Is x in the limit cone of A?  Exact verdicts come first.  When
+    every extreme vector is exact, x = sum c_e xi_e with c read off the
+    triangle at the first vertex of each distinguished class (xi_b(v) > 0
+    exactly when the class of v has access to b): with x = z / q,
+    c = S M z[rows] / (L q) by ``_exact_cone``, in-core when c >= 0 and
+    Y M z[rows] = L z.  Then, for every cone, not-in-core at the first
+    level k <= k_max (2N by default) that ``_refuted_level`` refutes.
+    Last, for irrational vectors only, one float solve of the triangle:
+    in-core when x reconstructs up to DEFAULT_GAP (1 + max|x|) and
+    c >= -DEFAULT_GAP, else unknown; that in-core is exactly feasible at
+    each level k <= k_max (past k = 1 only for invertible A or N <= 12).
+    k_max = 0 tests no level.  Entries of x must be ``int`` or ``Fraction``
+    (TypeError otherwise)."""
     _, exact, cols, rows, square = decomp._cone
     n = len(decomp.a_matrix)
     q = math.lcm(*(v.denominator for v in _require_exact(x)))
@@ -529,7 +516,9 @@ def core_membership(decomp: ComponentDecomposition, x,
         if all(ci >= 0 for ci in c) and linalg.mat_vec(ys, c) == [t_scale * v for v in z]:
             return CoreVerdict("in-core", None, tuple(Fraction(s * ci, t_scale * q)
                                                          for ci in c))
-    else:
+    if (k := _refuted_level(decomp, z, k_max)) is not None:
+        return CoreVerdict("not-in-core", k, None)
+    if not exact:
         xs = [float(v) for v in x]
         coeffs = linalg.solve_square(square, [xs[v] for v in rows])
         residual = max(abs(linalg.left_sum(c * col[v] for c, col in zip(coeffs, cols)) - xs[v])
@@ -537,28 +526,40 @@ def core_membership(decomp: ComponentDecomposition, x,
         if (residual <= DEFAULT_GAP * (1 + max(map(abs, xs)))
                 and all(c >= -DEFAULT_GAP for c in coeffs)):
             return CoreVerdict("in-core", None, tuple(coeffs))
+    return CoreVerdict("unknown", None, None)
 
+
+def _refuted_level(decomp: ComponentDecomposition, z, k_max):
+    """The first k <= k_max at which ``A^k y = z, y >= 0`` is infeasible
+    for the integer vector z, None when there is none.  For invertible A,
+    z_k = M z_(k-1) with M = L A^-1 from ``_elimination`` is a positive
+    multiple of A^-k z, so level k is infeasible exactly when z_k has a
+    negative entry (A z_k = L z_(k-1) is checked at every step); dividing
+    z_k by the gcd of its entries keeps that and its size bounded in k.
+    For singular A, level 1 is infeasible when w z != 0 for a row w of its
+    left kernel; then the exact simplex ``linalg.lp_nonneg_solve`` runs on
+    each power for N <= 12 only."""
     m, scale = decomp._elimination
     if scale:
         for k in range(1, k_max + 1):
             z, prev = linalg.mat_vec(m, z), z
             assert linalg.mat_vec(decomp.a_matrix, z) == [scale * v for v in prev]
             if min(z) < 0:
-                return CoreVerdict("not-in-core", k, None)
+                return k
             content = math.gcd(*z)
             if content > 1:
                 z = [v // content for v in z]
-        return CoreVerdict("unknown", None, None)
+        return None
     if k_max > 0 and any(linalg.mat_vec(m, z)):
-        return CoreVerdict("not-in-core", 1, None)
-    if n > 12:
-        return CoreVerdict("unknown", None, None)
-    power = linalg.identity(n)
+        return 1
+    if len(z) > 12:
+        return None
+    power = linalg.identity(len(z))
     for k in range(1, k_max + 1):
         power = linalg.mat_mul(power, decomp.a_matrix)
         if linalg.lp_nonneg_solve(power, z)[0] is None:
-            return CoreVerdict("not-in-core", k, None)
-    return CoreVerdict("unknown", None, None)
+            return k
+    return None
 
 
 @record
@@ -581,21 +582,20 @@ def aperiodicity_check(decomp: ComponentDecomposition) -> AperiodicityResult:
     """
     bad = validate(decomp.diagram)
     if bad:
-        return AperiodicityResult("invalid", reason="; ".join(x.message for x in bad))
+        return AperiodicityResult("invalid", None, "; ".join(x.message for x in bad))
     check_primitive(decomp)
     one = NumericValue.exact(1)
     for alpha in decomp.initial_classes:
         cls = decomp.classes[alpha]
         if cls.is_zero or nv_compare(cls.rho, one) <= 0:
             return AperiodicityResult(
-                "not-aperiodic", witness_class=alpha,
-                reason=f"initial class {alpha} has Perron value {cls.rho.render()}")
+                "not-aperiodic", alpha, f"initial class {alpha} has Perron value {cls.rho.render()}")
     for cls in decomp.classes:
         if cls.block == ((1,),):
             feeders = [b for b in decomp.accessors_of(cls.index)
                        if not decomp.classes[b].is_zero]
             if not feeders:
                 return AperiodicityResult(
-                    "not-aperiodic", witness_class=cls.index,
-                    reason=f"single-loop class {cls.index} receives no outside paths")
-    return AperiodicityResult("aperiodic")
+                    "not-aperiodic", cls.index,
+                    f"single-loop class {cls.index} receives no outside paths")
+    return AperiodicityResult("aperiodic", None, None)

@@ -79,7 +79,7 @@ def diagram_from_substitution(s: Substitution) -> OrderedDiagram:
     m = substitution_matrix(s)
     idx = {a: i for i, a in enumerate(s.alphabet)}
     f = tuple(tuple(m[b][v] for b in range(s.size)) for v in range(s.size))
-    base = StationaryDiagram(f, labels=s.alphabet)
+    base = StationaryDiagram(f, s.alphabet)
     order = tuple(tuple(idx[a] for a in s.rules[v]) for v in s.alphabet)
     return OrderedDiagram(base, order)
 

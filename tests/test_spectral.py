@@ -36,7 +36,7 @@ from bratteli import spectral
 from bratteli.errors import CapExceeded
 from bratteli.spectral import _perron_bracket, _perron_sign, nv_compare
 
-from conftest import random_diagram, scaled_inverse_by_solves
+from conftest import aperiodic_corpus, random_diagram, scaled_inverse_by_solves
 
 
 class TestNumericValue:
@@ -531,6 +531,46 @@ class TestCoreMembership:
         monkeypatch.setattr(linalg, "solve_square", refuse)
         assert {d: [core_membership(decs[d], x) for x in xs] for d, xs in queries.items()} == first
 
+    def test_refuted_irrational_queries_make_no_solve(self, monkeypatch):
+        # golden mean: A invertible, refuted by a sign step at k = 1 and 2;
+        # A = ((0,1,1),(0,1,1),(1,0,0)): singular, left kernel (1, -1, 0),
+        # refuted by the kernel test, then by the simplex at k = 1
+        golden = decompose(StationaryDiagram(((1, 1), (1, 0))))
+        singular = decompose(StationaryDiagram(((0, 0, 1), (1, 1, 0), (1, 1, 0))))
+        assert not golden.classes[0].rho.is_exact and not singular.classes[0].rho.is_exact
+        assert golden._elimination[1] and not singular._elimination[1]
+        queries = {golden: {(0, 1): 1, (1, 0): 2, (Fraction(1, 3), 1): 1},
+                   singular: {(1, 0, 0): 1, (1, 2, Fraction(1, 2)): 1, (1, 1, -1): 1}}
+        for dec in queries:
+            assert dec._cone[1] is False  # irrational, built before the patch
+
+        def refuse(*args):
+            raise AssertionError("solve_square called for a refuted query")
+        monkeypatch.setattr(linalg, "solve_square", refuse)
+        for dec, levels in queries.items():
+            for x, k in levels.items():
+                assert core_membership(dec, x) == CoreVerdict("not-in-core", k), (dec.a_matrix, x)
+
+    def test_perturbed_irrational_queries_match_the_preimage_oracle(self):
+        """The recipe of ``_perturbed_irrational_queries`` against the exact
+        simplex of core_preimage_oracle: an in-core verdict must be feasible
+        at every k <= 2N, and a not-in-core one at k infeasible at k and
+        feasible at k - 1, whatever the float solve would have said."""
+        kinds = set()
+        for dec, x in _perturbed_irrational_queries():
+            a, n = dec.a_matrix, len(x)
+            verdict = core_membership(dec, x)
+            kinds.add((verdict.kind, verdict.k))
+            if verdict.kind == "in-core":
+                assert all(core_preimage_oracle(a, x, k).feasible
+                           for k in range(1, 2 * n + 1)), (a, x)
+            elif verdict.kind == "not-in-core":
+                k = verdict.k
+                assert not core_preimage_oracle(a, x, k).feasible, (a, x, k)
+                assert k == 1 or core_preimage_oracle(a, x, k - 1).feasible, (a, x, k)
+        assert {("in-core", None), ("not-in-core", 1), ("not-in-core", 2),
+                ("unknown", None)} <= kinds
+
     def test_query_independent_work_stays_outside_eq_hash_and_repr(self, b1, double_morse):
         # b1 has an invertible A, double_morse a singular one
         queries = {b1: [(2, 0), (0, 1), (1, 1), (2, Fraction(1, 10 ** 12))],
@@ -669,6 +709,27 @@ def _seeded_cone_queries():
             else:
                 x = [Fraction(rng.randint(-1, 8), rng.choice((1, 2, 3, 5, 7))) for _ in range(n)]
             yield dec, xis, exact, x
+
+
+def _perturbed_irrational_queries(per_cone=20):
+    """Queries near the irrational cones of ``aperiodic_corpus``, each
+    diagram telescoped to primitive: x a non-negative integer combination
+    of the float extreme vectors, made rational by limit_denominator(10^15),
+    with one vertex moved by +-10^-3, 10^-9, 10^-12 or 10^-15.  Yields
+    (decomposition, x), ``per_cone`` queries for each irrational cone."""
+    rng = random.Random(31)
+    for d in aperiodic_corpus():
+        dec = decompose(telescope_to_primitive(d)[0])
+        xis = [distinguished_eigenvector(dec, alpha).xi for alpha in distinguished_classes(dec)]
+        if not any(isinstance(v, float) for xi in xis for v in xi):
+            continue
+        n = len(dec.a_matrix)
+        for _ in range(per_cone):
+            w = [rng.randint(0, 4) for _ in xis]
+            x = [Fraction(sum(c * xi[v] for c, xi in zip(w, xis))).limit_denominator(10 ** 15)
+                 for v in range(n)]
+            x[rng.randrange(n)] += rng.choice((-1, 1)) * Fraction(1, 10 ** rng.choice((3, 9, 12, 15)))
+            yield dec, x
 
 
 def _reference_core_membership(decomp, x, k_max=None):
