@@ -65,9 +65,10 @@ def mat_pow(a, k, limit=None):
 
 
 def left_sum(values):
-    """Sum from 0, strictly left to right.  ``sum`` of floats compensates
-    its rounding from Python 3.12 on, which changes the last digits that
-    the CLI prints; this keeps them the same on every version."""
+    """Sum from 0, strictly left to right, of any iterable, so over
+    ``map(operator.mul, row, v)`` a dot product in order.  From Python 3.12
+    on, ``sum`` of floats compensates its rounding and ``math.sumprod`` uses
+    extended precision; either changes the digits that the CLI prints."""
     return functools.reduce(operator.add, values, 0)
 
 

@@ -9,6 +9,7 @@ simulation and when a measure itself carries approximate data.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -140,6 +141,11 @@ def verify_measures(d, measures, n_max: int, cap: int = STEP_CAP) -> list[Invari
     return [verify_invariance(d, m, n_max, cap) for m in measures]
 
 
+@functools.lru_cache(maxsize=64)  # brute_force_Q's tower sizes, once per (diagram, level)
+def _heights(d, level):
+    return heights(d, level).values
+
+
 def brute_force_Q(od: OrderedDiagram, e: PathWord, e2: PathWord,
                   cap: int = STEP_CAP) -> int:
     """Rank difference e2 - e found by walking the successor map.
@@ -153,7 +159,7 @@ def brute_force_Q(od: OrderedDiagram, e: PathWord, e2: PathWord,
             f"level {e2.level} vertex {e2.terminal}")
     check_path(od.base, e)
     check_path(od.base, e2)
-    tower = heights(od.base, e.level).values[e.terminal]
+    tower = _heights(od.base, e.level)[e.terminal]
     if tower > cap:
         raise CapExceeded(f"tower of {tower} paths exceeds step cap",
                           required=tower, cap=cap)

@@ -28,7 +28,8 @@ one fraction-free elimination; a singular A tests x against the left
 kernel that elimination leaves, then takes the exact simplex at every
 level.  Irrational vectors take one float solve of the triangle, and
 only when no level is refuted.  What does not depend on x is computed
-once and kept on the decomposition.
+once and kept on the decomposition, as is the aperiodicity verdict; the
+class structure, with each block's imprimitivity index, once per diagram.
 
 Numeric policy: a block's Perron value rho is reported exactly whenever
 it is rational, and as a float with a certified residual bound
@@ -52,6 +53,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from fractions import Fraction
+from operator import mul, truediv
 
 from . import linalg
 from .diagram import StationaryDiagram, telescope, validate
@@ -112,22 +114,23 @@ def nv_compare(a: NumericValue, b: NumericValue) -> int:
 def _power_perron(block):
     """Perron value and vector of an irreducible non-negative block by
     power iteration on block + I (the shift makes it primitive), with
-    two-sided quotient bounds.  Returns (lam, vector, residual)."""
+    two-sided quotient bounds.  Returns (lam, vector, residual).  Rows are
+    ``left_sum(map(mul, row, v))``: C-level loops, left to right, same bits."""
     n = len(block)
     shifted = [[float(x) + (1.0 if i == j else 0.0) for j, x in enumerate(row)]
                for i, row in enumerate(block)]
     v = [1.0 / n] * n
     lo, hi = 0.0, math.inf
     for _ in range(_POWER_STEPS):
-        w = [linalg.left_sum(r * x for r, x in zip(row, v)) for row in shifted]
-        quotients = [wi / vi for wi, vi in zip(w, v)]
+        w = [linalg.left_sum(map(mul, row, v)) for row in shifted]
+        quotients = list(map(truediv, w, v))
         lo, hi = min(quotients), max(quotients)
         s = linalg.left_sum(w)
         v = [wi / s for wi in w]
         if hi - lo <= 1e-14 * hi:
             break
     lam = 0.5 * (lo + hi) - 1.0
-    av = [linalg.left_sum(r * x for r, x in zip(row, v)) for row in block]
+    av = [linalg.left_sum(map(mul, row, v)) for row in block]
     residual = max(abs(avi - lam * vi) for avi, vi in zip(av, v))
     return lam, v, residual
 
@@ -148,8 +151,7 @@ def _perron_bracket(block):
         return row_sums[0], row_sums[0], None
     power = _power_perron(block)
     s = [max(1, math.floor(x * 2 ** 60)) for x in power[1]]
-    quotients = [Fraction(linalg.left_sum(a * x for a, x in zip(row, s)), si)
-                 for row, si in zip(block, s)]
+    quotients = [Fraction(linalg.left_sum(map(mul, row, s)), si) for row, si in zip(block, s)]
     return min(quotients), max(quotients), power
 
 
@@ -301,21 +303,43 @@ class ComponentDecomposition:
         return ys, *linalg.scaled_inverse([ys[v] for v in rows]), s
 
     @cached_property
+    def _aperiodicity(self):
+        """Requires every non-zero block primitive.  Aperiodic when (i) every
+        initial class has a non-zero block with Perron value > 1 and (ii)
+        every 1x1 identity block is fed from some non-zero class above it."""
+        bad = validate(self.diagram)
+        if bad:
+            return AperiodicityResult("invalid", None, "; ".join(x.message for x in bad))
+        check_primitive(self)
+        for alpha in self.initial_classes:
+            cls = self.classes[alpha]
+            if cls.is_zero or nv_compare(cls.rho, NumericValue.exact(1)) <= 0:
+                return AperiodicityResult("not-aperiodic", alpha, f"initial class {alpha} "
+                                          f"has Perron value {cls.rho.render()}")
+        for cls in self.classes:
+            if cls.block == ((1,),) and all(self.classes[b].is_zero
+                                            for b in self.accessors_of(cls.index)):
+                return AperiodicityResult("not-aperiodic", cls.index, f"single-loop class "
+                                          f"{cls.index} receives no outside paths")
+        return AperiodicityResult("aperiodic", None, None)
+
+    @cached_property
     def _elimination(self):
         """``linalg.scaled_inverse`` of A: (L A^-1, L) or (left kernel, 0)."""
         return linalg.scaled_inverse(self.a_matrix)
 
 
 def _class_structure(d: StationaryDiagram):
-    """(A = F^T, classes, class_of, access, blocks), all read off one
-    reachability closure: ``reach[i]`` is the bitmask of the vertices that
-    vertex i reaches, reflexive and closed by Warshall's algorithm.  The
-    class of i is the set of vertices that i reaches and that reach i;
-    classes are numbered by least vertex, and class b has access to class
-    c when the first vertex of b reaches the first vertex of c.  Blocks
-    are the diagonal blocks of A.  Structure only; no Perron data."""
+    """(A = F^T, classes, class_of, access, blocks, imprimitivity indices),
+    all tuples read off one reachability closure: ``reach[i]`` is the
+    bitmask of the vertices that vertex i reaches, reflexive and closed by
+    Warshall's algorithm.  The class of i is the set of vertices that i
+    reaches and that reach i; classes are numbered by least vertex, and
+    class b has access to class c when the first vertex of b reaches the
+    first vertex of c.  Blocks are the diagonal blocks of A; a zero block's
+    index is None.  Structure only; no Perron data."""
     n = d.n_vertices
-    a = [list(col) for col in zip(*d.incidence)]
+    a = tuple(zip(*d.incidence))
     reach = [1 << i | sum(1 << j for j in range(n) if a[i][j] > 0) for i in range(n)]
     for k in range(n):
         for i in range(n):
@@ -325,29 +349,36 @@ def _class_structure(d: StationaryDiagram):
     class_of = [None] * n
     for i in range(n):
         if class_of[i] is None:
-            comp = [j for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1]
+            comp = tuple(j for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1)
             for j in comp:
                 class_of[j] = len(comps)
             comps.append(comp)
-    access = [[bool(reach[b[0]] >> c[0] & 1) for c in comps] for b in comps]
-    blocks = [tuple(tuple(a[i][j] for j in comp) for i in comp) for comp in comps]
-    return a, comps, class_of, access, blocks
+    access = tuple(tuple(bool(reach[b[0]] >> c[0] & 1) for c in comps) for b in comps)
+    blocks = tuple(tuple(tuple(a[i][j] for j in comp) for i in comp) for comp in comps)
+    periods = tuple(None if _is_zero(block) else imprimitivity_index(block) for block in blocks)
+    return a, tuple(comps), tuple(class_of), access, blocks, periods
+
+
+def _structure(d: StationaryDiagram):
+    """``_class_structure(d)``, once per diagram, outside ==, hash and repr."""
+    if "_structure" not in d.__dict__:
+        d.__dict__["_structure"] = _class_structure(d)
+    return d.__dict__["_structure"]
 
 
 def decompose(d: StationaryDiagram) -> ComponentDecomposition:
     """Class decomposition of A = F^T with access order, per-block Perron
     data and distinguished flags."""
-    a, comps, class_of, access, blocks = _class_structure(d)
+    a, comps, class_of, access, blocks, periods = _structure(d)
     k = len(comps)
-    zero_flags = [_is_zero(block) for block in blocks]
     rhos, vecs = zip(*map(perron_pair, blocks))
-    distinguished = [not zero_flags[alpha]
+    distinguished = [periods[alpha] is not None
                      and all(nv_compare(rhos[alpha], rhos[b]) > 0
                              for b in range(k) if b != alpha and access[b][alpha])
                      for alpha in range(k)]
-    classes = tuple(ComponentClass(ci, tuple(comp), blocks[ci], zero_flags[ci], rhos[ci],
-                                   None if zero_flags[ci] else imprimitivity_index(blocks[ci]),
-                                   distinguished[ci], None if zero_flags[ci] else vecs[ci])
+    classes = tuple(ComponentClass(ci, comp, blocks[ci], periods[ci] is None, rhos[ci],
+                                   periods[ci], distinguished[ci],
+                                   None if periods[ci] is None else vecs[ci])
                     for ci, comp in enumerate(comps))
     initial = tuple(alpha for alpha in range(k)
                     if not any(access[b][alpha] for b in range(k) if b != alpha))
@@ -364,8 +395,7 @@ def decompose(d: StationaryDiagram) -> ComponentDecomposition:
         depth[c] = max((depth[b] + 1 for b in range(k) if b != c and access[b][c]), default=0)
     perm = tuple(v for c in sorted(range(k), key=lambda c: (depth[c], c)) for v in comps[c])
 
-    return ComponentDecomposition(d, tuple(tuple(row) for row in a), classes, tuple(class_of),
-                                  tuple(tuple(row) for row in access), initial, final, perm)
+    return ComponentDecomposition(d, a, classes, class_of, access, initial, final, perm)
 
 
 def distinguished_classes(decomp: ComponentDecomposition) -> tuple[int, ...]:
@@ -384,8 +414,7 @@ def _primitive_power(d: StationaryDiagram) -> int:
     """Smallest power q = lcm of the block imprimitivity indices, so every
     non-zero block of F**q is primitive.  Reads the class structure only,
     not the Perron data, and forms no matrix power."""
-    return math.lcm(1, *(imprimitivity_index(block) for block in _class_structure(d)[4]
-                         if not _is_zero(block)))
+    return math.lcm(1, *filter(None, _structure(d)[5]))
 
 
 def telescope_to_primitive(d: StationaryDiagram):
@@ -397,12 +426,12 @@ def telescope_to_primitive(d: StationaryDiagram):
 
 def positivity_power(d: StationaryDiagram):
     """Power q such that every non-zero diagonal block of F**q is strictly
-    positive.  Computed on the boolean pattern of F**q (its power clipped
-    at 1), so large entries cost nothing and no telescoping cap applies."""
+    positive, read off the pattern of F**q (F, or F**q clipped at 1), so
+    large entries cost nothing and no telescoping cap applies."""
     q = _primitive_power(d)
-    pattern = StationaryDiagram(tuple(map(tuple, linalg.mat_pow(d.incidence, q, 1))))
+    pattern = d if q == 1 else StationaryDiagram(tuple(map(tuple, linalg.mat_pow(d.incidence, q, 1))))
     extra = 1
-    for block in _class_structure(pattern)[4]:
+    for block in _structure(pattern)[4]:
         if _is_zero(block):
             continue
         m, current = 1, block
@@ -538,7 +567,9 @@ def _refuted_level(decomp: ComponentDecomposition, z, k_max):
     z_k by the gcd of its entries keeps that and its size bounded in k.
     For singular A, level 1 is infeasible when w z != 0 for a row w of its
     left kernel; then the exact simplex ``linalg.lp_nonneg_solve`` runs on
-    each power for N <= 12 only."""
+    each power for N <= 12 only.  z = 0 (y = 0 at every level) is None at once."""
+    if not any(z):
+        return None
     m, scale = decomp._elimination
     if scale:
         for k in range(1, k_max + 1):
@@ -573,29 +604,6 @@ class AperiodicityResult:
 
 
 def aperiodicity_check(decomp: ComponentDecomposition) -> AperiodicityResult:
-    """Does every infinite path have an infinite tail class?
-
-    Requires every non-zero block primitive.  Two checks: (i) every
-    initial class has a non-zero block with Perron value > 1; (ii) every
-    class whose block is the 1x1 identity is fed from some non-zero
-    class above it.
-    """
-    bad = validate(decomp.diagram)
-    if bad:
-        return AperiodicityResult("invalid", None, "; ".join(x.message for x in bad))
-    check_primitive(decomp)
-    one = NumericValue.exact(1)
-    for alpha in decomp.initial_classes:
-        cls = decomp.classes[alpha]
-        if cls.is_zero or nv_compare(cls.rho, one) <= 0:
-            return AperiodicityResult(
-                "not-aperiodic", alpha, f"initial class {alpha} has Perron value {cls.rho.render()}")
-    for cls in decomp.classes:
-        if cls.block == ((1,),):
-            feeders = [b for b in decomp.accessors_of(cls.index)
-                       if not decomp.classes[b].is_zero]
-            if not feeders:
-                return AperiodicityResult(
-                    "not-aperiodic", cls.index,
-                    f"single-loop class {cls.index} receives no outside paths")
-    return AperiodicityResult("aperiodic", None, None)
+    """Does every infinite path have an infinite tail class?  The verdict
+    ``ComponentDecomposition._aperiodicity`` computes once."""
+    return decomp._aperiodicity

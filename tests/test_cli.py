@@ -743,6 +743,32 @@ class TestSharedParser:
         assert shared[3][1] == "ab\n" and shared[6][1] != shared[7][1]
 
 
+class TestOneStructurePass:
+    """A request on a diagram that needs no telescoping computes its class
+    structure once, each non-zero block's imprimitivity index once and
+    the aperiodicity verdict, with its ``validate``, once."""
+
+    COMMANDS = [("analyze",), ("analyze", "--report"), ("cylinder", "--measure", "0",
+                "--check-total"), ("cylinder", "--measure", "1", "--path", "1"),
+                ("verify", "--depth", "3")]
+
+    @pytest.mark.parametrize("name", ["b1.txt", "b1o.txt", "dm.txt", "eig.txt"])
+    def test_each_piece_once_per_request(self, docs, monkeypatch, name):
+        spectral = bratteli.spectral
+        calls = []
+        for fn in ("_class_structure", "imprimitivity_index", "validate"):
+            monkeypatch.setattr(spectral, fn, lambda *a, fn=fn, f=getattr(spectral, fn):
+                                calls.append(fn) or f(*a))
+        d = bratteli.parse_diagram(Path(docs[name]).read_text())
+        blocks = sum(not c.is_zero for c in decompose(getattr(d, "base", d)).classes)
+        for command, *options in self.COMMANDS:
+            calls.clear()
+            code, out, err = run_cli(command, docs[name], *options)
+            assert code == 0 and err == "", (command, err)
+            assert sorted(calls) == ["_class_structure", *["imprimitivity_index"] * blocks,
+                                     "validate"], (command, calls)
+
+
 class TestCountOptions:
     """Every count option answers at once: values outside its domain exit
     2, and values that ask for more than a cap exit 5."""

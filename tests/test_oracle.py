@@ -369,12 +369,20 @@ class TestBruteForceSteps:
         with pytest.raises(DimensionMismatch):
             brute_force_Q(eig_chain, p, p)
 
-    def test_tower_cap(self, two_odometer):
+    def test_tower_cap(self, two_odometer, monkeypatch):
         lo = min_path(two_odometer, 0, 21)
         hi = max_path(two_odometer, 0, 21)
         with pytest.raises(CapExceeded) as exc:
             brute_force_Q(two_odometer, lo, hi)
         assert exc.value.required == 2 ** 20
+
+        def refuse(*args):
+            raise AssertionError("walked a tower above the cap")
+        monkeypatch.setattr(oracle, "_step", refuse)
+        for cap in (2 ** 20 - 1, 5):  # the tower size is computed once, then read
+            with pytest.raises(CapExceeded) as exc:
+                brute_force_Q(two_odometer, lo, hi, cap)
+            assert (exc.value.required, exc.value.cap) == (2 ** 20, cap)
 
 
 class TestCorePreimage:

@@ -30,6 +30,7 @@ from bratteli import (
     perron_pair,
     positivity_power,
     spectral_radius,
+    telescope,
     telescope_to_primitive,
 )
 from bratteli import spectral
@@ -325,7 +326,80 @@ class TestPerronBracket:
         assert e.value.cap == 200000
 
 
+def power_perron_by_generators(block):
+    """``spectral._power_perron`` as written before its row products went
+    through ``map``: one generator frame per entry, the same left-to-right
+    sums.  The reference for its bits."""
+    n = len(block)
+    shifted = [[float(x) + (1.0 if i == j else 0.0) for j, x in enumerate(row)]
+               for i, row in enumerate(block)]
+    v = [1.0 / n] * n
+    lo, hi = 0.0, math.inf
+    for _ in range(spectral._POWER_STEPS):
+        w = [linalg.left_sum(r * x for r, x in zip(row, v)) for row in shifted]
+        quotients = [wi / vi for wi, vi in zip(w, v)]
+        lo, hi = min(quotients), max(quotients)
+        s = linalg.left_sum(w)
+        v = [wi / s for wi in w]
+        if hi - lo <= 1e-14 * hi:
+            break
+    lam = 0.5 * (lo + hi) - 1.0
+    av = [linalg.left_sum(r * x for r, x in zip(row, v)) for row in block]
+    residual = max(abs(avi - lam * vi) for avi, vi in zip(av, v))
+    return lam, v, residual
+
+
+class TestPowerPerron:
+    def test_same_bits_as_the_generator_loops_on_dense_blocks(self):
+        rng = random.Random(26)
+        for n in range(2, 17):
+            for _ in range(4):
+                block = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+                assert spectral._power_perron(block) == power_perron_by_generators(block), block
+
+    def test_same_bits_as_the_generator_loops_on_sparse_blocks(self):
+        # the irreducible blocks of random.Random(5), N in 2..7, entries
+        # from (0, 0, 0, 1, 1, 2, 3, 9, 30): the first 300 of them
+        rng = random.Random(5)
+        kept = 0
+        while kept < 300:
+            n = rng.randint(2, 7)
+            block = [[rng.choice((0, 0, 0, 1, 1, 2, 3, 9, 30)) for _ in range(n)]
+                     for _ in range(n)]
+            if len(spectral._class_structure(StationaryDiagram(block))[1]) > 1:
+                continue
+            kept += 1
+            assert spectral._power_perron(block) == power_perron_by_generators(block), block
+
+
 class TestDecomposition:
+    def test_caches_stay_outside_eq_hash_and_repr(self, b1, b2, double_morse):
+        for d in (b1, b2, double_morse):
+            before = repr(d), hash(d)
+            twin = decompose(StationaryDiagram(d.incidence, d.labels))  # no cache filled on it
+            dec = decompose(d)
+            positivity_power(d)
+            aperiodicity_check(dec)
+            core_membership(dec, [1] * d.n_vertices)
+            assert "_structure" in vars(d) and {"_aperiodicity", "_cone"} <= vars(dec).keys()
+            assert not {"_aperiodicity", "_cone"} & vars(twin).keys()
+            assert d == StationaryDiagram(d.incidence, d.labels) and dec == twin
+            assert (repr(d), hash(d)) == before
+            assert (repr(dec), hash(dec)) == (repr(twin), hash(twin))
+
+    def test_structure_is_computed_once_per_diagram(self, double_morse, monkeypatch):
+        calls = []
+        compute = spectral._class_structure
+        monkeypatch.setattr(spectral, "_class_structure", lambda d: calls.append(d) or compute(d))
+        d = StationaryDiagram(double_morse.incidence)
+        assert spectral._primitive_power(d) == 1 and positivity_power(d) == 1
+        assert telescope_to_primitive(d) == (d, 1)
+        dec = decompose(d)
+        assert decompose(d) == dec and calls == [d]
+        # a telescoped diagram is a new diagram
+        assert decompose(telescope(d, 2)).diagram.incidence == telescope(d, 2).incidence
+        assert len(calls) == 2
+
     def test_triangular_two_class_chain(self, b1):
         dec = decompose(b1)
         assert [(c.vertices, c.rho.value, c.distinguished) for c in dec.classes] == [
@@ -429,6 +503,19 @@ class TestPrimitivity:
     def test_positivity_power(self, b1):
         assert positivity_power(b1) == 1
         assert positivity_power(StationaryDiagram(((1, 1), (1, 0)))) == 2
+
+    def test_positivity_power_reads_only_the_pattern(self):
+        # F itself when q = 1: its entries must not change the answer
+        rng = random.Random(26)
+        for _ in range(200):
+            d = random_diagram(rng, 5, 2)
+            big = StationaryDiagram(tuple(tuple(x * rng.randint(1, 10 ** 6) for x in row)
+                                          for row in d.incidence))
+            try:
+                q = positivity_power(d)
+            except PrimitivityError:
+                continue
+            assert positivity_power(big) == q
 
 
 class TestCoreMembership:
@@ -550,6 +637,19 @@ class TestCoreMembership:
         for dec, levels in queries.items():
             for x, k in levels.items():
                 assert core_membership(dec, x) == CoreVerdict("not-in-core", k), (dec.a_matrix, x)
+
+    def test_zero_query_makes_no_simplex_solve(self, monkeypatch):
+        # the telescoped corpus cone 5: singular A, N = 4, irrational cone;
+        # y = 0 is feasible at every level, so no level test is needed
+        dec = decompose(telescope_to_primitive(aperiodic_corpus()[5])[0])
+        assert not dec._elimination[1] and dec._cone[1] is False
+
+        def refuse(*args):
+            raise AssertionError("simplex solve for x = 0")
+        monkeypatch.setattr(linalg, "lp_nonneg_solve", refuse)
+        assert core_membership(dec, (0, 0, 0, 0)) == CoreVerdict("in-core", None, (0.0,))
+        for k_max in (0, 1, 8):
+            assert core_membership(dec, (0, 0, 0, 0), k_max).kind == "in-core"
 
     def test_perturbed_irrational_queries_match_the_preimage_oracle(self):
         """The recipe of ``_perturbed_irrational_queries`` against the exact
