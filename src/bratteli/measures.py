@@ -114,7 +114,7 @@ def enumerate_ergodic(d) -> list[ErgodicMeasure]:
     class index order.  Requires primitive blocks and aperiodicity."""
     decomp = _aperiodic(d)
     return [ErgodicMeasure(decomp, e.alpha, e.lam, e.xi, e.support_classes)
-            for e in decomp._cone[0]]  # the extreme vectors core_membership reads
+            for e in decomp._cone]  # the extreme vectors core_membership reads
 
 
 def measure_of_cylinder(mu, c):
@@ -185,9 +185,7 @@ def measure_from_point(d, p1) -> InvariantMeasure:
     if verdict.kind != "in-core":
         raise NotInDomainError(f"level-1 vector is outside the measure cone "
                                f"({verdict.kind})")
-    coeffs = tuple(c if not isinstance(c, float) else max(c, 0.0)
-                   for c in verdict.coefficients)
-    return InvariantMeasure(tuple(measures), coeffs)
+    return InvariantMeasure(tuple(measures), verdict.coefficients)
 
 
 def minimal_components(d) -> tuple[int, ...]:

@@ -19,15 +19,15 @@ after every class it has access to.
 The extreme vector of a distinguished class b is positive exactly on the
 vertices whose class has access to b (the support law of the Frobenius
 normal form), so at one vertex per distinguished class the extreme
-vectors form a triangular matrix with a positive diagonal: cone
-membership is one integer test there when the vectors are exact.  A
-vector outside that cone is placed by the first k at which A^k y = x
+vectors form a triangular matrix with a positive diagonal.  A rational
+vector of the cone puts no weight on an irrational Perron value, so
+membership is one integer test on the exact vectors, for every cone.
+A vector outside that cone is placed by the first k at which A^k y = x
 has no solution y >= 0.  When A is invertible that is y = A^-k x, so
 each level is one sign test on an integer vector, stepped by L A^-1 from
 one fraction-free elimination; a singular A tests x against the left
 kernel that elimination leaves, then takes the exact simplex at every
-level.  Irrational vectors take one float solve of the triangle, and
-only when no level is refuted.  What does not depend on x is computed
+level.  No verdict reads a float.  What does not depend on x is computed
 once and kept on the decomposition, as is the aperiodicity verdict; the
 class structure, with each block's imprimitivity index, once per diagram.
 
@@ -279,28 +279,29 @@ class ComponentDecomposition:
 
     @cached_property
     def _cone(self):
-        """The extreme vectors ``core_membership`` reads: (Eigendata of
-        each distinguished class in class order, whether all of them are
-        exact, their vectors in that one scalar type, the first vertex of
-        each class, and the triangular matrix of the vectors at those
-        vertices, which the float path solves only after the exact level
-        tests).  PrimitivityError unless every non-zero block is primitive."""
+        """The Eigendata of each distinguished class in class order: the
+        extreme vectors of the core.  PrimitivityError unless every
+        non-zero block is primitive."""
         check_primitive(self)
-        eig = tuple(distinguished_eigenvector(self, alpha) for alpha in distinguished_classes(self))
-        exact = all(e.is_exact for e in eig)
-        cols = [e.xi if exact else [float(v) for v in e.xi] for e in eig]
-        rows = [self.classes[e.alpha].vertices[0] for e in eig]
-        return eig, exact, cols, rows, [[col[v] for col in cols] for v in rows]
+        return tuple(distinguished_eigenvector(self, alpha) for alpha in distinguished_classes(self))
 
     @cached_property
     def _exact_cone(self):
-        """The exact extreme vectors in integers: (Y, M, L, S), S > 0 the
-        lcm of their denominators, Y[v] = (S xi_e(v))_e, and (M, L) the
-        ``linalg.scaled_inverse`` of S times the triangle of ``_cone``."""
-        _, _, cols, rows, _ = self._cone
-        s = math.lcm(*(x.denominator for col in cols for x in col))
-        ys = [[int(col[v] * s) for col in cols] for v in range(len(self.a_matrix))]
-        return ys, *linalg.scaled_inverse([ys[v] for v in rows]), s
+        """The extreme vectors with a rational Perron value, in integers:
+        (Y, M, L, S, rows).  rows holds the first vertex of each such class,
+        S > 0 the lcm of their denominators, Y[v] = (S xi_e(v))_e over
+        ``_cone`` with 0 at each irrational e, and (M, L) the
+        ``linalg.scaled_inverse`` of Y[rows] at the exact e, with a 0 row
+        put in at each irrational e."""
+        cone = self._cone
+        s = math.lcm(*(x.denominator for e in cone if e.is_exact for x in e.xi))
+        ys = [[int(e.xi[v] * s) if e.is_exact else 0 for e in cone]
+              for v in range(len(self.a_matrix))]
+        rows = [self.classes[e.alpha].vertices[0] for e in cone if e.is_exact]
+        m, scale = linalg.scaled_inverse([[y for y, e in zip(ys[v], cone) if e.is_exact]
+                                          for v in rows])
+        m = iter(m)
+        return ys, [next(m) if e.is_exact else [0] * len(rows) for e in cone], scale, s, rows
 
     @cached_property
     def _aperiodicity(self):
@@ -503,7 +504,8 @@ def distinguished_eigenvector(decomp: ComponentDecomposition, alpha: int) -> Eig
 @record
 class CoreVerdict:
     # built once per query, so core_membership passes all three fields by
-    # position: a record binds keywords and defaults in Python
+    # position: a record binds keywords and defaults in Python.  unknown
+    # is outside the core, but no level test that was run refutes it
     kind: str  # "in-core" | "not-in-core" | "unknown"
     k: int | None = None
     coefficients: tuple | None = None
@@ -518,20 +520,27 @@ def _require_exact(x):
 
 def core_membership(decomp: ComponentDecomposition, x,
                     k_max: int | None = None) -> CoreVerdict:
-    """Is x in the limit cone of A?  Exact verdicts come first.  When
-    every extreme vector is exact, x = sum c_e xi_e with c read off the
-    triangle at the first vertex of each distinguished class (xi_b(v) > 0
-    exactly when the class of v has access to b): with x = z / q,
-    c = S M z[rows] / (L q) by ``_exact_cone``, in-core when c >= 0 and
-    Y M z[rows] = L z.  Then, for every cone, not-in-core at the first
-    level k <= k_max (2N by default) that ``_refuted_level`` refutes.
-    Last, for irrational vectors only, one float solve of the triangle:
-    in-core when x reconstructs up to DEFAULT_GAP (1 + max|x|) and
-    c >= -DEFAULT_GAP, else unknown; that in-core is exactly feasible at
-    each level k <= k_max (past k = 1 only for invertible A or N <= 12).
-    k_max = 0 tests no level.  Entries of x must be ``int`` or ``Fraction``
-    (TypeError otherwise)."""
-    _, exact, cols, rows, square = decomp._cone
+    """Is x in the limit cone of A?  Decided in integers for every cone.
+    The core is spanned by the extreme vectors xi_e (Tam-Schneider, every
+    non-zero block primitive), and a rational x = sum c_e xi_e in it has
+    c_e = 0 whenever rho_e is irrational.  Proof: the xi_e are independent
+    (support law), so c lies in a number field K holding every rho_f and
+    xi_f; take sigma in Gal(K/Q) with sigma(rho_e) != rho_e.  Conjugates of
+    a Perron value are eigenvalues of its block, so no larger in modulus:
+    two conjugate Perron values are equal, and sigma(rho_e) is no class's
+    Perron value.  So the component of x = sigma(x) in the eigenspace of
+    sigma(rho_e) is 0 by x = sum c_f xi_f, and the sum over rho_f = rho_e
+    of sigma(c_f) sigma(xi_f) by sigma(x); those sigma(xi_f) are
+    independent, so sigma(c_f) = c_f = 0.  So with x = z / q and
+    (Y, M, L, S, rows) from ``_exact_cone``, the triangle at the first
+    vertex of each exact class (xi_b(v) > 0 exactly when the class of v
+    has access to b) decides: in-core when c = M z[rows] >= 0 and
+    Y c = L z, coefficients S c / (L q), 0 on each irrational class; with
+    no exact class that is z = 0.  Every other x is outside the core:
+    not-in-core at the first k <= k_max (2N by default) that
+    ``_refuted_level`` refutes, else unknown (levels past 1 run for an
+    invertible A or N <= 12; k_max = 0 runs none).  Entries of x must be
+    ``int`` or ``Fraction`` (TypeError otherwise)."""
     n = len(decomp.a_matrix)
     q = math.lcm(*(v.denominator for v in _require_exact(x)))
     z = [v.numerator * (q // v.denominator) for v in x]
@@ -539,22 +548,14 @@ def core_membership(decomp: ComponentDecomposition, x,
         raise ValueError("vector length must match the vertex count")
     k_max = 2 * n if k_max is None else k_max
 
-    if exact:
-        ys, t_inv, t_scale, s = decomp._exact_cone
+    ys, t_inv, t_scale, s, rows = decomp._exact_cone
+    if rows or not any(z):  # with no exact class only z = 0 can pass
         c = linalg.mat_vec(t_inv, [z[v] for v in rows])
         if all(ci >= 0 for ci in c) and linalg.mat_vec(ys, c) == [t_scale * v for v in z]:
             return CoreVerdict("in-core", None, tuple(Fraction(s * ci, t_scale * q)
                                                          for ci in c))
     if (k := _refuted_level(decomp, z, k_max)) is not None:
         return CoreVerdict("not-in-core", k, None)
-    if not exact:
-        xs = [float(v) for v in x]
-        coeffs = linalg.solve_square(square, [xs[v] for v in rows])
-        residual = max(abs(linalg.left_sum(c * col[v] for c, col in zip(coeffs, cols)) - xs[v])
-                       for v in range(n))
-        if (residual <= DEFAULT_GAP * (1 + max(map(abs, xs)))
-                and all(c >= -DEFAULT_GAP for c in coeffs)):
-            return CoreVerdict("in-core", None, tuple(coeffs))
     return CoreVerdict("unknown", None, None)
 
 
@@ -567,9 +568,7 @@ def _refuted_level(decomp: ComponentDecomposition, z, k_max):
     z_k by the gcd of its entries keeps that and its size bounded in k.
     For singular A, level 1 is infeasible when w z != 0 for a row w of its
     left kernel; then the exact simplex ``linalg.lp_nonneg_solve`` runs on
-    each power for N <= 12 only.  z = 0 (y = 0 at every level) is None at once."""
-    if not any(z):
-        return None
+    each power for N <= 12 only."""
     m, scale = decomp._elimination
     if scale:
         for k in range(1, k_max + 1):

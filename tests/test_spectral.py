@@ -582,94 +582,163 @@ class TestCoreMembership:
         ``_reference_core_membership`` on the seeded recipe, with int
         entries, signed combinations of the extreme vectors and shallow
         k_max too, and on the all-zero diagram, which has no distinguished
-        class and so an empty coefficient tuple."""
+        class and so an empty coefficient tuple.  Every coefficient is a
+        Fraction, on irrational cones too."""
         rng = random.Random(1968)
         cases = []
         for dec, xis, exact, x in _seeded_cone_queries():
-            cases += [(dec, x), (dec, [v.numerator for v in x])]
+            cases += [(dec, exact, x), (dec, exact, [v.numerator for v in x])]
             if exact and len(xis) > 1:  # in the span of the xi, with signed weights
                 w = [rng.choice((-1, 0, 1, Fraction(2, 3))) for _ in xis]
-                cases.append((dec, [sum(c * xi[v] for c, xi in zip(w, xis))
-                                    for v in range(len(x))]))
+                cases.append((dec, exact, [sum(c * xi[v] for c, xi in zip(w, xis))
+                                           for v in range(len(x))]))
+            if not exact:  # in-core only at 0
+                cases.append((dec, exact, [0] * len(x)))
         zero = decompose(StationaryDiagram(((0, 0), (0, 0))))
-        cases += [(zero, x) for x in ((0, 0), (Fraction(0), 0), (1, 0), (Fraction(1, 2), 3))]
+        cases += [(zero, True, x) for x in ((0, 0), (Fraction(0), 0), (1, 0), (Fraction(1, 2), 3))]
         kinds = set()
-        for dec, x in cases:
+        for dec, exact, x in cases:
             for k_max in (None, 0, 1):
                 got = core_membership(dec, x, k_max)
                 want = _reference_core_membership(decompose(dec.diagram), x, k_max)
                 assert repr(got) == repr(want), (dec.a_matrix, x, k_max)
                 assert list(map(type, got.coefficients or ())) == \
-                    list(map(type, want.coefficients or ()))
-                kinds.add(got.kind)
-        assert kinds == {"in-core", "not-in-core", "unknown"}
+                    [Fraction] * len(got.coefficients or ())
+                kinds.add((got.kind, exact))
+        assert kinds == {(kind, exact) for kind in ("in-core", "not-in-core", "unknown")
+                         for exact in (True, False)}
         assert core_membership(zero, (0, 0)) == CoreVerdict("in-core", coefficients=())
 
     def test_exact_queries_make_no_solve(self, b1, double_morse, monkeypatch):
-        # b1 has an invertible A, double_morse a singular one; once the
-        # per-decomposition data exist, an exact query is integer work
+        # b1 has an invertible A, double_morse a singular one, both with
+        # exact extreme vectors.  The golden mean has an invertible A and an
+        # irrational cone: refuted by a sign step at k = 1, 2 and 4, and
+        # unknown when A^-k x >= 0 for k <= 2N = 4.  The irrational
+        # A = ((0,1,1),(0,1,1),(1,0,0)) is singular with left kernel
+        # (1, -1, 0): refuted by the kernel test, then by the simplex at
+        # k = 1 and 4, and unknown at A^6 (1, 1, 1).  Once the
+        # per-decomposition data exist, every query on every cone is
+        # integer work
+        golden = StationaryDiagram(((1, 1), (1, 0)))
+        singular = StationaryDiagram(((0, 0, 1), (1, 1, 0), (1, 1, 0)))
         queries = {b1: [(2, 0), (0, 1), (1, 1), (Fraction(1, 3), 0)],
-                   double_morse: [(1, 0, 0, 0, 0), (2, 1, 2, 1, 3), (0, 0, 1, 2, Fraction(1, 3))]}
+                   double_morse: [(1, 0, 0, 0, 0), (2, 1, 2, 1, 3), (0, 0, 1, 2, Fraction(1, 3))],
+                   golden: [(0, 1), (1, 0), (Fraction(1, 3), 1), (2, 1), (3, 2), (0, 0)],
+                   singular: [(1, 0, 0), (1, 2, Fraction(1, 2)), (1, 1, -1), (1, 1, 1),
+                              (21, 21, 13), (0, 0, 0)]}
         decs = {d: decompose(d) for d in queries}
+        assert not decs[golden].classes[0].rho.is_exact and decs[golden]._elimination[1]
+        assert not decs[singular].classes[0].rho.is_exact and not decs[singular]._elimination[1]
         first = {d: [core_membership(decs[d], x) for x in xs] for d, xs in queries.items()}
+        zero = CoreVerdict("in-core", None, (Fraction(0),))
+        assert first[golden] == [CoreVerdict("not-in-core", k) for k in (1, 2, 1, 4)] + [
+            CoreVerdict("unknown"), zero]
+        assert first[singular] == [CoreVerdict("not-in-core", k) for k in (1, 1, 1, 4)] + [
+            CoreVerdict("unknown"), zero]
 
         def refuse(*args):
-            raise AssertionError("solve_square called by an exact query")
+            raise AssertionError("solve_square called by a query")
         monkeypatch.setattr(linalg, "solve_square", refuse)
         assert {d: [core_membership(decs[d], x) for x in xs] for d, xs in queries.items()} == first
 
-    def test_refuted_irrational_queries_make_no_solve(self, monkeypatch):
-        # golden mean: A invertible, refuted by a sign step at k = 1 and 2;
-        # A = ((0,1,1),(0,1,1),(1,0,0)): singular, left kernel (1, -1, 0),
-        # refuted by the kernel test, then by the simplex at k = 1
-        golden = decompose(StationaryDiagram(((1, 1), (1, 0))))
-        singular = decompose(StationaryDiagram(((0, 0, 1), (1, 1, 0), (1, 1, 0))))
-        assert not golden.classes[0].rho.is_exact and not singular.classes[0].rho.is_exact
-        assert golden._elimination[1] and not singular._elimination[1]
-        queries = {golden: {(0, 1): 1, (1, 0): 2, (Fraction(1, 3), 1): 1},
-                   singular: {(1, 0, 0): 1, (1, 2, Fraction(1, 2)): 1, (1, 1, -1): 1}}
-        for dec in queries:
-            assert dec._cone[1] is False  # irrational, built before the patch
-
-        def refuse(*args):
-            raise AssertionError("solve_square called for a refuted query")
-        monkeypatch.setattr(linalg, "solve_square", refuse)
-        for dec, levels in queries.items():
-            for x, k in levels.items():
-                assert core_membership(dec, x) == CoreVerdict("not-in-core", k), (dec.a_matrix, x)
-
     def test_zero_query_makes_no_simplex_solve(self, monkeypatch):
         # the telescoped corpus cone 5: singular A, N = 4, irrational cone;
-        # y = 0 is feasible at every level, so no level test is needed
+        # x = 0 passes the cone test, so no level test runs
         dec = decompose(telescope_to_primitive(aperiodic_corpus()[5])[0])
-        assert not dec._elimination[1] and dec._cone[1] is False
+        assert not dec._elimination[1] and not dec.classes[0].rho.is_exact
 
         def refuse(*args):
             raise AssertionError("simplex solve for x = 0")
         monkeypatch.setattr(linalg, "lp_nonneg_solve", refuse)
-        assert core_membership(dec, (0, 0, 0, 0)) == CoreVerdict("in-core", None, (0.0,))
-        for k_max in (0, 1, 8):
-            assert core_membership(dec, (0, 0, 0, 0), k_max).kind == "in-core"
+        for k_max in (None, 0, 1, 8):
+            verdict = core_membership(dec, (0, 0, 0, 0), k_max)
+            assert verdict == CoreVerdict("in-core", None, (Fraction(0),))
+            assert type(verdict.coefficients[0]) is Fraction
 
     def test_perturbed_irrational_queries_match_the_preimage_oracle(self):
         """The recipe of ``_perturbed_irrational_queries`` against the exact
-        simplex of core_preimage_oracle: an in-core verdict must be feasible
-        at every k <= 2N, and a not-in-core one at k infeasible at k and
-        feasible at k - 1, whatever the float solve would have said."""
+        simplex of core_preimage_oracle.  None of these rational points is
+        in the core: no rational point of the core weighs an irrational
+        class, and the perturbation moves the others off the exact span.
+        So no verdict is in-core; a not-in-core one at k must be infeasible
+        at k and feasible at k - 1, and an unknown one feasible at 2N."""
         kinds = set()
         for dec, x in _perturbed_irrational_queries():
             a, n = dec.a_matrix, len(x)
             verdict = core_membership(dec, x)
             kinds.add((verdict.kind, verdict.k))
-            if verdict.kind == "in-core":
-                assert all(core_preimage_oracle(a, x, k).feasible
-                           for k in range(1, 2 * n + 1)), (a, x)
-            elif verdict.kind == "not-in-core":
+            if verdict.kind == "not-in-core":
                 k = verdict.k
                 assert not core_preimage_oracle(a, x, k).feasible, (a, x, k)
                 assert k == 1 or core_preimage_oracle(a, x, k - 1).feasible, (a, x, k)
-        assert {("in-core", None), ("not-in-core", 1), ("not-in-core", 2),
-                ("unknown", None)} <= kinds
+            else:
+                assert verdict == CoreVerdict("unknown"), (a, x)
+                assert core_preimage_oracle(a, x, 2 * n).feasible, (a, x)
+        assert {("not-in-core", 1), ("not-in-core", 2), ("unknown", None)} <= kinds
+
+    def test_golden_mean_core_holds_no_rational_point_but_zero(self):
+        """By hand: A = ((1, 1), (1, 0)) has A^-1 = ((0, 1), (1, -1)), so
+        A^-k (F_(m+1), F_m) = (F_(m+1-k), F_(m-k)) for the Fibonacci numbers
+        extended by F_-1 = 1, F_-2 = -1.  These points tend to the Perron ray
+        and are refuted first at k = m + 2.  The core is the ray of the
+        irrational (phi, 1), so 0 is its only rational point."""
+        dec = decompose(StationaryDiagram(((1, 1), (1, 0))))
+        fib = [0, 1]
+        while len(fib) < 32:
+            fib.append(fib[-1] + fib[-2])
+        for m in range(30):
+            x = (fib[m + 1], fib[m])
+            assert core_membership(dec, x, m + 2) == CoreVerdict("not-in-core", m + 2), m
+            assert core_membership(dec, x, m + 1) == CoreVerdict("unknown"), m
+        grid = {(Fraction(i, q), Fraction(j, q)) for i in range(-2, 9) for j in range(-2, 9)
+                for q in (1, 2, 3, 5)}
+        verdicts = {x: core_membership(dec, x) for x in grid}
+        inside = {x: v for x, v in verdicts.items() if v.kind == "in-core"}
+        assert inside == {(0, 0): CoreVerdict("in-core", None, (Fraction(0),))}
+        assert type(inside[0, 0].coefficients[0]) is Fraction
+
+    def test_mixed_cone_weighs_only_its_rational_class(self):
+        """The telescoped corpus diagram 11 has two distinguished classes:
+        class 0 with an irrational Perron value, class 1 with rho = 3.  The
+        exact extreme vector of class 1 is in-core with coefficients
+        exactly (0, 1), at the class positions, and so is its measure."""
+        dec = decompose(telescope_to_primitive(aperiodic_corpus()[11])[0])
+        assert distinguished_classes(dec) == (0, 1)
+        rho0, rho1 = dec.classes[0].rho, dec.classes[1].rho
+        assert not rho0.is_exact and abs(rho0.value - 2.4605) < 1e-4
+        assert rho1 == NumericValue.exact(3)
+        xi = distinguished_eigenvector(dec, 1).xi
+        assert xi == (Fraction(17, 70), Fraction(13, 35), Fraction(2, 7), Fraction(1, 10))
+        for scale, want in ((1, (0, 1)), (Fraction(3, 2), (0, Fraction(3, 2)))):
+            verdict = core_membership(dec, [scale * v for v in xi])
+            assert verdict == CoreVerdict("in-core", None, want)
+            assert [type(c) for c in verdict.coefficients] == [Fraction, Fraction]
+        mu = measure_from_point(dec, xi)
+        assert mu.coefficients == (0, 1) and [type(c) for c in mu.coefficients] == [Fraction] * 2
+        assert core_membership(dec, [-v for v in xi]).kind != "in-core"
+        # off the rational ray by 10^-12 at one vertex: outside the core
+        off = list(xi)
+        off[3] += Fraction(1, 10 ** 12)
+        assert core_membership(dec, off).kind != "in-core"
+
+    def test_unrefuted_perturbed_queries_match_a_fraction_iteration_to_12n(self):
+        """The perturbed queries on an invertible A that no level k <= 2N
+        refutes, by a Fraction iteration of A^-k x that shares no code with
+        bratteli: unknown at the default k_max, and with k_max = 12N the
+        first k at which A^-k x has a negative entry, or unknown when
+        there is none."""
+        cases = deep = 0
+        for dec, x in _perturbed_irrational_queries():
+            a, n = dec.a_matrix, len(x)
+            if _fraction_inverse(a) is None or _first_negative_preimage(a, x) is not None:
+                continue
+            assert core_membership(dec, x) == CoreVerdict("unknown"), (a, x)
+            k = _first_negative_preimage(a, x, 12 * n)
+            want = CoreVerdict("unknown") if k is None else CoreVerdict("not-in-core", k)
+            assert core_membership(dec, x, 12 * n) == want, (a, x)
+            cases += 1
+            deep += k is not None
+        assert cases > deep > 0
 
     def test_query_independent_work_stays_outside_eq_hash_and_repr(self, b1, double_morse):
         # b1 has an invertible A, double_morse a singular one
@@ -752,23 +821,33 @@ def _undivided_sign_steps(a, x):
     return "unknown", None
 
 
-def _first_negative_preimage(a, x):
-    """The first k <= 2N at which the y_k of A y_k = y_(k-1), y_0 = x,
-    has a negative entry, None when there is none; each level is one
-    Fraction Gauss-Jordan solve, independent of bratteli."""
+def _fraction_inverse(a):
+    """A^-1 by one Fraction Gauss-Jordan elimination of [A | I], None when
+    A is singular; independent of bratteli."""
     n = len(a)
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(a)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c] != 0), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def _first_negative_preimage(a, x, k_max=None):
+    """The first k <= k_max (2N by default) at which y_k = A^-k x, for an
+    invertible A, has a negative entry, None when there is none; each
+    level is one product with the Fraction inverse of ``_fraction_inverse``."""
+    inverse = _fraction_inverse(a)
     y = [Fraction(v) for v in x]
-    for k in range(1, 2 * n + 1):
-        rows = [[Fraction(v) for v in row] + [y[i]] for i, row in enumerate(a)]
-        for c in range(n):
-            p = next(r for r in range(c, n) if rows[r][c] != 0)
-            rows[c], rows[p] = rows[p], rows[c]
-            rows[c] = [v / rows[c][c] for v in rows[c]]
-            for r in range(n):
-                if r != c and rows[r][c] != 0:
-                    f = rows[r][c]
-                    rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
-        y = [row[n] for row in rows]
+    for k in range(1, (2 * len(a) if k_max is None else k_max) + 1):
+        y = [sum(m * v for m, v in zip(row, y)) for row in inverse]
         if min(y) < 0:
             return k
     return None
@@ -834,25 +913,25 @@ def _perturbed_irrational_queries(per_cone=20):
 
 def _reference_core_membership(decomp, x, k_max=None):
     """``core_membership`` as it was decided in Fractions: one Fraction
-    solve and residual for the fast path, A^-1 from N Fraction solves for
-    the sign steps, the simplex for a singular A, and unknown past the
-    fast path for N > 12."""
+    solve and check on the extreme vectors of the classes with a rational
+    Perron value, the others weighted 0 (a rational point of the core puts
+    no weight on them), A^-1 from N Fraction solves for the sign steps,
+    the simplex for a singular A, and unknown past the fast path for
+    N > 12."""
     check_primitive(decomp)
     eig = [distinguished_eigenvector(decomp, alpha) for alpha in distinguished_classes(decomp)]
-    exact = all(e.is_exact for e in eig)
-    cols = [e.xi if exact else [float(v) for v in e.xi] for e in eig]
-    rows = [decomp.classes[e.alpha].vertices[0] for e in eig]
-    square = [[col[v] for col in cols] for v in rows]
+    exact = [i for i, e in enumerate(eig) if e.is_exact]
+    rows = [decomp.classes[eig[i].alpha].vertices[0] for i in exact]
+    square = [[eig[i].xi[v] for i in exact] for v in rows]
     n = len(decomp.a_matrix)
     x = [Fraction(v) for v in x]
     if k_max is None:
         k_max = 2 * n
-    gap = 0 if exact else spectral.DEFAULT_GAP
-    xs = x if exact else [float(v) for v in x]
-    coeffs = linalg.solve_square(square, [xs[v] for v in rows])
-    residual = max(abs(linalg.left_sum(c * col[v] for c, col in zip(coeffs, cols)) - xs[v])
-                   for v in range(n))
-    if residual <= gap * (1 + max(map(abs, xs))) and all(c >= -gap for c in coeffs):
+    coeffs = [Fraction(0)] * len(eig)
+    for i, c in zip(exact, linalg.solve_square(square, [x[v] for v in rows])):
+        coeffs[i] = c
+    if all(c >= 0 for c in coeffs) and all(
+            sum(coeffs[i] * eig[i].xi[v] for i in exact) == x[v] for v in range(n)):
         return CoreVerdict("in-core", coefficients=tuple(coeffs))
     if n > 12:
         return CoreVerdict("unknown")
