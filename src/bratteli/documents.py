@@ -32,6 +32,7 @@ from fractions import Fraction
 from .diagram import StationaryDiagram
 from .errors import ParseError
 from .record import record
+from .spectral import render_scalar
 from .substitution import Substitution
 from .vershik import OrderedDiagram
 
@@ -205,32 +206,8 @@ def serialize_substitution(s: Substitution) -> str:
     return "\n".join(out) + "\n"
 
 
-def _decimal(n: int) -> str:
-    """str(n) at any size.  Python refuses to convert an int of more than
-    4300 digits (by default), so a long one is split at a power of ten
-    and each part converted on its own."""
-    if n < 0:
-        return "-" + _decimal(-n)
-    if n.bit_length() <= 1900:  # under 640 digits, the least limit Python accepts
-        return str(n)
-    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) is about 0.3
-    high, low = divmod(n, 10 ** k)
-    return _decimal(high) + _decimal(low).rjust(k, "0")
-
-
-def render_scalar(x) -> str:
-    """Exact rationals as p/q at any size, floats as 17-significant-digit
-    decimals, infinity as 'inf' or '-inf'."""
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    x = Fraction(x)
-    if x.denominator == 1:
-        return _decimal(x.numerator)
-    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
-
-
 def _integer(digits: str) -> int:
-    """int(digits) at any length, the inverse of ``_decimal``: a long
+    """int(digits) at any length, the inverse of ``spectral._decimal``: a long
     string of digits is split at 10^k and each part converted on its own."""
     if len(digits) <= 640:
         return int(digits)

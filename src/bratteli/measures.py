@@ -21,7 +21,7 @@ from . import linalg
 from .diagram import CylinderSet, StationaryDiagram, check_path, heights
 from .errors import CapExceeded, NotAperiodicError, NotInDomainError, ZeroBlockError
 from .record import record
-from .spectral import (DEFAULT_GAP, ComponentDecomposition, NumericValue, _extend,
+from .spectral import (DEFAULT_GAP, ComponentDecomposition, NumericValue, _class, _extend,
                        _require_exact, aperiodicity_check, check_primitive, core_membership,
                        decompose, distinguished_classes, nv_compare)
 
@@ -150,17 +150,18 @@ class InvariantMeasure(_LevelValues):
 
     @property
     def is_exact(self):
-        return (all(m.is_exact for m in self.measures)
-                and all(not isinstance(c, float) for c in self.coefficients))
+        """Whether each term with a non-zero coefficient is exact."""
+        return all(m.is_exact and not isinstance(c, float)
+                   for c, m in zip(self.coefficients, self.measures) if c != 0)
 
     def p_vector(self, n: int = 1) -> tuple:
         """p(n) = sum_i c_i lambda_i^(1-n) xi_i; satisfies A p(n+1) = p(n)."""
         return tuple(self.value(n, v) for v in range(self.diagram.n_vertices))
 
     def _value(self, n: int, v: int):
-        """Entry v of p(n).  Exact when every measure and coefficient is;
-        otherwise every operand is taken to float first (a float scale
-        times a Fraction entry multiplies the two as floats)."""
+        """Entry v of p(n).  Exact when ``is_exact``; otherwise every
+        operand is taken to float first (a float scale times a Fraction
+        entry multiplies the two as floats)."""
         scalar = Fraction if self.is_exact else float
         out = scalar(0)
         for c, m in zip(self.coefficients, self.measures):
@@ -234,7 +235,7 @@ def tail_valuation(decomp: ComponentDecomposition, alpha: int):
     with a non-zero block; on a distinguished class the result is a
     positive multiple of the ergodic extreme vector.
     """
-    cls = decomp.classes[alpha]
+    cls = _class(decomp, alpha)
     if cls.is_zero:
         raise ZeroBlockError(f"class {alpha} has a zero block")
     lam = cls.rho
@@ -288,7 +289,7 @@ def mass_proxy(decomp: ComponentDecomposition, alpha: int, n: int):
     lam^(1-n).  Diverges for non-distinguished alpha, converges to a
     positive constant for distinguished alpha.  A float sum beyond float
     range is refused by ``within_float_range``."""
-    cls = decomp.classes[alpha]
+    cls = _class(decomp, alpha)
     if cls.is_zero:
         raise ZeroBlockError(f"class {alpha} has a zero block")
     h = heights(decomp.diagram, n).values
@@ -302,7 +303,7 @@ def truncated_extension(decomp: ComponentDecomposition, alpha: int, m: int):
     """s_m(v) = lam^(-m) sum_{w in alpha} (A^m)_{v,w} y_w: the truncated
     series whose limit the exact solve computes.  Non-decreasing in m;
     refused by ``within_float_range`` beyond float range."""
-    cls = decomp.classes[alpha]
+    cls = _class(decomp, alpha)
     if cls.is_zero:
         raise ZeroBlockError(f"class {alpha} has a zero block")
     lam = cls.rho.as_float

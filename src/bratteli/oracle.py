@@ -19,7 +19,7 @@ from .diagram import CylinderSet, PathWord, check_path, height_levels, heights, 
 from .errors import CapExceeded, EndpointMismatch, SizeRefused
 from .measures import within_float_range
 from .record import record
-from .spectral import DEFAULT_GAP, ComponentDecomposition
+from .spectral import DEFAULT_GAP, ComponentDecomposition, _class
 from .vershik import OrderedDiagram, _step
 
 STEP_CAP = 10 ** 6
@@ -284,7 +284,7 @@ def asymptotics_check(decomp: ComponentDecomposition, alpha: int, i: int, j: int
     ns = sorted(n_range)
     if len(ns) < 2:
         raise ValueError("need at least two sample points")
-    lam = decomp.classes[alpha].rho.value
+    lam = _class(decomp, alpha).rho.value
     power = [list(r) for r in decomp.a_matrix]
     table = {}
     for n in range(1, ns[-1] + 1):

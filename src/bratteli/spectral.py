@@ -65,6 +65,30 @@ DEFAULT_GAP = 1e-9
 _POWER_STEPS = 200000
 
 
+def _decimal(n: int) -> str:
+    """str(n) at any size.  Python refuses to convert an int of more than
+    4300 digits (by default), so a long one is split at a power of ten
+    and each part converted on its own."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= 1900:  # under 640 digits, the least limit Python accepts
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) is about 0.3
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).rjust(k, "0")
+
+
+def render_scalar(x) -> str:
+    """Exact rationals as p/q at any size, floats as 17-significant-digit
+    decimals, infinity as 'inf' or '-inf'."""
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    x = Fraction(x)
+    if x.denominator == 1:
+        return _decimal(x.numerator)
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+
+
 @record
 class NumericValue:
     """Either an exact rational or a float with a certified residual bound
@@ -90,10 +114,8 @@ class NumericValue:
         return NumericValue(float(x), float(residual_bound))
 
     def render(self):
-        if self.is_exact:
-            v = self.value
-            return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        return f"{self.value:.17g}±{self.residual_bound:.1e}"
+        text = render_scalar(self.value)
+        return text if self.is_exact else f"{text}±{self.residual_bound:.1e}"
 
     def __str__(self):
         return self.render()
@@ -399,6 +421,14 @@ def decompose(d: StationaryDiagram) -> ComponentDecomposition:
     return ComponentDecomposition(d, a, classes, class_of, access, initial, final, perm)
 
 
+def _class(decomp: ComponentDecomposition, alpha: int) -> ComponentClass:
+    """Class alpha of the decomposition; IndexError unless
+    0 <= alpha < the class count (so -1 does not name the last class)."""
+    if not 0 <= alpha < len(decomp.classes):
+        raise IndexError(f"class id {alpha} is outside 0..{len(decomp.classes) - 1}")
+    return decomp.classes[alpha]
+
+
 def distinguished_classes(decomp: ComponentDecomposition) -> tuple[int, ...]:
     return tuple(c.index for c in decomp.classes if c.distinguished)
 
@@ -490,7 +520,7 @@ def distinguished_eigenvector(decomp: ComponentDecomposition, alpha: int) -> Eig
     """The extreme vector of the distinguished class alpha: A xi = lam xi,
     xi > 0 exactly on the vertices with access to alpha, normalized so the
     level-1 heights weigh it to 1 (all heights are 1 at level 1)."""
-    cls = decomp.classes[alpha]
+    cls = _class(decomp, alpha)
     if not cls.distinguished:
         raise NotDistinguishedError(f"class {alpha} is not distinguished")
     support = frozenset(b for b in range(len(decomp.classes)) if decomp.access[b][alpha])

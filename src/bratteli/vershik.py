@@ -33,7 +33,7 @@ from .errors import (CapExceeded, EndpointMismatch, NotDistinguishedError,
                      PrimitivityError, ZeroMeasureCylinder)
 from .measures import within_float_range
 from .record import record
-from .spectral import (ComponentDecomposition, decompose,
+from .spectral import (ComponentDecomposition, _class, decompose,
                        distinguished_eigenvector, positivity_power)
 
 
@@ -227,19 +227,18 @@ def enumerate_diamonds(od: OrderedDiagram, decomp: ComponentDecomposition | None
                        alpha: int | None = None, max_len: int = 2,
                        cap: int = 10 ** 6) -> list[Diamond]:
     """All diamonds of length <= max_len (1 or 2), one per unordered leg
-    pair.  With alpha set, every visited vertex must lie in that class.
+    pair.  With alpha set, every visited vertex must lie in that class
+    (of decomp, computed when not given).
     Length-2 pairs sharing their middle vertex are omitted: they split
     into two length-1 diamonds.  The output is counted from the incidence
     matrix first; more than cap diamonds raises CapExceeded."""
     if not 1 <= max_len <= 2:
         raise ValueError("only lengths 1 and 2 are enumerated")
     f = od.base.incidence
-    if alpha is not None:
-        if decomp is None:
-            raise ValueError("class restriction needs the decomposition")
-        scope = set(decomp.classes[alpha].vertices)
-    else:
+    if alpha is None:
         scope = set(range(od.n_vertices))
+    else:
+        scope = set(_class(decomp or decompose(od.base), alpha).vertices)
 
     # length-2 pairs through (j, jp): sum over middles i < i' of w_i w_i'
     count = sum(f[v][s] * (f[v][s] - 1) // 2 for v in scope for s in scope)
@@ -343,19 +342,12 @@ def p_sequence(od: OrderedDiagram, diamond: Diamond, n_max: int) -> PSequence:
                      recurrence_coefficients(od.base))
 
 
-def _require_positive_blocks(decomp: ComponentDecomposition):
-    for cls in decomp.classes:
-        if not cls.is_zero and any(x == 0 for row in cls.block for x in row):
-            q = positivity_power(decomp.diagram)
-            raise PrimitivityError(
-                f"some diagonal block has zero entries; telescope by {q} first",
-                power=q)
-
-
 def default_window(d: StationaryDiagram) -> tuple[int, int]:
-    """Window [N, 3N]: starting at N with length > 2N makes the exact
-    divisibility test decisive for rational candidates, because the P
-    sequences satisfy an order-N integer recurrence."""
+    """The window [N, 3N] the eigenvalue tests use when given none, which
+    ``is_decisive`` labels decisive.  The label is a heuristic: the order-N
+    recurrence of the P sequences does not show that divisibility by q has
+    set in by level N (every p/2^k is an eigenvalue of the dyadic odometer,
+    and fails on its window [1, 3])."""
     n = d.n_vertices
     return (n, 3 * n)
 
@@ -398,7 +390,7 @@ def _window_gcds(od, decomp, alpha, window):
     For class vertices v and s, c_n(v, s) is the prefix height below the
     first s in order[v] and d_n(v, s) the gcd of the later prefixes minus
     c_n(v, s); length-1 diamonds give every d_n(v, s).  The block must be
-    positive (_require_positive_blocks), so every class vertex i is a
+    positive (_class_window checks), so every class vertex i is a
     middle of every leg j -> i -> j'.  These legs differ by the spreads
     d_n(i, j) and d_{n+1}(j', i) and by the A_ij + B_ij', where
     A_ij = c_n(i, j) - c_n(i0, j), B_ij' = c_{n+1}(j', i) - c_{n+1}(j', i0)
@@ -435,18 +427,24 @@ def _window_gcds(od, decomp, alpha, window):
     return out
 
 
-def _class_window_gcd(od, alpha, window, decomp):
-    """Preamble of both eigenvalue tests: (decomposition, window, G) for
-    the distinguished class alpha, G the gcd of every P_n of the class
-    over the window (default_window when None)."""
+def _class_window(d: StationaryDiagram, alpha, window, decomp):
+    """Preamble of the three eigenvalue tests: (decomposition, window,
+    decisive) for the distinguished class alpha of d, with decomp and the
+    window (default_window when None) computed when not given.  Every
+    non-zero block must be strictly positive (telescope first)."""
     if decomp is None:
-        decomp = decompose(od.base)
-    _require_positive_blocks(decomp)
-    if not decomp.classes[alpha].distinguished:
+        decomp = decompose(d)
+    for cls in decomp.classes:
+        if not cls.is_zero and any(x == 0 for row in cls.block for x in row):
+            q = positivity_power(decomp.diagram)
+            raise PrimitivityError(
+                f"some diagonal block has zero entries; telescope by {q} first",
+                power=q)
+    if not _class(decomp, alpha).distinguished:
         raise NotDistinguishedError(f"class {alpha} is not distinguished")
     if window is None:
-        window = default_window(od.base)
-    return decomp, window, math.gcd(*_window_gcds(od, decomp, alpha, window))
+        window = default_window(d)
+    return decomp, window, is_decisive(d, window)
 
 
 def eigenvalue_check(od: OrderedDiagram, alpha: int, theta,
@@ -459,11 +457,10 @@ def eigenvalue_check(od: OrderedDiagram, alpha: int, theta,
     large n.  Requires strictly positive blocks (telescope first).  A pass
     is read off q | G; only a failure lists the diamonds, to name the
     first failing diamond and level (CapExceeded above cap diamonds)."""
-    decomp, window, g = _class_window_gcd(od, alpha, window, decomp)
+    decomp, window, decisive = _class_window(od.base, alpha, window, decomp)
     theta = Fraction(theta)
-    decisive = is_decisive(od.base, window)
     p, q = theta.numerator, theta.denominator
-    if g % q == 0:
+    if math.gcd(*_window_gcds(od, decomp, alpha, window)) % q == 0:
         return EigenvalueVerdict(True, theta, window, decisive)
     for dm, values in _p_tables(od, decomp, alpha, window, cap):
         for offset, pn in enumerate(values):
@@ -496,8 +493,7 @@ def candidate_count(q_max: int) -> int:
 
 def eigenvalue_search(od: OrderedDiagram, alpha: int, q_max: int,
                       window: tuple[int, int] | None = None,
-                      decomp: ComponentDecomposition | None = None, *,
-                      thetas=None) -> list[Fraction]:
+                      decomp: ComponentDecomposition | None = None) -> list[Fraction]:
     """All rational rotation numbers with denominator <= q_max passing the
     divisibility test, ascending.  [0] alone is weak-mixing evidence at
     q_max.
@@ -505,12 +501,10 @@ def eigenvalue_search(od: OrderedDiagram, alpha: int, q_max: int,
     theta = p/q in lowest terms passes exactly when q divides G, the gcd
     of every P_n over the window (G = 0, no diamond, passes everything),
     so the passes are 0 and the reduced p/q for each divisor 2 <= q <= q_max
-    of G.  thetas, when given, replaces the candidates: those whose
-    denominator divides G are returned, in the given order.
+    of G.
     """
-    _, _, g = _class_window_gcd(od, alpha, window, decomp)
-    if thetas is not None:
-        return [t for t in map(Fraction, thetas) if g % t.denominator == 0]
+    decomp, window, _ = _class_window(od.base, alpha, window, decomp)
+    g = math.gcd(*_window_gcds(od, decomp, alpha, window))
     return sorted([Fraction(0)] + [Fraction(p, q) for q in range(2, q_max + 1)
                                    if g % q == 0
                                    for p in range(1, q) if math.gcd(p, q) == 1])
@@ -521,15 +515,10 @@ def rational_eigenvalue_sufficient(d, alpha: int, theta,
                                    decomp: ComponentDecomposition | None = None,
                                    ) -> EigenvalueVerdict:
     """Sufficient condition not needing the order: theta * h_j^(n) integer
-    for every vertex j of class alpha over the window."""
+    for every vertex j of the distinguished class alpha over the window."""
     base = d.base if isinstance(d, OrderedDiagram) else d
-    if decomp is None:
-        decomp = decompose(base)
-    _require_positive_blocks(decomp)
+    decomp, window, decisive = _class_window(base, alpha, window, decomp)
     theta = Fraction(theta)
-    if window is None:
-        window = default_window(base)
-    decisive = is_decisive(base, window)
     verts = decomp.classes[alpha].vertices
     h = height_table(base, window[1])
     p, q = theta.numerator, theta.denominator

@@ -193,8 +193,7 @@ def test_criterion_6_exhaustive_eigenvalue_searches(wm_a, wm_b, eig_chain):
     window = (6, 12)
     assert is_decisive(eig_chain.base, window)
     fives = sorted(Fraction(p, 5 ** 4) for p in range(5 ** 4))
-    assert eigenvalue_search(eig_chain, 2, 64, window=window,
-                             thetas=fives) == fives
+    assert eigenvalue_search(eig_chain, 2, 5 ** 4, window=window) == fives
     deeper = eigenvalue_check(eig_chain, 2, Fraction(1, 5 ** 5),
                               window=window)
     assert not deeper and deeper.fail_n == 6

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import bratteli
 import bratteli.cli
 from bratteli import (candidate_thetas, decompose, path_rank, rational_eigenvalue_sufficient,
-                      serialize_diagram, serialize_substitution, telescope)
+                      render_scalar, serialize_diagram, serialize_substitution, telescope)
 from bratteli.cli import main
 
 import equivalence
@@ -161,6 +161,20 @@ class TestAnalyze:
             "eigenvector: inf 1\n"
             "support: 0 1\n"
         )
+
+    def test_perron_value_past_the_int_string_limit(self, tmp_path):
+        # each row sums to 2 (10^4300 - 1), of 4,301 digits: one more than
+        # str() converts by default
+        p = tmp_path / "big.txt"
+        p.write_text("n: 2\nincidence:\n" + f"{'9' * 4300} {'9' * 4300}\n" * 2)
+        rho = render_scalar(2 * (10 ** 4300 - 1))
+        assert len(rho) == 4301
+        code, out, err = run_cli("analyze", str(p))
+        assert (code, err) == (0, "") and f"rho={rho} " in out
+        code, out, err = run_cli("analyze", str(p), "--report")
+        assert (code, err) == (0, "") and f"eigenvalue: {rho}\n" in out
+        code, out, err = run_cli("export-dot", str(p))
+        assert (code, err) == (0, "") and f'rho={rho}"' in out
 
     def test_explicit_telescope_power_is_reported(self, docs):
         code, out, _ = run_cli("analyze", docs["b1.txt"], "--telescope", "2")

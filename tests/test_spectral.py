@@ -19,19 +19,27 @@ from bratteli import (
     StationaryDiagram,
     ZeroBlockError,
     aperiodicity_check,
+    asymptotics_check,
     check_primitive,
     core_membership,
     core_preimage_oracle,
     decompose,
     distinguished_classes,
     distinguished_eigenvector,
+    eigenvalue_check,
+    eigenvalue_search,
+    enumerate_diamonds,
     imprimitivity_index,
+    mass_proxy,
     measure_from_point,
     perron_pair,
     positivity_power,
+    rational_eigenvalue_sufficient,
     spectral_radius,
+    tail_valuation,
     telescope,
     telescope_to_primitive,
+    truncated_extension,
 )
 from bratteli import spectral
 from bratteli.errors import CapExceeded
@@ -485,6 +493,33 @@ class TestDistinguishedEigenvector:
             distinguished_eigenvector(dec, 1)
 
 
+# every per-class entry point, on wm_a: two classes, both distinguished
+CLASS_ENTRY_POINTS = {
+    "distinguished_eigenvector": lambda od, dec, a: distinguished_eigenvector(dec, a),
+    "tail_valuation": lambda od, dec, a: tail_valuation(dec, a),
+    "mass_proxy": lambda od, dec, a: mass_proxy(dec, a, 3),
+    "truncated_extension": lambda od, dec, a: truncated_extension(dec, a, 3),
+    "asymptotics_check": lambda od, dec, a: asymptotics_check(dec, a, 1, 1, (1, 2)),
+    "enumerate_diamonds": lambda od, dec, a: enumerate_diamonds(od, dec, a),
+    "enumerate_diamonds without decomp": lambda od, dec, a: enumerate_diamonds(od, alpha=a),
+    "eigenvalue_check": lambda od, dec, a: eigenvalue_check(od, a, Fraction(1, 3), decomp=dec),
+    "eigenvalue_search": lambda od, dec, a: eigenvalue_search(od, a, 4, decomp=dec),
+    "rational_eigenvalue_sufficient":
+        lambda od, dec, a: rational_eigenvalue_sufficient(od, a, Fraction(1, 3), decomp=dec),
+}
+
+
+@pytest.mark.parametrize("alpha", (-1, 2))
+@pytest.mark.parametrize("entry", CLASS_ENTRY_POINTS)
+def test_class_ids_outside_the_range_are_refused(wm_a, entry, alpha):
+    """-1 is not read as the last class, nor is any id past the last one
+    read at all: each entry point names the valid range."""
+    dec = decompose(wm_a.base)
+    CLASS_ENTRY_POINTS[entry](wm_a, dec, 1)
+    with pytest.raises(IndexError, match=rf"class id {alpha} is outside 0\.\.1"):
+        CLASS_ENTRY_POINTS[entry](wm_a, dec, alpha)
+
+
 class TestPrimitivity:
     def test_check_primitive_raises_with_the_needed_power(self):
         dec = decompose(StationaryDiagram(((0, 1), (1, 0))))
@@ -701,7 +736,8 @@ class TestCoreMembership:
         """The telescoped corpus diagram 11 has two distinguished classes:
         class 0 with an irrational Perron value, class 1 with rho = 3.  The
         exact extreme vector of class 1 is in-core with coefficients
-        exactly (0, 1), at the class positions, and so is its measure."""
+        exactly (0, 1), at the class positions, and so is its measure,
+        which prices cylinders exactly: the irrational class has weight 0."""
         dec = decompose(telescope_to_primitive(aperiodic_corpus()[11])[0])
         assert distinguished_classes(dec) == (0, 1)
         rho0, rho1 = dec.classes[0].rho, dec.classes[1].rho
@@ -715,6 +751,8 @@ class TestCoreMembership:
             assert [type(c) for c in verdict.coefficients] == [Fraction, Fraction]
         mu = measure_from_point(dec, xi)
         assert mu.coefficients == (0, 1) and [type(c) for c in mu.coefficients] == [Fraction] * 2
+        assert mu.is_exact and mu.p_vector(1) == xi
+        assert type(mu.value(1, 0)) is Fraction and mu.value(1, 0) == Fraction(17, 70)
         assert core_membership(dec, [-v for v in xi]).kind != "in-core"
         # off the rational ray by 10^-12 at one vertex: outside the core
         off = list(xi)

@@ -291,13 +291,6 @@ class TestEigenvalues:
         for theta in candidate_thetas(6):
             assert eigenvalue_check(wm_a, 1, theta).passed == (theta in found)
 
-    def test_explicit_theta_list_partitions_the_search(self, two_odometer):
-        thetas = candidate_thetas(8)
-        merged = sorted(
-            eigenvalue_search(two_odometer, 0, 8, window=(3, 5), thetas=thetas[0::2])
-            + eigenvalue_search(two_odometer, 0, 8, window=(3, 5), thetas=thetas[1::2]))
-        assert merged == eigenvalue_search(two_odometer, 0, 8, window=(3, 5))
-
     def test_five_adic_tower_passes_exactly_the_five_powers(self, eig_chain):
         found = eigenvalue_search(eig_chain, 2, 25, window=(6, 12))
         assert len(found) == 25
@@ -312,6 +305,8 @@ class TestEigenvalues:
     def test_requires_a_distinguished_class(self, b1_ordered):
         with pytest.raises(NotDistinguishedError):
             eigenvalue_search(b1_ordered, 1, 4)
+        with pytest.raises(NotDistinguishedError, match="class 1 is not distinguished"):
+            rational_eigenvalue_sufficient(b1_ordered, 1, Fraction(1, 2))
 
     def test_height_divisibility_is_the_orderless_sufficient_check(self, eig_chain):
         assert rational_eigenvalue_sufficient(eig_chain, 2, Fraction(1, 5),
