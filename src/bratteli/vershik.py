@@ -16,7 +16,7 @@ the divisibility test over a window is the single condition q | G, where
 G is the gcd of every P_n in the window.  Each level's G takes one pass
 over the bundles plus 3N^2 gcd terms, N the class size, without listing
 the diamonds; this needs strictly positive class blocks (telescope
-first).  The explicit diamond list is kept for witnesses.
+first).  A failure's witness is read from O(N^2) spanning diamonds.
 """
 
 from __future__ import annotations
@@ -224,16 +224,13 @@ def make_diamond(od: OrderedDiagram, leg_a: Leg, leg_b: Leg,
 
 
 def enumerate_diamonds(od: OrderedDiagram, decomp: ComponentDecomposition | None = None,
-                       alpha: int | None = None, max_len: int = 2,
-                       cap: int = 10 ** 6) -> list[Diamond]:
-    """All diamonds of length <= max_len (1 or 2), one per unordered leg
-    pair.  With alpha set, every visited vertex must lie in that class
-    (of decomp, computed when not given).
+                       alpha: int | None = None, cap: int = 10 ** 6) -> list[Diamond]:
+    """All diamonds of length 1 or 2, one per unordered leg pair.  With
+    alpha set, every visited vertex must lie in that class (of decomp,
+    computed when not given).
     Length-2 pairs sharing their middle vertex are omitted: they split
     into two length-1 diamonds.  The output is counted from the incidence
     matrix first; more than cap diamonds raises CapExceeded."""
-    if not 1 <= max_len <= 2:
-        raise ValueError("only lengths 1 and 2 are enumerated")
     f = od.base.incidence
     if alpha is None:
         scope = set(range(od.n_vertices))
@@ -242,11 +239,10 @@ def enumerate_diamonds(od: OrderedDiagram, decomp: ComponentDecomposition | None
 
     # length-2 pairs through (j, jp): sum over middles i < i' of w_i w_i'
     count = sum(f[v][s] * (f[v][s] - 1) // 2 for v in scope for s in scope)
-    if max_len >= 2:
-        for j in scope:
-            for jp in scope:
-                w = [f[i][j] * f[jp][i] for i in scope]
-                count += (sum(w) ** 2 - sum(x * x for x in w)) // 2
+    for j in scope:
+        for jp in scope:
+            w = [f[i][j] * f[jp][i] for i in scope]
+            count += (sum(w) ** 2 - sum(x * x for x in w)) // 2
     if count > cap:
         raise CapExceeded(f"{count} diamonds exceed the cap of {cap}", count, cap)
 
@@ -257,8 +253,6 @@ def enumerate_diamonds(od: OrderedDiagram, decomp: ComponentDecomposition | None
                 for k2 in range(k1 + 1, f[v][s]):
                     out.append(make_diamond(od, Leg((s, v), (k1,)),
                                             Leg((s, v), (k2,)), alpha))
-    if max_len < 2:
-        return out
     for j in sorted(scope):                     # source
         for jp in sorted(scope):                # range
             mids = [i for i in sorted(scope) if f[i][j] > 0 and f[jp][i] > 0]
@@ -371,12 +365,12 @@ class EigenvalueVerdict:
         return self.passed
 
 
-def _p_tables(od, decomp, alpha, window, cap=10 ** 6):
-    """One (diamond, P row over the window) pair per diamond that
-    enumerate_diamonds lists, in its order.  No two listed diamonds share
-    a row by construction: a step's (target, bundle rank) names its edge
-    through edge_at, so the per-step ranks of both legs fix the diamond."""
-    diamonds = enumerate_diamonds(od, decomp, alpha, max_len=2, cap=cap)
+def _p_tables(od, decomp, alpha, window):
+    """The tests' reference: one (diamond, P row over the window) pair per
+    listed diamond, in listing order.  No two listed diamonds share a row
+    by construction: a step's (target, bundle rank) names its edge through
+    edge_at, so the per-step ranks of both legs fix the diamond."""
+    diamonds = enumerate_diamonds(od, decomp, alpha)
     n1, n2 = window
     h = height_table(od.base, n2 + 1)     # legs have length <= 2
     return [(dm, _p_row(od, dm, h, range(n1, n2 + 1))) for dm in diamonds]
@@ -384,7 +378,7 @@ def _p_tables(od, decomp, alpha, window, cap=10 ** 6):
 
 def _window_gcds(od, decomp, alpha, window):
     """G_n for each level n of the window: the gcd of P_n over every
-    diamond that enumerate_diamonds(od, decomp, alpha, 2) lists, from
+    diamond that enumerate_diamonds(od, decomp, alpha) lists, from
     bundle prefix sums of the heights without building a Diamond.
 
     For class vertices v and s, c_n(v, s) is the prefix height below the
@@ -447,27 +441,45 @@ def _class_window(d: StationaryDiagram, alpha, window, decomp):
     return decomp, window, is_decisive(d, window)
 
 
+def _spanning_diamonds(od, decomp, alpha):
+    """Lazily, listed diamonds of class alpha whose P_n have gcd G_n at every
+    level, i0 the first class vertex: (i) edge 0 against edge k of each
+    bundle; (ii) j -> i0 -> i0 against j -> i -> i0 and i0 -> i0 -> j against
+    i0 -> i -> j on first edges; (iii) i0 -> m -> j' against i0 -> i -> j'
+    with mults (0, 0) and (0, k), m = i0, or the second vertex if i = i0."""
+    f, scope = od.base.incidence, decomp.classes[alpha].vertices
+    i0 = scope[0]
+    for v, s in itertools.product(scope, scope):
+        for k in range(1, f[v][s]):
+            yield make_diamond(od, Leg((s, v), (0,)), Leg((s, v), (k,)), alpha)
+    for i, j in itertools.product(scope[1:], scope):
+        yield make_diamond(od, Leg((j, i0, i0), (0, 0)), Leg((j, i, i0), (0, 0)), alpha)
+        yield make_diamond(od, Leg((i0, i0, j), (0, 0)), Leg((i0, i, j), (0, 0)), alpha)
+    for i, jp in itertools.product(scope if len(scope) > 1 else (), scope):
+        m = scope[1] if i == i0 else i0
+        for k in range(1, f[jp][i]):
+            yield make_diamond(od, Leg((i0, m, jp), (0, 0)), Leg((i0, i, jp), (0, k)), alpha)
+
+
 def eigenvalue_check(od: OrderedDiagram, alpha: int, theta,
                      window: tuple[int, int] | None = None,
-                     decomp: ComponentDecomposition | None = None, *,
-                     cap: int = 10 ** 6) -> EigenvalueVerdict:
-    """Exact divisibility test: exp(2 pi i theta) can be an eigenvalue of
-    the system of the distinguished class alpha iff theta * P_n is an
-    integer for every diamond of length <= 2 inside the class, for all
-    large n.  Requires strictly positive blocks (telescope first).  A pass
-    is read off q | G; only a failure lists the diamonds, to name the
-    first failing diamond and level (CapExceeded above cap diamonds)."""
+                     decomp: ComponentDecomposition | None = None) -> EigenvalueVerdict:
+    """Exact divisibility test: exp(2 pi i theta), theta = p/q reduced, can
+    be an eigenvalue of the system of the distinguished class alpha iff q
+    divides P_n for every diamond of length <= 2 inside the class, for all
+    large n.  Requires strictly positive blocks (telescope first).  fail_n
+    is the first window level where q does not divide G_n, and fail_diamond
+    the first spanning diamond whose P_n there q does not divide."""
     decomp, window, decisive = _class_window(od.base, alpha, window, decomp)
     theta = Fraction(theta)
-    p, q = theta.numerator, theta.denominator
-    if math.gcd(*_window_gcds(od, decomp, alpha, window)) % q == 0:
-        return EigenvalueVerdict(True, theta, window, decisive)
-    for dm, values in _p_tables(od, decomp, alpha, window, cap):
-        for offset, pn in enumerate(values):
-            if (p * pn) % q != 0:
-                return EigenvalueVerdict(False, theta, window, decisive,
-                                         fail_n=window[0] + offset, fail_diamond=dm)
-    raise AssertionError("the window gcd and the P tables disagree")
+    q = theta.denominator
+    for n, g in enumerate(_window_gcds(od, decomp, alpha, window), window[0]):
+        if g % q:
+            h = height_table(od.base, n + 1)     # legs have length <= 2
+            dm = next(dm for dm in _spanning_diamonds(od, decomp, alpha)
+                      if _p_row(od, dm, h, (n,))[0] % q)
+            return EigenvalueVerdict(False, theta, window, decisive, fail_n=n, fail_diamond=dm)
+    return EigenvalueVerdict(True, theta, window, decisive)
 
 
 def candidate_thetas(q_max: int) -> list[Fraction]:
