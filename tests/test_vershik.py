@@ -205,6 +205,20 @@ class TestDiamonds:
         assert len(everything) == 29
         assert len(set(everything)) == 29
 
+    def test_length_cap(self, wm_a):
+        # no length knob: the length-1 diamonds are a filter on the listing
+        short = [dm for dm in enumerate_diamonds(wm_a) if dm.length == 1]
+        assert len(short) == 5
+        assert all(dm.leg_a.vertices == dm.leg_b.vertices for dm in short)
+        assert max(dm.length for dm in enumerate_diamonds(wm_a)) == 2
+
+    @pytest.mark.parametrize("length", (0, -1))
+    def test_lengths_below_one_are_refused(self, b1_ordered, length):
+        # no listed diamond is that short, and no leg of that length is built
+        assert not [dm for dm in enumerate_diamonds(b1_ordered) if dm.length <= length]
+        with pytest.raises(ValueError):
+            Leg((0,) * (length + 1), (0,) * length)
+
     def test_lengths_are_one_and_two(self, wm_a):
         # the length-1 pairs of each bundle come first: 1 + 1 + 3 on wm_a
         lengths = [dm.length for dm in enumerate_diamonds(wm_a)]
