@@ -4,13 +4,15 @@ Subcommands parse structured-text documents, run the analyses, and print
 deterministic reports: identical input and flags always give identical
 bytes.  Exit codes: 0 success, 2 parse or usage error, 3 violated
 precondition (not aperiodic, not growing, imprimitive with telescoping
-disabled), 4 verification failure, 5 refused by a size cap.
+disabled), 4 verification failure, 5 refused by a size cap, 141 stdout closed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,6 +38,7 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
 EXIT_CAP = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 # caps on how much work an option value may ask for; above them, exit 5
 QMAX_CAP = 10 ** 6       # --qmax (the candidate count sieve is linear in it)
@@ -476,7 +479,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # a closed pipe is met here, not in the exit flush
+        return code
+    except BrokenPipeError:  # the reader has gone: say nothing, and send the exit flush
+        with (open(os.devnull, "wb") as null,  # to os.devnull, if stdout has a descriptor
+              contextlib.suppress(AttributeError, OSError, ValueError)):
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -59,16 +59,19 @@ def within_float_range(level: int, x, compute):
 class _LevelValues:
     """``value`` for a measure that prices one vertex with ``_value``."""
 
+    _level = None  # the level whose masses ``_masses`` holds, one slot per vertex
+
     def value(self, level: int, vertex: int):
         """Measure of any level-n cylinder ending at the given vertex; one level's
-        values are kept, outside ==, hash and repr, and never a refusal."""
-        cached, values = self.__dict__.get("_level_values", (None, None))
-        if cached != level:
-            values = {}
-            object.__setattr__(self, "_level_values", (level, values))
-        if vertex not in values:
-            values[vertex] = self._value(level, vertex)
-        return values[vertex]
+        masses are kept in a vertex-indexed list, outside ==, hash and repr.
+        A refusal of ``_value`` leaves its slot empty, so it is raised again."""
+        if level != self._level:
+            object.__setattr__(self, "_masses", [None] * self.diagram.n_vertices)
+            object.__setattr__(self, "_level", level)
+        mass = self._masses[vertex]
+        if mass is None:
+            mass = self._masses[vertex] = self._value(level, vertex)
+        return mass
 
 
 class _ClassMeasure(_LevelValues):

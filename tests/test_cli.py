@@ -9,6 +9,7 @@ confirm the entry point wiring.
 import contextlib
 import io
 import math
+import os
 import random
 import re
 import subprocess
@@ -710,6 +711,44 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("vertices: 2\n")
+
+
+class TestClosedStdout:
+    """A reader that stops early ends the command with 141 (128 + SIGPIPE)
+    and an empty stderr, not with the parse-error exit."""
+
+    def test_broken_pipe_exits_141_and_prints_nothing(self, docs):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(Closed()), contextlib.redirect_stderr(err):
+            code = main(["subst", "expand", docs["lin.sub"], "--steps", "10"])
+        assert (code, err.getvalue()) == (141, "")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_console_script_under_a_reader_that_stops(self, docs, unbuffered):
+        # 1,000,001 letters overfill the pipe, so the write meets the closed
+        # end whether stdout is buffered or not; the exit flush adds nothing
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bratteli.cli", "subst", "expand", docs["lin.sub"],
+             "--steps", "1000000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+        assert proc.stdout.read(1) == b"a"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+    def test_console_script_with_no_stdout_at_all(self, docs):
+        # with descriptor 1 closed, sys.stdout is None and print writes nothing
+        proc = subprocess.run(
+            f'"{sys.executable}" -m bratteli.cli analyze "{docs["b1.txt"]}" >&-',
+            shell=True, capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
 
 class TestSharedParser:
     """main builds its parser once per process; a call leaves nothing in

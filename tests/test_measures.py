@@ -249,6 +249,20 @@ class TestLevelCache:
         for a, b in ((fresh, used), (tail, used_tail), (mix, used_mix)):
             assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
+    def test_repeated_reads_return_the_same_object(self, b1):
+        # verify reuses a path's verdict for the object the previous path
+        # got, so a read at the kept level must not price the vertex again
+        dec = decompose(b1)
+        (mu,), (tail,) = enumerate_ergodic(dec), enumerate_infinite(dec)
+        exact, approximate = InvariantMeasure((mu,), (1,)), InvariantMeasure((mu,), (1.0,))
+        assert exact.is_exact and not approximate.is_exact
+        for m in (mu, tail, exact, approximate):
+            for level in (1, 4, 4, 2):
+                first = [m.value(level, v) for v in range(2)]
+                again = [m.value(level, v) for v in range(2)]
+                assert all(a is b for a, b in zip(first, again)), (m.kind, level)
+                assert first == [m._value(level, v) for v in range(2)]
+
 
 class TestMassAndTruncation:
     def test_distinguished_mass_stays_bounded(self, b1):

@@ -153,6 +153,27 @@ class TestInvariance:
         for m, skipping in zip(full, bare):
             assert m.calls == skipping.calls + priced
 
+    def test_one_comparison_per_walked_vertex(self, eig_chain, monkeypatch):
+        # a real measure gives every path to one (level, vertex) the same
+        # object, so the walk compares its first path only.  On top of a
+        # walk that skips every vertex, each (level, vertex) adds two _close
+        # calls: one for its paths and one for its extension sum
+        d = eig_chain.base
+        close = oracle._close
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return close(a, b)
+
+        monkeypatch.setattr(oracle, "_close", counted)
+        mu = enumerate_ergodic(d)[0]
+        assert verify_invariance(d, mu, 4, cap=0).ok
+        bare = len(calls)
+        calls.clear()
+        assert verify_invariance(d, mu, 4).ok
+        assert len(calls) == bare + 2 * 4 * d.n_vertices
+
     def test_the_walk_holds_no_paths(self):
         # masses are priced per vertex sequence and no path object is
         # built, so the walk's traced peak stays far below one (level,
