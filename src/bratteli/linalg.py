@@ -26,13 +26,14 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+# dot products by sum(map(operator.mul, ...)), not math.sumprod, which rounds floats otherwise
 def mat_mul(a, b):
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(operator.mul, row, v)) for row in a]
 
 
 def _clipped_mul(a, b, limit):
@@ -42,7 +43,7 @@ def _clipped_mul(a, b, limit):
     bt = list(zip(*b))
     return [[limit if any(x and y and x.bit_length() + y.bit_length() > bits
                           for x, y in zip(row, col))
-             else min(sum(x * y for x, y in zip(row, col)), limit) for col in bt]
+             else min(sum(map(operator.mul, row, col)), limit) for col in bt]
             for row in a]
 
 

@@ -59,14 +59,18 @@ def within_float_range(level: int, x, compute):
 class _LevelValues:
     """``value`` for a measure that prices one vertex with ``_value``."""
 
-    _level = None  # the level whose masses ``_masses`` holds, one slot per vertex
+    _level = _masses = None  # the level whose masses ``_masses`` holds, one slot per vertex
+    _other = (None, None)  # (level, masses) of the level read before it
 
     def value(self, level: int, vertex: int):
-        """Measure of any level-n cylinder ending at the given vertex; one level's
-        masses are kept in a vertex-indexed list, outside ==, hash and repr.
+        """Measure of any level-n cylinder ending at the given vertex; the last two
+        levels' masses are kept in vertex-indexed lists, outside ==, hash and repr.
         A refusal of ``_value`` leaves its slot empty, so it is raised again."""
         if level != self._level:
-            object.__setattr__(self, "_masses", [None] * self.diagram.n_vertices)
+            other_level, other = self._other
+            object.__setattr__(self, "_other", (self._level, self._masses))
+            object.__setattr__(self, "_masses", other if other_level == level
+                               else [None] * self.diagram.n_vertices)
             object.__setattr__(self, "_level", level)
         mass = self._masses[vertex]
         if mass is None:

@@ -24,12 +24,12 @@ vector of the cone puts no weight on an irrational Perron value, so
 membership is one integer test on the exact vectors, for every cone.
 A vector outside that cone is placed by the first k at which A^k y = x
 has no solution y >= 0.  When A is invertible that is y = A^-k x, so
-each level is one sign test on an integer vector, stepped by L A^-1 from
-one fraction-free elimination; a singular A tests x against the left
-kernel that elimination leaves, then takes the exact simplex at every
-level.  No verdict reads a float.  What does not depend on x is computed
-once and kept on the decomposition, as is the aperiodicity verdict; the
-class structure, with each block's imprimitivity index, once per diagram.
+each level is one sign test on an integer vector, stepped by M = L A^-1
+from one fraction-free elimination with A M = L I checked once; a
+singular A tests x against the left kernel it leaves, then takes the
+exact simplex at every level.  No verdict reads a float.  What does not
+depend on x is kept on the decomposition, as is the aperiodicity verdict;
+the class structure and imprimitivity indices, once per diagram.
 
 Numeric policy: a block's Perron value rho is reported exactly whenever
 it is rational, and as a float with a certified residual bound
@@ -63,6 +63,7 @@ from .record import record
 
 DEFAULT_GAP = 1e-9
 _POWER_STEPS = 200000
+LEVEL_CAP = 10 ** 4  # core_membership's k_max (a singular A keeps A^k at each level)
 
 
 def _decimal(n: int) -> str:
@@ -348,8 +349,11 @@ class ComponentDecomposition:
 
     @cached_property
     def _elimination(self):
-        """``linalg.scaled_inverse`` of A: (L A^-1, L) or (left kernel, 0)."""
-        return linalg.scaled_inverse(self.a_matrix)
+        """``linalg.scaled_inverse`` of A: (M, L), A M = L I checked once, or (left kernel, 0)."""
+        m, scale = linalg.scaled_inverse(self.a_matrix)
+        assert not scale or linalg.mat_mul(self.a_matrix, m) == [
+            [scale * x for x in row] for row in linalg.identity(len(m))]
+        return m, scale
 
 
 def _class_structure(d: StationaryDiagram):
@@ -567,16 +571,18 @@ def core_membership(decomp: ComponentDecomposition, x,
     has access to b) decides: in-core when c = M z[rows] >= 0 and
     Y c = L z, coefficients S c / (L q), 0 on each irrational class; with
     no exact class that is z = 0.  Every other x is outside the core:
-    not-in-core at the first k <= k_max (2N by default) that
-    ``_refuted_level`` refutes, else unknown (levels past 1 run for an
-    invertible A or N <= 12; k_max = 0 runs none).  Entries of x must be
-    ``int`` or ``Fraction`` (TypeError otherwise)."""
+    not-in-core at the first k <= k_max (2N by default, CapExceeded above
+    ``LEVEL_CAP``) that ``_refuted_level`` refutes, else unknown (levels
+    past 1 run for an invertible A or N <= 12; k_max = 0 runs none).
+    Entries of x must be ``int`` or ``Fraction`` (TypeError otherwise)."""
     n = len(decomp.a_matrix)
+    k_max = 2 * n if k_max is None else k_max
+    if k_max > LEVEL_CAP:
+        raise CapExceeded(f"k_max {k_max} is above the cap of {LEVEL_CAP}", k_max, LEVEL_CAP)
     q = math.lcm(*(v.denominator for v in _require_exact(x)))
     z = [v.numerator * (q // v.denominator) for v in x]
     if len(z) != n:
         raise ValueError("vector length must match the vertex count")
-    k_max = 2 * n if k_max is None else k_max
 
     ys, t_inv, t_scale, s, rows = decomp._exact_cone
     if rows or not any(z):  # with no exact class only z = 0 can pass
@@ -594,16 +600,15 @@ def _refuted_level(decomp: ComponentDecomposition, z, k_max):
     for the integer vector z, None when there is none.  For invertible A,
     z_k = M z_(k-1) with M = L A^-1 from ``_elimination`` is a positive
     multiple of A^-k z, so level k is infeasible exactly when z_k has a
-    negative entry (A z_k = L z_(k-1) is checked at every step); dividing
-    z_k by the gcd of its entries keeps that and its size bounded in k.
-    For singular A, level 1 is infeasible when w z != 0 for a row w of its
-    left kernel; then the exact simplex ``linalg.lp_nonneg_solve`` runs on
-    each power for N <= 12 only."""
+    negative entry (A z_k = L z_(k-1) at every step, as A M = L I checked
+    once); dividing z_k by the gcd of its entries keeps that and its size
+    bounded in k.  For singular A, level 1 is infeasible when w z != 0 for
+    a row w of its left kernel; then the exact simplex
+    ``linalg.lp_nonneg_solve`` runs on each power for N <= 12 only."""
     m, scale = decomp._elimination
     if scale:
         for k in range(1, k_max + 1):
-            z, prev = linalg.mat_vec(m, z), z
-            assert linalg.mat_vec(decomp.a_matrix, z) == [scale * v for v in prev]
+            z = linalg.mat_vec(m, z)
             if min(z) < 0:
                 return k
             content = math.gcd(*z)

@@ -34,6 +34,7 @@ from bratteli import (
     telescope_to_primitive,
     truncated_extension,
 )
+from bratteli.measures import _ClassMeasure
 
 from conftest import aperiodic_corpus
 
@@ -205,7 +206,7 @@ class TestSigmaFinite:
 
 
 class TestLevelCache:
-    """``value`` keeps the values of one level; they are the formula's."""
+    """``value`` keeps the values of two levels; they are the formula's."""
 
     def test_cached_values_are_the_formula_values(self):
         count = 0
@@ -262,6 +263,32 @@ class TestLevelCache:
                 again = [m.value(level, v) for v in range(2)]
                 assert all(a is b for a, b in zip(first, again)), (m.kind, level)
                 assert first == [m._value(level, v) for v in range(2)]
+
+    def test_the_level_read_before_is_kept_too(self, b1, monkeypatch):
+        # verify reads levels n, n + 1 and n again, so the third read must
+        # price nothing; a third level replaces the older of the two
+        dec = decompose(b1)
+        (mu,), (tail,) = enumerate_ergodic(dec), enumerate_infinite(dec)
+        mix = InvariantMeasure(tuple(enumerate_ergodic(dec)), (1,))
+        priced = []
+
+        def counting(value):
+            def counted(self, level, vertex):
+                priced.append((id(self), level, vertex))
+                return value(self, level, vertex)
+            return counted
+
+        for cls in (_ClassMeasure, InvariantMeasure):
+            monkeypatch.setattr(cls, "_value", counting(cls._value))
+        for m in (mu, tail, mix):
+            first = {level: [m.value(level, v) for v in range(2)] for level in (3, 4)}
+            for level in (3, 4, 3, 4):
+                again = [m.value(level, v) for v in range(2)]
+                assert all(a is b for a, b in zip(first[level], again)), (m.kind, level)
+            m.value(5, 0)
+            m.value(3, 0)
+            assert [p[1:] for p in priced if p[0] == id(m)] == [
+                (3, 0), (3, 1), (4, 0), (4, 1), (5, 0), (3, 0)], m.kind
 
 
 class TestMassAndTruncation:

@@ -42,6 +42,7 @@ from bratteli import (
 )
 from bratteli import oracle
 from bratteli.diagram import height_table, vertex_sequences
+from bratteli.measures import _ClassMeasure
 
 
 class _Counting:
@@ -173,6 +174,25 @@ class TestInvariance:
         calls.clear()
         assert verify_invariance(d, mu, 4).ok
         assert len(calls) == bare + 2 * 4 * d.n_vertices
+
+    def test_each_level_vertex_is_priced_once(self, eig_chain, monkeypatch):
+        # verify reads level n, then n + 1, then walks n again: each measure
+        # prices the 3 vertices of levels 1..5 once, 15 _value calls, where
+        # keeping one level priced 36
+        d = eig_chain.base
+        measures = enumerate_ergodic(d) + enumerate_infinite(d)
+        priced = Counter()
+        value = _ClassMeasure._value
+
+        def counted(self, level, vertex):
+            priced[id(self), level, vertex] += 1
+            return value(self, level, vertex)
+
+        monkeypatch.setattr(_ClassMeasure, "_value", counted)
+        assert all(r.ok for r in oracle.verify_measures(d, measures, n_max=4))
+        assert sorted(priced) == sorted((id(m), lvl, v) for m in measures
+                                        for lvl in range(1, 6) for v in range(3))
+        assert set(priced.values()) == {1}
 
     def test_the_walk_holds_no_paths(self):
         # masses are priced per vertex sequence and no path object is

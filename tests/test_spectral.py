@@ -844,6 +844,50 @@ class TestCoreMembership:
         x = tuple(linalg.mat_vec(a, [1] + [0] * (n - 1)))
         assert core_membership(dec, x) == CoreVerdict("unknown")
 
+    def test_a_wrong_inverse_is_caught_before_any_verdict(self, b1, monkeypatch):
+        """The sign steps trust M = L A^-1 after one check, A M = L I, when the
+        decomposition first computes it.  An M with one entry off by one, at
+        a seeded position, must raise before the first query that steps is
+        answered, and again on the next, since nothing wrong is kept."""
+        rng = random.Random(31)
+        n = 13
+        chain = StationaryDiagram(tuple(tuple(2 if i == j else int(j == i - 1) for j in range(n))
+                                        for i in range(n)))
+        real = linalg.scaled_inverse
+        for d, x in ((b1, (0, 1)), (b1, (1, 1)), (chain, (0,) * (n - 1) + (1,))):
+            a = decompose(d).a_matrix
+            i, j = rng.randrange(len(a)), rng.randrange(len(a))
+
+            def off_by_one(matrix):
+                m, scale = real(matrix)
+                if matrix == a:
+                    m = [list(row) for row in m]
+                    m[i][j] += 1
+                return m, scale
+
+            monkeypatch.setattr(spectral.linalg, "scaled_inverse", off_by_one)
+            dec = decompose(d)
+            for _ in range(2):
+                with pytest.raises(AssertionError):
+                    core_membership(dec, x)
+            assert "_elimination" not in vars(dec)
+            monkeypatch.setattr(spectral.linalg, "scaled_inverse", real)
+            assert core_membership(dec, x).kind == "not-in-core"
+
+    def test_k_max_above_the_cap_is_refused_before_any_work(self, b1, double_morse):
+        # the cap comes first: a float query, which is a TypeError under the
+        # cap, is refused for k_max, and nothing is computed on the decomposition
+        assert spectral.LEVEL_CAP == 10 ** 4
+        for d, x in ((b1, (0, 1)), (double_morse, (2, 1, 2, 1, 3))):
+            dec = decompose(d)
+            for bad in (x, tuple(map(float, x))):
+                with pytest.raises(CapExceeded, match="^k_max 10001 is above the cap") as e:
+                    core_membership(dec, bad, spectral.LEVEL_CAP + 1)
+                assert (e.value.required, e.value.cap) == (10 ** 4 + 1, 10 ** 4)
+            assert not {"_exact_cone", "_elimination"} & vars(dec).keys()
+        assert core_membership(decompose(b1), (0, 1), spectral.LEVEL_CAP) == CoreVerdict(
+            "not-in-core", k=1)
+
 
 def _undivided_sign_steps(a, x):
     """(kind, k) of the sign steps z_k = M z_(k-1), M = L A^-1 and z_0 the
