@@ -60,7 +60,7 @@ def _load_diagram(args, want_positive: bool = False):
     doc = parse_diagram(_read(args.diagram))
     ordered = isinstance(doc, OrderedDiagram)
     base = doc.base if ordered else doc
-    spec = getattr(args, "telescope", "auto")
+    spec = args.telescope
     if spec == "auto":
         q = positivity_power(base) if want_positive else _primitive_power(base)
     else:

@@ -22,10 +22,6 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 # dot products by sum(map(operator.mul, ...)), not math.sumprod, which rounds floats otherwise
 def mat_mul(a, b):
     bt = list(zip(*b))
@@ -99,14 +95,6 @@ def char_poly(a):
             raise ArithmeticError("characteristic polynomial not integral")
         coeffs.append(c)
     return coeffs
-
-
-def poly_eval(coeffs, x):
-    """Evaluate sum coeffs[i] * x^(deg-i) by Horner."""
-    acc = 0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
 
 
 def positive_divisors(n):

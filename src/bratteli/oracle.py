@@ -70,7 +70,6 @@ def verify_invariance(d, m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport
     ``enumerate_paths`` order, which raises.
     """
     f = d.incidence
-    a = linalg.transpose(f)
     n = d.n_vertices
     g = m.diagram.incidence
     violations = []
@@ -82,6 +81,9 @@ def verify_invariance(d, m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport
     for lvl, h in zip(range(1, n_max + 1), height_levels(d)):
         p_now = [m.value(lvl, v) for v in range(n)]
         p_next = [m.value(lvl + 1, v) for v in range(n)]
+        # each one-edge extension sum, (A p(n+1))[v] with A = F^T term for term
+        ext = [linalg.left_sum(f[w][v] * p_next[w] for w in range(n) if f[w][v])
+               for v in range(n)]
 
         # (a) constancy over paths and one-edge additivity
         for v in range(n):
@@ -105,20 +107,18 @@ def verify_invariance(d, m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport
                         violations.append(
                             f"(a) path {vs} mass {got} != vertex mass "
                             f"{p_now[v]} at level {lvl}")
-            extension_mass = linalg.left_sum(f[w][v] * p_next[w] for w in range(n) if f[w][v])
             checks += 1
-            if not _close(extension_mass, p_now[v]):
+            if not _close(ext[v], p_now[v]):
                 violations.append(
                     f"(a) extensions of vertex {v} level {lvl} sum to "
-                    f"{extension_mass}, cylinder mass is {p_now[v]}")
+                    f"{ext[v]}, cylinder mass is {p_now[v]}")
 
         # (b) stationarity of the mass vectors
         for v in range(n):
             checks += 1
-            lhs = linalg.left_sum(a[v][w] * p_next[w] for w in range(n) if a[v][w])
-            if not _close(lhs, p_now[v]):
+            if not _close(ext[v], p_now[v]):
                 violations.append(
-                    f"(b) (A p({lvl + 1}))[{v}] = {lhs} != p({lvl})[{v}] "
+                    f"(b) (A p({lvl + 1}))[{v}] = {ext[v]} != p({lvl})[{v}] "
                     f"= {p_now[v]}")
 
         # (c) unit total mass, finite measures only

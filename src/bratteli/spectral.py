@@ -328,23 +328,24 @@ class ComponentDecomposition:
 
     @cached_property
     def _aperiodicity(self):
-        """Requires every non-zero block primitive.  Aperiodic when (i) every
-        initial class has a non-zero block with Perron value > 1 and (ii)
-        every 1x1 identity block is fed from some non-zero class above it."""
+        """Requires every non-zero block primitive.  Aperiodic when every
+        initial class has a non-zero block with Perron value > 1, decided
+        from the block alone: that block is not the 1x1 block (1).
+
+        An initial zero block is a vertex that no edge enters, an empty row
+        of F, which ``validate`` refuses first.  A 1x1 block (m), m >= 1, has
+        Perron value m.  A primitive integer block of order n >= 2 has a
+        power A^k >= J, the all-ones matrix, so rho^k >= n and rho > 1.
+        Every other class has an initial class above it, non-zero, so every
+        single-loop class below is fed from outside once this passes."""
         bad = validate(self.diagram)
         if bad:
             return AperiodicityResult("invalid", None, "; ".join(x.message for x in bad))
         check_primitive(self)
         for alpha in self.initial_classes:
-            cls = self.classes[alpha]
-            if cls.is_zero or nv_compare(cls.rho, NumericValue.exact(1)) <= 0:
-                return AperiodicityResult("not-aperiodic", alpha, f"initial class {alpha} "
-                                          f"has Perron value {cls.rho.render()}")
-        for cls in self.classes:
-            if cls.block == ((1,),) and all(self.classes[b].is_zero
-                                            for b in self.accessors_of(cls.index)):
-                return AperiodicityResult("not-aperiodic", cls.index, f"single-loop class "
-                                          f"{cls.index} receives no outside paths")
+            if self.classes[alpha].block == ((1,),):
+                return AperiodicityResult("not-aperiodic", alpha,
+                                          f"initial class {alpha} has Perron value 1")
         return AperiodicityResult("aperiodic", None, None)
 
     @cached_property

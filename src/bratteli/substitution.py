@@ -17,8 +17,7 @@ from .diagram import StationaryDiagram
 from .errors import CapExceeded, NotGrowingError
 from .measures import ErgodicMeasure, TailMeasure, enumerate_ergodic, enumerate_infinite
 from .record import record
-from .spectral import (ComponentDecomposition, NumericValue, _primitive_power, decompose,
-                       nv_compare)
+from .spectral import ComponentDecomposition, _primitive_power, _structure, decompose
 from .vershik import OrderedDiagram, telescope_ordered
 
 EXPAND_CAP = 10 ** 7
@@ -112,31 +111,27 @@ def growth_check(s: Substitution) -> GrowthReport:
     """Does the n-th image of each letter grow without bound?  Exact test
     on the class structure: the image lengths of letter a are unbounded
     iff some class with access to a's class has Perron value above 1, or
-    two distinct chained unit-Perron classes sit above it."""
-    return _growth_report(s, decompose(diagram_from_substitution(s).base))
+    two distinct chained unit-Perron classes sit above it.
+
+    No Perron value is computed.  A non-zero irreducible integer block has
+    every row sum at least 1, so its Perron value rho is 1 exactly when
+    every row sums to 1, and above 1 otherwise: equal row sums s give
+    rho = s, and by Perron-Frobenius unequal ones put rho strictly between
+    the least and the greatest.  A zero block has rho = 0."""
+    return _growth_report(s, diagram_from_substitution(s).base)
 
 
-def _growth_report(s: Substitution, decomp: ComponentDecomposition) -> GrowthReport:
-    one = NumericValue.exact(1)
-    k = len(decomp.classes)
-
-    def rho_above_one(b):
-        cls = decomp.classes[b]
-        return not cls.is_zero and nv_compare(cls.rho, one) > 0
-
-    def rho_is_one(b):
-        cls = decomp.classes[b]
-        return cls.rho.is_exact and cls.rho.value == 1
-
+def _growth_report(s: Substitution, d: StationaryDiagram) -> GrowthReport:
+    """``growth_check`` on d, the diagram of s, read off its class
+    structure: the greatest row sum of each block is 0, 1 or above 1
+    exactly when its Perron value is."""
+    _, _, class_of, access, blocks, _ = _structure(d)
+    top = [max(map(sum, block)) for block in blocks]
     verdicts = {}
     for v, letter in enumerate(s.alphabet):
-        home = decomp.class_of[v]
-        above = [b for b in range(k) if decomp.access[b][home]]
-        growing = any(rho_above_one(b) for b in above)
-        if not growing:
-            growing = any(b != c and rho_is_one(b) and rho_is_one(c)
-                          and decomp.access[b][c]
-                          for b in above for c in above)
+        above = [b for b in range(len(blocks)) if access[b][class_of[v]]]
+        growing = any(top[b] > 1 for b in above) or any(
+            b != c and top[b] == top[c] == 1 and access[b][c] for b in above for c in above)
         verdicts[letter] = "Growing" if growing else "Bounded"
     return GrowthReport(verdicts)
 
@@ -198,19 +193,19 @@ class SubstitutionMeasures:
 
 def substitution_measures(s: Substitution) -> SubstitutionMeasures:
     """Full measure enumeration for the substitution system.  Requires
-    every letter Growing; telescopes automatically (reporting the power)
-    when a diagonal block is imprimitive; sigma-finite listing excludes
-    the atomic single-loop classes."""
+    every letter Growing, read off the class structure; telescopes
+    automatically (reporting the power) when a diagonal block is
+    imprimitive, then decomposes once; sigma-finite listing excludes the
+    atomic single-loop classes."""
     od = diagram_from_substitution(s)
-    decomp = decompose(od.base)
-    growth = _growth_report(s, decomp)
+    growth = _growth_report(s, od.base)
     if not growth.growing:
         bad = growth.bounded_letters()[0]
         raise NotGrowingError(f"letter {bad!r} has bounded images", letter=bad)
     q = _primitive_power(od.base)
     if q > 1:
         od = telescope_ordered(od, q)
-        decomp = decompose(od.base)
+    decomp = decompose(od.base)
     ergodic = tuple(enumerate_ergodic(decomp))
     infinite = tuple(enumerate_infinite(decomp, include_atomic=False))
     return SubstitutionMeasures(s, od, q, decomp, ergodic, infinite,

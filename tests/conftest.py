@@ -178,6 +178,15 @@ def aperiodic_corpus(seed=20260814, count=20, n_max=4, entry_max=3):
     return out
 
 
+def horner(coeffs, x):
+    """sum coeffs[i] * x^(deg - i), the polynomial that ``linalg.char_poly``
+    returns, evaluated at x."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
 def scaled_inverse_by_solves(a):
     """(M, L) with M = L a^-1 and L > 0 the least such integer, from N
     Fraction solves against the unit vectors, as cone membership built it

@@ -365,6 +365,7 @@ class TestCylinder:
         ("", "a path has length at least 1"),
         (" ", "a path has length at least 1"),
         (",", "unknown vertex '' in path"),
+        ("1,2.x", "bad edge index in path token '2.x'"),
     ])
     def test_malformed_path_exits_2(self, docs, spec, message):
         assert run_cli("cylinder", docs["b1.txt"], "--measure", "0", "--path", spec) == (
@@ -423,6 +424,12 @@ class TestEigenvalues:
         assert c1 == c2 == 0
         assert o1 == o2
         assert "pass: 0 1/25 2/25" in o1
+
+    def test_no_distinguished_class_exits_3(self, tmp_path):
+        zero = tmp_path / "zero.txt"
+        zero.write_text("n: 2\nincidence:\n0 0\n0 0\norder:\n1:\n2:\n")
+        assert run_cli("eigenvalues", str(zero)) == (
+            3, "", "error: no distinguished class to analyze\n")
 
     def test_unordered_document_exits_2(self, docs):
         code, _, err = run_cli("eigenvalues", docs["b1.txt"])

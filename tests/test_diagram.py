@@ -27,6 +27,11 @@ def test_rejects_non_square_incidence():
         StationaryDiagram(((1, 2),))
 
 
+def test_rejects_an_empty_diagram():
+    with pytest.raises(DimensionMismatch, match="at least one vertex"):
+        StationaryDiagram(())
+
+
 def test_rejects_negative_entries():
     with pytest.raises(ValueError):
         StationaryDiagram(((1, -1), (0, 1)))

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -42,10 +43,11 @@ from bratteli import (
     truncated_extension,
 )
 from bratteli import spectral
+from bratteli.diagram import validate
 from bratteli.errors import CapExceeded
-from bratteli.spectral import _perron_bracket, _perron_sign, nv_compare
+from bratteli.spectral import AperiodicityResult, _perron_bracket, _perron_sign, nv_compare
 
-from conftest import aperiodic_corpus, random_diagram, scaled_inverse_by_solves
+from conftest import aperiodic_corpus, horner, random_diagram, scaled_inverse_by_solves
 
 
 class TestNumericValue:
@@ -100,7 +102,7 @@ class TestPerronData:
         # lie in the searched range and only 6 has a positive eigenvector
         block = [[1, 2, 1], [3, 4, 0], [4, 0, 4]]
         poly = linalg.char_poly(block)
-        assert linalg.poly_eval(poly, 4) == 0 and linalg.poly_eval(poly, 6) == 0
+        assert horner(poly, 4) == 0 and horner(poly, 6) == 0
         lam, vec = perron_pair(block)
         assert lam.is_exact and lam.value == 6
         assert all(x > 0 for x in vec)
@@ -139,7 +141,7 @@ def char_poly_perron_pair(block):
     poly = linalg.char_poly(block)
     row_sums = [sum(row) for row in block]
     for r in range(max(1, min(row_sums)), max(row_sums) + 1):
-        if linalg.poly_eval(poly, r) != 0:
+        if horner(poly, r) != 0:
             continue
         shifted = [[Fraction(x) - (r if i == j else 0) for j, x in enumerate(row)]
                    for i, row in enumerate(block)]
@@ -211,7 +213,7 @@ class TestPerronBracket:
         # a sign change of p over [lo - eps, hi + eps] puts a real root
         # there, and no eigenvalue lies at or above hi + eps, so that root
         # is the largest real one, rho
-        assert linalg.poly_eval(poly, lo - eps) < 0 < linalg.poly_eval(poly, hi + eps)
+        assert horner(poly, lo - eps) < 0 < horner(poly, hi + eps)
         assert above_every_eigenvalue(poly, hi + eps)
         assert not above_every_eigenvalue(poly, lo - eps)
 
@@ -1054,6 +1056,57 @@ class TestAperiodicity:
         result = aperiodicity_check(decompose(StationaryDiagram(((0, 0), (1, 1)))))
         assert result.kind == "invalid"
         assert not result
+
+    def test_block_test_agrees_with_perron_values(self):
+        # N <= 6 with many zero entries: invalid, imprimitive, unit-loop and
+        # aperiodic diagrams all occur; a tie decompose refuses is counted
+        rng = random.Random(6)
+        ties = 0
+        kinds = Counter()
+        for _ in range(3000):
+            n = rng.randint(1, 6)
+            d = StationaryDiagram(tuple(tuple(rng.choice((0, 0, 0, 1, 1, 2)) for _ in range(n))
+                                        for _ in range(n)))
+            try:
+                dec = decompose(d)
+            except AmbiguousComparison:
+                ties += 1
+                continue
+            got, want = (_outcome(f, dec) for f in (aperiodicity_check, aperiodicity_by_perron_values))
+            assert got == want, d
+            kinds[getattr(got, "kind", got)] += 1
+        assert ties < 10
+        assert all(kinds[k] > 50 for k in ("invalid", "aperiodic", "not-aperiodic",
+                                            "PrimitivityError")), kinds
+
+
+def _outcome(f, dec):
+    try:
+        return f(dec)
+    except PrimitivityError as e:
+        return type(e).__name__
+
+
+def aperiodicity_by_perron_values(dec):
+    """The aperiodicity verdict as ``decompose`` gave it from Perron values
+    before the block test: (i) every initial class has a non-zero block
+    with rho > 1, and (ii) every 1x1 identity block is fed from some
+    non-zero class above it."""
+    bad = validate(dec.diagram)
+    if bad:
+        return AperiodicityResult("invalid", None, "; ".join(x.message for x in bad))
+    check_primitive(dec)
+    for alpha in dec.initial_classes:
+        cls = dec.classes[alpha]
+        if cls.is_zero or nv_compare(cls.rho, NumericValue.exact(1)) <= 0:
+            return AperiodicityResult("not-aperiodic", alpha, f"initial class {alpha} "
+                                      f"has Perron value {cls.rho.render()}")
+    for cls in dec.classes:
+        if cls.block == ((1,),) and all(dec.classes[b].is_zero
+                                        for b in dec.accessors_of(cls.index)):
+            return AperiodicityResult("not-aperiodic", cls.index, f"single-loop class "
+                                      f"{cls.index} receives no outside paths")
+    return AperiodicityResult("aperiodic", None, None)
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,8 +19,41 @@ from bratteli import (
     substitution_matrix,
     substitution_measures,
 )
+from bratteli import spectral, substitution
+from bratteli.errors import AmbiguousComparison
+from bratteli.spectral import NumericValue, decompose, nv_compare
 
 from conftest import time_limit
+
+# two classes tie at the golden ratio above the fixed letter e
+GOLDEN_TIE = Substitution(tuple("abcde"), {"a": "acd", "b": "d", "c": "ab", "d": "db", "e": "e"})
+
+
+def growth_by_perron_values(s):
+    """The growth verdicts read off the Perron values of a decomposition, as
+    ``growth_check`` decided them before it read the row sums: letter a
+    grows iff a class above it has rho > 1, or two chained classes above it
+    have rho = 1.  AmbiguousComparison on a tie ``decompose`` cannot order."""
+    decomp = decompose(diagram_from_substitution(s).base)
+    one = NumericValue.exact(1)
+    k = len(decomp.classes)
+
+    def rho_above_one(b):
+        cls = decomp.classes[b]
+        return not cls.is_zero and nv_compare(cls.rho, one) > 0
+
+    def rho_is_one(b):
+        cls = decomp.classes[b]
+        return cls.rho.is_exact and cls.rho.value == 1
+
+    verdicts = {}
+    for v, letter in enumerate(s.alphabet):
+        above = [b for b in range(k) if decomp.access[b][decomp.class_of[v]]]
+        growing = any(rho_above_one(b) for b in above) or any(
+            b != c and rho_is_one(b) and rho_is_one(c) and decomp.access[b][c]
+            for b in above for c in above)
+        verdicts[letter] = "Growing" if growing else "Bounded"
+    return verdicts
 
 
 class TestConstruction:
@@ -107,6 +140,67 @@ class TestGrowth:
         s = Substitution(("a", "b", "c"), {"a": "ab", "b": "bc", "c": "c"})
         assert growth_check(s).verdicts["a"] == "Growing"
         assert growth_check(s).verdicts["c"] == "Bounded"
+
+    def test_row_sums_agree_with_perron_values(self):
+        # 4,000 substitutions of 1-5 letters with rule words of 1-4 letters;
+        # a tie decompose refuses is counted, and answered by growth_check
+        rng = random.Random(77)
+        ties = 0
+        verdicts = Counter()
+        for _ in range(4000):
+            alphabet = "abcde"[:rng.randint(1, 5)]
+            s = Substitution(tuple(alphabet), {
+                a: "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+                for a in alphabet})
+            got = growth_check(s).verdicts
+            verdicts.update(got.values())
+            try:
+                want = growth_by_perron_values(s)
+            except AmbiguousComparison:
+                ties += 1
+                continue
+            assert got == want, s
+        assert ties == 5
+        assert verdicts["Bounded"] > 1000 and verdicts["Growing"] > 1000
+
+    def test_golden_tie_gets_a_verdict(self):
+        with pytest.raises(AmbiguousComparison):
+            growth_by_perron_values(GOLDEN_TIE)
+        assert growth_check(GOLDEN_TIE).verdicts == {
+            "a": "Growing", "b": "Growing", "c": "Growing", "d": "Growing", "e": "Bounded"}
+        with pytest.raises(NotGrowingError, match="letter 'e' has bounded images"):
+            substitution_measures(GOLDEN_TIE)
+
+    def test_no_perron_data_is_computed(self, monkeypatch, thue_morse):
+        def refuse(block):
+            raise AssertionError("perron_pair called by the growth gate")
+
+        monkeypatch.setattr(spectral, "perron_pair", refuse)
+        assert growth_check(thue_morse).growing
+        assert growth_check(GOLDEN_TIE).bounded_letters() == ("e",)
+
+
+class TestOneDecomposition:
+    @pytest.fixture
+    def decompositions(self, monkeypatch):
+        seen = []
+
+        def counted(d):
+            seen.append(d)
+            return decompose(d)
+
+        monkeypatch.setattr(substitution, "decompose", counted)
+        return seen
+
+    def test_telescoped_measures_decompose_once(self, decompositions):
+        result = substitution_measures(Substitution(("a", "b"), {"a": "bb", "b": "aa"}))
+        assert result.telescope_power == 2
+        assert decompositions == [result.ordered.base]
+
+    def test_bounded_letters_are_refused_before_decomposing(self, decompositions):
+        with pytest.raises(NotGrowingError):
+            substitution_measures(Substitution(("a", "b"), {"a": "ab", "b": "b"}))
+        assert decompositions == []
 
 
 class TestExpansion:

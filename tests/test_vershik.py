@@ -70,6 +70,8 @@ class TestOrderedDiagram:
             OrderedDiagram(b1, ((0, 0), (0, 1)))  # vertex 1 needs two 1-edges
         with pytest.raises(ValueError):
             OrderedDiagram(b1, ((0, 5), (0, 1, 1)))
+        with pytest.raises(ValueError, match="need one order word per vertex"):
+            OrderedDiagram(b1, ((0,),))
 
     def test_rank_tables_round_trip(self, b1_ordered):
         od = b1_ordered
