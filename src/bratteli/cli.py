@@ -21,8 +21,7 @@ from .diagram import CylinderSet, PathWord, check_path, height_table, heights, t
 from .documents import (measure_record, parse_coefficients, parse_diagram,
                         parse_measures, parse_substitution, render_scalar,
                         serialize_diagram, serialize_measures)
-from .errors import (BratteliError, CapExceeded, NotAperiodicError,
-                     NotInDomainError, ParseError, SizeRefused)
+from .errors import BratteliError, CapExceeded, NotInDomainError, ParseError, SizeRefused
 from .linalg import left_sum
 from .measures import (ErgodicMeasure, InvariantMeasure, borel_invariant, enumerate_ergodic,
                        enumerate_infinite, measure_of_cylinder, within_float_range)
@@ -225,11 +224,8 @@ def cmd_eigenvalues(args) -> int:
             raise ParseError(f"--class takes a class id in 0..{len(decomp.classes) - 1}, "
                              f"got {args.klass}")
         alpha = args.klass
-    else:
-        candidates = [c for c in decomp.classes if c.distinguished]
-        if not candidates:
-            raise NotAperiodicError("no distinguished class to analyze")
-        alpha = max(candidates, key=lambda c: (c.rho.as_float, -c.index)).index
+    else:   # a diagram with no distinguished class is refused by the search's preamble
+        alpha = max(decomp.classes, key=lambda c: (c.distinguished, c.rho.as_float, -c.index)).index
     if args.window is not None:
         a, sep, b = args.window.partition(":")
         try:

@@ -241,6 +241,13 @@ def tail_valuation(decomp: ComponentDecomposition, alpha: int):
     >= lam, and is 0 when v has no access to alpha.  Works for any class
     with a non-zero block; on a distinguished class the result is a
     positive multiple of the ergodic extreme vector.
+
+    The accessors of alpha are walked nearest alpha first, by descending
+    accessor count: a class strictly between b and alpha has every
+    accessor of b, and b too.  So when b is reached, every accessor of
+    alpha below b is decided; b is divergent, with no comparison, when it
+    has access to one that is, and otherwise exactly when rho_b >= lam.
+    Each accessor is compared at most once (a zero block as exact 0).
     """
     cls = _class(decomp, alpha)
     if cls.is_zero:
@@ -249,18 +256,12 @@ def tail_valuation(decomp: ComponentDecomposition, alpha: int):
     total = linalg.left_sum(cls.perron)
     y = tuple(v / total for v in cls.perron)
 
-    k = len(decomp.classes)
-    divergent = set()
-    for g in range(k):
-        if g == alpha or not decomp.access[g][alpha]:
-            continue
-        for b in range(k):
-            if (b != alpha and decomp.access[g][b] and decomp.access[b][alpha]
-                    and not decomp.classes[b].is_zero
-                    and nv_compare(decomp.classes[b].rho, lam) >= 0):
-                divergent.add(g)
-                break
-    finite = [g for g in range(k) if decomp.access[g][alpha] and g not in divergent]
+    access = decomp.access
+    divergent = []
+    for b in sorted(decomp.accessors_of(alpha), key=lambda b: -sum(row[b] for row in access)):
+        if any(access[b][g] for g in divergent) or nv_compare(decomp.classes[b].rho, lam) >= 0:
+            divergent.append(b)
+    finite = [g for g in range(len(access)) if access[g][alpha] and g not in divergent]
 
     base = _extend(decomp, alpha, y, finite)
     for g in divergent:

@@ -400,16 +400,15 @@ def decompose(d: StationaryDiagram) -> ComponentDecomposition:
     a, comps, class_of, access, blocks, periods = _structure(d)
     k = len(comps)
     rhos, vecs = zip(*map(perron_pair, blocks))
-    distinguished = [periods[alpha] is not None
-                     and all(nv_compare(rhos[alpha], rhos[b]) > 0
-                             for b in range(k) if b != alpha and access[b][alpha])
-                     for alpha in range(k)]
+    above = [[b for b in range(k) if b != c and access[b][c]] for c in range(k)]  # strict accessors
+    distinguished = [periods[c] is not None
+                     and not any(nv_compare(rhos[b], rhos[c]) >= 0 for b in above[c])
+                     for c in range(k)]
     classes = tuple(ComponentClass(ci, comp, blocks[ci], periods[ci] is None, rhos[ci],
                                    periods[ci], distinguished[ci],
                                    None if periods[ci] is None else vecs[ci])
                     for ci, comp in enumerate(comps))
-    initial = tuple(alpha for alpha in range(k)
-                    if not any(access[b][alpha] for b in range(k) if b != alpha))
+    initial = tuple(c for c in range(k) if not above[c])
     final = tuple(alpha for alpha in range(k)
                   if not any(access[alpha][b] for b in range(k) if b != alpha))
 
@@ -419,8 +418,8 @@ def decompose(d: StationaryDiagram) -> ComponentDecomposition:
     # come out first.  A strict accessor of c has fewer accessors than c,
     # so visiting by accessor count finds every accessor's depth first.
     depth = {}
-    for c in sorted(range(k), key=lambda c: sum(row[c] for row in access)):
-        depth[c] = max((depth[b] + 1 for b in range(k) if b != c and access[b][c]), default=0)
+    for c in sorted(range(k), key=lambda c: len(above[c])):
+        depth[c] = max((depth[b] + 1 for b in above[c]), default=0)
     perm = tuple(v for c in sorted(range(k), key=lambda c: (depth[c], c)) for v in comps[c])
 
     return ComponentDecomposition(d, a, classes, class_of, access, initial, final, perm)
@@ -473,8 +472,7 @@ def positivity_power(d: StationaryDiagram):
         m, current = 1, block
         limit = (len(block) - 1) ** 2 + 2
         while any(x == 0 for row in current for x in row):
-            current = [[1 if any(a and b for a, b in zip(row, col)) else 0
-                        for col in zip(*block)] for row in current]
+            current = linalg._clipped_mul(current, block, 1)
             m += 1
             if m > limit:
                 raise PrimitivityError("block never becomes positive; not primitive")

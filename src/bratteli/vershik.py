@@ -31,7 +31,7 @@ from .diagram import (TELESCOPE_CAP, PathWord, StationaryDiagram, check_path, he
                       telescope)
 from .errors import (CapExceeded, EndpointMismatch, NotDistinguishedError,
                      PrimitivityError, ZeroMeasureCylinder)
-from .measures import within_float_range
+from .measures import _aperiodic, within_float_range
 from .record import record
 from .spectral import (ComponentDecomposition, _class, decompose,
                        distinguished_eigenvector, positivity_power)
@@ -425,7 +425,8 @@ def _class_window(d: StationaryDiagram, alpha, window, decomp):
     """Preamble of the three eigenvalue tests: (decomposition, window,
     decisive) for the distinguished class alpha of d, with decomp and the
     window (default_window when None) computed when not given.  Every
-    non-zero block must be strictly positive (telescope first)."""
+    non-zero block must be strictly positive (telescope first), then d
+    aperiodic (NotAperiodicError), as the Vershik map needs."""
     if decomp is None:
         decomp = decompose(d)
     for cls in decomp.classes:
@@ -434,6 +435,7 @@ def _class_window(d: StationaryDiagram, alpha, window, decomp):
             raise PrimitivityError(
                 f"some diagonal block has zero entries; telescope by {q} first",
                 power=q)
+    _aperiodic(decomp)
     if not _class(decomp, alpha).distinguished:
         raise NotDistinguishedError(f"class {alpha} is not distinguished")
     if window is None:
@@ -511,9 +513,8 @@ def eigenvalue_search(od: OrderedDiagram, alpha: int, q_max: int,
     q_max.
 
     theta = p/q in lowest terms passes exactly when q divides G, the gcd
-    of every P_n over the window (G = 0, no diamond, passes everything),
-    so the passes are 0 and the reduced p/q for each divisor 2 <= q <= q_max
-    of G.
+    of every P_n over the window, so the passes are 0 and the reduced p/q
+    for each divisor 2 <= q <= q_max of G.
     """
     decomp, window, _ = _class_window(od.base, alpha, window, decomp)
     g = math.gcd(*_window_gcds(od, decomp, alpha, window))
@@ -566,9 +567,9 @@ def nonmixing_witness(od: OrderedDiagram, alpha: int, diamond: Diamond,
     order_constant x_i / (x_range lam^k) gives the scale of the limit
     (and equals it when the cylinder ends in the diamond's range vertex
     and the class asymptotics are exact).  A float ratio is refused by
-    ``within_float_range`` beyond float range."""
-    if decomp is None:
-        decomp = decompose(od.base)
+    ``within_float_range`` beyond float range; a diagram that is not
+    aperiodic by NotAperiodicError."""
+    decomp = _aperiodic(od.base if decomp is None else decomp)
     check_path(od.base, e)
     eig = distinguished_eigenvector(decomp, alpha)
     xi, lam = eig.xi, eig.lam.value

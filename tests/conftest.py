@@ -3,6 +3,7 @@ limit, and references for the integer inverse, the window gcds and the
 successor map."""
 
 import contextlib
+import functools
 import math
 import random
 import signal
@@ -176,6 +177,17 @@ def aperiodic_corpus(seed=20260814, count=20, n_max=4, entry_max=3):
         if verdict:
             out.append(d)
     return out
+
+
+@functools.cache
+def dominance_family():
+    """The seeded family of the dominance-rule tests: 6,000 draws of
+    ``random_diagram(rng, n_max=6, entry_max=rng.choice((1, 2, 3, 9)))``
+    from random.Random(33).  ``decompose`` refuses 2 of them (tied Perron
+    values); the other 5,998 hold 7,076 classes with a non-zero block."""
+    rng = random.Random(33)
+    return tuple(random_diagram(rng, n_max=6, entry_max=rng.choice((1, 2, 3, 9)))
+                 for _ in range(6000))
 
 
 def horner(coeffs, x):

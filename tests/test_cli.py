@@ -426,10 +426,37 @@ class TestEigenvalues:
         assert "pass: 0 1/25 2/25" in o1
 
     def test_no_distinguished_class_exits_3(self, tmp_path):
+        # refused as analyze refuses it: the diagram is not even valid
         zero = tmp_path / "zero.txt"
         zero.write_text("n: 2\nincidence:\n0 0\n0 0\norder:\n1:\n2:\n")
-        assert run_cli("eigenvalues", str(zero)) == (
-            3, "", "error: no distinguished class to analyze\n")
+        code, out, err = run_cli("eigenvalues", str(zero))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: not aperiodic: vertex 1 has no incoming edges (empty row); ")
+        assert run_cli("analyze", str(zero)) == (3, "", err)
+
+    def test_one_path_diagram_is_not_aperiodic(self, tmp_path):
+        # it has no diamond, so G = 0 would pass all 1,259 nontrivial candidates
+        one = tmp_path / "one.txt"
+        one.write_text("n: 1\nincidence:\n1\norder:\n1: 1\n")
+        assert run_cli("eigenvalues", str(one)) == (
+            3, "", "error: not aperiodic: initial class 0 has Perron value 1\n")
+
+    def test_refused_as_analyze_refuses(self, tmp_path):
+        # d008, the first corpus case equivalence.py once recorded with every
+        # candidate passing
+        doc = tmp_path / "d008.txt"
+        doc.write_text(equivalence.cases(9)[8][0])
+        code, out, err = run_cli("eigenvalues", str(doc), "--qmax", "12")
+        assert (code, out) == (3, "") and err.startswith("error: not aperiodic: ")
+        assert run_cli("analyze", str(doc)) == (3, "", err)
+
+    @pytest.mark.parametrize("name", ["swap.txt", "gm.txt"])
+    def test_positive_blocks_are_checked_first(self, tmp_path, name):
+        doc = tmp_path / name
+        doc.write_text({"swap.txt": "n: 2\nincidence:\n0 1\n1 0\norder:\n1: 2\n2: 1\n",
+                        "gm.txt": "n: 2\nincidence:\n1 1\n1 0\norder:\n1: 12\n2: 1\n"}[name])
+        assert run_cli("eigenvalues", str(doc), "--telescope", "1") == (
+            3, "", "error: some diagonal block has zero entries; telescope by 2 first\n")
 
     def test_unordered_document_exits_2(self, docs):
         code, _, err = run_cli("eigenvalues", docs["b1.txt"])

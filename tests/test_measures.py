@@ -1,5 +1,6 @@
 """Ergodic probability measures, convex combinations, sigma-finite tails."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -34,9 +35,12 @@ from bratteli import (
     telescope_to_primitive,
     truncated_extension,
 )
+from bratteli import measures
+from bratteli.errors import AmbiguousComparison
 from bratteli.measures import _ClassMeasure
+from bratteli.spectral import NumericValue, nv_compare
 
-from conftest import aperiodic_corpus
+from conftest import aperiodic_corpus, dominance_family
 
 
 class TestErgodicEnumeration:
@@ -203,6 +207,74 @@ class TestSigmaFinite:
                 checked += 1
                 extended += len(dec.accessors_of(alpha)) > 0
         assert (checked, extended) == (9, 1)
+
+
+@functools.cache
+def dominance_decompositions():
+    """The decompositions of ``dominance_family``, ties refused left out."""
+    out = []
+    for d in dominance_family():
+        try:
+            out.append(decompose(d))
+        except AmbiguousComparison:
+            pass
+    return tuple(out)
+
+
+def divergent_by_nested_loop(decomp, alpha, compare=nv_compare):
+    """The classes that tail_valuation made +inf with a loop over every pair
+    (g, b): g has access to alpha and is divergent when some b != alpha
+    with g >= b >= alpha and a non-zero block has Perron value >= lam."""
+    k = len(decomp.classes)
+    lam = decomp.classes[alpha].rho
+    divergent = set()
+    for g in range(k):
+        if g == alpha or not decomp.access[g][alpha]:
+            continue
+        for b in range(k):
+            if (b != alpha and decomp.access[g][b] and decomp.access[b][alpha]
+                    and not decomp.classes[b].is_zero
+                    and compare(decomp.classes[b].rho, lam) >= 0):
+                divergent.add(g)
+                break
+    return divergent
+
+
+class TestDominanceWalk:
+    """``tail_valuation`` walks the accessors of alpha nearest first, on the
+    seeded family of ``dominance_family``."""
+
+    def test_infinite_classes_are_those_of_the_nested_loop(self):
+        classes = 0
+        for dec in dominance_decompositions():
+            for cls in dec.classes:
+                if cls.is_zero:
+                    continue
+                base = tail_valuation(dec, cls.index)[2]
+                infinite = {dec.class_of[v] for v, x in enumerate(base) if x == math.inf}
+                assert infinite == divergent_by_nested_loop(dec, cls.index), dec.diagram
+                classes += 1
+        assert classes == 7076
+
+    def test_each_comparison_is_one_the_nested_loop_makes(self, monkeypatch):
+        """So no tie can be refused that the loop did not refuse: the only
+        other comparison is of a zero block's exact 0 with lam >= 1.  And
+        each accessor of alpha is compared at most once."""
+        calls = []
+        monkeypatch.setattr(measures, "nv_compare",
+                            lambda a, b: calls.append((a, b)) or nv_compare(a, b))
+        zero = NumericValue.exact(0)
+        for dec in dominance_decompositions():
+            for cls in dec.classes:
+                if cls.is_zero:
+                    continue
+                calls.clear()
+                tail_valuation(dec, cls.index)
+                asked = []
+                divergent_by_nested_loop(dec, cls.index,
+                                         lambda a, b: asked.append((a, b)) or nv_compare(a, b))
+                assert all(call in asked or call == (zero, cls.rho) for call in calls)
+                assert len(calls) <= len(dec.accessors_of(cls.index))
 
 
 class TestLevelCache:

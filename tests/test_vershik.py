@@ -13,6 +13,7 @@ from bratteli import (
     Diamond,
     EndpointMismatch,
     Leg,
+    NotAperiodicError,
     NotDistinguishedError,
     OrderedDiagram,
     PathWord,
@@ -310,10 +311,24 @@ class TestEigenvalues:
         assert {t.denominator for t in found} == {1, 5, 25}
 
     def test_requires_positive_blocks(self):
-        od = OrderedDiagram(StationaryDiagram(((1, 1), (1, 0))), ((0, 1), (0,)))
-        with pytest.raises(PrimitivityError) as exc:
-            eigenvalue_check(od, 0, Fraction(1, 2))
-        assert exc.value.power == 2
+        # the second is checked before F**2 = I is found not aperiodic
+        for f, order in ((((1, 1), (1, 0)), ((0, 1), (0,))), (((0, 1), (1, 0)), ((1,), (0,)))):
+            od = OrderedDiagram(StationaryDiagram(f), order)
+            with pytest.raises(PrimitivityError, match="telescope by 2 first") as exc:
+                eigenvalue_check(od, 0, Fraction(1, 2))
+            assert exc.value.power == 2
+
+    def test_every_vershik_entry_point_requires_an_aperiodic_diagram(self):
+        # one path, no diamond: without the gate G = 0 and every theta passes
+        od = OrderedDiagram(StationaryDiagram(((1,),)), ((0,),))
+        dm = Diamond(Leg((0, 0), (0,)), Leg((0, 0), (1,)))
+        for call in (lambda: eigenvalue_search(od, 0, 12),
+                     lambda: eigenvalue_check(od, 0, Fraction(1, 2)),
+                     lambda: rational_eigenvalue_sufficient(od, 0, Fraction(1, 2)),
+                     lambda: nonmixing_witness(od, 0, dm, PathWord((0,)), range(1, 3))):
+            with pytest.raises(NotAperiodicError,
+                               match="^not aperiodic: initial class 0 has Perron value 1$"):
+                call()
 
     def test_requires_a_distinguished_class(self, b1_ordered):
         with pytest.raises(NotDistinguishedError):
