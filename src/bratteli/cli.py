@@ -29,8 +29,9 @@ from .oracle import verify_measures
 from .spectral import _primitive_power, decompose, positivity_power
 from .substitution import (diagram_from_substitution, expand, letter_frequencies,
                            substitution_matrix, substitution_measures)
-from .vershik import (OrderedDiagram, _extreme_edges, _step, candidate_count, default_window,
-                      eigenvalue_search, is_decisive, path_rank, telescope_ordered)
+from .vershik import (WINDOW_CAP, OrderedDiagram, _extreme_edges, _step, candidate_count,
+                      default_window, eigenvalue_search, is_decisive, path_rank,
+                      telescope_ordered)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -41,7 +42,6 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 # caps on how much work an option value may ask for; above them, exit 5
 QMAX_CAP = 10 ** 6       # --qmax (the candidate count sieve is linear in it)
-WINDOW_CAP = 10 ** 4     # top level of --window (heights are kept per level)
 DEPTH_CAP = 10 ** 4      # verify --depth (checks and heights run per level)
 
 
@@ -218,7 +218,7 @@ def cmd_eigenvalues(args) -> int:
     if not isinstance(od, OrderedDiagram):
         raise ParseError("eigenvalue analysis needs an ordered diagram "
                          "(document with an order: section)")
-    decomp = decompose(base)
+    decomp = od._decomposition
     if args.klass is not None:
         if not 0 <= args.klass < len(decomp.classes):
             raise ParseError(f"--class takes a class id in 0..{len(decomp.classes) - 1}, "
@@ -240,7 +240,7 @@ def cmd_eigenvalues(args) -> int:
     else:
         window = default_window(base)
 
-    passing = eigenvalue_search(od, alpha, args.qmax, window, decomp)
+    passing = eigenvalue_search(od, alpha, args.qmax, window)
 
     out = []
     if q > 1:

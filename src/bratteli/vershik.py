@@ -33,8 +33,9 @@ from .errors import (CapExceeded, EndpointMismatch, NotDistinguishedError,
                      PrimitivityError, ZeroMeasureCylinder)
 from .measures import _aperiodic, within_float_range
 from .record import record
-from .spectral import (ComponentDecomposition, _class, decompose,
-                       distinguished_eigenvector, positivity_power)
+from .spectral import _class, decompose, distinguished_eigenvector, positivity_power
+
+WINDOW_CAP = 10 ** 4     # top level of a window (heights are kept per level)
 
 
 @record
@@ -61,6 +62,11 @@ class OrderedDiagram:
     @property
     def n_vertices(self):
         return self.base.n_vertices
+
+    @cached_property
+    def _decomposition(self):
+        """decompose(self.base), once per ordered diagram, outside ==, hash and repr."""
+        return decompose(self.base)
 
     @cached_property
     def _rank_tables(self):
@@ -223,11 +229,10 @@ def make_diamond(od: OrderedDiagram, leg_a: Leg, leg_b: Leg,
     return Diamond(leg_a, leg_b, class_id)
 
 
-def enumerate_diamonds(od: OrderedDiagram, decomp: ComponentDecomposition | None = None,
-                       alpha: int | None = None, cap: int = 10 ** 6) -> list[Diamond]:
+def enumerate_diamonds(od: OrderedDiagram, alpha: int | None = None,
+                       cap: int = 10 ** 6) -> list[Diamond]:
     """All diamonds of length 1 or 2, one per unordered leg pair.  With
-    alpha set, every visited vertex must lie in that class (of decomp,
-    computed when not given).
+    alpha set, every visited vertex must lie in that class of od.
     Length-2 pairs sharing their middle vertex are omitted: they split
     into two length-1 diamonds.  The output is counted from the incidence
     matrix first; more than cap diamonds raises CapExceeded."""
@@ -235,7 +240,7 @@ def enumerate_diamonds(od: OrderedDiagram, decomp: ComponentDecomposition | None
     if alpha is None:
         scope = set(range(od.n_vertices))
     else:
-        scope = set(_class(decomp or decompose(od.base), alpha).vertices)
+        scope = set(_class(od._decomposition, alpha).vertices)
 
     # length-2 pairs through (j, jp): sum over middles i < i' of w_i w_i'
     count = sum(f[v][s] * (f[v][s] - 1) // 2 for v in scope for s in scope)
@@ -365,20 +370,20 @@ class EigenvalueVerdict:
         return self.passed
 
 
-def _p_tables(od, decomp, alpha, window):
+def _p_tables(od, alpha, window):
     """The tests' reference: one (diamond, P row over the window) pair per
     listed diamond, in listing order.  No two listed diamonds share a row
     by construction: a step's (target, bundle rank) names its edge through
     edge_at, so the per-step ranks of both legs fix the diamond."""
-    diamonds = enumerate_diamonds(od, decomp, alpha)
+    diamonds = enumerate_diamonds(od, alpha)
     n1, n2 = window
     h = height_table(od.base, n2 + 1)     # legs have length <= 2
     return [(dm, _p_row(od, dm, h, range(n1, n2 + 1))) for dm in diamonds]
 
 
-def _window_gcds(od, decomp, alpha, window):
+def _window_gcds(od, alpha, window):
     """G_n for each level n of the window: the gcd of P_n over every
-    diamond that enumerate_diamonds(od, decomp, alpha) lists, from
+    diamond that enumerate_diamonds(od, alpha) lists, from
     bundle prefix sums of the heights without building a Diamond.
 
     For class vertices v and s, c_n(v, s) is the prefix height below the
@@ -391,7 +396,7 @@ def _window_gcds(od, decomp, alpha, window):
     and i0 is the first class vertex.  A_ii0 + B_ii0, A_ij - A_ii0 and
     B_ij' - B_ii0 span the same group: 3N^2 gcd terms per level.  A
     one-vertex class has no length-2 diamond, so only its d_n count."""
-    scope = decomp.classes[alpha].vertices
+    scope = od._decomposition.classes[alpha].vertices
     inside, i0 = set(scope), scope[0]
     n1, n2 = window
     h = height_table(od.base, n2 + 1)
@@ -421,35 +426,34 @@ def _window_gcds(od, decomp, alpha, window):
     return out
 
 
-def _class_window(d: StationaryDiagram, alpha, window, decomp):
-    """Preamble of the three eigenvalue tests: (decomposition, window,
-    decisive) for the distinguished class alpha of d, with decomp and the
-    window (default_window when None) computed when not given.  Every
-    non-zero block must be strictly positive (telescope first), then d
-    aperiodic (NotAperiodicError), as the Vershik map needs."""
-    if decomp is None:
-        decomp = decompose(d)
-    for cls in decomp.classes:
-        if not cls.is_zero and any(x == 0 for row in cls.block for x in row):
-            q = positivity_power(decomp.diagram)
-            raise PrimitivityError(
-                f"some diagonal block has zero entries; telescope by {q} first",
-                power=q)
+def _class_window(decomp, alpha, window):
+    """Preamble of the three eigenvalue tests: (window, decisive) for the
+    distinguished class alpha of decomp's diagram d, the window
+    default_window(d) when None, 1 <= a <= b (ValueError), b <= WINDOW_CAP
+    (CapExceeded).  Every non-zero block must be strictly positive (telescope
+    first), then d aperiodic (NotAperiodicError), as the Vershik map needs."""
+    d = decomp.diagram
+    a, b = window = default_window(d) if window is None else window
+    if not 1 <= a <= b:
+        raise ValueError(f"a window needs 1 <= a <= b, got {a}..{b}")
+    if b > WINDOW_CAP:
+        raise CapExceeded(f"window level {b} is above the cap of {WINDOW_CAP}", b, WINDOW_CAP)
+    if (q := positivity_power(d)) > 1:
+        raise PrimitivityError(f"some diagonal block has zero entries; telescope by {q} first",
+                               power=q)
     _aperiodic(decomp)
     if not _class(decomp, alpha).distinguished:
         raise NotDistinguishedError(f"class {alpha} is not distinguished")
-    if window is None:
-        window = default_window(d)
-    return decomp, window, is_decisive(d, window)
+    return window, is_decisive(d, window)
 
 
-def _spanning_diamonds(od, decomp, alpha):
+def _spanning_diamonds(od, alpha):
     """Lazily, listed diamonds of class alpha whose P_n have gcd G_n at every
     level, i0 the first class vertex: (i) edge 0 against edge k of each
     bundle; (ii) j -> i0 -> i0 against j -> i -> i0 and i0 -> i0 -> j against
     i0 -> i -> j on first edges; (iii) i0 -> m -> j' against i0 -> i -> j'
     with mults (0, 0) and (0, k), m = i0, or the second vertex if i = i0."""
-    f, scope = od.base.incidence, decomp.classes[alpha].vertices
+    f, scope = od.base.incidence, od._decomposition.classes[alpha].vertices
     i0 = scope[0]
     for v, s in itertools.product(scope, scope):
         for k in range(1, f[v][s]):
@@ -464,21 +468,20 @@ def _spanning_diamonds(od, decomp, alpha):
 
 
 def eigenvalue_check(od: OrderedDiagram, alpha: int, theta,
-                     window: tuple[int, int] | None = None,
-                     decomp: ComponentDecomposition | None = None) -> EigenvalueVerdict:
+                     window: tuple[int, int] | None = None) -> EigenvalueVerdict:
     """Exact divisibility test: exp(2 pi i theta), theta = p/q reduced, can
     be an eigenvalue of the system of the distinguished class alpha iff q
     divides P_n for every diamond of length <= 2 inside the class, for all
     large n.  Requires strictly positive blocks (telescope first).  fail_n
     is the first window level where q does not divide G_n, and fail_diamond
     the first spanning diamond whose P_n there q does not divide."""
-    decomp, window, decisive = _class_window(od.base, alpha, window, decomp)
+    window, decisive = _class_window(od._decomposition, alpha, window)
     theta = Fraction(theta)
     q = theta.denominator
-    for n, g in enumerate(_window_gcds(od, decomp, alpha, window), window[0]):
+    for n, g in enumerate(_window_gcds(od, alpha, window), window[0]):
         if g % q:
             h = height_table(od.base, n + 1)     # legs have length <= 2
-            dm = next(dm for dm in _spanning_diamonds(od, decomp, alpha)
+            dm = next(dm for dm in _spanning_diamonds(od, alpha)
                       if _p_row(od, dm, h, (n,))[0] % q)
             return EigenvalueVerdict(False, theta, window, decisive, fail_n=n, fail_diamond=dm)
     return EigenvalueVerdict(True, theta, window, decisive)
@@ -506,8 +509,7 @@ def candidate_count(q_max: int) -> int:
 
 
 def eigenvalue_search(od: OrderedDiagram, alpha: int, q_max: int,
-                      window: tuple[int, int] | None = None,
-                      decomp: ComponentDecomposition | None = None) -> list[Fraction]:
+                      window: tuple[int, int] | None = None) -> list[Fraction]:
     """All rational rotation numbers with denominator <= q_max passing the
     divisibility test, ascending.  [0] alone is weak-mixing evidence at
     q_max.
@@ -516,24 +518,23 @@ def eigenvalue_search(od: OrderedDiagram, alpha: int, q_max: int,
     of every P_n over the window, so the passes are 0 and the reduced p/q
     for each divisor 2 <= q <= q_max of G.
     """
-    decomp, window, _ = _class_window(od.base, alpha, window, decomp)
-    g = math.gcd(*_window_gcds(od, decomp, alpha, window))
+    window, _ = _class_window(od._decomposition, alpha, window)
+    g = math.gcd(*_window_gcds(od, alpha, window))
     return sorted([Fraction(0)] + [Fraction(p, q) for q in range(2, q_max + 1)
                                    if g % q == 0
                                    for p in range(1, q) if math.gcd(p, q) == 1])
 
 
 def rational_eigenvalue_sufficient(d, alpha: int, theta,
-                                   window: tuple[int, int] | None = None,
-                                   decomp: ComponentDecomposition | None = None,
-                                   ) -> EigenvalueVerdict:
+                                   window: tuple[int, int] | None = None) -> EigenvalueVerdict:
     """Sufficient condition not needing the order: theta * h_j^(n) integer
-    for every vertex j of the distinguished class alpha over the window."""
-    base = d.base if isinstance(d, OrderedDiagram) else d
-    decomp, window, decisive = _class_window(base, alpha, window, decomp)
+    for every vertex j of the distinguished class alpha over the window.
+    d is a diagram, or an ordered diagram whose order is not read."""
+    decomp = d._decomposition if isinstance(d, OrderedDiagram) else decompose(d)
+    window, decisive = _class_window(decomp, alpha, window)
     theta = Fraction(theta)
     verts = decomp.classes[alpha].vertices
-    h = height_table(base, window[1])
+    h = height_table(decomp.diagram, window[1])
     p, q = theta.numerator, theta.denominator
     for n in range(window[0], window[1] + 1):
         for j in verts:
@@ -559,8 +560,7 @@ class NonmixingReport:
 
 
 def nonmixing_witness(od: OrderedDiagram, alpha: int, diamond: Diamond,
-                      e: PathWord, n_range,
-                      decomp: ComponentDecomposition | None = None) -> NonmixingReport:
+                      e: PathWord, n_range) -> NonmixingReport:
     """Overlap ratios r_n = mu([e; leg_a at level n+1]) / mu([e]): the
     measure of the part of [e] returning to itself after P_n steps.  A
     positive infimum over growing n rules out strong mixing.  The
@@ -569,7 +569,7 @@ def nonmixing_witness(od: OrderedDiagram, alpha: int, diamond: Diamond,
     and the class asymptotics are exact).  A float ratio is refused by
     ``within_float_range`` beyond float range; a diagram that is not
     aperiodic by NotAperiodicError."""
-    decomp = _aperiodic(od.base if decomp is None else decomp)
+    decomp = _aperiodic(od._decomposition)
     check_path(od.base, e)
     eig = distinguished_eigenvector(decomp, alpha)
     xi, lam = eig.xi, eig.lam.value

@@ -213,13 +213,13 @@ def scaled_inverse_by_solves(a):
     return [[int(col[i] * scale) for col in cols] for i in range(n)], scale
 
 
-def window_gcds_by_middles(od, decomp, alpha, window):
+def window_gcds_by_middles(od, alpha, window):
     """Per-level gcds of every listed diamond's P_n in the window, with the
     length-2 terms taken over the middles of each (source, range) pair, as
     ``vershik._window_gcds`` built them before every class vertex was a
     middle; valid for any class block, positive or not."""
     f = od.base.incidence
-    scope = decomp.classes[alpha].vertices
+    scope = od._decomposition.classes[alpha].vertices
     inside = set(scope)
     n1, n2 = window
     h = height_table(od.base, n2 + 1)

@@ -2,13 +2,18 @@
 
 ``random.Random(1)`` draws 400 cases.  Each case is a
 ``random_diagram(rng, n_max=5, entry_max=3)`` with a ``random_order``
-and a random substitution of 2-4 letters.  Nine commands run on each
+and a random substitution of 2-4 letters.  Twelve commands run on each
 case through ``bratteli.cli.main`` in-process, from a temporary
 directory that holds the case's files:
 
     analyze D | analyze D --report | analyze D --telescope 2
     verify D --depth 2 | cylinder D --measure 0|1 --check-total
     eigenvalues D --qmax 12 | export-dot D | subst measures S
+    eigenvalues D --qmax 12 --telescope 1 | --class 1 | --window 2:5
+
+The last three reach each refusal of the eigenvalue preamble: a block
+that is not positive, a class that is out of range or not distinguished,
+and an explicit window.
 
 Each command is recorded as its argv, its exit code and the sha256 of
 its stdout and of its stderr (the first 16 hex digits of each).  A
@@ -70,7 +75,10 @@ def commands(i: int) -> list[list[str]]:
             ["verify", d, "--depth", "2"],
             ["cylinder", d, "--measure", "0", "--check-total"],
             ["cylinder", d, "--measure", "1", "--check-total"],
-            ["eigenvalues", d, "--qmax", "12"], ["export-dot", d], ["subst", "measures", s]]
+            ["eigenvalues", d, "--qmax", "12"], ["export-dot", d], ["subst", "measures", s],
+            ["eigenvalues", d, "--qmax", "12", "--telescope", "1"],
+            ["eigenvalues", d, "--qmax", "12", "--class", "1"],
+            ["eigenvalues", d, "--qmax", "12", "--window", "2:5"]]
 
 
 def _digest(text: str) -> str:

@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 import bratteli
 import bratteli.cli
 from bratteli import (candidate_thetas, decompose, path_rank, rational_eigenvalue_sufficient,
-                      render_scalar, serialize_diagram, serialize_substitution, telescope)
+                      render_scalar, serialize_diagram, serialize_substitution,
+                      telescope_ordered)
 from bratteli.cli import main
 
 import equivalence
@@ -490,7 +491,8 @@ class TestTelescopedEigenvalueSizeClass:
     def test_eigenvalues_on_telescoped_corpus(self, tmp_path, index):
         d = aperiodic_corpus()[index]
         doc = tmp_path / "corpus.txt"
-        doc.write_text(serialize_diagram(random_order(random.Random(1), d)))
+        od = random_order(random.Random(1), d)
+        doc.write_text(serialize_diagram(od))
         code, out, _ = run_cli("eigenvalues", str(doc))
         assert code == 0
         fields = dict(line.split(": ", 1) for line in out.splitlines())
@@ -505,12 +507,11 @@ class TestTelescopedEigenvalueSizeClass:
                     assert {Fraction(p, r) for p in range(1, r)} <= set(passing)
         # the orderless height test is sufficient, so whatever it passes
         # the diamond test passes too
-        base = telescope(d, int(fields.get("telescope power", 1)))
-        decomp = decompose(base)
+        od = telescope_ordered(od, int(fields.get("telescope power", 1)))
         alpha = int(fields["class"])
         window = tuple(map(int, fields["window"].split("..")))
         for theta in candidate_thetas(qmax):
-            if rational_eigenvalue_sufficient(base, alpha, theta, window, decomp):
+            if rational_eigenvalue_sufficient(od, alpha, theta, window):
                 assert theta in passing
 
 
@@ -855,6 +856,21 @@ class TestOneStructurePass:
             assert sorted(calls) == ["_class_structure", *["imprimitivity_index"] * blocks,
                                      "validate"], (command, calls)
 
+    @pytest.mark.parametrize("text, power", [
+        (WM_A_DOC, 1), (EIG_CHAIN_DOC, 1), (GOLDEN_MEAN_DOC + "order:\n1: 12\n2: 1\n", 2)],
+        ids=["wm_a", "eig_chain", "golden_mean"])
+    def test_eigenvalues_decomposes_once(self, tmp_path, monkeypatch, text, power):
+        seen = []
+        for module in (bratteli.cli, bratteli.measures, bratteli.vershik):
+            monkeypatch.setattr(module, "decompose",
+                                lambda d, f=module.decompose: seen.append(d) or f(d))
+        doc = tmp_path / "d.txt"
+        doc.write_text(text)
+        code, out, err = run_cli("eigenvalues", str(doc), "--telescope", "auto")
+        assert code == 0 and err == ""
+        assert (f"telescope power: {power}\n" in out) == (power > 1)
+        assert len(seen) == 1
+
 
 class TestCountOptions:
     """Every count option answers at once: values outside its domain exit
@@ -1039,7 +1055,7 @@ def test_cli_fuzz_exits_with_a_documented_code(fuzz_dir, argv, diagram, substitu
 def test_equivalence_corpus_slice():
     """The first cases of the seeded corpus of ``equivalence.py`` give the
     exit codes and output digests recorded in ``equivalence.json``."""
-    rows = equivalence.record(80)
+    rows = equivalence.record(60)
     assert len(rows) == 720
     assert equivalence.compare(equivalence.load(Path(__file__).with_name("equivalence.json")),
                                rows) == []

@@ -446,7 +446,7 @@ class TestFloatRange:
         gm = StationaryDiagram(((1, 1), (1, 0)))
         dec = decompose(gm)
         od = OrderedDiagram(gm, ((0, 1), (0,)))
-        (dm,) = enumerate_diamonds(od, dec, 0)
+        (dm,) = enumerate_diamonds(od, 0)
         with pytest.raises(CapExceeded, match=f"level {level} is beyond float range"):
             call(dec, od, dm)
 

@@ -538,12 +538,11 @@ CLASS_ENTRY_POINTS = {
     "mass_proxy": lambda od, dec, a: mass_proxy(dec, a, 3),
     "truncated_extension": lambda od, dec, a: truncated_extension(dec, a, 3),
     "asymptotics_check": lambda od, dec, a: asymptotics_check(dec, a, 1, 1, (1, 2)),
-    "enumerate_diamonds": lambda od, dec, a: enumerate_diamonds(od, dec, a),
-    "enumerate_diamonds without decomp": lambda od, dec, a: enumerate_diamonds(od, alpha=a),
-    "eigenvalue_check": lambda od, dec, a: eigenvalue_check(od, a, Fraction(1, 3), decomp=dec),
-    "eigenvalue_search": lambda od, dec, a: eigenvalue_search(od, a, 4, decomp=dec),
+    "enumerate_diamonds": lambda od, dec, a: enumerate_diamonds(od, a),
+    "eigenvalue_check": lambda od, dec, a: eigenvalue_check(od, a, Fraction(1, 3)),
+    "eigenvalue_search": lambda od, dec, a: eigenvalue_search(od, a, 4),
     "rational_eigenvalue_sufficient":
-        lambda od, dec, a: rational_eigenvalue_sufficient(od, a, Fraction(1, 3), decomp=dec),
+        lambda od, dec, a: rational_eigenvalue_sufficient(od, a, Fraction(1, 3)),
 }
 
 

@@ -1,5 +1,6 @@
 """Successor dynamics, diamonds, return-time sequences, eigenvalue tests."""
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -46,7 +47,8 @@ from bratteli import (
     telescope_ordered,
 )
 from bratteli.diagram import height_table
-from bratteli.vershik import _p_tables, _spanning_diamonds, _step, _window_gcds
+from bratteli.vershik import (WINDOW_CAP, _class_window, _p_tables, _spanning_diamonds, _step,
+                              _window_gcds)
 
 from conftest import (aperiodic_corpus, dense_ordered, random_diagram, random_order,
                       random_path, seeded_orders, successor_by_rebuild, tower_by_successor,
@@ -200,8 +202,7 @@ class TestDiamonds:
         assert dm.vertices_visited == frozenset({0})
 
     def test_class_restriction(self, wm_a):
-        dec = decompose(wm_a.base)
-        inside = enumerate_diamonds(wm_a, dec, alpha=1)
+        inside = enumerate_diamonds(wm_a, 1)
         assert len(inside) == 3  # three unordered pairs of the 3-bundle
         assert all(dm.vertices_visited == frozenset({1}) for dm in inside)
         everything = enumerate_diamonds(wm_a)
@@ -409,8 +410,8 @@ EXTRA_ORACLE = (
 def oracle_cases():
     """Every aperiodic_corpus() diagram telescoped to positive blocks, with
     orders drawn from random.Random(0..5), then EXTRA_ORACLE; one case per
-    (ordered diagram, class): (ordered diagram, decomposition, class, P
-    table rows over levels 1..top).  Also the number of pairs skipped for
+    (ordered diagram, class): (ordered diagram, class, P table rows over
+    levels 1..top).  Also the number of pairs skipped for
     listing more than ORACLE_DIAMONDS diamonds."""
     ordered = []
     for d in aperiodic_corpus():
@@ -419,16 +420,15 @@ def oracle_cases():
     ordered.extend(OrderedDiagram(StationaryDiagram(f), order) for f, order in EXTRA_ORACLE)
     cases, skipped = [], 0
     for od in ordered:
-        dec = decompose(od.base)
         top = max(w[1] for w in _oracle_windows(od.n_vertices))
-        for cls in dec.classes:
+        for cls in od._decomposition.classes:
             try:
-                enumerate_diamonds(od, dec, cls.index, cap=ORACLE_DIAMONDS)
+                enumerate_diamonds(od, cls.index, cap=ORACLE_DIAMONDS)
             except CapExceeded:
                 skipped += 1
                 continue
             # P_n of a diamond does not depend on the window it is read in
-            cases.append((od, dec, cls, _p_tables(od, dec, cls.index, (1, top))))
+            cases.append((od, cls, _p_tables(od, cls.index, (1, top))))
     return cases, skipped
 
 
@@ -439,18 +439,18 @@ class TestWindowGcd:
         cases, skipped = oracle_cases
         assert (len(cases), skipped) == (87, 72)
         nonzero = 0
-        for od, dec, cls, rows in cases:
+        for od, cls, rows in cases:
             # one row per listed diamond, in listing order: no dedupe
-            listed = enumerate_diamonds(od, dec, cls.index, cap=ORACLE_DIAMONDS)
+            listed = enumerate_diamonds(od, cls.index, cap=ORACLE_DIAMONDS)
             assert len(rows) == len(listed)
             assert [dm for dm, _ in rows] == listed
             table = dict(rows)
-            spanning = list(_spanning_diamonds(od, dec, cls.index))
+            spanning = list(_spanning_diamonds(od, cls.index))
             assert all(dm in table for dm in spanning)
             for n1, n2 in _oracle_windows(od.n_vertices):
                 want = [math.gcd(*(values[n - 1] for _, values in rows))
                         for n in range(n1, n2 + 1)]
-                assert _window_gcds(od, dec, cls.index, (n1, n2)) == want
+                assert _window_gcds(od, cls.index, (n1, n2)) == want
                 assert [math.gcd(*(table[dm][n - 1] for dm in spanning))
                         for n in range(n1, n2 + 1)] == want
                 nonzero += any(want)
@@ -459,14 +459,14 @@ class TestWindowGcd:
     def test_search_matches_a_brute_theta_sweep(self, oracle_cases):
         thetas = [Fraction(p, q) for q in range(1, 31) for p in range(q)
                   if math.gcd(p, q) == 1]
-        for od, dec, cls, rows in oracle_cases[0]:
+        for od, cls, rows in oracle_cases[0]:
             if not cls.distinguished:
                 continue
             for n1, n2 in _oracle_windows(od.n_vertices):
                 brute = sorted(t for t in thetas
                                if all(t.numerator * pn % t.denominator == 0
                                       for _, values in rows for pn in values[n1 - 1:n2]))
-                assert eigenvalue_search(od, cls.index, 30, (n1, n2), dec) == brute
+                assert eigenvalue_search(od, cls.index, 30, (n1, n2)) == brute
 
     def test_matches_the_middles_reference_on_random_orders(self):
         # every class with a positive block of 600 random orders, telescoped:
@@ -476,23 +476,121 @@ class TestWindowGcd:
         for _ in range(600):
             od = random_order(rng, random_diagram(rng, n_max=5, entry_max=3))
             od = telescope_ordered(od, positivity_power(od.base))
-            dec = decompose(od.base)
             n = od.n_vertices
-            for cls in dec.classes:
+            for cls in od._decomposition.classes:
                 if cls.is_zero:
                     continue
                 for window in ((n, 3 * n), (1, 2), (5, 9)):
-                    assert (_window_gcds(od, dec, cls.index, window)
-                            == window_gcds_by_middles(od, dec, cls.index, window))
+                    assert (_window_gcds(od, cls.index, window)
+                            == window_gcds_by_middles(od, cls.index, window))
                     windows += 1
         assert windows == 2241
 
     @pytest.mark.parametrize("n", (8, 12, 16))
     def test_matches_the_middles_reference_on_dense_classes(self, n):
         od = dense_ordered(n)
-        dec = decompose(od.base)
         for window in ((n, 3 * n), (1, 2)):
-            assert _window_gcds(od, dec, 0, window) == window_gcds_by_middles(od, dec, 0, window)
+            assert _window_gcds(od, 0, window) == window_gcds_by_middles(od, 0, window)
+
+
+class TestClassWindow:
+    """The one preamble of the eigenvalue tests checks the window as the
+    command line does, and refuses blocks that are not positive."""
+
+    WINDOW_ENTRY_POINTS = {
+        "eigenvalue_search": lambda od, w: eigenvalue_search(od, 0, 8, w),
+        "eigenvalue_check": lambda od, w: eigenvalue_check(od, 0, Fraction(1, 2), w),
+        "rational_eigenvalue_sufficient":
+            lambda od, w: rational_eigenvalue_sufficient(od, 0, Fraction(1, 2), w),
+    }
+
+    @pytest.mark.parametrize("window", [(3, 1), (0, 3), (-2, 3)])
+    @pytest.mark.parametrize("entry", WINDOW_ENTRY_POINTS)
+    def test_windows_outside_one_to_b_are_refused(self, b1_ordered, entry, window):
+        # (3, 1) once passed every candidate: the gcd of no levels is 0
+        with pytest.raises(ValueError, match=r"1 <= a <= b"):
+            self.WINDOW_ENTRY_POINTS[entry](b1_ordered, window)
+
+    @pytest.mark.parametrize("entry", WINDOW_ENTRY_POINTS)
+    def test_windows_above_the_cap_are_refused(self, b1_ordered, entry):
+        with pytest.raises(CapExceeded) as exc:
+            self.WINDOW_ENTRY_POINTS[entry](b1_ordered, (1, WINDOW_CAP + 1))
+        assert (exc.value.required, exc.value.cap) == (WINDOW_CAP + 1, WINDOW_CAP)
+        self.WINDOW_ENTRY_POINTS[entry](b1_ordered, (1, 1))
+
+    def test_positivity_refusal_matches_the_block_scan(self):
+        """positivity_power(d) > 1 exactly when some non-zero class block
+        has a zero entry, and the refusal names that power."""
+
+        def outcome(call):
+            try:
+                return call()
+            except PrimitivityError as e:
+                return str(e), e.power
+
+        def block_scan(decomp):
+            for cls in decomp.classes:
+                if not cls.is_zero and any(x == 0 for row in cls.block for x in row):
+                    q = positivity_power(decomp.diagram)
+                    raise PrimitivityError(
+                        f"some diagonal block has zero entries; telescope by {q} first",
+                        power=q)
+
+        def preamble(decomp):
+            try:
+                _class_window(decomp, 0, (1, 1))
+            except (NotAperiodicError, NotDistinguishedError):
+                pass
+
+        rng = random.Random(34)
+        refused = 0
+        for _ in range(4000):
+            decomp = decompose(random_diagram(rng, n_max=6))
+            want = outcome(lambda: block_scan(decomp))
+            assert outcome(lambda: preamble(decomp)) == want
+            refused += want is not None
+        assert refused == 2760
+
+
+class TestOneDecomposition:
+    """An ordered diagram carries its class data: every Vershik entry point
+    reads the one decomposition of its base."""
+
+    @pytest.fixture
+    def decompositions(self, monkeypatch):
+        import bratteli.vershik as vershik
+
+        seen = []
+        monkeypatch.setattr(vershik, "decompose", lambda d: seen.append(d) or decompose(d))
+        return seen
+
+    def test_one_decomposition_across_the_entry_points(self, decompositions):
+        od = OrderedDiagram(StationaryDiagram(((2, 0), (2, 3))), ((0, 0), (0, 1, 1, 1, 0)))
+        dm = enumerate_diamonds(od, 1)[0]
+        eigenvalue_check(od, 1, Fraction(1, 3))
+        assert eigenvalue_search(od, 1, 12) == [0]
+        rational_eigenvalue_sufficient(od, 1, Fraction(1, 3))
+        nonmixing_witness(od, 1, dm, PathWord((1,)), range(1, 4))
+        assert decompositions == [od.base]
+        assert od._decomposition.diagram is od.base
+
+    def test_a_telescoped_order_decomposes_its_own_base(self, decompositions, wm_a):
+        eigenvalue_search(wm_a, 1, 12)
+        t = telescope_ordered(wm_a, 2)
+        eigenvalue_search(t, 1, 12)
+        assert decompositions == [wm_a.base, t.base]
+
+    def test_the_decomposition_is_outside_eq_hash_and_repr(self, wm_a):
+        other = OrderedDiagram(wm_a.base, wm_a.order)
+        wm_a._decomposition
+        assert "_decomposition" in vars(wm_a) and "_decomposition" not in vars(other)
+        assert wm_a == other and hash(wm_a) == hash(other) and repr(wm_a) == repr(other)
+
+    @pytest.mark.parametrize("entry", [enumerate_diamonds, eigenvalue_check, eigenvalue_search,
+                                       rational_eigenvalue_sufficient, nonmixing_witness])
+    def test_no_entry_point_takes_a_decomposition(self, entry):
+        # a decomposition of another diagram once gave wrong answers
+        assert "decomp" not in inspect.signature(entry).parameters
 
 
 class TestNonmixing:
