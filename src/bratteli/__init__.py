@@ -8,9 +8,8 @@ and ordered diagrams.  Brute-force oracles cross-check each formula at
 small sizes.
 """
 
-from .diagram import (CylinderSet, Diagnostic, HeightVector, PathWord,
-                      StationaryDiagram, check_path, enumerate_paths, heights,
-                      telescope, validate)
+from .diagram import (Diagnostic, PathWord, StationaryDiagram, check_path,
+                      enumerate_paths, heights, telescope, validate)
 from .documents import (MeasureRecord, measure_record, parse_coefficients,
                         parse_diagram, parse_measures, parse_scalar,
                         parse_substitution, render_scalar,
@@ -24,13 +23,12 @@ from .errors import (AmbiguousComparison, BratteliError, CapExceeded,
 from .measures import (ErgodicMeasure, InvariantMeasure, TailMeasure,
                        borel_invariant, enumerate_ergodic, enumerate_infinite,
                        mass_proxy, measure_from_point, measure_of_cylinder,
-                       minimal_components, support_classes,
-                       tail_measure_of_cylinder, tail_valuation,
+                       minimal_components, support_classes, tail_valuation,
                        truncated_extension)
 from .oracle import (AsymptoticsReport, CoreOracleResult, InvarianceReport,
                      OrbitFrequency, asymptotics_check, brute_force_Q,
                      core_preimage_oracle, empirical_orbit_frequency,
-                     verify_invariance, verify_measures)
+                     verify_invariance)
 from .spectral import (AperiodicityResult, ComponentClass,
                        ComponentDecomposition, CoreVerdict, Eigendata,
                        NumericValue, aperiodicity_check, check_primitive,

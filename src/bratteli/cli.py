@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .diagram import CylinderSet, PathWord, check_path, height_table, heights, telescope
+from .diagram import PathWord, check_path, height_table, heights, telescope
 from .documents import (measure_record, parse_coefficients, parse_diagram,
                         parse_measures, parse_substitution, render_scalar,
                         serialize_diagram, serialize_measures)
@@ -25,7 +25,7 @@ from .errors import BratteliError, CapExceeded, NotInDomainError, ParseError, Si
 from .linalg import left_sum
 from .measures import (ErgodicMeasure, InvariantMeasure, borel_invariant, enumerate_ergodic,
                        enumerate_infinite, measure_of_cylinder, within_float_range)
-from .oracle import verify_measures
+from .oracle import verify_invariance
 from .spectral import _primitive_power, decompose, positivity_power
 from .substitution import (diagram_from_substitution, expand, letter_frequencies,
                            substitution_matrix, substitution_measures)
@@ -197,9 +197,9 @@ def cmd_cylinder(args) -> int:
     if args.path is not None:
         p = _parse_path_spec(args.path, base)
         level = p.level
-        print(render_scalar(measure_of_cylinder(m, CylinderSet(p))))
+        print(render_scalar(measure_of_cylinder(m, p)))
     if args.check_total:
-        h = heights(base, level).values
+        h = heights(base, level)
         # a height can be too large to multiply a float value
         print(render_scalar(within_float_range(level, None, lambda: left_sum(
             hv * m.value(level, v) for v, hv in enumerate(h)))))
@@ -309,10 +309,9 @@ def cmd_verify(args) -> int:
     violations = 0
     out = []
 
-    reports = iter(verify_measures(base, ergodic + infinite, args.depth))
     for name, group in (("ergodic", ergodic), ("sigma-finite", infinite)):
         for i, m in enumerate(group, 1):
-            report = next(reports)
+            report = verify_invariance(base, m, args.depth)
             status = "ok" if report.ok else "FAIL"
             out.append(f"{name} measure {i} (class {m.class_id}): {status} "
                        f"({report.checks_run} checks)")

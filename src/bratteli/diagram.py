@@ -90,12 +90,6 @@ def validate(d: StationaryDiagram) -> list[Diagnostic]:
     return out
 
 
-@record
-class HeightVector:
-    level: int
-    values: tuple[int, ...]
-
-
 def height_levels(d: StationaryDiagram):
     """h(1), h(2), ...: path counts from the root to each vertex of
     successive levels, by h(n+1) = F h(n)."""
@@ -110,11 +104,11 @@ def height_table(d: StationaryDiagram, n_max: int) -> list:
     return [None, *itertools.islice(height_levels(d), n_max)]
 
 
-def heights(d: StationaryDiagram, n: int) -> HeightVector:
-    """Path counts from the root to each vertex of level n (n >= 1)."""
+def heights(d: StationaryDiagram, n: int) -> tuple[int, ...]:
+    """h(n): path counts from the root to each vertex of level n (n >= 1)."""
     if n < 1:
         raise ValueError("levels are 1-based")
-    return HeightVector(n, tuple(next(itertools.islice(height_levels(d), n - 1, None))))
+    return tuple(next(itertools.islice(height_levels(d), n - 1, None)))
 
 
 TELESCOPE_CAP = 10 ** 6  # telescoping power, and edges per level after it
@@ -184,21 +178,6 @@ def check_path(d: StationaryDiagram, p: PathWord):
                 f"{d.effective_labels[v]} (bundle size {bundle})")
 
 
-@record
-class CylinderSet:
-    """All infinite paths extending a finite path."""
-
-    path: PathWord
-
-    @property
-    def level(self):
-        return self.path.level
-
-    @property
-    def terminal_vertex(self):
-        return self.path.terminal
-
-
 def vertex_sequences(d: StationaryDiagram, v: int, n: int):
     """The vertex sequences (v1, ..., vn = v) of the paths from the root
     to vertex v at level n, as tuples: the level n-1 vertex ascends
@@ -226,7 +205,7 @@ def enumerate_paths(d: StationaryDiagram, v: int, n: int, cap: int = 10 ** 6) ->
     most significant choice at the top level): for each sequence of
     ``vertex_sequences`` in turn, its paths with bundle indices in
     ``itertools.product`` order."""
-    total = heights(d, n).values[v]
+    total = heights(d, n)[v]
     if total > cap:
         raise CapExceeded(f"{total} paths exceed the cap of {cap}", total, cap)
     f = d.incidence

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import linalg
-from .diagram import CylinderSet, StationaryDiagram, check_path, heights
+from .diagram import StationaryDiagram, check_path, heights
 from .errors import CapExceeded, NotAperiodicError, NotInDomainError, ZeroBlockError
 from .record import record
 from .spectral import (DEFAULT_GAP, ComponentDecomposition, NumericValue, _class, _extend,
@@ -124,10 +124,9 @@ def enumerate_ergodic(d) -> list[ErgodicMeasure]:
             for e in decomp._cone]  # the extreme vectors core_membership reads
 
 
-def measure_of_cylinder(mu, c):
-    """Value of the measure on a cylinder set (or the path defining it);
-    any measure with ``diagram`` and ``value(level, vertex)``."""
-    path = c.path if isinstance(c, CylinderSet) else c
+def measure_of_cylinder(mu, path):
+    """Value of the measure on the cylinder of a finite path: any measure
+    with ``diagram`` and ``value(level, vertex)``, finite or sigma-finite."""
     check_path(mu.diagram, path)
     return mu.value(path.level, path.terminal)
 
@@ -287,10 +286,6 @@ def enumerate_infinite(d, include_atomic: bool = True) -> list[TailMeasure]:
     return out
 
 
-# a sigma-finite measure's cylinder values, in [0, +inf], read the same way
-tail_measure_of_cylinder = measure_of_cylinder
-
-
 def mass_proxy(decomp: ComponentDecomposition, alpha: int, n: int):
     """Mass of the level-n tail set staying in class alpha, computed with
     the full diagram's heights: sum over v in alpha of h_v(n) y_v
@@ -300,7 +295,7 @@ def mass_proxy(decomp: ComponentDecomposition, alpha: int, n: int):
     cls = _class(decomp, alpha)
     if cls.is_zero:
         raise ZeroBlockError(f"class {alpha} has a zero block")
-    h = heights(decomp.diagram, n).values
+    h = heights(decomp.diagram, n)
     total = linalg.left_sum(cls.perron)
     lam = cls.rho.value
     return within_float_range(n, None, lambda: linalg.left_sum(
@@ -315,11 +310,12 @@ def truncated_extension(decomp: ComponentDecomposition, alpha: int, m: int):
     if cls.is_zero:
         raise ZeroBlockError(f"class {alpha} has a zero block")
     lam = cls.rho.as_float
-    total = float(sum(cls.perron))
+    total = float(linalg.left_sum(cls.perron))
     y = {v: float(yv) / total for v, yv in zip(cls.vertices, cls.perron)}
     power = linalg.mat_pow([list(r) for r in decomp.a_matrix], m)
     return within_float_range(m, None, lambda: tuple(
-        sum(power[v][w] * yw for w, yw in y.items()) / lam ** m for v in range(len(power))))
+        linalg.left_sum(power[v][w] * yw for w, yw in y.items()) / lam ** m
+        for v in range(len(power))))
 
 
 def borel_invariant(d) -> int:

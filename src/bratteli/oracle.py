@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .diagram import CylinderSet, PathWord, check_path, height_levels, heights, vertex_sequences
+from .diagram import PathWord, check_path, height_levels, heights, vertex_sequences
 from .errors import CapExceeded, EndpointMismatch, SizeRefused
 from .measures import within_float_range
 from .record import record
@@ -134,16 +134,9 @@ def verify_invariance(d, m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport
     return InvarianceReport(n_max, checks, tuple(violations), tuple(skipped))
 
 
-def verify_measures(d, measures, n_max: int, cap: int = STEP_CAP) -> list[InvarianceReport]:
-    """One InvarianceReport per measure, by ``verify_invariance`` on each
-    in order; the first measure that raises ends the list with its
-    exception."""
-    return [verify_invariance(d, m, n_max, cap) for m in measures]
-
-
 @functools.lru_cache(maxsize=64)  # brute_force_Q's tower sizes, once per (diagram, level)
 def _heights(d, level):
-    return heights(d, level).values
+    return heights(d, level)
 
 
 def brute_force_Q(od: OrderedDiagram, e: PathWord, e2: PathWord,
@@ -220,9 +213,9 @@ class OrbitFrequency:
 
 
 def empirical_orbit_frequency(od: OrderedDiagram, start: PathWord, steps: int,
-                              target) -> OrbitFrequency:
-    """Visit frequency of the successor orbit of start in the target
-    cylinder.
+                              target: PathWord) -> OrbitFrequency:
+    """Visit frequency of the successor orbit of start in the cylinder of
+    the target path.
 
     Works at a level at least four above the target so the orbit is long
     enough to average; the start path is extended minimally upward and
@@ -235,8 +228,7 @@ def empirical_orbit_frequency(od: OrderedDiagram, start: PathWord, steps: int,
     if steps > STEP_CAP:
         raise CapExceeded(f"{steps} steps above the orbit cap",
                           required=steps, cap=STEP_CAP)
-    t = target.path if isinstance(target, CylinderSet) else target
-    working = max(start.level, t.level + 4)
+    working = max(start.level, target.level + 4)
 
     vertices, mults = list(start.vertices), list(start.indices)
     while len(vertices) < working:
@@ -244,7 +236,7 @@ def empirical_orbit_frequency(od: OrderedDiagram, start: PathWord, steps: int,
         vertices.append(next(u for u in range(od.base.n_vertices) if od.base.incidence[u][w]))
         mults.append(0)
 
-    k, prefix = t.level, (list(t.vertices), list(t.indices))
+    k, prefix = target.level, (list(target.vertices), list(target.indices))
     visits = taken = 0
     exhausted = False
     for _ in range(steps):

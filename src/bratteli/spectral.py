@@ -460,9 +460,11 @@ def telescope_to_primitive(d: StationaryDiagram):
 
 
 def positivity_power(d: StationaryDiagram):
-    """Power q such that every non-zero diagonal block of F**q is strictly
-    positive, read off the pattern of F**q (F, or F**q clipped at 1), so
-    large entries cost nothing and no telescoping cap applies."""
+    """Smallest power q such that every non-zero diagonal block of F**q is
+    strictly positive, read off the pattern of F**q (F, or F**q clipped at
+    1), so large entries cost nothing and no telescoping cap applies.  A
+    primitive block stays positive at every power past its exponent, so
+    the exponents combine by max."""
     q = _primitive_power(d)
     pattern = d if q == 1 else StationaryDiagram(tuple(map(tuple, linalg.mat_pow(d.incidence, q, 1))))
     extra = 1
@@ -476,7 +478,7 @@ def positivity_power(d: StationaryDiagram):
             m += 1
             if m > limit:
                 raise PrimitivityError("block never becomes positive; not primitive")
-        extra = math.lcm(extra, m)
+        extra = max(extra, m)
     return q * extra
 
 

@@ -31,6 +31,7 @@ class Substitution:
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
+        object.__setattr__(self, "rules", dict(self.rules))  # the caller's dict stays theirs
         letters = set(self.alphabet)
         if not self.alphabet:
             raise ValueError("alphabet must be non-empty")

@@ -525,12 +525,12 @@ def eigenvalue_search(od: OrderedDiagram, alpha: int, q_max: int,
                                    for p in range(1, q) if math.gcd(p, q) == 1])
 
 
-def rational_eigenvalue_sufficient(d, alpha: int, theta,
+def rational_eigenvalue_sufficient(od: OrderedDiagram, alpha: int, theta,
                                    window: tuple[int, int] | None = None) -> EigenvalueVerdict:
     """Sufficient condition not needing the order: theta * h_j^(n) integer
     for every vertex j of the distinguished class alpha over the window.
-    d is a diagram, or an ordered diagram whose order is not read."""
-    decomp = d._decomposition if isinstance(d, OrderedDiagram) else decompose(d)
+    Reads only the ordered diagram's base and its decomposition."""
+    decomp = od._decomposition
     window, decisive = _class_window(decomp, alpha, window)
     theta = Fraction(theta)
     verts = decomp.classes[alpha].vertices

@@ -164,7 +164,7 @@ def test_criterion_5_height_and_return_time_closed_forms(wm_a):
     return times P_n = 3^n - 2^n, and the order-2 recurrence
     P_(n+2) = 5 P_(n+1) - 6 P_n."""
     for n in range(0, 41):
-        assert heights(wm_a.base, n + 1).values == (
+        assert heights(wm_a.base, n + 1) == (
             2 ** n, 3 ** (n + 1) - 2 ** (n + 1))
     diamond = make_diamond(wm_a, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
     seq = p_sequence(wm_a, diamond, 40)
@@ -223,7 +223,7 @@ def test_criterion_7_randomized_oracle_equivalence():
         for diamond in enumerate_diamonds(od)[:4]:
             source = diamond.leg_a.source
             for n in range(1, 6):
-                tower = heights(d, n + diamond.length).values
+                tower = heights(d, n + diamond.length)
                 if tower[diamond.leg_a.range] > 3000:
                     continue
                 below = min_path(od, source, n)
@@ -237,7 +237,7 @@ def test_criterion_7_randomized_oracle_equivalence():
                                                                 upper)
                 formula_checks += 1
         for v in range(d.n_vertices):
-            tower = heights(d, 3).values[v]
+            tower = heights(d, 3)[v]
             if tower > 3000:
                 continue
             cur, seen, last = min_path(od, v, 3), set(), None
@@ -360,8 +360,8 @@ def test_criterion_10_exact_property_suite(b1, b1_ordered, double_morse,
         assert telescope(telescope(d, 2), 3) == telescope(d, 6)
         assert telescope(d, 1) == d
         for m in (2, 3):
-            assert (heights(telescope(d, 4), m).values
-                    == heights(d, (m - 1) * 4 + 1).values)
+            assert (heights(telescope(d, 4), m)
+                    == heights(d, (m - 1) * 4 + 1))
 
     normalization_checks = 0
     for d in [b1, double_morse] + corpus:
@@ -376,7 +376,7 @@ def test_criterion_10_exact_property_suite(b1, b1_ordered, double_morse,
                 assert (x > 0) == reaches
             exact = m.lam.is_exact
             for n in range(1, 13):
-                h = heights(primitive, n).values
+                h = heights(primitive, n)
                 total = sum(hv * m.value(n, v) for v, hv in enumerate(h))
                 if exact:
                     assert total == 1

@@ -23,10 +23,11 @@ from hypothesis import strategies as st
 
 import bratteli
 import bratteli.cli
-from bratteli import (candidate_thetas, decompose, path_rank, rational_eigenvalue_sufficient,
-                      render_scalar, serialize_diagram, serialize_substitution,
-                      telescope_ordered)
+from bratteli import (CapExceeded, candidate_thetas, decompose, path_rank,
+                      rational_eigenvalue_sufficient, render_scalar, serialize_diagram,
+                      serialize_substitution, telescope_ordered)
 from bratteli.cli import main
+from bratteli.vershik import WINDOW_CAP
 
 import equivalence
 from conftest import aperiodic_corpus, random_order, time_limit
@@ -459,6 +460,23 @@ class TestEigenvalues:
         assert run_cli("eigenvalues", str(doc), "--telescope", "1") == (
             3, "", "error: some diagonal block has zero entries; telescope by 2 first\n")
 
+    def test_auto_telescope_takes_the_smallest_adequate_power(self, tmp_path):
+        # its two blocks turn positive at powers 3 and 2; their lcm, 6, works
+        # too but is not the smallest
+        rows = ("0 1 0 3 1 3", "3 3 0 1 2 0", "0 0 2 0 0 2",
+                "1 0 1 0 0 2", "0 0 0 0 0 2", "0 0 1 0 3 2")
+        words = (" ".join(str(w) for w, e in enumerate(row.split(), 1) for _ in range(int(e)))
+                 for row in rows)
+        doc = tmp_path / "blocks.txt"
+        doc.write_text("n: 6\nincidence:\n" + "\n".join(rows) + "\norder:\n"
+                       + "".join(f"{v}: {word}\n" for v, word in enumerate(words, 1)))
+        code, out, _ = run_cli("eigenvalues", str(doc), "--qmax", "6")
+        assert code == 0
+        assert out.startswith("telescope power: 3\n")
+        assert "pass: 0 1/4 1/2 3/4\n" in out
+        assert run_cli("eigenvalues", str(doc), "--qmax", "6", "--telescope", "1") == (
+            3, "", "error: some diagonal block has zero entries; telescope by 3 first\n")
+
     def test_unordered_document_exits_2(self, docs):
         code, _, err = run_cli("eigenvalues", docs["b1.txt"])
         assert code == 2
@@ -481,6 +499,27 @@ class TestEigenvalues:
         code, _, err = run_cli("eigenvalues", docs["wm_a.txt"],
                                "--window", "5:2")
         assert code == 2 and "1 <= a <= b" in err
+
+    @pytest.mark.parametrize("window, code", [
+        ((0, 3), 2), ((-2, 3), 2), ((3, 1), 2), ((2, 5), 0),
+        ((1, WINDOW_CAP + 1), 5), ((WINDOW_CAP + 1, WINDOW_CAP + 2), 5),
+    ])
+    def test_window_rule_agrees_with_the_library(self, docs, window, code):
+        # the CLI words its own --window refusals, and refuses exactly the
+        # windows eigenvalue_search refuses: exit 2 for ValueError, 5 for
+        # CapExceeded
+        od = bratteli.parse_diagram(Path(docs["wm_a.txt"]).read_text())
+        try:
+            bratteli.eigenvalue_search(od, 1, 12, window)
+            raised = 0
+        except ValueError:
+            raised = 2
+        except CapExceeded:
+            raised = 5
+        got, out, err = run_cli("eigenvalues", docs["wm_a.txt"], "--qmax", "12",
+                                f"--window={window[0]}:{window[1]}")
+        assert raised == got == code
+        assert (out == "") == (code != 0) and (err == "") == (code == 0)
 
 
 class TestTelescopedEigenvalueSizeClass:

@@ -2,6 +2,8 @@
 
 import functools
 import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,17 +32,16 @@ from bratteli import (
     minimal_components,
     nonmixing_witness,
     support_classes,
-    tail_measure_of_cylinder,
     tail_valuation,
     telescope_to_primitive,
     truncated_extension,
 )
-from bratteli import measures
+from bratteli import linalg, measures
 from bratteli.errors import AmbiguousComparison
 from bratteli.measures import _ClassMeasure
 from bratteli.spectral import NumericValue, nv_compare
 
-from conftest import aperiodic_corpus, dominance_family
+from conftest import aperiodic_corpus, dominance_family, random_diagram
 
 
 class TestErgodicEnumeration:
@@ -92,7 +93,7 @@ class TestErgodicEnumeration:
         for d in (double_morse, mixed_chain):
             for mu in enumerate_ergodic(d):
                 for n in range(1, 7):
-                    h = heights(d, n).values
+                    h = heights(d, n)
                     assert sum(h[v] * mu.value(n, v) for v in range(5)) == 1
 
     def test_periodic_diagram_is_refused(self):
@@ -165,7 +166,7 @@ class TestSigmaFinite:
         (nu,) = enumerate_infinite(mixed_chain)
         assert nu.class_id == 2
         assert nu.base == (math.inf, math.inf, 0, 1, 0)
-        assert tail_measure_of_cylinder(nu, PathWord((3,))) == 1
+        assert measure_of_cylinder(nu, PathWord((3,))) == 1
 
     def test_single_loop_class_gives_an_atomic_tail(self, atomic_tail):
         (nu,) = enumerate_infinite(atomic_tail)
@@ -383,6 +384,36 @@ class TestMassAndTruncation:
         firsts = [s[0] for s in series]
         assert all(b > a for a, b in zip(firsts, firsts[1:]))
         assert firsts[-1] > 5
+
+    def test_truncated_extension_sums_left_to_right(self):
+        # irrational classes of random diagrams, against sums folded left to
+        # right; in most of them a correctly rounded sum (math.fsum, or the
+        # compensated built-in sum from Python 3.12 on) differs in a last digit
+        def reference(dec, alpha, m):
+            add = functools.partial(functools.reduce, operator.add)
+            cls = dec.classes[alpha]
+            total = float(add(cls.perron, 0))
+            y = {v: float(yv) / total for v, yv in zip(cls.vertices, cls.perron)}
+            power = linalg.mat_pow([list(r) for r in dec.a_matrix], m)
+            terms = [[power[v][w] * yw for w, yw in y.items()] for v in range(len(power))]
+            rounded = math.fsum(cls.perron) != total or any(
+                math.fsum(row) != add(row, 0) for row in terms)
+            return tuple(add(row, 0) / cls.rho.as_float ** m for row in terms), rounded
+
+        rng = random.Random(3)
+        cases = rounded_differently = 0
+        for _ in range(300):
+            d = random_diagram(rng, n_max=5, entry_max=3)
+            dec = decompose(d)
+            for cls in dec.classes:
+                if cls.is_zero or cls.rho.is_exact:
+                    continue
+                m = rng.randint(1, 9)
+                want, rounded = reference(dec, cls.index, m)
+                assert truncated_extension(dec, cls.index, m) == want, (d, cls.index, m)
+                cases += 1
+                rounded_differently += rounded
+        assert cases > 150 and rounded_differently > 50
 
     def test_zero_block_is_rejected(self):
         dec = decompose(StationaryDiagram(((2, 1, 0), (0, 0, 1), (0, 0, 2))))

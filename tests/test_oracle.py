@@ -13,7 +13,6 @@ from conftest import (aperiodic_corpus, random_diagram, random_path, seeded_orde
 
 from bratteli import (
     CapExceeded,
-    CylinderSet,
     DimensionMismatch,
     EndpointMismatch,
     InvarianceReport,
@@ -138,14 +137,14 @@ class TestInvariance:
         want = [((lvl, v), enumerate_paths(d, v, lvl))
                 for lvl in levels for v in range(d.n_vertices)]
         paths = [p for _, batch in want for p in batch]
-        assert len(paths) == sum(sum(heights(d, lvl).values) for lvl in levels)
+        assert len(paths) == sum(sum(heights(d, lvl)) for lvl in levels)
         measures = enumerate_ergodic(d) + enumerate_infinite(d)
         assert len(measures) == 3
         bare = [_Counting(m) for m in measures]
-        oracle.verify_measures(d, bare, n_max=3, cap=0)
+        [verify_invariance(d, m, 3, cap=0) for m in bare]
         assert validated == walked == []
         full = [_Counting(m) for m in measures]
-        assert all(r.ok for r in oracle.verify_measures(d, full, n_max=3))
+        assert all(verify_invariance(d, m, 3).ok for m in full)
         assert validated == []
         sequences = [(key, list(dict.fromkeys(p.vertices for p in batch)))
                      for key, batch in want]
@@ -189,7 +188,7 @@ class TestInvariance:
             return value(self, level, vertex)
 
         monkeypatch.setattr(_ClassMeasure, "_value", counted)
-        assert all(r.ok for r in oracle.verify_measures(d, measures, n_max=4))
+        assert all(verify_invariance(d, m, 4).ok for m in measures)
         assert sorted(priced) == sorted((id(m), lvl, v) for m in measures
                                         for lvl in range(1, 6) for v in range(3))
         assert set(priced.values()) == {1}
@@ -202,7 +201,7 @@ class TestInvariance:
         measures = enumerate_ergodic(d)
         tracemalloc.start()
         try:
-            reports = oracle.verify_measures(d, measures, n_max=10)
+            reports = [verify_invariance(d, m, 10) for m in measures]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -244,11 +243,11 @@ class TestInvariance:
             want = _outcome(lambda: [_sequential_reference(d, m, 3, 10 ** 6)
                                      for m in measures])
             assert want[0] in (ValueError, DimensionMismatch)
-            assert _outcome(lambda: oracle.verify_measures(d, measures, 3)) == want
+            assert _outcome(lambda: [verify_invariance(d, m, 3) for m in measures]) == want
 
     def test_float_range_is_refused_in_measure_order(self):
         # (c) on measure 0 leaves float range at level 738, measure 1's
-        # values at 735; a walk over both raises what the first raises
+        # values at 735; checked in measure order, the first one decides
         d = StationaryDiagram(((1, 1, 0, 0), (1, 0, 0, 0), (1, 0, 2, 1), (0, 0, 1, 1)))
         m0, m1 = enumerate_ergodic(d)
         with pytest.raises(CapExceeded, match="^level 738 is beyond float range$"):
@@ -256,10 +255,10 @@ class TestInvariance:
         with pytest.raises(CapExceeded, match="^level 735 is beyond float range$"):
             verify_invariance(d, m1, 738, cap=50)
         with pytest.raises(CapExceeded, match="^level 738 "):
-            oracle.verify_measures(d, (m0, m1), 738, cap=50)
+            [verify_invariance(d, m, 738, cap=50) for m in (m0, m1)]
         with pytest.raises(CapExceeded, match="^level 735 "):
-            oracle.verify_measures(d, (m1, m0), 738, cap=50)
-        assert all(r.ok for r in oracle.verify_measures(d, (m0, m1), 733, cap=50))
+            [verify_invariance(d, m, 738, cap=50) for m in (m1, m0)]
+        assert all(verify_invariance(d, m, 733, cap=50).ok for m in (m0, m1))
 
     def test_cap_produces_skips_not_failures(self, b1):
         (mu,) = enumerate_ergodic(b1)
@@ -281,7 +280,7 @@ def _sequential_reference(d, m, n_max, cap):
                         for v in range(n))
 
     for lvl in range(1, n_max + 1):
-        h = heights(d, lvl).values
+        h = heights(d, lvl)
         p_now = [m.value(lvl, v) for v in range(n)]
         p_next = [m.value(lvl + 1, v) for v in range(n)]
 
@@ -334,7 +333,7 @@ def _outcome(run):
 
 
 def test_sweep_matches_the_sequential_reference():
-    """verify_measures gives the reports, or raises the exception, of one
+    """verify_invariance gives the report, or raises the exception, of one
     reference walk per measure, on random diagrams with their measures
     (when aperiodic) and a measure that violates every check; in a
     quarter of the draws a measure of the previous diagram, whose paths
@@ -356,7 +355,7 @@ def test_sweep_matches_the_sequential_reference():
             measures.insert(place.randint(0, len(measures)), _ConstantStub(previous))
         previous = d
         want = _outcome(lambda: [_sequential_reference(d, m, depth, cap) for m in measures])
-        assert _outcome(lambda: oracle.verify_measures(d, measures, depth, cap)) == want
+        assert _outcome(lambda: [verify_invariance(d, m, depth, cap) for m in measures]) == want
         walked += len(measures)
     assert walked > 400
 
@@ -555,8 +554,7 @@ def _orbit_reference(od, start, steps, target):
     """(visits, steps, exhausted, working level) of the orbit of start,
     extended upward and stepped as path objects by ``successor_by_rebuild``,
     as ``empirical_orbit_frequency`` walked it before it stepped in place."""
-    t = target.path if isinstance(target, CylinderSet) else target
-    working = max(start.level, t.level + 4)
+    working = max(start.level, target.level + 4)
     cur = start
     while cur.level < working:
         w = cur.terminal
@@ -566,7 +564,7 @@ def _orbit_reference(od, start, steps, target):
     exhausted = False
     for _ in range(steps):
         taken += 1
-        if cur.prefix(t.level) == t:
+        if cur.prefix(target.level) == target:
             visits += 1
         cur = successor_by_rebuild(od, cur)
         if cur is None:
@@ -584,7 +582,7 @@ class TestOrbitFrequency:
         assert not report.exhausted
 
     def test_partial_orbit_is_flagged(self, two_odometer):
-        target = CylinderSet(PathWord((0, 0), (1,)))
+        target = PathWord((0, 0), (1,))
         report = empirical_orbit_frequency(two_odometer, PathWord((0,)), 50, target)
         assert report.exhausted
         assert report.steps == 32
@@ -602,8 +600,6 @@ class TestOrbitFrequency:
         for od in seeded_orders():
             start = random_path(rng, od, rng.randrange(od.n_vertices), rng.randint(1, 3))
             target = random_path(rng, od, rng.randrange(od.n_vertices), rng.randint(1, 3))
-            if rng.random() < 0.5:
-                target = CylinderSet(target)
             steps = rng.randint(1, 300)
             report = empirical_orbit_frequency(od, start, steps, target)
             want = _orbit_reference(od, start, steps, target)

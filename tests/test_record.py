@@ -1,4 +1,4 @@
-"""The record contract: the 28 value classes against frozen dataclass twins,
+"""The record contract: the 26 value classes against frozen dataclass twins,
 construction, frozenness, and an import of the CLI without dataclasses."""
 
 import dataclasses
@@ -13,7 +13,6 @@ import pytest
 
 import bratteli
 from bratteli import (
-    CylinderSet,
     Leg,
     NumericValue,
     OrderedDiagram,
@@ -31,7 +30,6 @@ from bratteli import (
     enumerate_ergodic,
     enumerate_infinite,
     growth_check,
-    heights,
     make_diamond,
     measure_from_point,
     measure_record,
@@ -55,7 +53,6 @@ FIELDS = {
                                "initial_classes", "final_classes", "fnf_permutation"),
     "CoreOracleResult": ("feasible", "k", "preimage", "certificate"),
     "CoreVerdict": ("kind", "k", "coefficients"),
-    "CylinderSet": ("path",),
     "Diagnostic": ("kind", "vertex", "message"),
     "Diamond": ("leg_a", "leg_b", "class_id"),
     "Eigendata": ("alpha", "lam", "xi", "support_classes"),
@@ -63,7 +60,6 @@ FIELDS = {
                           "fail_vertex"),
     "ErgodicMeasure": ("decomp", "class_id", "lam", "xi", "support"),
     "GrowthReport": ("verdicts",),
-    "HeightVector": ("level", "values"),
     "InvarianceReport": ("n_max", "checks_run", "violations", "skipped"),
     "InvariantMeasure": ("measures", "coefficients"),
     "Leg": ("vertices", "mults"),
@@ -117,7 +113,6 @@ def _samples():
         "ComponentDecomposition": [dec1, dec2, decompose(b1)],
         "CoreOracleResult": [core_preimage_oracle(dec1.a_matrix, (1, 1), k) for k in (1, 3)],
         "CoreVerdict": [core_membership(dec1, x) for x in ((2, 0), (0, 1), (1, 1))],
-        "CylinderSet": [CylinderSet(p) for p in paths],
         "Diagnostic": validate(StationaryDiagram(((0, 0, 0), (1, 1, 0), (1, 1, 0)))),
         "Diamond": diamonds + [make_diamond(wm_a, legs[0], legs[1], class_id=1)],
         "Eigendata": [distinguished_eigenvector(dec_m, e.class_id) for e in ergodic],
@@ -126,7 +121,6 @@ def _samples():
         "ErgodicMeasure": ergodic,
         "GrowthReport": [growth_check(thue_morse),
                          growth_check(Substitution(("a", "b"), {"a": "ab", "b": "b"}))],
-        "HeightVector": [heights(b1, n) for n in (1, 2, 3)],
         "InvarianceReport": [verify_invariance(morse, ergodic[0], n) for n in (2, 3)],
         "InvariantMeasure": [measure_from_point(morse, p) for p in
                              ((Fraction(2, 9), Fraction(1, 9), Fraction(2, 9), Fraction(1, 9),
@@ -140,7 +134,7 @@ def _samples():
         "OrbitFrequency": [empirical_orbit_frequency(odometer, PathWord((0,)), 32,
                                                      PathWord((0, 0), (0,))),
                            empirical_orbit_frequency(odometer, PathWord((0,)), 50,
-                                                     CylinderSet(PathWord((0, 0), (1,))))],
+                                                     PathWord((0, 0), (1,)))],
         "OrderedDiagram": [odometer, wm_a],
         "PSequence": [p_sequence(wm_a, diamonds[0], n) for n in (4, 5)],
         "PathWord": paths,
@@ -172,7 +166,7 @@ class TestAgainstDataclassTwins:
         records = {name for name in bratteli.__all__
                    if isinstance(getattr(bratteli, name), type)
                    and "_fields" in vars(getattr(bratteli, name))}
-        assert records == FIELDS.keys() and len(records) == 28
+        assert records == FIELDS.keys() and len(records) == 26
         for name in records:
             cls = getattr(bratteli, name)
             assert cls._fields == FIELDS[name]

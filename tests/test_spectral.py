@@ -1,5 +1,6 @@
 """Class decomposition, Perron data, distinguished classes, cone membership."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -609,7 +610,7 @@ class TestPrimitivity:
                     m += 1
                     if m > limit:
                         raise PrimitivityError("block never becomes positive; not primitive")
-                extra = math.lcm(extra, m)
+                extra = max(extra, m)
             return q * extra
 
         def outcome(f, d):
@@ -625,6 +626,40 @@ class TestPrimitivity:
             blocks += sum(not spectral._is_zero(b) for b in spectral._structure(d)[4])
             assert outcome(positivity_power, d) == outcome(by_boolean_product, d), d
         assert blocks == 4591
+
+    def test_positivity_power_is_the_smallest_adequate_power(self):
+        """The least k such that every non-zero diagonal block of F**k is
+        positive, the classes of F**k taken from a boolean closure, on 3,000
+        random diagrams and on one whose two non-zero blocks turn positive
+        at powers 3 and 2 (combined by lcm, they asked for 6)."""
+        def brute_force(d):
+            f = [[int(x > 0) for x in row] for row in d.incidence]
+            n, power = len(f), f
+            for k in itertools.count(1):
+                if k > 1:
+                    power = [[int(any(a and b for a, b in zip(row, col))) for col in zip(*f)]
+                             for row in power]
+                reach = [row[:] for row in power]
+                for m in range(n):
+                    for i in range(n):
+                        if reach[i][m]:
+                            reach[i] = [x or y for x, y in zip(reach[i], reach[m])]
+                blocks = [[power[a][b] for a in cls for b in cls] for cls in
+                          ({i} | {j for j in range(n) if reach[i][j] and reach[j][i]}
+                           for i in range(n))]
+                if all(all(block) or not any(block) for block in blocks):
+                    return k
+
+        repro = StationaryDiagram(((0, 1, 0, 3, 1, 3), (3, 3, 0, 1, 2, 0), (0, 0, 2, 0, 0, 2),
+                                   (1, 0, 1, 0, 0, 2), (0, 0, 0, 0, 0, 2), (0, 0, 1, 0, 3, 2)))
+        assert positivity_power(repro) == brute_force(repro) == 3
+        rng = random.Random(1)
+        powers = set()
+        for _ in range(3000):
+            d = random_diagram(rng, n_max=6, entry_max=3)
+            powers.add(q := positivity_power(d))
+            assert q == brute_force(d), d
+        assert powers == {1, 2, 3, 4, 5}
 
 
 class TestCoreMembership:

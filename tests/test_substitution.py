@@ -75,6 +75,18 @@ class TestConstruction:
             with pytest.raises(ValueError):
                 Substitution(("a", letter), {"a": "a" + letter, letter: "a"})
 
+    def test_keeps_its_own_rules(self):
+        # editing the caller's dict afterwards neither changes s nor slips
+        # an unchecked rule past validation
+        rules = {"a": "ab", "b": "ba"}
+        s = Substitution(("a", "b"), rules)
+        rules["a"] = "zz"
+        assert s == Substitution(("a", "b"), {"a": "ab", "b": "ba"})
+        assert type(s.rules) is dict
+        assert repr(s) == "Substitution(alphabet=('a', 'b'), rules={'a': 'ab', 'b': 'ba'})"
+        assert substitution_measures(s) == substitution_measures(
+            Substitution(("a", "b"), {"a": "ab", "b": "ba"}))
+
     def test_apply(self, thue_morse):
         assert thue_morse.apply("ab") == "abba"
         assert thue_morse.apply("") == ""

@@ -109,7 +109,7 @@ class TestSuccessor:
             assert path_rank(b1_ordered, p) == rank
             rank += 1
             p = successor(b1_ordered, p)
-        assert rank == heights(b1_ordered.base, 3).values[1]
+        assert rank == heights(b1_ordered.base, 3)[1]
 
     def test_q_steps_is_a_signed_rank_difference(self, two_odometer):
         lo = min_path(two_odometer, 0, 4)
@@ -626,7 +626,7 @@ class TestTelescopeOrdered:
 
     def test_rank_of_maximal_path_matches_collapsed_heights(self, two_odometer):
         t = telescope_ordered(two_odometer, 2)
-        assert path_rank(t, max_path(t, 0, 2)) == heights(two_odometer.base, 3).values[0] - 1
+        assert path_rank(t, max_path(t, 0, 2)) == heights(two_odometer.base, 3)[0] - 1
 
     def test_power_one_is_identity(self, b1_ordered):
         assert telescope_ordered(b1_ordered, 1) == b1_ordered
@@ -673,7 +673,7 @@ def test_successor_walk_is_a_bijection_on_small_random_diagrams(seed):
     od = random_order(rng, d)
     n = 3
     for v in range(d.n_vertices):
-        expected = heights(d, n).values[v]
+        expected = heights(d, n)[v]
         p = min_path(od, v, n)
         seen = set()
         while p is not None:
