@@ -22,13 +22,11 @@ from .errors import (AmbiguousComparison, BratteliError, CapExceeded,
                      ZeroMeasureCylinder)
 from .measures import (ErgodicMeasure, InvariantMeasure, TailMeasure,
                        borel_invariant, enumerate_ergodic, enumerate_infinite,
-                       mass_proxy, measure_from_point, measure_of_cylinder,
-                       minimal_components, support_classes, tail_valuation,
-                       truncated_extension)
-from .oracle import (AsymptoticsReport, CoreOracleResult, InvarianceReport,
-                     OrbitFrequency, asymptotics_check, brute_force_Q,
-                     core_preimage_oracle, empirical_orbit_frequency,
-                     verify_invariance)
+                       measure_from_point, measure_of_cylinder,
+                       minimal_components, support_classes, tail_valuation)
+from .oracle import (CoreOracleResult, InvarianceReport, OrbitFrequency,
+                     brute_force_Q, core_preimage_oracle,
+                     empirical_orbit_frequency, verify_invariance)
 from .spectral import (AperiodicityResult, ComponentClass,
                        ComponentDecomposition, CoreVerdict, Eigendata,
                        NumericValue, aperiodicity_check, check_primitive,

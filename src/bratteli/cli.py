@@ -157,20 +157,19 @@ def cmd_analyze(args) -> int:
         "{" + ",".join(decomp.class_members(alpha)) + "}"
         for alpha in decomp.initial_classes))
 
-    ergodic = enumerate_ergodic(decomp)
-    infinite = enumerate_infinite(decomp)
+    ergodic = enumerate_ergodic(base)
+    infinite = enumerate_infinite(base)
     if args.report:
         sys.stdout.write(serialize_measures(list(ergodic) + list(infinite)))
         return EXIT_OK
     out.extend(_measure_lines(ergodic, infinite, labels,
-                              f"borel invariant: {borel_invariant(decomp)}"))
+                              f"borel invariant: {borel_invariant(base)}"))
     print("\n".join(out))
     return EXIT_OK
 
 
 def _select_measure(args, base):
-    decomp = decompose(base)
-    ergodic = enumerate_ergodic(decomp)
+    ergodic = enumerate_ergodic(base)
     try:
         class_id = int(args.measure)
     except ValueError:
@@ -183,7 +182,7 @@ def _select_measure(args, base):
     for m in ergodic:
         if m.class_id == class_id:
             return m
-    for m in enumerate_infinite(decomp):
+    for m in enumerate_infinite(base):
         if m.class_id == class_id:
             return m
     raise NotInDomainError(
@@ -302,10 +301,9 @@ def cmd_verify(args) -> int:
                           args.depth, DEPTH_CAP)
     doc, base, _ = _load_diagram(args)
     ordered = isinstance(doc, OrderedDiagram)
-    decomp = decompose(base)
     labels = base.effective_labels
-    ergodic = enumerate_ergodic(decomp)
-    infinite = enumerate_infinite(decomp)
+    ergodic = enumerate_ergodic(base)
+    infinite = enumerate_infinite(base)
     violations = 0
     out = []
 

@@ -9,6 +9,10 @@ the block and extended to the rest of the diagram by an exact linear
 solve; the extension value at a vertex is +inf exactly when some class
 on an access chain down to the carrying class has Perron value at least
 as large as the carrying one.
+
+Every public function here takes the diagram alone and reads the
+decomposition it carries, ``spectral.decompose(d)``, which each measure
+holds: the diagram itself holds it only weakly.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import linalg
-from .diagram import StationaryDiagram, check_path, heights
+from .diagram import StationaryDiagram, check_path
 from .errors import CapExceeded, NotAperiodicError, NotInDomainError, ZeroBlockError
 from .record import record
 from .spectral import (DEFAULT_GAP, ComponentDecomposition, NumericValue, _class, _extend,
@@ -26,13 +30,8 @@ from .spectral import (DEFAULT_GAP, ComponentDecomposition, NumericValue, _class
                        decompose, distinguished_classes, nv_compare)
 
 
-def _as_decomp(d) -> ComponentDecomposition:
-    return d if isinstance(d, ComponentDecomposition) else decompose(d)
-
-
-def _aperiodic(d) -> ComponentDecomposition:
-    """The decomposition of d; NotAperiodicError unless d is aperiodic."""
-    decomp = _as_decomp(d)
+def _aperiodic(decomp: ComponentDecomposition) -> ComponentDecomposition:
+    """decomp itself; NotAperiodicError unless its diagram is aperiodic."""
     verdict = aperiodicity_check(decomp)
     if not verdict:
         raise NotAperiodicError(f"not aperiodic: {verdict.reason}",
@@ -116,10 +115,10 @@ class ErgodicMeasure(_ClassMeasure):
         return len(self.support) == len(self.decomp.classes)
 
 
-def enumerate_ergodic(d) -> list[ErgodicMeasure]:
+def enumerate_ergodic(d: StationaryDiagram) -> list[ErgodicMeasure]:
     """All ergodic probability measures, one per distinguished class, in
     class index order.  Requires primitive blocks and aperiodicity."""
-    decomp = _aperiodic(d)
+    decomp = _aperiodic(decompose(d))
     return [ErgodicMeasure(decomp, e.alpha, e.lam, e.xi, e.support_classes)
             for e in decomp._cone]  # the extreme vectors core_membership reads
 
@@ -179,13 +178,13 @@ class InvariantMeasure(_LevelValues):
         return out
 
 
-def measure_from_point(d, p1) -> InvariantMeasure:
+def measure_from_point(d: StationaryDiagram, p1) -> InvariantMeasure:
     """The unique invariant probability measure whose level-1 cylinder
     vector is p1.  p1 must hold int or Fraction entries, weigh to 1
     against the level-1 heights (all ones), and lie in the cone of the
     extreme vectors."""
-    decomp = _as_decomp(d)
-    measures = enumerate_ergodic(decomp)
+    decomp = decompose(d)
+    measures = enumerate_ergodic(d)
     if sum(_require_exact(p1)) != 1:
         raise NotInDomainError("level-1 vector does not have total mass 1")
     verdict = core_membership(decomp, p1)
@@ -195,10 +194,10 @@ def measure_from_point(d, p1) -> InvariantMeasure:
     return InvariantMeasure(tuple(measures), verdict.coefficients)
 
 
-def minimal_components(d) -> tuple[int, ...]:
+def minimal_components(d: StationaryDiagram) -> tuple[int, ...]:
     """Class ids of the minimal closed invariant path sets: exactly the
     classes nothing else has access to."""
-    decomp = _as_decomp(d)
+    decomp = decompose(d)
     check_primitive(decomp)
     return decomp.initial_classes
 
@@ -231,7 +230,7 @@ class TailMeasure(_ClassMeasure):
         return self.base
 
 
-def tail_valuation(decomp: ComponentDecomposition, alpha: int):
+def tail_valuation(d: StationaryDiagram, alpha: int):
     """(lam, y, base): Perron value of class alpha, its normalized Perron
     vector, and the per-vertex limit values of the extension.
 
@@ -248,6 +247,7 @@ def tail_valuation(decomp: ComponentDecomposition, alpha: int):
     has access to one that is, and otherwise exactly when rho_b >= lam.
     Each accessor is compared at most once (a zero block as exact 0).
     """
+    decomp = decompose(d)
     cls = _class(decomp, alpha)
     if cls.is_zero:
         raise ZeroBlockError(f"class {alpha} has a zero block")
@@ -269,11 +269,11 @@ def tail_valuation(decomp: ComponentDecomposition, alpha: int):
     return lam, y, tuple(base)
 
 
-def enumerate_infinite(d, include_atomic: bool = True) -> list[TailMeasure]:
+def enumerate_infinite(d: StationaryDiagram, include_atomic: bool = True) -> list[TailMeasure]:
     """Sigma-finite measures, one per non-distinguished class with a
     non-zero block, in class index order.  Atomic ones (the class block
     is the 1x1 identity) can be filtered out."""
-    decomp = _aperiodic(d)
+    decomp = _aperiodic(decompose(d))
     out = []
     for cls in decomp.classes:
         if cls.distinguished or cls.is_zero:
@@ -281,46 +281,13 @@ def enumerate_infinite(d, include_atomic: bool = True) -> list[TailMeasure]:
         atomic = cls.block == ((1,),)
         if atomic and not include_atomic:
             continue
-        lam, y, base = tail_valuation(decomp, cls.index)
+        lam, y, base = tail_valuation(d, cls.index)
         out.append(TailMeasure(decomp, cls.index, lam, y, atomic, base))
     return out
 
 
-def mass_proxy(decomp: ComponentDecomposition, alpha: int, n: int):
-    """Mass of the level-n tail set staying in class alpha, computed with
-    the full diagram's heights: sum over v in alpha of h_v(n) y_v
-    lam^(1-n).  Diverges for non-distinguished alpha, converges to a
-    positive constant for distinguished alpha.  A float sum beyond float
-    range is refused by ``within_float_range``."""
-    cls = _class(decomp, alpha)
-    if cls.is_zero:
-        raise ZeroBlockError(f"class {alpha} has a zero block")
-    h = heights(decomp.diagram, n)
-    total = linalg.left_sum(cls.perron)
-    lam = cls.rho.value
-    return within_float_range(n, None, lambda: linalg.left_sum(
-        h[v] * yv / total / lam ** (n - 1) for v, yv in zip(cls.vertices, cls.perron)))
-
-
-def truncated_extension(decomp: ComponentDecomposition, alpha: int, m: int):
-    """s_m(v) = lam^(-m) sum_{w in alpha} (A^m)_{v,w} y_w: the truncated
-    series whose limit the exact solve computes.  Non-decreasing in m;
-    refused by ``within_float_range`` beyond float range."""
-    cls = _class(decomp, alpha)
-    if cls.is_zero:
-        raise ZeroBlockError(f"class {alpha} has a zero block")
-    lam = cls.rho.as_float
-    total = float(linalg.left_sum(cls.perron))
-    y = {v: float(yv) / total for v, yv in zip(cls.vertices, cls.perron)}
-    power = linalg.mat_pow([list(r) for r in decomp.a_matrix], m)
-    return within_float_range(m, None, lambda: tuple(
-        linalg.left_sum(power[v][w] * yw for w, yw in y.items()) / lam ** m
-        for v in range(len(power))))
-
-
-def borel_invariant(d) -> int:
+def borel_invariant(d: StationaryDiagram) -> int:
     """Number of distinguished classes: the complete invariant for Borel
     isomorphism of the tail relation, and the count of ergodic
     probability measures."""
-    decomp = _aperiodic(d)
-    return len(distinguished_classes(decomp))
+    return len(distinguished_classes(_aperiodic(decompose(d))))

@@ -19,7 +19,7 @@ from .diagram import PathWord, check_path, height_levels, heights, vertex_sequen
 from .errors import CapExceeded, EndpointMismatch, SizeRefused
 from .measures import within_float_range
 from .record import record
-from .spectral import DEFAULT_GAP, ComponentDecomposition, _class
+from .spectral import DEFAULT_GAP
 from .vershik import OrderedDiagram, _step
 
 STEP_CAP = 10 ** 6
@@ -184,8 +184,6 @@ def core_preimage_oracle(a_matrix, x, k: int) -> CoreOracleResult:
     Small sizes only: refuses N > 12 or k > 2N rather than running an
     open-ended search.
     """
-    if isinstance(a_matrix, ComponentDecomposition):
-        a_matrix = a_matrix.a_matrix
     n = len(a_matrix)
     if n > 12:
         raise SizeRefused(f"oracle limited to 12 vertices, got {n}")
@@ -247,49 +245,3 @@ def empirical_orbit_frequency(od: OrderedDiagram, start: PathWord, steps: int,
             exhausted = taken < steps
             break
     return OrbitFrequency(visits, taken, exhausted, working)
-
-
-@record
-class AsymptoticsReport:
-    """Ratios (A^n)[i][j] / lam^n over a window, with a tail verdict."""
-
-    alpha: int
-    i: int
-    j: int
-    ratios: tuple
-    verdict: str
-
-    @property
-    def converging_positive(self):
-        return self.verdict == "Converging-positive"
-
-
-def asymptotics_check(decomp: ComponentDecomposition, alpha: int, i: int, j: int,
-                      n_range) -> AsymptoticsReport:
-    """Classify the growth of (A^n)[i][j] against the class eigenvalue.
-
-    Tail-ratio test: consecutive-ratio below 1 - 1/20 (or a zero tail)
-    reads as Vanishing, anything flatter as Converging-positive.  The
-    access hypotheses relating i, j and alpha are assumed, not checked.
-    A float ratio is refused by ``within_float_range`` beyond float range.
-    """
-    ns = sorted(n_range)
-    if len(ns) < 2:
-        raise ValueError("need at least two sample points")
-    lam = _class(decomp, alpha).rho.value
-    power = [list(r) for r in decomp.a_matrix]
-    table = {}
-    for n in range(1, ns[-1] + 1):
-        if n > 1:
-            power = linalg.mat_mul(power, decomp.a_matrix)
-        if n in ns:
-            table[n] = power[i][j]
-    ratios = [within_float_range(n, table[n], lambda: table[n] / lam ** n) for n in ns]
-    last, prev = ratios[-1], ratios[-2]
-    if last == 0:
-        verdict = "Vanishing"
-    elif last / prev < Fraction(19, 20):
-        verdict = "Vanishing"
-    else:
-        verdict = "Converging-positive"
-    return AsymptoticsReport(alpha, i, j, tuple(ratios), verdict)

@@ -4,9 +4,10 @@ A record's fields are the class's own annotations, in order; a field's
 default is the class attribute of the same name.  The methods are shared
 by every record and read the field names from ``cls._fields``, so a class
 definition compiles no code.  Instances compare and hash by their field
-tuple, print as ``Name(field=value, ...)`` and refuse assignment with
-``FrozenInstanceError``; ``__post_init__``, when the class has one, runs
-after the fields are set.
+tuple, print as ``Name(field=value, ...)``, pickle and copy as a call on
+their field values (so a cache kept in the instance dict is left out),
+and refuse assignment with ``FrozenInstanceError``; ``__post_init__``,
+when the class has one, runs after the fields are set.
 """
 
 from operator import attrgetter
@@ -73,6 +74,10 @@ def __delattr__(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def __reduce__(self):
+    return type(self), self._values(self)
+
+
 def record(cls):
     """Make cls a frozen record class (see the module docstring)."""
     fields = tuple(cls.__dict__.get("__annotations__", ()))
@@ -81,6 +86,6 @@ def record(cls):
     cls._post_init = hasattr(cls, "__post_init__")
     cls._values = staticmethod(attrgetter(*fields) if len(fields) > 1
                                else lambda obj, name=fields[0]: (getattr(obj, name),))
-    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__, __reduce__):
         setattr(cls, method.__name__, method)
     return cls

@@ -31,6 +31,13 @@ exact simplex at every level.  No verdict reads a float.  What does not
 depend on x is kept on the decomposition, as is the aperiodicity verdict;
 the class structure and imprimitivity indices, once per diagram.
 
+A diagram carries its decomposition: ``decompose(d)`` returns the one kept
+on d, held weakly because it refers back to d.  The functions here that
+read class data (``core_membership``, ``aperiodicity_check``,
+``check_primitive``, ``distinguished_classes`` and
+``distinguished_eigenvector``) take that decomposition; no public
+function of another module takes one.
+
 Numeric policy: a block's Perron value rho is reported exactly whenever
 it is rational, and as a float with a certified residual bound
 otherwise.  A rational rho is an integer (a root of the monic integer
@@ -51,6 +58,7 @@ and raises ``AmbiguousComparison`` rather than guess inside it.
 from __future__ import annotations
 
 import math
+import weakref
 from functools import cached_property
 from fractions import Fraction
 from operator import mul, truediv
@@ -395,8 +403,14 @@ def _structure(d: StationaryDiagram):
 
 
 def decompose(d: StationaryDiagram) -> ComponentDecomposition:
-    """Class decomposition of A = F^T with access order, per-block Perron
-    data and distinguished flags."""
+    """The diagram's own class decomposition of A = F^T, with access order,
+    per-block Perron data and distinguished flags, built on first use.  It
+    is kept in ``d.__dict__`` under ``_decomposition``, outside ==, hash and
+    repr, by a weak reference, as it refers back to d (a strong one would
+    make a cycle): it lives while a caller or a measure holds it."""
+    ref = d.__dict__.get("_decomposition")
+    if ref and (decomp := ref()) is not None:
+        return decomp
     a, comps, class_of, access, blocks, periods = _structure(d)
     k = len(comps)
     rhos, vecs = zip(*map(perron_pair, blocks))
@@ -422,7 +436,9 @@ def decompose(d: StationaryDiagram) -> ComponentDecomposition:
         depth[c] = max((depth[b] + 1 for b in above[c]), default=0)
     perm = tuple(v for c in sorted(range(k), key=lambda c: (depth[c], c)) for v in comps[c])
 
-    return ComponentDecomposition(d, a, classes, class_of, access, initial, final, perm)
+    decomp = ComponentDecomposition(d, a, classes, class_of, access, initial, final, perm)
+    d.__dict__["_decomposition"] = weakref.ref(decomp)
+    return decomp
 
 
 def _class(decomp: ComponentDecomposition, alpha: int) -> ComponentClass:

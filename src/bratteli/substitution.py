@@ -207,7 +207,7 @@ def substitution_measures(s: Substitution) -> SubstitutionMeasures:
     if q > 1:
         od = telescope_ordered(od, q)
     decomp = decompose(od.base)
-    ergodic = tuple(enumerate_ergodic(decomp))
-    infinite = tuple(enumerate_infinite(decomp, include_atomic=False))
+    ergodic = tuple(enumerate_ergodic(od.base))
+    infinite = tuple(enumerate_infinite(od.base, include_atomic=False))
     return SubstitutionMeasures(s, od, q, decomp, ergodic, infinite,
                                 unique_ergodic=len(ergodic) == 1)

@@ -65,7 +65,8 @@ class OrderedDiagram:
 
     @cached_property
     def _decomposition(self):
-        """decompose(self.base), once per ordered diagram, outside ==, hash and repr."""
+        """decompose(self.base), held here, outside ==, hash and repr, for as long as
+        the ordered diagram lives (the base holds it only weakly)."""
         return decompose(self.base)
 
     @cached_property

@@ -320,10 +320,9 @@ def test_criterion_9_tail_measure_valuation(b1, double_morse):
         assert isinstance(value, Fraction) and value == Fraction(2) ** (1 - n)
         assert tail.value(n, 0) == math.inf
 
-    decomp = decompose(double_morse)
-    lam, _, base = tail_valuation(decomp, 2)
+    lam, _, base = tail_valuation(double_morse, 2)
     assert lam.value == 3
-    mu = [m for m in enumerate_ergodic(decomp) if m.class_id == 2][0]
+    mu = [m for m in enumerate_ergodic(double_morse) if m.class_id == 2][0]
     cylinders = [(n, v) for n in (1, 2) for v in range(5)]
     assert len(cylinders) == 10
     constants = {Fraction(base[v]) * Fraction(3) ** (1 - n) / mu.value(n, v)
@@ -369,7 +368,7 @@ def test_criterion_10_exact_property_suite(b1, b1_ordered, double_morse,
         decomp = decompose(primitive)
         vertex_class = {v: g for g, cls in enumerate(decomp.classes)
                         for v in cls.vertices}
-        for m in enumerate_ergodic(decomp):
+        for m in enumerate_ergodic(primitive):
             for v, x in enumerate(m.xi):
                 reaches = (vertex_class[v] == m.class_id
                            or decomp.access[vertex_class[v]][m.class_id])

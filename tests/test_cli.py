@@ -7,6 +7,7 @@ confirm the entry point wiring.
 """
 
 import contextlib
+import gc
 import io
 import math
 import os
@@ -909,6 +910,33 @@ class TestOneStructurePass:
         assert code == 0 and err == ""
         assert (f"telescope power: {power}\n" in out) == (power > 1)
         assert len(seen) == 1
+
+
+class TestNoReferenceCycle:
+    """A diagram holds its decomposition by a weak reference, as the
+    decomposition refers back to the diagram: a request, once the parser
+    and the module caches are warm, leaves nothing for the cycle collector."""
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "b1.txt"), ("analyze", "dm.txt"), ("analyze", "eig.txt"),
+        ("verify", "b1o.txt", "--depth", "3"), ("verify", "wm_a.txt", "--depth", "3"),
+        ("cylinder", "dm.txt", "--measure", "0", "--check-total"),
+        ("cylinder", "gm.txt", "--measure", "0", "--check-total"),
+        ("eigenvalues", "wm_a.txt"), ("eigenvalues", "eig.txt"), ("export-dot", "dm.txt"),
+        ("subst", "measures", "dm.sub"), ("subst", "measures", "tm.sub"),
+    ], ids=" ".join)
+    def test_a_request_leaves_no_cyclic_garbage(self, docs, argv):
+        argv = [docs.get(a, a) for a in argv]
+        run_cli(*argv)
+        gc.collect()
+        gc.disable()
+        try:
+            code, out, err = run_cli(*argv)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert code == 0 and err == ""
+        assert garbage == 0
 
 
 class TestCountOptions:

@@ -1,7 +1,7 @@
 """Pinned outputs of the float path.
 
 An irrational Perron value is a power-iteration float, and everything
-read off it (extension solves, cylinder values, mass proxies, ratios) is
+read off it (extension solves, cylinder values, overlap ratios) is
 float arithmetic.  The goldens below are exact stdout bytes and float
 reprs of that arithmetic, so an edit that reorders an operation or
 changes a scalar type shows up as a changed last digit.  ``sum`` of
@@ -30,12 +30,9 @@ from bratteli import (
     InvariantMeasure,
     Leg,
     PathWord,
-    asymptotics_check,
-    decompose,
     enumerate_ergodic,
     enumerate_infinite,
     make_diamond,
-    mass_proxy,
     nonmixing_witness,
     parse_diagram,
 )
@@ -47,8 +44,8 @@ IRRATIONAL_DOC = (
     "labels: b s t u x y\n"
     "order:\nb: bbb\ns: ss\nt: bsttu\nu: t\nx: sxxxy\ny: xy\n"
 )
-S, T, U, X = 1, 2, 3, 4
-TAIL_CLASS, ERGODIC_CLASS = 2, 3
+S, X = 1, 4
+ERGODIC_CLASS = 3
 
 
 def run_cli(*argv):
@@ -63,8 +60,7 @@ def reprs(values):
 
 
 def irrational():
-    od = parse_diagram(IRRATIONAL_DOC)
-    return od, decompose(od.base)
+    return parse_diagram(IRRATIONAL_DOC)
 
 
 ANALYZE_OUT = (
@@ -201,37 +197,6 @@ P_VECTORS_IRRATIONAL = [
     ],
 ]
 
-MASS_PROXIES = {
-    2: [
-        "1.0", "1.585786437626907", "2.192388155425124", "2.8456710674493055",
-        "3.574205873445091", "4.410537094545599", "5.3926548983019655",
-        "6.56573695550933",
-    ],
-    3: [
-        "1.0", "1.2071067811865497", "1.3284271247461952", "1.3994949366116736",
-        "1.4411254969542928", "1.465512114593809", "1.4797974644666319",
-        "1.4881656286788882",
-    ],
-}
-
-ASYMPTOTIC_RATIOS = {
-    (1, 4): ([
-            "0.2928932188134531", "0.4289321881345266", "0.5025253169416765",
-            "0.5445891531729038", "0.569050109202405", "0.5833482135265379",
-            "0.591718566056676", "0.5966208986160413",
-        ], "Converging-positive"),
-    (2, 3): ([
-            "0.4142135623730957", "0.34314575050762086", "0.3553390593273778",
-            "0.3532470182743151", "0.35360595577293874", "0.3535443718342641",
-            "0.3535549379676926", "0.35355312510580056",
-        ], "Converging-positive"),
-    (4, 4): ([
-            "0.8786796564403593", "0.8578643762690532", "0.8542930388008501",
-            "0.8536802941629302", "0.8535751638036074", "0.8535571262855836",
-            "0.8535540315367551", "0.8535535005618019",
-        ], "Converging-positive"),
-}
-
 NONMIXING = {
     (1,): ([
             "0.17766952966368832", "0.20815280171307984", "0.22557621316549492",
@@ -269,8 +234,7 @@ def cylinder_outputs(tmp_path):
 
 
 def tail_values():
-    _, dec = irrational()
-    (nu,) = enumerate_infinite(dec)
+    (nu,) = enumerate_infinite(irrational().base)
     return [reprs(nu.value(n, v) for v in range(6)) for n in range(1, 7)]
 
 
@@ -280,29 +244,12 @@ def p_vectors_exact_measures(double_morse):
 
 
 def p_vectors_irrational():
-    _, dec = irrational()
-    mu = InvariantMeasure(tuple(enumerate_ergodic(dec)), (0.5, 0.25, 0.25))
+    mu = InvariantMeasure(tuple(enumerate_ergodic(irrational().base)), (0.5, 0.25, 0.25))
     return [reprs(mu.p_vector(n)) for n in range(1, 6)]
 
 
-def mass_proxies():
-    _, dec = irrational()
-    return {alpha: reprs(mass_proxy(dec, alpha, n) for n in range(1, 9))
-            for alpha in (TAIL_CLASS, ERGODIC_CLASS)}
-
-
-def asymptotic_ratios():
-    _, dec = irrational()
-    out = {}
-    for i, j in ((X, X), (S, X), (T, U)):
-        alpha = TAIL_CLASS if j == U else ERGODIC_CLASS
-        report = asymptotics_check(dec, alpha, i, j, range(1, 9))
-        out[i, j] = (reprs(report.ratios), report.verdict)
-    return out
-
-
 def nonmixing():
-    od, dec = irrational()
+    od = irrational()
     diamond = make_diamond(od, Leg((X, X), (0,)), Leg((X, X), (1,)))
     out = {}
     for cylinder in (PathWord((X,)), PathWord((S,)), PathWord((S, X), (0,))):
@@ -343,14 +290,6 @@ def test_p_vector_float_coefficients_over_exact_measures(double_morse):
 
 def test_p_vector_over_irrational_measures():
     assert p_vectors_irrational() == P_VECTORS_IRRATIONAL
-
-
-def test_mass_proxy():
-    assert mass_proxies() == MASS_PROXIES
-
-
-def test_asymptotics_check():
-    assert asymptotic_ratios() == ASYMPTOTIC_RATIOS
 
 
 def test_nonmixing_witness():

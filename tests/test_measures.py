@@ -1,9 +1,8 @@
 """Ergodic probability measures, convex combinations, sigma-finite tails."""
 
 import functools
+import hashlib
 import math
-import operator
-import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +17,6 @@ from bratteli import (
     StationaryDiagram,
     ZeroBlockError,
     borel_invariant,
-    asymptotics_check,
     decompose,
     distinguished_classes,
     distinguished_eigenvector,
@@ -26,7 +24,6 @@ from bratteli import (
     enumerate_ergodic,
     enumerate_infinite,
     heights,
-    mass_proxy,
     measure_from_point,
     measure_of_cylinder,
     minimal_components,
@@ -34,14 +31,13 @@ from bratteli import (
     support_classes,
     tail_valuation,
     telescope_to_primitive,
-    truncated_extension,
 )
-from bratteli import linalg, measures
+from bratteli import measures
 from bratteli.errors import AmbiguousComparison
 from bratteli.measures import _ClassMeasure
 from bratteli.spectral import NumericValue, nv_compare
 
-from conftest import aperiodic_corpus, dominance_family, random_diagram
+from conftest import aperiodic_corpus, dominance_family
 
 
 class TestErgodicEnumeration:
@@ -186,11 +182,10 @@ class TestSigmaFinite:
         assert nu.class_id == 0
         assert nu.base == (1, Fraction(1, 2), math.inf)
         with pytest.raises(ZeroBlockError):
-            tail_valuation(dec, 1)
+            tail_valuation(d, 1)
 
     def test_valuation_on_a_distinguished_class_matches_its_ray(self, b1):
-        dec = decompose(b1)
-        lam, y, base = tail_valuation(dec, 0)
+        lam, y, base = tail_valuation(b1, 0)
         assert lam.value == 2 and y == (1,) and base == (1, 0)
 
     def test_valuation_is_a_multiple_of_the_ray_on_exact_distinguished_classes(self):
@@ -200,7 +195,7 @@ class TestSigmaFinite:
             for alpha in distinguished_classes(dec):
                 if not dec.classes[alpha].rho.is_exact:
                     continue
-                base = tail_valuation(dec, alpha)[2]
+                base = tail_valuation(d, alpha)[2]
                 xi = distinguished_eigenvector(dec, alpha).xi
                 (ratio,) = {b / x for b, x in zip(base, xi) if x}
                 assert ratio > 0
@@ -251,11 +246,25 @@ class TestDominanceWalk:
             for cls in dec.classes:
                 if cls.is_zero:
                     continue
-                base = tail_valuation(dec, cls.index)[2]
+                base = tail_valuation(dec.diagram, cls.index)[2]
                 infinite = {dec.class_of[v] for v, x in enumerate(base) if x == math.inf}
                 assert infinite == divergent_by_nested_loop(dec, cls.index), dec.diagram
                 classes += 1
         assert classes == 7076
+
+    def test_the_diagram_form_gives_what_the_decomposition_form_gave(self):
+        """tail_valuation took a decomposition until it took the diagram
+        alone; the digest of its triples on the family and the corpus was
+        recorded from ``tail_valuation(decompose(d), alpha)``."""
+        digest, count = hashlib.sha256(), 0
+        for d in [dec.diagram for dec in dominance_decompositions()] + aperiodic_corpus():
+            for cls in decompose(d).classes:
+                if not cls.is_zero:
+                    digest.update(repr(tail_valuation(d, cls.index)).encode())
+                    count += 1
+        assert count == 7101
+        assert digest.hexdigest() == (
+            "66c720d5c79548b4f25a3044522b95cb78b6a16841094f80dc0b1297f3e15978")
 
     def test_each_comparison_is_one_the_nested_loop_makes(self, monkeypatch):
         """So no tie can be refused that the loop did not refuse: the only
@@ -270,7 +279,7 @@ class TestDominanceWalk:
                 if cls.is_zero:
                     continue
                 calls.clear()
-                tail_valuation(dec, cls.index)
+                tail_valuation(dec.diagram, cls.index)
                 asked = []
                 divergent_by_nested_loop(dec, cls.index,
                                          lambda a, b: asked.append((a, b)) or nv_compare(a, b))
@@ -284,8 +293,8 @@ class TestLevelCache:
     def test_cached_values_are_the_formula_values(self):
         count = 0
         for d in aperiodic_corpus():
-            dec = decompose(telescope_to_primitive(d)[0])
-            for m in enumerate_ergodic(dec) + enumerate_infinite(dec):
+            t = telescope_to_primitive(d)[0]
+            for m in enumerate_ergodic(t) + enumerate_infinite(t):
                 for level in range(1, 9):
                     expected = [m._value(level, v) for v in range(len(m.vector))]
                     for _ in range(2):  # the second pass reads the cache
@@ -298,7 +307,7 @@ class TestLevelCache:
     def test_mixture_values_are_the_p_vector_entries(self, double_morse):
         count = 0
         for d in [double_morse, *aperiodic_corpus()]:
-            measures = tuple(enumerate_ergodic(decompose(telescope_to_primitive(d)[0])))
+            measures = tuple(enumerate_ergodic(telescope_to_primitive(d)[0]))
             k = len(measures)
             for coefficients in ((Fraction(1, k),) * k, (1 / k,) * k):
                 mix = InvariantMeasure(measures, coefficients)
@@ -313,9 +322,8 @@ class TestLevelCache:
         assert count == 42
 
     def test_cache_is_outside_equality_hash_and_repr(self, b1):
-        dec = decompose(b1)
-        (fresh,), (used,) = enumerate_ergodic(dec), enumerate_ergodic(dec)
-        (tail,), (used_tail,) = enumerate_infinite(dec), enumerate_infinite(dec)
+        (fresh,), (used,) = enumerate_ergodic(b1), enumerate_ergodic(b1)
+        (tail,), (used_tail,) = enumerate_infinite(b1), enumerate_infinite(b1)
         mix, used_mix = InvariantMeasure((fresh,), (1,)), InvariantMeasure((used,), (1,))
         used.value(3, 0)
         used_tail.value(3, 0)
@@ -326,8 +334,7 @@ class TestLevelCache:
     def test_repeated_reads_return_the_same_object(self, b1):
         # verify reuses a path's verdict for the object the previous path
         # got, so a read at the kept level must not price the vertex again
-        dec = decompose(b1)
-        (mu,), (tail,) = enumerate_ergodic(dec), enumerate_infinite(dec)
+        (mu,), (tail,) = enumerate_ergodic(b1), enumerate_infinite(b1)
         exact, approximate = InvariantMeasure((mu,), (1,)), InvariantMeasure((mu,), (1.0,))
         assert exact.is_exact and not approximate.is_exact
         for m in (mu, tail, exact, approximate):
@@ -340,9 +347,8 @@ class TestLevelCache:
     def test_the_level_read_before_is_kept_too(self, b1, monkeypatch):
         # verify reads levels n, n + 1 and n again, so the third read must
         # price nothing; a third level replaces the older of the two
-        dec = decompose(b1)
-        (mu,), (tail,) = enumerate_ergodic(dec), enumerate_infinite(dec)
-        mix = InvariantMeasure(tuple(enumerate_ergodic(dec)), (1,))
+        (mu,), (tail,) = enumerate_ergodic(b1), enumerate_infinite(b1)
+        mix = InvariantMeasure(tuple(enumerate_ergodic(b1)), (1,))
         priced = []
 
         def counting(value):
@@ -364,65 +370,6 @@ class TestLevelCache:
                 (3, 0), (3, 1), (4, 0), (4, 1), (5, 0), (3, 0)], m.kind
 
 
-class TestMassAndTruncation:
-    def test_distinguished_mass_stays_bounded(self, b1):
-        dec = decompose(b1)
-        assert [mass_proxy(dec, 0, n) for n in range(1, 9)] == [1] * 8
-
-    def test_non_distinguished_mass_diverges(self, b1):
-        dec = decompose(b1)
-        values = [mass_proxy(dec, 1, n) for n in range(1, 12)]
-        assert all(b > a for a, b in zip(values, values[1:]))
-        assert values == [Fraction(n + 1, 2) for n in range(1, 12)]
-
-    def test_truncated_extension_climbs_to_the_limit(self, b1):
-        dec = decompose(b1)
-        series = [truncated_extension(dec, 1, m) for m in range(1, 12)]
-        # on the carrying class the series is already exact
-        assert all(abs(s[1] - 1.0) < 1e-12 for s in series)
-        # where the limit is infinite it grows without bound
-        firsts = [s[0] for s in series]
-        assert all(b > a for a, b in zip(firsts, firsts[1:]))
-        assert firsts[-1] > 5
-
-    def test_truncated_extension_sums_left_to_right(self):
-        # irrational classes of random diagrams, against sums folded left to
-        # right; in most of them a correctly rounded sum (math.fsum, or the
-        # compensated built-in sum from Python 3.12 on) differs in a last digit
-        def reference(dec, alpha, m):
-            add = functools.partial(functools.reduce, operator.add)
-            cls = dec.classes[alpha]
-            total = float(add(cls.perron, 0))
-            y = {v: float(yv) / total for v, yv in zip(cls.vertices, cls.perron)}
-            power = linalg.mat_pow([list(r) for r in dec.a_matrix], m)
-            terms = [[power[v][w] * yw for w, yw in y.items()] for v in range(len(power))]
-            rounded = math.fsum(cls.perron) != total or any(
-                math.fsum(row) != add(row, 0) for row in terms)
-            return tuple(add(row, 0) / cls.rho.as_float ** m for row in terms), rounded
-
-        rng = random.Random(3)
-        cases = rounded_differently = 0
-        for _ in range(300):
-            d = random_diagram(rng, n_max=5, entry_max=3)
-            dec = decompose(d)
-            for cls in dec.classes:
-                if cls.is_zero or cls.rho.is_exact:
-                    continue
-                m = rng.randint(1, 9)
-                want, rounded = reference(dec, cls.index, m)
-                assert truncated_extension(dec, cls.index, m) == want, (d, cls.index, m)
-                cases += 1
-                rounded_differently += rounded
-        assert cases > 150 and rounded_differently > 50
-
-    def test_zero_block_is_rejected(self):
-        dec = decompose(StationaryDiagram(((2, 1, 0), (0, 0, 1), (0, 0, 2))))
-        with pytest.raises(ZeroBlockError):
-            mass_proxy(dec, 1, 3)
-        with pytest.raises(ZeroBlockError):
-            truncated_extension(dec, 1, 3)
-
-
 class TestFloatRange:
     """Float cylinder values are refused with CapExceeded at the first
     level where one overflows or falls below the normal float range."""
@@ -434,8 +381,7 @@ class TestFloatRange:
     NORMAL_MIN = 2.2250738585072014e-308  # the least normal float
 
     def test_ergodic_and_mixture_values_stop_at_the_first_subnormal(self):
-        dec = decompose(StationaryDiagram(((1, 1), (1, 0))))
-        (mu,) = enumerate_ergodic(dec)
+        (mu,) = enumerate_ergodic(StationaryDiagram(((1, 1), (1, 0))))
         mix = InvariantMeasure((mu,), (1.0,))
         for m in (mu, mix):
             assert min(m.value(1471, 0), m.value(1471, 1)) >= self.NORMAL_MIN
@@ -448,38 +394,21 @@ class TestFloatRange:
         assert mix.value(1472, 0) == mu.value(1472, 0) >= self.NORMAL_MIN
 
     def test_tail_values_stop_at_the_first_subnormal(self):
-        dec = decompose(self.FED_GOLDEN_MEAN)
-        (tail,) = enumerate_infinite(dec)
+        (tail,) = enumerate_infinite(self.FED_GOLDEN_MEAN)
         assert not tail.is_exact and tail.base[2] == math.inf
         assert tail.value(1471, 1) >= self.NORMAL_MIN and tail.value(1472, 2) == math.inf
         for _ in range(2):  # a refusal is never kept by the level cache
             with pytest.raises(CapExceeded, match="level 1472 is beyond float range"):
                 tail.value(1472, 1)
 
-    def test_mass_proxy_beyond_float_range(self):
-        dec = decompose(StationaryDiagram(((1, 1), (1, 0))))
-        assert abs(mass_proxy(dec, 0, 1475) - mass_proxy(dec, 0, 40)) < 1e-9
-        with pytest.raises(CapExceeded, match="level 1600 is beyond float range"):
-            mass_proxy(dec, 0, 1600)
-
     @pytest.mark.parametrize("call, level", [
-        (lambda dec, od, dm: truncated_extension(dec, 0, 1500), 1500),
-        # the first sampled level whose ratio overflows
-        (lambda dec, od, dm: asymptotics_check(dec, 0, 0, 0, [1499, 1500]), 1499),
-        (lambda dec, od, dm: nonmixing_witness(od, 0, dm, PathWord((0,)), [1500]), 1500),
-        # a vanishing ratio is refused once it is subnormal
-        (lambda dec, od, dm: asymptotics_check(
-            decompose(StationaryDiagram(((1, 0, 0), (1, 1, 1), (1, 1, 0)))), 1, 0, 0,
-            [1000, 1473]), 1473),
-    ], ids=["truncated_extension", "asymptotics_check", "nonmixing_witness",
-            "asymptotics_check-vanishing"])
+        (lambda od, dm: nonmixing_witness(od, 0, dm, PathWord((0,)), [1500]), 1500),
+    ], ids=["nonmixing_witness"])
     def test_library_floats_beyond_float_range(self, call, level):
-        gm = StationaryDiagram(((1, 1), (1, 0)))
-        dec = decompose(gm)
-        od = OrderedDiagram(gm, ((0, 1), (0,)))
+        od = OrderedDiagram(StationaryDiagram(((1, 1), (1, 0))), ((0, 1), (0,)))
         (dm,) = enumerate_diamonds(od, 0)
         with pytest.raises(CapExceeded, match=f"level {level} is beyond float range"):
-            call(dec, od, dm)
+            call(od, dm)
 
 
 class TestInvariants:

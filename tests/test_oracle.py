@@ -21,7 +21,6 @@ from bratteli import (
     PathWord,
     SizeRefused,
     StationaryDiagram,
-    asymptotics_check,
     brute_force_Q,
     check_path,
     core_membership,
@@ -427,18 +426,16 @@ class TestBruteForceSteps:
 
 class TestCorePreimage:
     def test_feasible_point_comes_with_a_preimage(self, b1):
-        dec = decompose(b1)
-        result = core_preimage_oracle(dec, (Fraction(1), Fraction(0)), k=1)
+        result = core_preimage_oracle(decompose(b1).a_matrix, (Fraction(1), Fraction(0)), k=1)
         assert result.feasible
         assert result.preimage == (Fraction(1, 2), 0)
         assert result.certificate is None
 
     def test_infeasible_point_comes_with_a_certificate(self, b1):
-        dec = decompose(b1)
-        result = core_preimage_oracle(dec, (0, 1), k=1)
+        a = decompose(b1).a_matrix
+        result = core_preimage_oracle(a, (0, 1), k=1)
         assert not result.feasible
         assert result.preimage is None
-        a = dec.a_matrix
         z = result.certificate
         assert all(sum(z[i] * a[i][j] for i in range(2)) <= 0 for j in range(2))
         assert z[1] > 0  # z . x > 0 with x = (0, 1)
@@ -448,21 +445,21 @@ class TestCorePreimage:
         assert core_preimage_oracle(raw, (1, 0), k=4).feasible
 
     def test_size_refusals(self, b1):
-        dec = decompose(b1)
+        a = decompose(b1).a_matrix
         with pytest.raises(SizeRefused):
-            core_preimage_oracle(dec, (1, 0), k=0)
+            core_preimage_oracle(a, (1, 0), k=0)
         with pytest.raises(SizeRefused):
-            core_preimage_oracle(dec, (1, 0), k=5)
+            core_preimage_oracle(a, (1, 0), k=5)
         big = [[1] * 13 for _ in range(13)]
         with pytest.raises(SizeRefused):
             core_preimage_oracle(big, (1,) * 13, k=1)
         with pytest.raises(ValueError):
-            core_preimage_oracle(dec, (1, 0, 0), k=1)
+            core_preimage_oracle(a, (1, 0, 0), k=1)
 
     def test_float_vector_is_refused(self, b1):
         # the simplex is exact; like core_membership it takes no floats
         with pytest.raises(TypeError):
-            core_preimage_oracle(decompose(b1), (0.5, 1.0), k=1)
+            core_preimage_oracle(decompose(b1).a_matrix, (0.5, 1.0), k=1)
 
     def test_oracle_refines_an_unknown_membership(self, b1):
         # (2, 1) admits preimages through k = 4 but not k = 5, so the
@@ -471,7 +468,7 @@ class TestCorePreimage:
         assert core_membership(dec, (2, 1)).kind == "unknown"
         deeper = core_membership(dec, (2, 1), k_max=8)
         assert deeper.kind == "not-in-core" and deeper.k == 5
-        assert core_preimage_oracle(dec, (2, 1), k=4).feasible
+        assert core_preimage_oracle(dec.a_matrix, (2, 1), k=4).feasible
 
 
 def _unique_combination(cols, x):
@@ -614,33 +611,3 @@ class TestOrbitFrequency:
             empirical_orbit_frequency(two_odometer, PathWord((0,)), 0, target)
         with pytest.raises(CapExceeded):
             empirical_orbit_frequency(two_odometer, PathWord((0,)), 10 ** 6 + 1, target)
-
-
-class TestAsymptotics:
-    def test_dominant_entry_converges(self, b1):
-        dec = decompose(b1)
-        report = asymptotics_check(dec, 0, 0, 0, range(4, 10))
-        assert report.verdict == "Converging-positive"
-        assert report.converging_positive
-        assert report.ratios == (1,) * 6
-        assert all(isinstance(r, Fraction) for r in report.ratios)
-
-    def test_zero_tail_vanishes(self, b1):
-        dec = decompose(b1)
-        assert asymptotics_check(dec, 0, 1, 0, range(4, 10)).verdict == "Vanishing"
-
-    def test_subdominant_class_vanishes(self, wm_a):
-        dec = decompose(wm_a.base)
-        report = asymptotics_check(dec, 1, 0, 0, range(4, 10))
-        assert report.verdict == "Vanishing"
-        assert report.ratios[-1] == Fraction(2, 3) ** 9
-
-    def test_cross_entry_converges(self, wm_a):
-        dec = decompose(wm_a.base)
-        report = asymptotics_check(dec, 1, 0, 1, range(8, 14))
-        assert report.verdict == "Converging-positive"
-        assert abs(float(report.ratios[-1]) - 2) < 0.1
-
-    def test_needs_two_samples(self, b1):
-        with pytest.raises(ValueError):
-            asymptotics_check(decompose(b1), 0, 0, 0, [3])

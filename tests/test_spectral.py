@@ -1,8 +1,10 @@
 """Class decomposition, Perron data, distinguished classes, cone membership."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -21,7 +23,6 @@ from bratteli import (
     StationaryDiagram,
     ZeroBlockError,
     aperiodicity_check,
-    asymptotics_check,
     check_primitive,
     core_membership,
     core_preimage_oracle,
@@ -31,8 +32,9 @@ from bratteli import (
     eigenvalue_check,
     eigenvalue_search,
     enumerate_diamonds,
+    enumerate_ergodic,
+    enumerate_infinite,
     imprimitivity_index,
-    mass_proxy,
     measure_from_point,
     perron_pair,
     positivity_power,
@@ -41,7 +43,6 @@ from bratteli import (
     tail_valuation,
     telescope,
     telescope_to_primitive,
-    truncated_extension,
 )
 from bratteli import spectral
 from bratteli.diagram import validate
@@ -399,6 +400,35 @@ class TestDecomposition:
             assert (repr(d), hash(d)) == before
             assert (repr(dec), hash(dec)) == (repr(twin), hash(twin))
 
+    def test_the_decomposition_is_outside_eq_hash_and_repr(self, b1):
+        d, other = StationaryDiagram(b1.incidence), StationaryDiagram(b1.incidence)
+        dec = decompose(d)
+        assert "_decomposition" in vars(d) and "_decomposition" not in vars(other)
+        assert d == other and hash(d) == hash(other) and repr(d) == repr(other)
+        assert dec.diagram is d
+
+    def test_a_diagram_keeps_its_decomposition_while_it_is_held(self, b1):
+        """decompose(d) is one object while a caller or a measure holds it.
+        The diagram holds it weakly, so it dies with its last holder, with
+        no reference cycle left for the collector, and is built again."""
+        d = StationaryDiagram(b1.incidence)
+        dec = decompose(d)
+        assert decompose(d) is dec and decompose(d) is decompose(d)
+        (mu,) = enumerate_ergodic(d)
+        assert mu.decomp is dec and enumerate_infinite(d)[0].decomp is dec
+        gone = weakref.ref(dec)
+        gc.disable()
+        try:
+            del dec
+            held = decompose(d) is gone()
+            del mu
+            dead = gone() is None
+        finally:
+            gc.enable()
+        assert held and dead
+        again = decompose(d)
+        assert again == decompose(StationaryDiagram(b1.incidence)) and again.diagram is d
+
     def test_structure_is_computed_once_per_diagram(self, double_morse, monkeypatch):
         calls = []
         compute = spectral._class_structure
@@ -407,7 +437,7 @@ class TestDecomposition:
         assert spectral._primitive_power(d) == 1 and positivity_power(d) == 1
         assert telescope_to_primitive(d) == (d, 1)
         dec = decompose(d)
-        assert decompose(d) == dec and calls == [d]
+        assert decompose(d) is dec and calls == [d]
         # a telescoped diagram is a new diagram
         assert decompose(telescope(d, 2)).diagram.incidence == telescope(d, 2).incidence
         assert len(calls) == 2
@@ -475,8 +505,8 @@ class TestDecomposition:
             asked.clear()
             _, _, _, access, blocks, periods = spectral._structure(d)
             k = len(blocks)
-            try:
-                classes = decompose(d).classes
+            try:  # an equal diagram of its own, whose decomposition no other test holds
+                classes = decompose(StationaryDiagram(d.incidence)).classes
             except AmbiguousComparison as e:
                 got, rhos = str(e), [perron_pair(block)[0] for block in blocks]
             else:
@@ -535,10 +565,7 @@ class TestDistinguishedEigenvector:
 # every per-class entry point, on wm_a: two classes, both distinguished
 CLASS_ENTRY_POINTS = {
     "distinguished_eigenvector": lambda od, dec, a: distinguished_eigenvector(dec, a),
-    "tail_valuation": lambda od, dec, a: tail_valuation(dec, a),
-    "mass_proxy": lambda od, dec, a: mass_proxy(dec, a, 3),
-    "truncated_extension": lambda od, dec, a: truncated_extension(dec, a, 3),
-    "asymptotics_check": lambda od, dec, a: asymptotics_check(dec, a, 1, 1, (1, 2)),
+    "tail_valuation": lambda od, dec, a: tail_valuation(od.base, a),
     "enumerate_diamonds": lambda od, dec, a: enumerate_diamonds(od, a),
     "eigenvalue_check": lambda od, dec, a: eigenvalue_check(od, a, Fraction(1, 3)),
     "eigenvalue_search": lambda od, dec, a: eigenvalue_search(od, a, 4),
@@ -858,7 +885,7 @@ class TestCoreMembership:
             verdict = core_membership(dec, [scale * v for v in xi])
             assert verdict == CoreVerdict("in-core", None, want)
             assert [type(c) for c in verdict.coefficients] == [Fraction, Fraction]
-        mu = measure_from_point(dec, xi)
+        mu = measure_from_point(dec.diagram, xi)
         assert mu.coefficients == (0, 1) and [type(c) for c in mu.coefficients] == [Fraction] * 2
         assert mu.is_exact and mu.p_vector(1) == xi
         assert type(mu.value(1, 0)) is Fraction and mu.value(1, 0) == Fraction(17, 70)
@@ -964,6 +991,7 @@ class TestCoreMembership:
                                         for i in range(n)))
         real = linalg.scaled_inverse
         for d, x in ((b1, (0, 1)), (b1, (1, 1)), (chain, (0,) * (n - 1) + (1,))):
+            d = StationaryDiagram(d.incidence)  # its own decomposition, no inverse kept yet
             a = decompose(d).a_matrix
             i, j = rng.randrange(len(a)), rng.randrange(len(a))
 
