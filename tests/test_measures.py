@@ -1,6 +1,7 @@
 """Ergodic probability measures, convex combinations, sigma-finite tails."""
 
 import functools
+import gc
 import hashlib
 import math
 from fractions import Fraction
@@ -427,3 +428,54 @@ class TestInvariants:
     def test_borel_invariant_requires_aperiodicity(self):
         with pytest.raises(NotAperiodicError):
             borel_invariant(StationaryDiagram(((1,),)))
+
+
+# every public function of the module, given the diagram alone
+DIAGRAM_ENTRY_POINTS = {
+    "enumerate_ergodic": enumerate_ergodic,
+    "enumerate_infinite": enumerate_infinite,
+    "measure_from_point": lambda d: measure_from_point(d, enumerate_ergodic(d)[0].xi),
+    "tail_valuation": lambda d: tail_valuation(d, 2),
+    "minimal_components": minimal_components,
+    "borel_invariant": borel_invariant,
+}
+
+
+def _held_decompositions(got):
+    """The decompositions a result holds: a measure holds its own, a
+    combination those of its terms, anything else none."""
+    got = got if isinstance(got, list) else [got]
+    terms = [m for g in got for m in (g.measures if isinstance(g, InvariantMeasure) else [g])]
+    return [m.decomp for m in terms if hasattr(m, "decomp")]
+
+
+class TestTheDiagramAlone:
+    """A diagram carries its decomposition, so each function takes the
+    diagram alone, and reads the decomposition the diagram holds."""
+
+    @pytest.mark.parametrize("entry", DIAGRAM_ENTRY_POINTS)
+    def test_a_decomposed_diagram_answers_as_a_fresh_equal_one(self, mixed_chain, entry):
+        call = DIAGRAM_ENTRY_POINTS[entry]
+        d = StationaryDiagram(mixed_chain.incidence)
+        dec = decompose(d)
+        got = call(d)
+        assert got == call(StationaryDiagram(mixed_chain.incidence))
+        assert decompose(d) is dec
+        assert all(held is dec for held in _held_decompositions(got))
+
+    @pytest.mark.parametrize("entry", DIAGRAM_ENTRY_POINTS)
+    def test_the_decomposition_lives_as_long_as_the_result_holds_it(self, mixed_chain, entry):
+        """The measures returned hold it; a valuation, a class tuple or a
+        count does not, and the diagram's weak hold keeps nothing alive."""
+        d = StationaryDiagram(mixed_chain.incidence)
+        measure_kind = entry in ("enumerate_ergodic", "enumerate_infinite", "measure_from_point")
+        gc.disable()
+        try:
+            got = DIAGRAM_ENTRY_POINTS[entry](d)
+            held = _held_decompositions(got)
+            alive = vars(d)["_decomposition"]() is not None
+            del got, held
+            dead = vars(d)["_decomposition"]() is None
+        finally:
+            gc.enable()
+        assert alive == measure_kind and dead

@@ -1,5 +1,6 @@
 """Successor dynamics, diamonds, return-time sequences, eigenvalue tests."""
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -584,6 +585,12 @@ class TestOneDecomposition:
         wm_a._decomposition
         assert "_decomposition" in vars(wm_a) and "_decomposition" not in vars(other)
         assert wm_a == other and hash(wm_a) == hash(other) and repr(wm_a) == repr(other)
+
+    @pytest.mark.parametrize("entry", [enumerate_diamonds, eigenvalue_check, eigenvalue_search,
+                                       rational_eigenvalue_sufficient, nonmixing_witness])
+    def test_no_entry_point_takes_a_decomposition(self, entry):
+        # a decomposition of another diagram once gave wrong answers
+        assert "decomp" not in inspect.signature(entry).parameters
 
 
 class TestNonmixing:
