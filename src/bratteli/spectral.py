@@ -23,11 +23,15 @@ vectors form a triangular matrix with a positive diagonal.  A rational
 vector of the cone puts no weight on an irrational Perron value, so
 membership is one integer test on the exact vectors, for every cone.
 A vector outside that cone is placed by the first k at which A^k y = x
-has no solution y >= 0.  When A is invertible that is y = A^-k x, so
-each level is one sign test on an integer vector, stepped by M = L A^-1
-from one fraction-free elimination with A M = L I checked once; a
-singular A tests x against the left kernel it leaves, then takes the
-exact simplex at every level.  No verdict reads a float.  What does not
+has no solution y >= 0, from a description of each cone A^k R+^N that
+does not depend on x.  Up to the Fitting index nu (the least k with
+rank A^k = rank A^(k+1)) that is the left kernel of A^k and the integer
+facet normals of the cone of its columns; past nu, A is invertible on
+U = im A^nu, so each level is one integer step by a multiple of that
+inverse, tested against the facets of level nu.  An invertible A has
+nu = 0 and the unit vectors as facets: each level is one sign test,
+stepped by M = L A^-1 from one fraction-free elimination with A M = L I
+checked once.  No verdict reads a float or runs a simplex.  What does not
 depend on x is kept on the decomposition, as is the aperiodicity verdict;
 the class structure and imprimitivity indices, once per diagram.
 
@@ -57,6 +61,7 @@ and raises ``AmbiguousComparison`` rather than guess inside it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from functools import cached_property
@@ -71,7 +76,7 @@ from .record import record
 
 DEFAULT_GAP = 1e-9
 _POWER_STEPS = 200000
-LEVEL_CAP = 10 ** 4  # core_membership's k_max (a singular A keeps A^k at each level)
+LEVEL_CAP = 10 ** 4  # core_membership's k_max (each level past nu is one integer step)
 
 
 def _decimal(n: int) -> str:
@@ -359,10 +364,69 @@ class ComponentDecomposition:
     @cached_property
     def _elimination(self):
         """``linalg.scaled_inverse`` of A: (M, L), A M = L I checked once, or (left kernel, 0)."""
-        m, scale = linalg.scaled_inverse(self.a_matrix)
-        assert not scale or linalg.mat_mul(self.a_matrix, m) == [
-            [scale * x for x in row] for row in linalg.identity(len(m))]
-        return m, scale
+        return _checked_inverse(self.a_matrix)
+
+    @cached_property
+    def _levels(self):
+        """The cones A^k R+^N as ``_refuted_level`` tests them: (levels, rows,
+        step).  levels[k - 1] = (W, R, H) for k = 1..nu, nu the least k with
+        rank A^k = rank A^(k+1): W spans the left kernel of A^k, R indexes
+        rank A^k independent rows of A^k, and H holds the facet normals of
+        the cone of the columns of A^k read at R, so A^k R+^N is
+        {z : W z = 0, H z[R] >= 0}.  Past nu, A^k R+^N lies in U = im A^nu,
+        on which A is invertible, so z is in A^(k+1) R+^N exactly when the
+        preimage of z in U is in A^k R+^N.  U is read at the rows R of
+        level nu, where A^nu and A^(nu+1) have the invertible blocks P and
+        Q on nu's independent columns; step = P M, with Q M = L I checked
+        once, is L times that preimage map.  An invertible A has nu = 0:
+        no levels, every row, and step M = L A^-1."""
+        m, scale = self._elimination
+        if scale:
+            return (), range(len(m)), m
+        a = self.a_matrix
+        levels, power, kernel = [], a, m
+        while True:
+            rows = linalg.rref(list(zip(*power)))[1]  # pivots of A^k transposed: independent rows
+            cols = [[power[i][j] for i in rows] for j in range(len(a))]
+            levels.append((kernel, rows, _facet_normals(cols, len(rows))))
+            after = linalg.mat_mul(power, a)
+            after_kernel = linalg.scaled_inverse(after)[0]
+            if len(after_kernel) == len(kernel):
+                break
+            power, kernel = after, after_kernel
+        basis = linalg.rref(power)[1]  # independent columns of A^nu, a basis of U
+        p, q = ([[b[i][j] for j in basis] for i in rows] for b in (power, after))
+        m, _ = _checked_inverse(q)
+        return tuple(levels), rows, linalg.mat_mul(p, m)
+
+
+def _checked_inverse(a):
+    """``linalg.scaled_inverse(a)``, with a M = L I checked when a is invertible."""
+    m, scale = linalg.scaled_inverse(a)
+    assert not scale or linalg.mat_mul(a, m) == [
+        [scale * x for x in row] for row in linalg.identity(len(m))]
+    return m, scale
+
+
+def _facet_normals(cols, r):
+    """The primitive integer normals h of the facets of the cone of the
+    vectors cols in Z^r, which span R^r and hold no line: h c >= 0 for
+    every c, with equality on r - 1 independent ones.  Each (r - 1)-subset
+    of the distinct non-zero vectors gives one candidate, the left kernel of
+    its vectors beside a zero column, kept when that kernel is one line and
+    every vector lies on one side of it."""
+    cols = sorted({tuple(c) for c in cols if any(c)})
+    normals = set()
+    for subset in itertools.combinations(cols, r - 1) if r else ():
+        kernel, _ = linalg.scaled_inverse([[c[i] for c in subset] + [0] for i in range(r)])
+        if len(kernel) != 1:
+            continue
+        sides = linalg.mat_vec(cols, kernel[0])
+        sign = 1 if min(sides) >= 0 else -1 if max(sides) <= 0 else 0
+        if sign:
+            g = math.gcd(*kernel[0]) * sign
+            normals.add(tuple(v // g for v in kernel[0]))
+    return sorted(normals)
 
 
 def _class_structure(d: StationaryDiagram):
@@ -589,8 +653,9 @@ def core_membership(decomp: ComponentDecomposition, x,
     Y c = L z, coefficients S c / (L q), 0 on each irrational class; with
     no exact class that is z = 0.  Every other x is outside the core:
     not-in-core at the first k <= k_max (2N by default, CapExceeded above
-    ``LEVEL_CAP``) that ``_refuted_level`` refutes, else unknown (levels
-    past 1 run for an invertible A or N <= 12; k_max = 0 runs none).
+    ``LEVEL_CAP``) that ``_refuted_level`` refutes from the cone
+    descriptions kept on the decomposition, with no simplex, else unknown
+    (levels past 1 run for an invertible A or N <= 12; k_max = 0 runs none).
     Entries of x must be ``int`` or ``Fraction`` (TypeError otherwise)."""
     n = len(decomp.a_matrix)
     k_max = 2 * n if k_max is None else k_max
@@ -614,33 +679,36 @@ def core_membership(decomp: ComponentDecomposition, x,
 
 def _refuted_level(decomp: ComponentDecomposition, z, k_max):
     """The first k <= k_max at which ``A^k y = z, y >= 0`` is infeasible
-    for the integer vector z, None when there is none.  For invertible A,
-    z_k = M z_(k-1) with M = L A^-1 from ``_elimination`` is a positive
-    multiple of A^-k z, so level k is infeasible exactly when z_k has a
-    negative entry (A z_k = L z_(k-1) at every step, as A M = L I checked
-    once); dividing z_k by the gcd of its entries keeps that and its size
-    bounded in k.  For singular A, level 1 is infeasible when w z != 0 for
-    a row w of its left kernel; then the exact simplex
-    ``linalg.lp_nonneg_solve`` runs on each power for N <= 12 only."""
+    for the integer vector z, None when there is none, read off
+    ``_levels``.  Level k <= nu is infeasible when W z != 0 or h z[R] < 0
+    for a facet normal h.  Past nu, u_k = step u_(k-1) from u_nu = z[R]
+    is a positive multiple of the preimage of z under A^(k-nu) in U, so
+    level k is infeasible exactly when h u_k < 0 for a facet normal h of
+    level nu, or, for invertible A (nu = 0), when u_k has a negative entry;
+    dividing u_k by the gcd of its entries keeps that and its size bounded
+    in k.  For singular A, w z != 0 for a row w of its left kernel refutes
+    level 1 before any facet is built, and above N = 12 no later level runs."""
     m, scale = decomp._elimination
-    if scale:
-        for k in range(1, k_max + 1):
-            z = linalg.mat_vec(m, z)
-            if min(z) < 0:
+    if not scale:
+        if k_max > 0 and any(linalg.mat_vec(m, z)):
+            return 1
+        if len(z) > 12:
+            return None
+    levels, rows, step = decomp._levels
+    u, facets = z, None
+    if levels:
+        for k, (kernel, level_rows, facets) in enumerate(levels[:k_max], 1):
+            projected = [z[i] for i in level_rows]
+            if any(linalg.mat_vec(kernel, z)) or min(linalg.mat_vec(facets, projected)) < 0:
                 return k
-            content = math.gcd(*z)
-            if content > 1:
-                z = [v // content for v in z]
-        return None
-    if k_max > 0 and any(linalg.mat_vec(m, z)):
-        return 1
-    if len(z) > 12:
-        return None
-    power = linalg.identity(len(z))
-    for k in range(1, k_max + 1):
-        power = linalg.mat_mul(power, decomp.a_matrix)
-        if linalg.lp_nonneg_solve(power, z)[0] is None:
+        u = [z[i] for i in rows]
+    for k in range(len(levels) + 1, k_max + 1):
+        u = linalg.mat_vec(step, u)
+        if min(u if facets is None else linalg.mat_vec(facets, u)) < 0:
             return k
+        content = math.gcd(*u)
+        if content > 1:
+            u = [v // content for v in u]
     return None
 
 

@@ -93,6 +93,14 @@ class OrderedDiagram:
         return self._rank_tables[1][vertex][pos]
 
 
+def _ordered(od):
+    """od itself; TypeError unless it is an OrderedDiagram (a plain diagram
+    has no order to walk)."""
+    if not isinstance(od, OrderedDiagram):
+        raise TypeError(f"takes an OrderedDiagram, not a {type(od).__name__}")
+    return od
+
+
 def _extreme_edges(od: OrderedDiagram, v: int, n: int, last: bool):
     """(vertices, mults) of the path to (v, n) whose edges are all
     bundle-minimal, or all bundle-maximal when last."""
@@ -237,7 +245,7 @@ def enumerate_diamonds(od: OrderedDiagram, alpha: int | None = None,
     Length-2 pairs sharing their middle vertex are omitted: they split
     into two length-1 diamonds.  The output is counted from the incidence
     matrix first; more than cap diamonds raises CapExceeded."""
-    f = od.base.incidence
+    f = _ordered(od).base.incidence
     if alpha is None:
         scope = set(range(od.n_vertices))
     else:
@@ -427,12 +435,14 @@ def _window_gcds(od, alpha, window):
     return out
 
 
-def _class_window(decomp, alpha, window):
+def _class_window(od, alpha, window):
     """Preamble of the three eigenvalue tests: (window, decisive) for the
-    distinguished class alpha of decomp's diagram d, the window
-    default_window(d) when None, 1 <= a <= b (ValueError), b <= WINDOW_CAP
-    (CapExceeded).  Every non-zero block must be strictly positive (telescope
-    first), then d aperiodic (NotAperiodicError), as the Vershik map needs."""
+    distinguished class alpha of the ordered diagram od (TypeError for any
+    other object) with base d, the window default_window(d) when None,
+    1 <= a <= b (ValueError), b <= WINDOW_CAP (CapExceeded).  Every non-zero
+    block must be strictly positive (telescope first), then d aperiodic
+    (NotAperiodicError), as the Vershik map needs."""
+    decomp = _ordered(od)._decomposition
     d = decomp.diagram
     a, b = window = default_window(d) if window is None else window
     if not 1 <= a <= b:
@@ -476,7 +486,7 @@ def eigenvalue_check(od: OrderedDiagram, alpha: int, theta,
     large n.  Requires strictly positive blocks (telescope first).  fail_n
     is the first window level where q does not divide G_n, and fail_diamond
     the first spanning diamond whose P_n there q does not divide."""
-    window, decisive = _class_window(od._decomposition, alpha, window)
+    window, decisive = _class_window(od, alpha, window)
     theta = Fraction(theta)
     q = theta.denominator
     for n, g in enumerate(_window_gcds(od, alpha, window), window[0]):
@@ -519,7 +529,7 @@ def eigenvalue_search(od: OrderedDiagram, alpha: int, q_max: int,
     of every P_n over the window, so the passes are 0 and the reduced p/q
     for each divisor 2 <= q <= q_max of G.
     """
-    window, _ = _class_window(od._decomposition, alpha, window)
+    window, _ = _class_window(od, alpha, window)
     g = math.gcd(*_window_gcds(od, alpha, window))
     return sorted([Fraction(0)] + [Fraction(p, q) for q in range(2, q_max + 1)
                                    if g % q == 0
@@ -531,8 +541,8 @@ def rational_eigenvalue_sufficient(od: OrderedDiagram, alpha: int, theta,
     """Sufficient condition not needing the order: theta * h_j^(n) integer
     for every vertex j of the distinguished class alpha over the window.
     Reads only the ordered diagram's base and its decomposition."""
+    window, decisive = _class_window(od, alpha, window)
     decomp = od._decomposition
-    window, decisive = _class_window(decomp, alpha, window)
     theta = Fraction(theta)
     verts = decomp.classes[alpha].vertices
     h = height_table(decomp.diagram, window[1])
@@ -570,7 +580,7 @@ def nonmixing_witness(od: OrderedDiagram, alpha: int, diamond: Diamond,
     and the class asymptotics are exact).  A float ratio is refused by
     ``within_float_range`` beyond float range; a diagram that is not
     aperiodic by NotAperiodicError."""
-    decomp = _aperiodic(od._decomposition)
+    decomp = _aperiodic(_ordered(od)._decomposition)
     check_path(od.base, e)
     eig = distinguished_eigenvector(decomp, alpha)
     xi, lam = eig.xi, eig.lam.value

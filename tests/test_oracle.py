@@ -511,12 +511,12 @@ def _in_power_cone(a, k, x):
 
 
 def test_cone_oracle_agrees_with_caratheodory_subsets():
-    """core_preimage_oracle runs the exact simplex, and so does
-    core_membership when A is singular and x passes its left-kernel test
-    (an invertible A takes an integer sign test on A^-k x instead); an
-    independent decision of x in A^k R+^n
-    checks both of them on the telescoped corpus, at k = 1 and at the
-    verdict's k (2N without one)."""
+    """core_preimage_oracle runs the exact simplex, and core_membership
+    tests the facets of each cone A^k R+^n (an invertible A takes integer
+    sign steps on A^-k x instead), so no verdict shares the oracle's
+    simplex.  An independent decision of x in A^k R+^n checks both of
+    them on the telescoped corpus at every k from 1 to 2N: the oracle at
+    each k, and the verdict as the first k at which x is outside."""
     rng = random.Random(314159)
     corpus = aperiodic_corpus()
     checks = 0
@@ -534,17 +534,13 @@ def test_cone_oracle_agrees_with_caratheodory_subsets():
                 x = tuple(Fraction(rng.randint(0, 8), rng.choice((1, 2, 3)))
                           for _ in range(n))
             verdict = core_membership(decomp, x)
-            k = verdict.k if verdict.kind == "not-in-core" else 2 * n
-            for kk in (1, k):
-                inside = _in_power_cone(a, kk, x)
-                assert core_preimage_oracle(a, x, kk).feasible == inside
+            first = verdict.k if verdict.kind == "not-in-core" else 2 * n + 1
+            for k in range(1, 2 * n + 1):
+                inside = _in_power_cone(a, k, x)
+                assert core_preimage_oracle(a, x, k).feasible == inside
+                assert inside == (k < first), (a, x, k)
                 checks += 1
-            if verdict.kind == "not-in-core":
-                assert not _in_power_cone(a, k, x)
-                assert k == 1 or _in_power_cone(a, k - 1, x)
-            else:
-                assert _in_power_cone(a, 2 * n, x)
-    assert checks == 2 * 20 * len(corpus)
+    assert checks == 20 * sum(2 * d.n_vertices for d in corpus)
 
 
 def _orbit_reference(od, start, steps, target):

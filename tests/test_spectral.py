@@ -748,6 +748,68 @@ class TestCoreMembership:
             deep += verdict.kind == "not-in-core" and verdict.k > 1
         assert deep > 0
 
+    def test_chain_verdicts_match_the_preimage_oracle_at_every_level(self):
+        """The recipe of ``_singular_chain_queries``, whose A has Fitting
+        index 2 to 5, against the exact simplex of core_preimage_oracle at
+        every k <= 2N: the facets of A^k R+^N decide levels up to the index,
+        and steps by the inverse of A on its stable image the levels past
+        it.  Every kind of verdict occurs, refutations past the index too."""
+        seen = Counter()
+        for dec, nu, x in _singular_chain_queries():
+            a, n = dec.a_matrix, len(x)
+            verdict = core_membership(dec, x)
+            first = verdict.k if verdict.kind == "not-in-core" else 2 * n + 1
+            for k in range(1, 2 * n + 1):
+                assert core_preimage_oracle(a, x, k).feasible == (k < first), (a, x, k)
+            seen[nu] += 1
+            seen[verdict.kind] += 1
+            seen["past nu"] += verdict.kind == "not-in-core" and verdict.k > nu
+            seen["at nu > 1"] += verdict.kind == "not-in-core" and 1 < verdict.k == nu
+        assert {2, 3, 4, 5, "in-core", "not-in-core", "unknown", "past nu", "at nu > 1"} <= {
+            key for key, count in seen.items() if count}, seen
+
+    def test_facet_data_are_built_once_and_queries_make_no_solve(self, double_morse,
+                                                                  monkeypatch):
+        """Once a decomposition holds its level data (``_levels``), no query
+        builds them again or runs a simplex, a square solve or an
+        elimination: the facets of each level up to the Fitting index are
+        enumerated once, on the first query that the left kernel of A does
+        not refute at level 1.  A query it refutes builds none."""
+        built = []
+        real = spectral._facet_normals
+
+        def counted(cols, r):
+            built.append(r)
+            return real(cols, r)
+
+        monkeypatch.setattr(spectral, "_facet_normals", counted)
+        cases = {}
+        for dec, nu, x in _singular_chain_queries():
+            cases.setdefault(dec, (nu, []))[1].append(x)
+        corpus5 = decompose(telescope_to_primitive(aperiodic_corpus()[5])[0])
+        for d in (double_morse, corpus5.diagram):
+            dec = decompose(StationaryDiagram(d.incidence))
+            kernel = dec._elimination[0]
+            off = next(x for x in itertools.product((0, 1), repeat=len(kernel[0]))
+                       if any(linalg.mat_vec(kernel, x)))
+            assert core_membership(dec, off) == CoreVerdict("not-in-core", 1)
+            assert "_levels" not in vars(dec)
+            cases[dec] = (1, [off] + [list(col) for col in zip(*dec.a_matrix)])
+        first = {}
+        for dec, (nu, xs) in cases.items():
+            before = len(built)
+            first[dec] = [core_membership(dec, x) for x in xs]
+            assert "_levels" in vars(dec)
+            assert len(built) - before == nu == len(dec._levels[0])
+
+        def refuse(*args):
+            raise AssertionError("a query solved or eliminated")
+        for name in ("lp_nonneg_solve", "solve_square", "scaled_inverse", "rref"):
+            monkeypatch.setattr(linalg, name, refuse)
+        monkeypatch.setattr(spectral, "_facet_normals", refuse)
+        for dec, (nu, xs) in cases.items():
+            assert [core_membership(dec, x) for x in xs] == first[dec]
+
     def test_integer_paths_match_the_fraction_reference(self):
         """Kind, k, coefficient values and their types against
         ``_reference_core_membership`` on the seeded recipe, with int
@@ -786,8 +848,9 @@ class TestCoreMembership:
         # irrational cone: refuted by a sign step at k = 1, 2 and 4, and
         # unknown when A^-k x >= 0 for k <= 2N = 4.  The irrational
         # A = ((0,1,1),(0,1,1),(1,0,0)) is singular with left kernel
-        # (1, -1, 0): refuted by the kernel test, then by the simplex at
-        # k = 1 and 4, and unknown at A^6 (1, 1, 1).  Once the
+        # (1, -1, 0): refuted by the kernel test, then by the facets of
+        # A R+^3 at k = 1 and by a step past the Fitting index 1 at k = 4,
+        # and unknown at A^6 (1, 1, 1).  Once the
         # per-decomposition data exist, every query on every cone is
         # integer work
         golden = StationaryDiagram(((1, 1), (1, 0)))
@@ -976,7 +1039,7 @@ class TestCoreMembership:
         augmented = [list(row) + [v] for row, v in zip(a, x)]
         assert len(linalg.rref(augmented)[1]) == len(linalg.rref(a)[1]) + 1
         assert core_membership(dec, x) == CoreVerdict("not-in-core", k=1)
-        # in the range of A and off the Perron ray: the simplex is not run past N = 12
+        # in the range of A and off the Perron ray: no facets are built past N = 12
         x = tuple(linalg.mat_vec(a, [1] + [0] * (n - 1)))
         assert core_membership(dec, x) == CoreVerdict("unknown")
 
@@ -1107,6 +1170,67 @@ def _seeded_cone_queries():
             else:
                 x = [Fraction(rng.randint(-1, 8), rng.choice((1, 2, 3, 5, 7))) for _ in range(n)]
             yield dec, xis, exact, x
+
+
+def _rank(a):
+    """Rank of an integer matrix by Fraction elimination; independent of bratteli."""
+    rows = [[Fraction(v) for v in row] for row in a]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _singular_chain_queries():
+    """Seeded singular A with Fitting index nu >= 2 (the least k with
+    rank A^k = rank A^(k+1)): a primitive class of 1 to 3 vertices and a
+    chain of 2 to 5 zero-block vertices, each edge of the chain entering
+    the next, with edges from the class into the chain or from the chain
+    into the class, and the vertices shuffled.  12 queries each: A^j y for
+    y >= 0 and for signed y, j <= 2N, images A^j e_i of unit vectors (on the
+    boundary of a level's cone) and arbitrary points.  Yields
+    (decomposition, nu, x)."""
+    rng = random.Random(4242)
+    made = 0
+    while made < 10:
+        top, chain = rng.randint(1, 3), rng.randint(2, 5)
+        n = top + chain
+        a = [[0] * n for _ in range(n)]
+        for i in range(top):
+            a[i][:top] = [rng.randint(1, 3) for _ in range(top)]
+        for i in range(top, n):
+            a[i][:top] = [rng.choice((0, 0, 1, 2)) for _ in range(top)]
+            if i > top:
+                a[i][i - 1] = rng.randint(1, 2)
+        if rng.random() < 0.5:
+            a = [list(col) for col in zip(*a)]
+        perm = rng.sample(range(n), n)
+        a = [[a[i][j] for j in perm] for i in perm]
+        ranks = [_rank(linalg.mat_pow(a, k)) for k in range(n + 2)]
+        nu = next(k for k in range(n + 1) if ranks[k] == ranks[k + 1])
+        if nu < 2:
+            continue
+        made += 1
+        dec = decompose(StationaryDiagram(tuple(zip(*a))))
+        for _ in range(12):
+            draw = rng.random()
+            power = linalg.mat_pow(a, rng.randint(1, 2 * n))
+            if draw < 0.3:
+                x = linalg.mat_vec(power, [Fraction(rng.randint(0, 3), rng.choice((1, 2))) for _ in a])
+            elif draw < 0.55:
+                x = linalg.mat_vec(power, [rng.randint(-2, 3) for _ in a])
+            elif draw < 0.75:
+                x = [row[rng.randrange(n)] for row in power]
+            else:
+                x = [Fraction(rng.randint(-1, 6), rng.choice((1, 3))) for _ in a]
+            yield dec, nu, x
 
 
 def _perturbed_irrational_queries(per_cone=20):

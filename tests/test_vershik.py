@@ -537,8 +537,11 @@ class TestClassWindow:
                         power=q)
 
         def preamble(decomp):
+            f = decomp.diagram.incidence
+            od = OrderedDiagram(decomp.diagram, [[s for s in range(len(f)) for _ in range(f[v][s])]
+                                                 for v in range(len(f))])
             try:
-                _class_window(decomp, 0, (1, 1))
+                _class_window(od, 0, (1, 1))
             except (NotAperiodicError, NotDistinguishedError):
                 pass
 
@@ -585,6 +588,20 @@ class TestOneDecomposition:
         wm_a._decomposition
         assert "_decomposition" in vars(wm_a) and "_decomposition" not in vars(other)
         assert wm_a == other and hash(wm_a) == hash(other) and repr(wm_a) == repr(other)
+
+    @pytest.mark.parametrize("entry", [enumerate_diamonds, eigenvalue_check, eigenvalue_search,
+                                       rational_eigenvalue_sufficient, nonmixing_witness])
+    def test_a_plain_diagram_is_refused_by_type(self, entry, wm_a):
+        # a diagram has no order: a TypeError naming the ordered diagram, not
+        # a bare AttributeError from reading an attribute it lacks
+        args = {enumerate_diamonds: (1,), eigenvalue_check: (1, Fraction(1, 3)),
+                eigenvalue_search: (1, 12), rational_eigenvalue_sufficient: (1, Fraction(1, 3)),
+                nonmixing_witness: (1, enumerate_diamonds(wm_a, 1)[0], PathWord((1,)),
+                                    range(1, 4))}[entry]
+        entry(wm_a, *args)
+        for plain in (wm_a.base, decompose(wm_a.base)):
+            with pytest.raises(TypeError, match="^takes an OrderedDiagram, not a "):
+                entry(plain, *args)
 
     @pytest.mark.parametrize("entry", [enumerate_diamonds, eigenvalue_check, eigenvalue_search,
                                        rational_eigenvalue_sufficient, nonmixing_witness])
