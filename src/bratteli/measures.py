@@ -246,6 +246,8 @@ def tail_valuation(d: StationaryDiagram, alpha: int):
     alpha below b is decided; b is divergent, with no comparison, when it
     has access to one that is, and otherwise exactly when rho_b >= lam.
     Each accessor is compared at most once (a zero block as exact 0).
+    An exact lam gives each finite value as one ``Fraction``, the integer
+    ``_extend`` solution over its common denominator.
     """
     decomp = decompose(d)
     cls = _class(decomp, alpha)
@@ -262,7 +264,8 @@ def tail_valuation(d: StationaryDiagram, alpha: int):
             divergent.append(b)
     finite = [g for g in range(len(access)) if access[g][alpha] and g not in divergent]
 
-    base = _extend(decomp, alpha, y, finite)
+    s, den = _extend(decomp, alpha, y, finite)
+    base = [Fraction(x, den) for x in s] if lam.is_exact else s
     for g in divergent:
         for v in decomp.classes[g].vertices:
             base[v] = math.inf

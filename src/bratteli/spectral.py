@@ -53,7 +53,9 @@ elimination of rI - A per step, whose pivots give the sign of r - rho
 and, at r = rho, the Perron vector.  No integer at sign 0 means rho is
 irrational.  The characteristic polynomial itself is never computed
 here.  Everything read off a Perron value is computed once, in its
-scalar type: ``Fraction`` when it is exact, ``float`` otherwise.
+scalar type: ``Fraction`` when it is exact, ``float`` otherwise; an
+exact extension is solved fraction-free, over one integer denominator,
+and each entry becomes a ``Fraction`` once, divided by one integer total.
 Comparing two values involves a float only when one of them is
 approximate; such a comparison has the fixed gap ``DEFAULT_GAP`` = 1e-9
 and raises ``AmbiguousComparison`` rather than guess inside it.
@@ -97,7 +99,8 @@ def render_scalar(x) -> str:
     decimals, infinity as 'inf' or '-inf'."""
     if isinstance(x, float):
         return f"{x:.17g}"
-    x = Fraction(x)
+    if not isinstance(x, (Fraction, int)):
+        x = Fraction(x)
     if x.denominator == 1:
         return _decimal(x.numerator)
     return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
@@ -200,8 +203,9 @@ def _perron_sign(block, r):
     <= 0 before the last means r < rho; after N - 1 positive pivots the
     last has the sign of a Schur complement that increases strictly with
     r and is 0 at rho alone.  The first N - 1 columns are then independent,
-    so back-substitution from a last entry ``Fraction(1)`` gives the kernel
-    vector with that entry, which is the positive Perron vector."""
+    so the kernel vector with last entry 1 is the positive Perron vector;
+    times d, the (N - 1)-th pivot, it is integral (Cramer), so a
+    back-substitution from a last entry d divides exactly in ``int``."""
     m = [[(r if i == j else 0) - x for j, x in enumerate(row)]
          for i, row in enumerate(block)]
     n, prev = len(m), 1
@@ -215,10 +219,10 @@ def _perron_sign(block, r):
         prev = pivot
     if prev > 0:
         return 1, None
-    vec = [Fraction(1)]
+    vec = [m[n - 2][n - 2] if n > 1 else 1]  # d, the leading minor of order N - 1
     for k in range(n - 2, -1, -1):
-        vec.insert(0, -sum(a * x for a, x in zip(m[k][k + 1:], vec)) / m[k][k])
-    return 0, tuple(vec)
+        vec.insert(0, -sum(map(mul, m[k][k + 1:], vec)) // m[k][k])
+    return 0, tuple(Fraction(x, vec[-1]) for x in vec)
 
 
 def perron_pair(block):
@@ -513,13 +517,20 @@ def _class(decomp: ComponentDecomposition, alpha: int) -> ComponentClass:
     return decomp.classes[alpha]
 
 
+def _decomp(x) -> ComponentDecomposition:
+    """x itself; TypeError unless it is a ComponentDecomposition."""
+    if not isinstance(x, ComponentDecomposition):
+        raise TypeError(f"takes a ComponentDecomposition, not a {type(x).__name__}") from None
+    return x
+
+
 def distinguished_classes(decomp: ComponentDecomposition) -> tuple[int, ...]:
-    return tuple(c.index for c in decomp.classes if c.distinguished)
+    return tuple(c.index for c in _decomp(decomp).classes if c.distinguished)
 
 
 def check_primitive(decomp: ComponentDecomposition):
     """Raise PrimitivityError unless every non-zero block is primitive."""
-    q = math.lcm(1, *(c.imprimitivity for c in decomp.classes if c.imprimitivity))
+    q = math.lcm(1, *(c.imprimitivity for c in _decomp(decomp).classes if c.imprimitivity))
     if q != 1:
         raise PrimitivityError(
             f"telescope by {q} first: some diagonal block is imprimitive", power=q)
@@ -563,16 +574,23 @@ def positivity_power(d: StationaryDiagram):
 
 
 def _extend(decomp: ComponentDecomposition, alpha: int, y, classes):
-    """The vector s with s = y on class alpha that solves
+    """(s, den): s / den is the vector equal to y on class alpha that solves
     (lam - A_bb) s_b = sum over c != b of A_bc s_c on every other class b
     in ``classes``, lam the Perron value of alpha, and is 0 elsewhere.
     Classes are solved down the reversed triangular order, so each one
     comes after every class it has access to; a class in ``classes`` may
     have access only to alpha, to other classes in ``classes`` and to
-    classes where s is 0."""
+    classes where s is 0.  A float lam solves each block by
+    ``linalg.solve_square``, with den 1.  An exact lam is an integer: s is
+    integral from y over the lcm of its denominators, and each block is
+    s_b = M r_b for (M, L) = ``linalg.scaled_inverse(lam I - A_bb)``, once
+    s and den are multiplied by L; their gcd is divided out each time."""
     a = decomp.a_matrix
     lam = decomp.classes[alpha].rho.value
-    scalar = type(lam)
+    scalar, den = type(lam), 1
+    if scalar is Fraction:
+        scalar, lam, den = int, lam.numerator, math.lcm(*(x.denominator for x in y))
+        y = [x.numerator * (den // x.denominator) for x in y]
     s = [scalar(0)] * len(a)
     for v, x in zip(decomp.classes[alpha].vertices, y):
         s[v] = x
@@ -584,9 +602,17 @@ def _extend(decomp: ComponentDecomposition, alpha: int, y, classes):
                 for j, w in enumerate(verts)] for i, v in enumerate(verts)]
         rhs = [linalg.left_sum(a[v][j] * s[j] for j in range(len(a))
                                if s[j] and decomp.class_of[j] != b) for v in verts]
-        for v, x in zip(verts, linalg.solve_square(lhs, rhs)):
+        if scalar is float:
+            solved = linalg.solve_square(lhs, rhs)
+        else:
+            m, scale = linalg.scaled_inverse(lhs)
+            solved = linalg.mat_vec(m, rhs)
+            s, den = [x * scale for x in s], den * scale
+        for v, x in zip(verts, solved):
             s[v] = x
-    return s
+        if scalar is int and (g := math.gcd(den, *s)) > 1:
+            s, den = [x // g for x in s], den // g
+    return s, den
 
 
 @record
@@ -604,15 +630,16 @@ class Eigendata:
 def distinguished_eigenvector(decomp: ComponentDecomposition, alpha: int) -> Eigendata:
     """The extreme vector of the distinguished class alpha: A xi = lam xi,
     xi > 0 exactly on the vertices with access to alpha, normalized so the
-    level-1 heights weigh it to 1 (all heights are 1 at level 1)."""
-    cls = _class(decomp, alpha)
+    level-1 heights weigh it to 1 (all heights are 1 at level 1): by the
+    sum of the entries, an integer when lam is exact, one division each."""
+    cls = _class(_decomp(decomp), alpha)
     if not cls.distinguished:
         raise NotDistinguishedError(f"class {alpha} is not distinguished")
     support = frozenset(b for b in range(len(decomp.classes)) if decomp.access[b][alpha])
-    xi = _extend(decomp, alpha, cls.perron, support)
-    total = linalg.left_sum(xi)
-    xi = [x / total for x in xi]
-    assert all((x > 0) == (decomp.class_of[v] in support) for v, x in enumerate(xi))
+    s, _ = _extend(decomp, alpha, cls.perron, support)
+    assert all((x > 0) == (decomp.class_of[v] in support) for v, x in enumerate(s))
+    total = linalg.left_sum(s)
+    xi = [Fraction(x, total) for x in s] if cls.rho.is_exact else [x / total for x in s]
     return Eigendata(alpha, cls.rho, tuple(xi), support)
 
 
@@ -657,7 +684,11 @@ def core_membership(decomp: ComponentDecomposition, x,
     descriptions kept on the decomposition, with no simplex, else unknown
     (levels past 1 run for an invertible A or N <= 12; k_max = 0 runs none).
     Entries of x must be ``int`` or ``Fraction`` (TypeError otherwise)."""
-    n = len(decomp.a_matrix)
+    try:
+        n = len(decomp.a_matrix)
+    except AttributeError:
+        _decomp(decomp)  # TypeError for another type, checked only once the read fails
+        raise
     k_max = 2 * n if k_max is None else k_max
     if k_max > LEVEL_CAP:
         raise CapExceeded(f"k_max {k_max} is above the cap of {LEVEL_CAP}", k_max, LEVEL_CAP)
@@ -725,4 +756,4 @@ class AperiodicityResult:
 def aperiodicity_check(decomp: ComponentDecomposition) -> AperiodicityResult:
     """Does every infinite path have an infinite tail class?  The verdict
     ``ComponentDecomposition._aperiodicity`` computes once."""
-    return decomp._aperiodicity
+    return _decomp(decomp)._aperiodicity

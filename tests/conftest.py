@@ -151,6 +151,38 @@ def random_diagram(rng, n_max=4, entry_max=3):
             return StationaryDiagram(tuple(tuple(r) for r in rows))
 
 
+def block_chain(rng, exact):
+    """A block-triangular diagram, N <= 12: 3 to 5 classes of 1 to 3
+    vertices, each block strictly positive (so primitive), with edges of
+    A = F^T only from a later class to an earlier one.  A 1x1 block is (r),
+    r >= 2, so every diagram is aperiodic.  With exact, each block has one row sum r, so
+    rho = r (the shape of the cone-library chains); otherwise the entries of
+    a larger block are drawn from 1..3, and its Perron value is irrational
+    unless its row sums happen to be equal."""
+    while True:
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(3, 5))]
+        if sum(sizes) <= 12:
+            break
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    n = sum(sizes)
+    a = [[0] * n for _ in range(n)]
+    for size, st in zip(sizes, starts):
+        r = rng.randint(max(2, size), 7)
+        for v in range(st, st + size):
+            if exact or size == 1:
+                cuts = sorted(rng.sample(range(1, r), size - 1))
+                a[v][st:st + size] = [hi - lo for lo, hi in zip([0] + cuts, cuts + [r])]
+            else:
+                a[v][st:st + size] = [rng.randint(1, 3) for _ in range(size)]
+    for b in range(len(sizes)):
+        for c in range(b):
+            if rng.random() < 0.5:
+                v = starts[b] + rng.randrange(sizes[b])
+                w = starts[c] + rng.randrange(sizes[c])
+                a[v][w] = rng.randint(1, 2)
+    return StationaryDiagram(tuple(zip(*a)))
+
+
 def random_order(rng, d):
     """A random edge order for each vertex of d."""
     order = []

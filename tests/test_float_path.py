@@ -22,7 +22,9 @@ its extreme vector needs a float extension solve.
 """
 
 import contextlib
+import hashlib
 import io
+import random
 
 import pytest
 
@@ -30,6 +32,7 @@ from bratteli import (
     InvariantMeasure,
     Leg,
     PathWord,
+    decompose,
     enumerate_ergodic,
     enumerate_infinite,
     make_diamond,
@@ -37,6 +40,9 @@ from bratteli import (
     parse_diagram,
 )
 from bratteli.cli import main
+from bratteli.errors import AmbiguousComparison
+
+from conftest import block_chain
 
 IRRATIONAL_DOC = (
     "n: 6\nincidence:\n"
@@ -294,3 +300,26 @@ def test_p_vector_over_irrational_measures():
 
 def test_nonmixing_witness():
     assert nonmixing() == NONMIXING
+
+
+def test_irrational_chains_give_the_measures_they_gave():
+    """The float branch beyond the CLI corpus: 60 seeded block chains with
+    irrational classes (a tie of two irrational Perron values is refused,
+    and left out), 53 float extension solves between them.  The digest of
+    the reprs of their measures was recorded before the exact extensions
+    went fraction-free."""
+    rng = random.Random(2026)
+    digest, count, irrational = hashlib.sha256(), 0, 0
+    while count < 60:
+        d = block_chain(rng, exact=False)
+        try:
+            dec = decompose(d)
+        except AmbiguousComparison:
+            continue
+        irrational += sum(not c.rho.is_exact for c in dec.classes)
+        for got in (enumerate_ergodic(d), enumerate_infinite(d)):
+            digest.update(repr(got).encode())
+        count += 1
+    assert irrational == 118
+    assert digest.hexdigest() == (
+        "f2ace3face72b2ad5ce6805b3a32281cfa550876b47fe7f3c4c94fbe54b72b4d")

@@ -4,6 +4,7 @@ import functools
 import gc
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from bratteli import (
     PathWord,
     StationaryDiagram,
     ZeroBlockError,
+    aperiodicity_check,
     borel_invariant,
     decompose,
     distinguished_classes,
@@ -29,16 +31,19 @@ from bratteli import (
     measure_of_cylinder,
     minimal_components,
     nonmixing_witness,
+    parse_diagram,
+    substitution_measures,
     support_classes,
     tail_valuation,
     telescope_to_primitive,
 )
-from bratteli import measures
-from bratteli.errors import AmbiguousComparison
+from bratteli import linalg, measures
+from bratteli.errors import AmbiguousComparison, PrimitivityError
 from bratteli.measures import _ClassMeasure
 from bratteli.spectral import NumericValue, nv_compare
 
-from conftest import aperiodic_corpus, dominance_family
+from conftest import aperiodic_corpus, block_chain, dominance_family, random_diagram
+from test_float_path import IRRATIONAL_DOC
 
 
 class TestErgodicEnumeration:
@@ -479,3 +484,111 @@ class TestTheDiagramAlone:
         finally:
             gc.enable()
         assert alive == measure_kind and dead
+
+
+@functools.cache
+def exact_diagrams():
+    """Seeded aperiodic diagrams with primitive blocks whose every Perron
+    value is exact: those among ``random_diagram(Random(s), 6, 3)`` for
+    s < 400, and 40 exact block chains (the cone-library shape)."""
+    out = []
+    for s in range(400):
+        d = random_diagram(random.Random(s), n_max=6, entry_max=3)
+        dec = decompose(d)
+        try:
+            if all(c.rho.is_exact for c in dec.classes) and aperiodicity_check(dec):
+                out.append(d)
+        except PrimitivityError:
+            pass
+    rng = random.Random(38)
+    return tuple(out + [block_chain(rng, exact=True) for _ in range(40)])
+
+
+def fraction_extension(decomp, alpha, y, classes):
+    """The extension of y from class alpha over ``classes`` as it was solved
+    before the exact path went fraction-free: one ``Fraction`` Gaussian
+    elimination, ``linalg.solve_square``, per class, down the reversed
+    triangular order, 0 elsewhere."""
+    a = decomp.a_matrix
+    lam = decomp.classes[alpha].rho.value
+    s = [Fraction(0)] * len(a)
+    for v, x in zip(decomp.classes[alpha].vertices, y):
+        s[v] = x
+    for b in reversed(dict.fromkeys(decomp.class_of[v] for v in decomp.fnf_permutation)):
+        if b == alpha or b not in classes:
+            continue
+        verts = decomp.classes[b].vertices
+        lhs = [[Fraction((lam if i == j else 0) - a[v][w]) for j, w in enumerate(verts)]
+               for i, v in enumerate(verts)]
+        rhs = [sum(a[v][j] * s[j] for j in range(len(a)) if decomp.class_of[j] != b)
+               for v in verts]
+        for v, x in zip(verts, linalg.solve_square(lhs, rhs)):
+            s[v] = x
+    return s
+
+
+class TestExactExtension:
+    """An integer Perron value extends its vector in integers, each entry
+    made a ``Fraction`` once; the values are those of the Fraction solves."""
+
+    def test_vectors_match_the_fraction_solves(self):
+        counts = {"ergodic": 0, "ergodic solved": 0, "tail": 0, "tail solved": 0}
+        for d in exact_diagrams():
+            dec = decompose(d)
+            a = dec.a_matrix
+            for m in enumerate_ergodic(d):
+                cls = dec.classes[m.class_id]
+                xi = fraction_extension(dec, cls.index, cls.perron, m.support)
+                assert m.xi == tuple(x / sum(xi) for x in xi), d
+                assert all(type(x) is Fraction for x in m.xi)
+                assert linalg.mat_vec(a, m.xi) == [m.lam.value * x for x in m.xi]
+                assert sum(m.xi) == 1
+                counts["ergodic"] += 1
+                counts["ergodic solved"] += len(m.support) > 1
+            for m in enumerate_infinite(d):
+                alpha = m.class_id
+                y = tuple(x / sum(dec.classes[alpha].perron) for x in dec.classes[alpha].perron)
+                divergent = divergent_by_nested_loop(dec, alpha)
+                finite = [g for g in range(len(dec.classes))
+                          if dec.access[g][alpha] and g not in divergent]
+                base = fraction_extension(dec, alpha, y, finite)
+                for g in divergent:
+                    for v in dec.classes[g].vertices:
+                        base[v] = math.inf
+                assert (m.y, m.base) == (y, tuple(base)), d
+                assert all(type(x) is Fraction for x in m.base if x != math.inf)
+                counts["tail"] += 1
+                counts["tail solved"] += len(finite) > 1
+        assert counts == {"ergodic": 194, "ergodic solved": 44, "tail": 70, "tail solved": 11}
+
+    def test_exact_measures_make_no_square_solve(self, monkeypatch, double_morse_substitution,
+                                                 mixed_chain_substitution, thue_morse):
+        """The Fraction elimination is left to the float path: with it made
+        to raise, exact diagrams give the answers they gave, and the
+        irrational fixture of the float-path tests still solves with it."""
+        substitutions = (double_morse_substitution, mixed_chain_substitution, thue_morse)
+
+        def answers():
+            out = []
+            for f in [d.incidence for d in exact_diagrams()]:
+                d = StationaryDiagram(f)
+                ergodic = enumerate_ergodic(d)
+                p1 = [sum(m.xi[v] for m in ergodic) / len(ergodic) for v in range(d.n_vertices)]
+                out.append((ergodic, enumerate_infinite(d), measure_from_point(d, p1)))
+            return out, [substitution_measures(s) for s in substitutions]
+
+        expected = answers()
+        solves = []
+        solve_square = linalg.solve_square
+
+        def refuse(a, b):
+            raise AssertionError("solve_square called on the exact path")
+
+        monkeypatch.setattr(linalg, "solve_square", refuse)
+        assert answers() == expected
+        monkeypatch.setattr(linalg, "solve_square",
+                            lambda a, b: solves.append(len(a)) or solve_square(a, b))
+        irrational = parse_diagram(IRRATIONAL_DOC).base
+        enumerate_ergodic(irrational)
+        enumerate_infinite(irrational)
+        assert solves == [1, 1]

@@ -585,6 +585,27 @@ def test_class_ids_outside_the_range_are_refused(wm_a, entry, alpha):
         CLASS_ENTRY_POINTS[entry](wm_a, dec, alpha)
 
 
+# every function that reads class data, given a decomposition
+CLASS_DATA_READERS = {
+    "core_membership": lambda dec: core_membership(dec, (1, 0)),
+    "aperiodicity_check": aperiodicity_check,
+    "check_primitive": check_primitive,
+    "distinguished_classes": distinguished_classes,
+    "distinguished_eigenvector": lambda dec: distinguished_eigenvector(dec, 0),
+}
+
+
+@pytest.mark.parametrize("entry", CLASS_DATA_READERS)
+def test_a_diagram_is_refused_by_type(entry):
+    """A TypeError naming the decomposition, not a bare AttributeError from
+    reading class data a diagram does not have."""
+    d = StationaryDiagram(((2, 0), (2, 3)))
+    CLASS_DATA_READERS[entry](decompose(d))
+    with pytest.raises(TypeError,
+                       match="^takes a ComponentDecomposition, not a StationaryDiagram$"):
+        CLASS_DATA_READERS[entry](d)
+
+
 class TestPrimitivity:
     def test_check_primitive_raises_with_the_needed_power(self):
         dec = decompose(StationaryDiagram(((0, 1), (1, 0))))
