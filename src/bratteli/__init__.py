@@ -18,8 +18,7 @@ from .documents import (MeasureRecord, measure_record, parse_coefficients,
 from .errors import (AmbiguousComparison, BratteliError, CapExceeded,
                      DimensionMismatch, EndpointMismatch, NotAperiodicError,
                      NotDistinguishedError, NotGrowingError, NotInDomainError,
-                     ParseError, PrimitivityError, SizeRefused, ZeroBlockError,
-                     ZeroMeasureCylinder)
+                     ParseError, PrimitivityError, SizeRefused, ZeroBlockError)
 from .measures import (ErgodicMeasure, InvariantMeasure, TailMeasure,
                        borel_invariant, enumerate_ergodic, enumerate_infinite,
                        measure_from_point, measure_of_cylinder,

@@ -303,6 +303,8 @@ def parse_measures(text: str) -> list[MeasureRecord]:
         count = int(rest)
     except ValueError:
         raise ParseError(f"measure count must be an integer, found {rest!r}", r.line)
+    if count < 0:
+        raise ParseError("measure count must be non-negative", r.line)
     records = []
     for i in range(1, count + 1):
         r.field(f"measure {i}:")

@@ -59,14 +59,10 @@ class PrimitivityError(BratteliError):
 
 
 class NotInDomainError(BratteliError):
-    """Vector off the invariant-measure simplex, or a reducible block."""
+    """Vector off the measure simplex, reducible block, or inexact Perron value."""
 
 
 class EndpointMismatch(BratteliError):
-    pass
-
-
-class ZeroMeasureCylinder(BratteliError):
     pass
 
 

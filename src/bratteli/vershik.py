@@ -9,7 +9,7 @@ edges.  Return times between the two legs of a diamond (a pair of
 distinct equal-endpoint paths) form integer sequences P_n obeying the
 characteristic-polynomial recurrence of A; exact divisibility of those
 sequences decides which rational rotation numbers can be eigenvalues,
-and the same machinery produces the non-mixing lower bounds.
+and the limit overlap along a diamond's return times refutes mixing.
 
 For theta = p/q in lowest terms, q | p*P_n holds exactly when q | P_n, so
 the divisibility test over a window is the single condition q | G, where
@@ -29,9 +29,9 @@ from functools import cached_property
 from . import linalg
 from .diagram import (TELESCOPE_CAP, PathWord, StationaryDiagram, check_path, height_table,
                       telescope)
-from .errors import (CapExceeded, EndpointMismatch, NotDistinguishedError,
-                     PrimitivityError, ZeroMeasureCylinder)
-from .measures import _aperiodic, within_float_range
+from .errors import (CapExceeded, EndpointMismatch, NotDistinguishedError, NotInDomainError,
+                     PrimitivityError)
+from .measures import _aperiodic
 from .record import record
 from .spectral import _class, decompose, distinguished_eigenvector, positivity_power
 
@@ -559,55 +559,55 @@ def rational_eigenvalue_sufficient(od: OrderedDiagram, alpha: int, theta,
 class NonmixingReport:
     alpha: int
     diamond: Diamond
+    limit: Fraction
     path: PathWord
-    n_values: tuple[int, ...]
-    ratios: tuple
-    infimum: object
-    order_constant: object
-
-    @property
-    def positive(self):
-        return self.infimum > 0
+    mass: Fraction
 
 
-def nonmixing_witness(od: OrderedDiagram, alpha: int, diamond: Diamond,
-                      e: PathWord, n_range) -> NonmixingReport:
-    """Overlap ratios r_n = mu([e; leg_a at level n+1]) / mu([e]): the
-    measure of the part of [e] returning to itself after P_n steps.  A
-    positive infimum over growing n rules out strong mixing.  The
-    order_constant x_i / (x_range lam^k) gives the scale of the limit
-    (and equals it when the cylinder ends in the diamond's range vertex
-    and the class asymptotics are exact).  A float ratio is refused by
-    ``within_float_range`` beyond float range; a diagram that is not
-    aperiodic by NotAperiodicError."""
+def nonmixing_witness(od: OrderedDiagram, alpha: int, diamond: Diamond) -> NonmixingReport:
+    """Exact certificate that the ergodic measure mu of the distinguished
+    class alpha is not mixing, from a diamond inside alpha.  With xi the
+    extreme vector, lam its Perron value, w a left lam-eigenvector of the
+    block A_aa and j, j', k the diamond's source, range and length: the
+    paths of a cylinder [e] at (i, m) that run through leg_a from level
+    n + 1 return to [e] after P_n steps, so mu([e] & T^-P_n [e]) >= r_n mu[e]
+    for r_n = xi_j' A^N[i][j] / (lam^(N+k) xi_i), N = n + 1 - m.  Then
+    A^N[i][j] / lam^N -> xi_i w_j / (w.xi) whenever xi_i > 0, and r_n ->
+    limit = xi_j' w_j / (lam^k w.xi) for every cylinder.  For i in alpha
+    this is Perron-Frobenius (A_aa is primitive).  Paths from the accessor
+    classes U of alpha into alpha stay in U first, so A^N[U, a] is the sum
+    over t < N of A_UU^t A_Ua A_aa^(N-1-t); rho(A_UU) < lam as alpha is
+    distinguished, so over lam^N the terms are dominated by a geometric
+    series and the sum tends to (lam - A_UU)^-1 A_Ua xi_a w / (w.xi) =
+    xi_U w / (w.xi), xi_U being the solution ``spectral._extend`` finds.
+
+    Mixing would make mu([e] & T^-P_n [e]) -> mu[e]^2, which limit > mu[e]
+    forbids.  path is ``min_path(od, i, m)`` for the i of least xi_i > 0
+    (the lower index on ties) and the least m whose mass mu[e] =
+    xi_i / lam^(m-1) is below limit.  An exact lam is an integer >= 2 (the
+    gate refuses an initial class of Perron value 1, and one below an
+    initial class is not distinguished), so m <= 1 + log2(xi_i / limit).
+    Refused: a diagram that is not aperiodic (NotAperiodicError; the gate
+    makes A_aa primitive), an irrational lam (NotInDomainError) and a
+    diamond outside alpha (ValueError)."""
     decomp = _aperiodic(_ordered(od)._decomposition)
-    check_path(od.base, e)
     eig = distinguished_eigenvector(decomp, alpha)
-    xi, lam = eig.xi, eig.lam.value
-    cls_vertices = set(decomp.classes[alpha].vertices)
-    if not diamond.vertices_visited <= cls_vertices:
+    verts = decomp.classes[alpha].vertices
+    if not diamond.vertices_visited <= set(verts):
         raise ValueError("diamond must live inside the carrying class")
-    i = e.terminal
-    m = e.level
-    if xi[i] == 0:
-        raise ZeroMeasureCylinder(
-            f"cylinder at vertex {i} has measure zero for class {alpha}")
-    j = diamond.leg_a.source
-    jp = diamond.leg_a.range
-    k = diamond.length
-    a = [list(row) for row in decomp.a_matrix]
-
-    n_values = tuple(n_range)
-    ratios = []
-    for n in n_values:
-        if n < m:
-            raise ValueError("witness levels must reach below the cylinder")
-        paths_ij = linalg.mat_pow(a, n + 1 - m)[i][j]
-        ratios.append(within_float_range(n, paths_ij, lambda: (
-            xi[jp] * paths_ij / lam ** (n + k) / (xi[i] / lam ** (m - 1)))))
-    order_constant = xi[i] / (xi[jp] * lam ** k)
-    return NonmixingReport(alpha, diamond, e, n_values, tuple(ratios),
-                           min(ratios), order_constant)
+    if not eig.is_exact:
+        raise NotInDomainError(f"class {alpha} has an irrational Perron value, "
+                               "so the certificate is not decided exactly")
+    xi, lam, a = eig.xi, eig.lam.value.numerator, decomp.a_matrix
+    (w,), _ = linalg.scaled_inverse([[lam * (u == v) - a[u][v] for v in verts] for u in verts])
+    w = dict(zip(verts, w))
+    j, jp, k = diamond.leg_a.source, diamond.leg_a.range, diamond.length
+    limit = xi[jp] * w[j] / (lam ** k * sum(w[v] * xi[v] for v in verts))
+    i = min((x, v) for v, x in enumerate(xi) if x)[1]
+    m, mass = 1, xi[i]
+    while mass >= limit:
+        m, mass = m + 1, mass / lam
+    return NonmixingReport(alpha, diamond, limit, min_path(od, i, m), mass)
 
 
 def telescope_ordered(od: OrderedDiagram, k: int) -> OrderedDiagram:

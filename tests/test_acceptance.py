@@ -3,7 +3,7 @@ verdict line per criterion.
 
 Golden values are exact rationals throughout; the only tolerances are the
 certified-float gap for irrational Perron values (criterion 3), the 5%
-convergence margin on overlap ratios (criterion 8), and a 1e-9 relative
+margin of a test-local float overlap sequence (criterion 8), and a 1e-9 relative
 slack on float-mode normalization sums (criterion 10).
 """
 
@@ -37,6 +37,7 @@ from bratteli import (
     is_decisive,
     is_maximal,
     make_diamond,
+    measure_of_cylinder,
     min_path,
     nonmixing_witness,
     p_sequence,
@@ -287,24 +288,35 @@ def test_criterion_7_randomized_oracle_equivalence():
             "cone-membership cross-checks agree")
 
 
-def test_criterion_8_nonmixing_overlap_ratios(wm_a):
-    """Overlap ratios of the second measure under a unit diamond stay
-    bounded away from zero and sit within 5% of the analytic limit
-    x_i / (x_j' lambda^k) for every n in [10, 30]."""
+def test_criterion_8_nonmixing_certificate(wm_a):
+    """The second measure is not mixing, decided exactly: along a unit
+    diamond the overlap ratios tend to r_inf = 1/3, and the cylinder at
+    vertex 1 on level 2 has mass 1/9 < r_inf.  A test-local float
+    sequence r_n, for cylinders at both vertices and every n in [10, 30],
+    sits within 5% of r_inf and approaches it."""
     diamond = make_diamond(wm_a, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
     mu2 = enumerate_ergodic(wm_a.base)[1]
     assert mu2.class_id == 1 and mu2.lam.value == 3
 
-    for cylinder in (PathWord((1,)), PathWord((1, 1), (2,))):
-        report = nonmixing_witness(wm_a, 1, diamond, cylinder,
-                                   range(10, 31))
-        assert report.positive and report.infimum > 0
-        limit = report.order_constant
-        assert limit == Fraction(1, 3)
-        assert all(abs(r / limit - 1) <= Fraction(1, 20)
-                   for r in report.ratios)
-    _passed("criterion 8: overlap ratios exactly 1/3 on n in [10,30], "
-            "positive infimum, within 5% of the analytic limit")
+    report = nonmixing_witness(wm_a, 1, diamond)
+    assert (report.limit, report.path, report.mass) == (
+        Fraction(1, 3), min_path(wm_a, 1, 2), Fraction(1, 9))
+    assert report.mass == measure_of_cylinder(mu2, report.path) < report.limit
+
+    # r_n = xi_1 A^N[i][1] / (3^(N+1) xi_i), N = n + 1 - m, for the leg 1 -> 1
+    xi, a = [float(x) for x in mu2.xi], decompose(wm_a.base).a_matrix
+    powers, power = [], ((1, 0), (0, 1))    # A^0 .. A^30 in integers
+    for _ in range(31):
+        powers.append(power)
+        power = [[sum(power[r][t] * a[t][c] for t in range(2)) for c in range(2)]
+                 for r in range(2)]
+    for i, m in ((1, 1), (1, 2), (0, 1), (0, 2)):
+        ratios = [xi[1] * powers[n + 1 - m][i][1] / (3.0 ** (n + 2 - m) * xi[i])
+                  for n in range(10, 31)]
+        gaps = [abs(r / float(report.limit) - 1) for r in ratios]
+        assert max(gaps) <= 0.05 and gaps[-1] <= gaps[0], (i, m, ratios)
+    _passed("criterion 8: r_inf = 1/3 exactly and a witness cylinder of mass 1/9 "
+            "certify non-mixing; float r_n on n in [10,30] within 5% of r_inf")
 
 
 def test_criterion_9_tail_measure_valuation(b1, double_morse):

@@ -256,6 +256,7 @@ MALFORMED = [
     ("measures", "", 1, "missing 'measures:' field"),
     ("measures", "count: 1\n", 1, "expected 'measures:', found 'count: 1'"),
     ("measures", "measures: x\n", 1, "measure count must be an integer, found 'x'"),
+    ("measures", "# c\nmeasures: -1\n", 2, "measure count must be non-negative"),
     ("measures", "measures: 1\n# c\n", 1, "missing 'measure 1:' field"),
     ("measures", "measures: 1\nmeasure 2:\n", 2, "expected 'measure 1:', found 'measure 2:'"),
     ("measures", REPORT.replace("measures: 1", "measures: 2"), 8, "missing 'measure 2:' field"),

@@ -14,7 +14,6 @@ from bratteli import (
     InvariantMeasure,
     NotAperiodicError,
     NotInDomainError,
-    OrderedDiagram,
     PathWord,
     StationaryDiagram,
     ZeroBlockError,
@@ -23,14 +22,12 @@ from bratteli import (
     decompose,
     distinguished_classes,
     distinguished_eigenvector,
-    enumerate_diamonds,
     enumerate_ergodic,
     enumerate_infinite,
     heights,
     measure_from_point,
     measure_of_cylinder,
     minimal_components,
-    nonmixing_witness,
     parse_diagram,
     substitution_measures,
     support_classes,
@@ -406,15 +403,6 @@ class TestFloatRange:
         for _ in range(2):  # a refusal is never kept by the level cache
             with pytest.raises(CapExceeded, match="level 1472 is beyond float range"):
                 tail.value(1472, 1)
-
-    @pytest.mark.parametrize("call, level", [
-        (lambda od, dm: nonmixing_witness(od, 0, dm, PathWord((0,)), [1500]), 1500),
-    ], ids=["nonmixing_witness"])
-    def test_library_floats_beyond_float_range(self, call, level):
-        od = OrderedDiagram(StationaryDiagram(((1, 1), (1, 0))), ((0, 1), (0,)))
-        (dm,) = enumerate_diamonds(od, 0)
-        with pytest.raises(CapExceeded, match=f"level {level} is beyond float range"):
-            call(od, dm)
 
 
 class TestInvariants:

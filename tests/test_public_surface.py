@@ -17,7 +17,7 @@ PUBLIC = [
     'NotDistinguishedError', 'NotGrowingError', 'NotInDomainError', 'NumericValue',
     'OrbitFrequency', 'OrderedDiagram', 'PSequence', 'ParseError', 'PathWord',
     'PrimitivityError', 'SizeRefused', 'StationaryDiagram', 'Substitution',
-    'SubstitutionMeasures', 'TailMeasure', 'ZeroBlockError', 'ZeroMeasureCylinder',
+    'SubstitutionMeasures', 'TailMeasure', 'ZeroBlockError',
     'aperiodicity_check', 'borel_invariant', 'brute_force_Q', 'candidate_count',
     'candidate_thetas', 'check_path', 'check_primitive', 'core_membership',
     'core_preimage_oracle', 'decompose', 'default_window', 'diagram',

@@ -23,4 +23,4 @@ def test_readme_examples_give_their_commented_values():
                 checked.append(source)
             else:
                 exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
-    assert len(checked) == 7
+    assert len(checked) == 8

@@ -64,8 +64,7 @@ FIELDS = {
     "InvariantMeasure": ("measures", "coefficients"),
     "Leg": ("vertices", "mults"),
     "MeasureRecord": ("class_id", "members", "type", "eigenvalue", "eigenvector", "support"),
-    "NonmixingReport": ("alpha", "diamond", "path", "n_values", "ratios", "infimum",
-                        "order_constant"),
+    "NonmixingReport": ("alpha", "diamond", "limit", "path", "mass"),
     "NumericValue": ("value", "residual_bound"),
     "OrbitFrequency": ("visits", "steps", "exhausted", "working_level"),
     "OrderedDiagram": ("base", "order"),
@@ -126,8 +125,7 @@ def _samples():
                               (Fraction(1, 2), Fraction(1, 2), 0, 0, 0))],
         "Leg": legs,
         "MeasureRecord": [measure_record(m) for m in ergodic + enumerate_infinite(morse)],
-        "NonmixingReport": [nonmixing_witness(wm_a, 1, diamonds[0], p, range(10, 13))
-                            for p in paths],
+        "NonmixingReport": [nonmixing_witness(wm_a, 1, dm) for dm in diamonds],
         "NumericValue": [NumericValue(Fraction(3)), NumericValue(2.5, 1e-12), NumericValue(3)],
         "OrbitFrequency": [empirical_orbit_frequency(odometer, PathWord((0,)), 32,
                                                      PathWord((0, 0), (0,))),

@@ -15,15 +15,17 @@ from bratteli import (
     EndpointMismatch,
     Leg,
     NotAperiodicError,
+    NonmixingReport,
     NotDistinguishedError,
     OrderedDiagram,
     PathWord,
     PrimitivityError,
     StationaryDiagram,
-    ZeroMeasureCylinder,
     candidate_count,
     candidate_thetas,
     decompose,
+    distinguished_classes,
+    distinguished_eigenvector,
     default_window,
     eigenvalue_check,
     eigenvalue_search,
@@ -46,11 +48,12 @@ from bratteli import (
     telescope,
     telescope_ordered,
 )
+from bratteli import linalg
 from bratteli.diagram import height_table
 from bratteli.vershik import (WINDOW_CAP, _class_window, _p_tables, _spanning_diamonds, _step,
                               _window_gcds)
 
-from conftest import (aperiodic_corpus, dense_ordered, random_diagram, random_order,
+from conftest import (aperiodic_corpus, block_chain, dense_ordered, random_diagram, random_order,
                       random_path, seeded_orders, successor_by_rebuild, tower_by_successor,
                       window_gcds_by_middles)
 
@@ -326,7 +329,7 @@ class TestEigenvalues:
         for call in (lambda: eigenvalue_search(od, 0, 12),
                      lambda: eigenvalue_check(od, 0, Fraction(1, 2)),
                      lambda: rational_eigenvalue_sufficient(od, 0, Fraction(1, 2)),
-                     lambda: nonmixing_witness(od, 0, dm, PathWord((0,)), range(1, 3))):
+                     lambda: nonmixing_witness(od, 0, dm)):
             with pytest.raises(NotAperiodicError,
                                match="^not aperiodic: initial class 0 has Perron value 1$"):
                 call()
@@ -573,7 +576,7 @@ class TestOneDecomposition:
         eigenvalue_check(od, 1, Fraction(1, 3))
         assert eigenvalue_search(od, 1, 12) == [0]
         rational_eigenvalue_sufficient(od, 1, Fraction(1, 3))
-        nonmixing_witness(od, 1, dm, PathWord((1,)), range(1, 4))
+        nonmixing_witness(od, 1, dm)
         assert decompositions == [od.base]
         assert od._decomposition.diagram is od.base
 
@@ -596,8 +599,7 @@ class TestOneDecomposition:
         # a bare AttributeError from reading an attribute it lacks
         args = {enumerate_diamonds: (1,), eigenvalue_check: (1, Fraction(1, 3)),
                 eigenvalue_search: (1, 12), rational_eigenvalue_sufficient: (1, Fraction(1, 3)),
-                nonmixing_witness: (1, enumerate_diamonds(wm_a, 1)[0], PathWord((1,)),
-                                    range(1, 4))}[entry]
+                nonmixing_witness: (1, enumerate_diamonds(wm_a, 1)[0])}[entry]
         entry(wm_a, *args)
         for plain in (wm_a.base, decompose(wm_a.base)):
             with pytest.raises(TypeError, match="^takes an OrderedDiagram, not a "):
@@ -611,28 +613,99 @@ class TestOneDecomposition:
 
 
 class TestNonmixing:
-    def test_overlap_ratios_are_exactly_a_third(self, wm_a):
-        dm = make_diamond(wm_a, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
-        report = nonmixing_witness(wm_a, 1, dm, PathWord((1,)), range(1, 11))
-        assert report.ratios == (Fraction(1, 3),) * 10
-        assert report.infimum == Fraction(1, 3)
-        assert report.order_constant == Fraction(1, 3)
-        assert report.positive
+    """The exact limit r_inf of the overlap ratios along a diamond, and the
+    first cylinder whose mass is below it."""
 
-    def test_zero_measure_cylinder_is_rejected(self, wm_a):
-        dm = make_diamond(wm_a, Leg((0, 0), (0,)), Leg((0, 0), (1,)))
-        with pytest.raises(ZeroMeasureCylinder):
-            nonmixing_witness(wm_a, 0, dm, PathWord((1,)), range(1, 3))
+    def test_the_limit_on_a_two_vertex_class(self):
+        # the overlap ratios of [0] and of [1] at n = 10, 20, 40 tend to 1/6
+        od = OrderedDiagram(StationaryDiagram(((2, 1), (1, 2))), ((0, 0, 1), (0, 1, 1)))
+        dm = make_diamond(od, Leg((0, 0), (0,)), Leg((0, 0), (1,)))
+        report = nonmixing_witness(od, 0, dm)
+        assert (report.limit, report.path, report.mass) == (
+            Fraction(1, 6), min_path(od, 0, 3), Fraction(1, 18))
+
+    def test_a_mass_equal_to_the_limit_certifies_nothing(self, wm_a):
+        # level 1 has mass 1/3 = r_inf, so the witness is on level 2
+        dm = make_diamond(wm_a, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
+        report = nonmixing_witness(wm_a, 1, dm)
+        assert report == NonmixingReport(1, dm, Fraction(1, 3), min_path(wm_a, 1, 2),
+                                         Fraction(1, 9))
+        assert all(type(x) is Fraction for x in (report.limit, report.mass))
+
+    @staticmethod
+    def _overlap_errors(od, alpha, report, n):
+        """|r / r_inf - 1| for r = xi_j' A^N[i][j] / (lam^(N+k) xi_i), A^N in
+        integers, at each i with xi_i > 0: (error, i in alpha) pairs."""
+        decomp = decompose(od.base)
+        xi = distinguished_eigenvector(decomp, alpha).xi
+        lam = decomp.classes[alpha].rho.value
+        leg = report.diamond.leg_a
+        power = linalg.mat_pow([list(row) for row in decomp.a_matrix], n)
+        return [(abs(xi[leg.range] * power[i][leg.source] / (lam ** (n + leg.length) * x)
+                     / report.limit - 1), decomp.class_of[i] == alpha)
+                for i, x in enumerate(xi) if x]
+
+    def test_the_limit_holds_inside_and_outside_the_class(self):
+        """Seeded block chains, every distinguished class with a diamond:
+        at N = 240 the overlap ratio is within 1e-12 of r_inf from every
+        vertex with access to the class, 181 of 698 of them outside it."""
+        rng = random.Random(6)
+        reports, errors = 0, []
+        for _ in range(100):
+            od = random_order(rng, block_chain(rng, exact=True))
+            for alpha in distinguished_classes(od._decomposition):
+                diamonds = enumerate_diamonds(od, alpha)
+                if not diamonds:
+                    continue
+                report = nonmixing_witness(od, alpha, diamonds[0])
+                errors += self._overlap_errors(od, alpha, report, 240)
+                reports += 1
+                xi = distinguished_eigenvector(od._decomposition, alpha).xi
+                i, m = report.path.terminal, report.path.level
+                lam = od._decomposition.classes[alpha].rho.value
+                assert xi[i] == min(x for x in xi if x) and report.path == min_path(od, i, m)
+                assert report.mass == xi[i] / lam ** (m - 1) < report.limit
+                assert m == 1 or report.limit <= lam * report.mass
+        assert (reports, len(errors), sum(not inside for _, inside in errors)) == (259, 698, 181)
+        assert max(e for e, _ in errors) < Fraction(1, 10 ** 12)
+
+    def test_the_limit_on_one_class_diagrams(self):
+        """200 seeded one-class diagrams, 2 to 4 vertices, equal column sums
+        3..7 of F (so lam is an integer): on the 134 with a double self-loop,
+        its diamond's r_inf is the overlap ratio at N = 200 within 1e-30."""
+        rng = random.Random(5)
+        errors = []
+        for _ in range(200):
+            n = rng.randint(2, 4)
+            total = rng.randint(max(3, n), 7)
+            cols = [[hi - lo for lo, hi in zip([0] + cuts, cuts + [total])]
+                    for cuts in (sorted(rng.sample(range(1, total), n - 1)) for _ in range(n))]
+            od = random_order(rng, StationaryDiagram(tuple(zip(*cols))))
+            loops = [v for v in range(n) if od.base.incidence[v][v] >= 2]
+            if loops:
+                v = loops[0]
+                dm = make_diamond(od, Leg((v, v), (0,)), Leg((v, v), (1,)))
+                errors.append(self._overlap_errors(od, 0, nonmixing_witness(od, 0, dm), 200))
+        assert len(errors) == 134
+        assert max(e for case in errors for e, _ in case) < Fraction(1, 10 ** 30)
+
+    def test_a_class_below_a_class_of_perron_value_1_is_refused(self):
+        # class 1 (lam 3) is distinguished and has a certificate; the gate
+        # refuses the diagram for its initial class 0, whose block is (1)
+        od = OrderedDiagram(StationaryDiagram(((1, 0), (1, 3))), ((0,), (0, 1, 1, 1)))
+        dm = make_diamond(od, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
+        with pytest.raises(NotAperiodicError, match="initial class 0 has Perron value 1$"):
+            nonmixing_witness(od, 1, dm)
 
     def test_diamond_must_live_in_the_class(self, wm_a):
         dm = make_diamond(wm_a, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
-        with pytest.raises(ValueError):
-            nonmixing_witness(wm_a, 0, dm, PathWord((0,)), range(1, 3))
+        with pytest.raises(ValueError, match="diamond must live inside the carrying class"):
+            nonmixing_witness(wm_a, 0, dm)
 
-    def test_levels_must_reach_below_the_cylinder(self, wm_a):
-        dm = make_diamond(wm_a, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
-        with pytest.raises(ValueError):
-            nonmixing_witness(wm_a, 1, dm, PathWord((1, 1), (0,)), range(1, 3))
+    def test_a_class_that_is_not_distinguished_is_refused(self, b1_ordered):
+        dm = make_diamond(b1_ordered, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
+        with pytest.raises(NotDistinguishedError, match="class 1 is not distinguished"):
+            nonmixing_witness(b1_ordered, 1, dm)
 
 
 class TestTelescopeOrdered:
