@@ -59,15 +59,19 @@ def verify_invariance(d, m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport
     infinities positionally in (b).  A float total beyond float range is
     refused by ``within_float_range``; float sums run left to right.
 
-    (a) walks the ``vertex_sequences`` of each (level, vertex) whose
-    height is at most cap (the others are skipped, and so reported); no
-    path object is built for it.  A sequence carries the product of its
-    bundle sizes paths, each priced with one ``m.value`` call; a mass
-    that is the object the previous path got reuses its ``_close``
-    verdict.  A sequence whose vertices are all in ``m.diagram`` and none
-    of whose bundles in d is larger there holds only paths of
-    ``m.diagram``; any other has ``check_path`` run on its paths, in
-    ``enumerate_paths`` order, which raises.
+    m is a measure: ``m.value(level, vertex)`` is the mass of every
+    cylinder that ends at that vertex of that level, and the same on
+    every call.  So (a) reads it once per (level, vertex) whose height
+    is at most cap (the others are skipped, and so reported), makes one
+    comparison and counts one check per path, h(n)[v] of them; its cost
+    does not grow with the number of paths.  The ``vertex_sequences`` of
+    a (level, vertex) are walked only when there is something to report:
+    when the comparison fails, each path gets its own violation (a
+    sequence carries the product of its bundle sizes paths); and when
+    ``m.diagram`` does not cover d (a vertex of d is missing from it, or
+    some bundle of d is larger there), ``check_path`` runs on the paths
+    of each sequence that leaves it, in ``enumerate_paths`` order, and
+    raises.
     """
     f = d.incidence
     n = d.n_vertices
@@ -77,6 +81,8 @@ def verify_invariance(d, m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport
     checks = 0
     is_finite = not any(isinstance(m.value(1, v), float) and math.isinf(m.value(1, v))
                         for v in range(n))
+    # every path of d is a path of m.diagram, so none needs check_path
+    covered = n <= len(g) and all(f[t][s] <= g[t][s] for t in range(n) for s in range(n))
 
     for lvl, h in zip(range(1, n_max + 1), height_levels(d)):
         p_now = [m.value(lvl, v) for v in range(n)]
@@ -91,22 +97,18 @@ def verify_invariance(d, m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport
                 skipped.append(f"path enumeration at level {lvl} vertex {v} "
                                f"exceeds cap {cap}")
                 continue
-            last, ok = object(), False  # the previous path's mass and verdict
-            for vs in vertex_sequences(d, v, lvl):
+            got = m.value(lvl, v)
+            checks += h[v]
+            ok = _close(got, p_now[v])
+            for vs in () if ok and covered else vertex_sequences(d, v, lvl):
                 steps = list(zip(vs, vs[1:]))
                 if max(vs) >= len(g) or any(f[t][s] > g[t][s] for s, t in steps):
                     for idx in itertools.product(*[range(f[t][s]) for s, t in steps]):
                         check_path(m.diagram, PathWord(vs, idx))
-                count = math.prod(f[t][s] for s, t in steps)
-                checks += count
-                for _ in range(count):
-                    got = m.value(lvl, v)
-                    if got is not last:
-                        last, ok = got, _close(got, p_now[v])
-                    if not ok:
-                        violations.append(
-                            f"(a) path {vs} mass {got} != vertex mass "
-                            f"{p_now[v]} at level {lvl}")
+                if not ok:
+                    count = math.prod(f[t][s] for s, t in steps)
+                    violations += [f"(a) path {vs} mass {got} != vertex mass "
+                                   f"{p_now[v]} at level {lvl}"] * count
             checks += 1
             if not _close(ext[v], p_now[v]):
                 violations.append(

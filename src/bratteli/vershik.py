@@ -223,6 +223,12 @@ class Diamond:
         return frozenset(self.leg_a.vertices) | frozenset(self.leg_b.vertices)
 
 
+def _check_diamond(od: OrderedDiagram, diamond: Diamond):
+    """Raise as ``check_path`` does unless both legs are paths of od."""
+    for leg in (diamond.leg_a, diamond.leg_b):
+        check_path(od.base, PathWord(leg.vertices, leg.mults))
+
+
 def _leg_key(od, leg: Leg):
     ranks = tuple(od.bundle_rank(leg.vertices[t + 1], leg.vertices[t], m)
                   for t, m in enumerate(leg.mults))
@@ -305,9 +311,11 @@ def _p_row(od, diamond: Diamond, h, levels) -> tuple[int, ...]:
 
 def p_value(od: OrderedDiagram, diamond: Diamond, n: int) -> int:
     """Return time P_n: successor steps from the tower of leg_a to the
-    tower of leg_b when the diamond's source sits at level n."""
+    tower of leg_b when the diamond's source sits at level n.  A leg that
+    is not a path of od raises as ``check_path`` does."""
     if n < 1:
         raise ValueError("levels are 1-based")
+    _check_diamond(od, diamond)
     return _p_row(od, diamond, height_table(od.base, n + diamond.length - 1), (n,))[0]
 
 
@@ -342,9 +350,11 @@ def recurrence_coefficients(d: StationaryDiagram) -> tuple[int, ...]:
 
 
 def p_sequence(od: OrderedDiagram, diamond: Diamond, n_max: int) -> PSequence:
-    """P_1, ..., P_n_max of the diamond (n_max >= 1)."""
+    """P_1, ..., P_n_max of the diamond (n_max >= 1); its legs are
+    checked as ``p_value`` checks them."""
     if n_max < 1:
         raise ValueError("levels are 1-based")
+    _check_diamond(od, diamond)
     h = height_table(od.base, n_max + diamond.length - 1)
     return PSequence(diamond, _p_row(od, diamond, h, range(1, n_max + 1)),
                      recurrence_coefficients(od.base))
@@ -588,9 +598,11 @@ def nonmixing_witness(od: OrderedDiagram, alpha: int, diamond: Diamond) -> Nonmi
     gate refuses an initial class of Perron value 1, and one below an
     initial class is not distinguished), so m <= 1 + log2(xi_i / limit).
     Refused: a diagram that is not aperiodic (NotAperiodicError; the gate
-    makes A_aa primitive), an irrational lam (NotInDomainError) and a
-    diamond outside alpha (ValueError)."""
+    makes A_aa primitive), a leg that is not a path of od (as
+    ``check_path`` refuses it), an irrational lam (NotInDomainError) and
+    a diamond outside alpha (ValueError)."""
     decomp = _aperiodic(_ordered(od)._decomposition)
+    _check_diamond(od, diamond)
     eig = distinguished_eigenvector(decomp, alpha)
     verts = decomp.classes[alpha].vertices
     if not diamond.vertices_visited <= set(verts):

@@ -28,6 +28,7 @@ TIMEOUT = 300  # seconds per pytest run
 
 EXTENSION = "tests/test_measures.py::TestExactExtension::test_vectors_match_the_fraction_solves"
 NONMIXING = "tests/test_vershik.py::TestNonmixing::"
+INVARIANCE = "tests/test_oracle.py::TestInvariance::"
 
 # (module under src/, snippet occurring once, replacement, reason, test ids that must fail)
 MUTANTS = [
@@ -71,6 +72,21 @@ MUTANTS = [
      "den = den * scale",
      "earlier _extend entries not rescaled by a new block's L",
      (EXTENSION,)),
+    ("bratteli/oracle.py",
+     "covered = n <= len(g)",
+     "covered = True or n <= len(g)",
+     "every measure taken to cover d, so no path is checked against its diagram",
+     (INVARIANCE + "test_paths_off_the_measure_diagram_raise_as_the_reference",)),
+    ("bratteli/oracle.py",
+     "checks += h[v]\n",
+     "checks += h[v] - 1\n",
+     "one check fewer than the paths to each (level, vertex)",
+     ("tests/test_cli.py::TestVerify::test_ordered_diagram_with_towers",)),
+    ("bratteli/oracle.py",
+     "at level {lvl}\"] * count",
+     "at level {lvl}\"]",
+     "one (a) violation per vertex sequence instead of one per path",
+     (INVARIANCE + "test_each_path_gets_its_own_verdict",)),
     ("bratteli/documents.py",
      "    if count < 0:\n",
      "    if count < -1:\n",

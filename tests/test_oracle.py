@@ -22,7 +22,6 @@ from bratteli import (
     SizeRefused,
     StationaryDiagram,
     brute_force_Q,
-    check_path,
     core_membership,
     core_preimage_oracle,
     decompose,
@@ -39,8 +38,12 @@ from bratteli import (
     verify_invariance,
 )
 from bratteli import oracle
-from bratteli.diagram import height_table, vertex_sequences
+from bratteli.diagram import height_table
 from bratteli.measures import _ClassMeasure
+
+
+# Fibonacci vertices that stay under the path cap for long
+DEEP = StationaryDiagram(((1, 1, 0, 0), (1, 0, 0, 0), (1, 0, 2, 1), (0, 0, 1, 1)))
 
 
 class _Counting:
@@ -66,18 +69,16 @@ class _ConstantStub:
         return 1
 
 
-class _Drifting:
-    """Fake measure whose mass changes from call to call: NaN on every
-    k-th call, 1 otherwise."""
+class _NanAt:
+    """Fake measure that is NaN at fixed (level, vertex) pairs and 1
+    elsewhere: deterministic, as a measure's value must be."""
 
-    def __init__(self, diagram, every):
+    def __init__(self, diagram, pairs):
         self.diagram = diagram
-        self.every = every
-        self.calls = 0
+        self.pairs = pairs
 
     def value(self, level, vertex):
-        self.calls += 1
-        return math.nan if self.calls % self.every == 0 else 1
+        return math.nan if (level, vertex) in self.pairs else 1
 
 
 class _Skewed:
@@ -111,46 +112,31 @@ class TestInvariance:
         assert any(v.startswith("(b)") for v in report.violations)
         assert any("total mass" in v for v in report.violations)
 
-    def test_every_enumerated_path_is_priced(self, eig_chain, monkeypatch):
-        # each measure walks each (level, vertex) once, over the distinct
-        # vertex tuples of enumerate_paths' list in order, no path of the
-        # measures' own diagram goes through check_path, and each measure
-        # asks value() once per path on top of the calls a walk with every
-        # vertex skipped (cap 0, so no sequence is walked) makes
+    def test_one_value_read_per_walked_vertex(self, eig_chain, monkeypatch):
+        # a measure that passes on its own diagram has no path to report:
+        # no vertex sequence is walked and no path goes through check_path.
+        # On top of a walk with every vertex skipped (cap 0), each measure
+        # reads value() once per (level, vertex) and counts one check per path
         d = eig_chain.base
         validated = []
         walked = []
-
-        def counted(diagram, p):
-            validated.append((diagram, p))
-            return check_path(diagram, p)
-
-        def listed(d, v, n):
-            sequences = list(vertex_sequences(d, v, n))
-            walked.append(((n, v), sequences))
-            return iter(sequences)
-
-        monkeypatch.setattr(oracle, "check_path", counted)
-        monkeypatch.setattr(oracle, "vertex_sequences", listed)
+        monkeypatch.setattr(oracle, "check_path", lambda *args: validated.append(args))
+        monkeypatch.setattr(oracle, "vertex_sequences",
+                            lambda *args: walked.append(args) or iter(()))
         levels = range(1, 4)
-        want = [((lvl, v), enumerate_paths(d, v, lvl))
-                for lvl in levels for v in range(d.n_vertices)]
-        paths = [p for _, batch in want for p in batch]
-        assert len(paths) == sum(sum(heights(d, lvl)) for lvl in levels)
         measures = enumerate_ergodic(d) + enumerate_infinite(d)
         assert len(measures) == 3
         bare = [_Counting(m) for m in measures]
-        [verify_invariance(d, m, 3, cap=0) for m in bare]
-        assert validated == walked == []
+        skipping = [verify_invariance(d, m, 3, cap=0) for m in bare]
         full = [_Counting(m) for m in measures]
-        assert all(verify_invariance(d, m, 3).ok for m in full)
-        assert validated == []
-        sequences = [(key, list(dict.fromkeys(p.vertices for p in batch)))
-                     for key, batch in want]
-        assert walked == sequences * len(measures)
-        priced = Counter((p.level, p.terminal) for p in paths)
-        for m, skipping in zip(full, bare):
-            assert m.calls == skipping.calls + priced
+        reports = [verify_invariance(d, m, 3) for m in full]
+        assert all(r.ok for r in skipping + reports)
+        assert validated == walked == []
+        vertices = Counter((lvl, v) for lvl in levels for v in range(d.n_vertices))
+        paths = sum(sum(heights(d, lvl)) for lvl in levels)
+        for m, b, report, skipped in zip(full, bare, reports, skipping):
+            assert m.calls == b.calls + vertices
+            assert report.checks_run == skipped.checks_run + paths + len(vertices)
 
     def test_one_comparison_per_walked_vertex(self, eig_chain, monkeypatch):
         # a real measure gives every path to one (level, vertex) the same
@@ -193,31 +179,51 @@ class TestInvariance:
         assert set(priced.values()) == {1}
 
     def test_the_walk_holds_no_paths(self):
-        # masses are priced per vertex sequence and no path object is
-        # built, so the walk's traced peak stays far below one (level,
+        # masses are priced per (level, vertex) and no path object is
+        # built, so the check's traced peak stays far below one (level,
         # vertex)'s paths: a list of PathWords to level 10 takes megabytes
-        d = StationaryDiagram(((1, 1, 0, 0), (1, 0, 0, 0), (1, 0, 2, 1), (0, 0, 1, 1)))
-        measures = enumerate_ergodic(d)
+        measures = enumerate_ergodic(DEEP)
         tracemalloc.start()
         try:
-            reports = [verify_invariance(d, m, 10) for m in measures]
+            reports = [verify_invariance(DEEP, m, 10) for m in measures]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert all(r.ok for r in reports)
         assert peak < 2 ** 19
 
-    def test_each_path_gets_its_own_verdict(self, eig_chain):
-        # masses that change from path to path, NaN among them, give the
-        # reference's violations, and most paths pass; a verdict is reused
-        # only for the object the previous path got
+    @pytest.mark.parametrize("pairs", [
+        {(1, 0), (2, 1), (3, 0), (4, 1)},
+        {(2, 0), (3, 1)},
+        {(1, 1), (3, 2)},
+    ])
+    def test_each_path_gets_its_own_verdict(self, eig_chain, pairs):
+        # NaN masses at fixed (level, vertex) pairs give the reference's
+        # violations, one per path to each such pair, and most paths pass
         for d in (eig_chain.base, StationaryDiagram(((1, 2), (1, 0)))):
-            for every in (3, 5, 7):
-                want = _sequential_reference(d, _Drifting(d, every), 4, 10 ** 6)
-                got = verify_invariance(d, _Drifting(d, every), 4)
-                assert got == want
-                failed = sum(v.startswith("(a) path") for v in got.violations)
-                assert 0 < failed < got.checks_run / 2
+            want = _sequential_reference(d, _NanAt(d, pairs), 4, 10 ** 6)
+            got = verify_invariance(d, _NanAt(d, pairs), 4)
+            assert got == want
+            failed = sum(v.startswith("(a) path") for v in got.violations)
+            assert 0 < failed < got.checks_run / 2
+
+    def test_cost_grows_with_levels_not_paths(self, monkeypatch):
+        # down to level 30 each measure of the deep fixture counts 6,630,483
+        # checks, one per path under the cap, yet reads value() at most three
+        # times per (level, vertex) and walks no vertex sequence; under a
+        # cap the reference can afford, the whole report is the reference's
+        walked = []
+        monkeypatch.setattr(oracle, "vertex_sequences",
+                            lambda *args: walked.append(args) or iter(()))
+        n, depth = DEEP.n_vertices, 30
+        for m in enumerate_ergodic(DEEP):
+            counted = _Counting(m)
+            report = verify_invariance(DEEP, counted, depth)
+            assert report.ok and report.checks_run == 6_630_483
+            assert sum(counted.calls.values()) <= 3 * n * (depth + 1)
+            assert verify_invariance(DEEP, m, depth, 2000) == _sequential_reference(
+                DEEP, m, depth, 2000)
+        assert walked == []
 
     def test_sums_run_left_to_right(self):
         # from Python 3.12 on, sum() of floats is compensated and would
@@ -247,7 +253,7 @@ class TestInvariance:
     def test_float_range_is_refused_in_measure_order(self):
         # (c) on measure 0 leaves float range at level 738, measure 1's
         # values at 735; checked in measure order, the first one decides
-        d = StationaryDiagram(((1, 1, 0, 0), (1, 0, 0, 0), (1, 0, 2, 1), (0, 0, 1, 1)))
+        d = DEEP
         m0, m1 = enumerate_ergodic(d)
         with pytest.raises(CapExceeded, match="^level 738 is beyond float range$"):
             verify_invariance(d, m0, 738, cap=50)

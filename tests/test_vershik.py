@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bratteli import (
     CapExceeded,
     Diamond,
+    DimensionMismatch,
     EndpointMismatch,
     Leg,
     NotAperiodicError,
@@ -701,6 +702,23 @@ class TestNonmixing:
         dm = make_diamond(wm_a, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
         with pytest.raises(ValueError, match="diamond must live inside the carrying class"):
             nonmixing_witness(wm_a, 0, dm)
+
+    def test_a_leg_off_the_diagram_is_refused(self):
+        # edges 5 and 7 of a bundle of two: no certificate, and no bare
+        # IndexError from the return times
+        od = OrderedDiagram(StationaryDiagram(((2, 1), (1, 2))), ((0, 0, 1), (0, 1, 1)))
+        off = Diamond(Leg((0, 0), (5,)), Leg((0, 0), (7,)))
+        unknown = Diamond(Leg((0, 2), (0,)), Leg((0, 2), (1,)))
+        half = Diamond(Leg((0, 0), (1,)), Leg((0, 0), (2,)))
+        for call in (lambda dm: nonmixing_witness(od, 0, dm),
+                     lambda dm: p_value(od, dm, 3),
+                     lambda dm: p_sequence(od, dm, 3)):
+            with pytest.raises(ValueError, match=r"^no edge 5 from vertex 1 to 1 \(bundle size 2\)$"):
+                call(off)
+            with pytest.raises(ValueError, match=r"^no edge 2 from vertex 1 to 1 "):
+                call(half)
+            with pytest.raises(DimensionMismatch, match="unknown vertex"):
+                call(unknown)
 
     def test_a_class_that_is_not_distinguished_is_refused(self, b1_ordered):
         dm = make_diamond(b1_ordered, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
