@@ -300,7 +300,6 @@ def cmd_verify(args) -> int:
         raise CapExceeded(f"--depth {args.depth} is above the cap of {DEPTH_CAP}",
                           args.depth, DEPTH_CAP)
     doc, base, _ = _load_diagram(args)
-    ordered = isinstance(doc, OrderedDiagram)
     labels = base.effective_labels
     ergodic = enumerate_ergodic(base)
     infinite = enumerate_infinite(base)
@@ -309,7 +308,7 @@ def cmd_verify(args) -> int:
 
     for name, group in (("ergodic", ergodic), ("sigma-finite", infinite)):
         for i, m in enumerate(group, 1):
-            report = verify_invariance(base, m, args.depth)
+            report = verify_invariance(m, args.depth)
             status = "ok" if report.ok else "FAIL"
             out.append(f"{name} measure {i} (class {m.class_id}): {status} "
                        f"({report.checks_run} checks)")
@@ -317,7 +316,7 @@ def cmd_verify(args) -> int:
             out.extend(f"  skipped: {s}" for s in report.skipped)
             violations += len(report.violations)
 
-    if ordered:
+    if isinstance(doc, OrderedDiagram):
         h = height_table(base, args.depth)
         for v in range(base.n_vertices):
             # the deepest level whose tower is small enough to walk

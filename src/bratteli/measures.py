@@ -12,7 +12,8 @@ as large as the carrying one.
 
 Every public function here takes the diagram alone and reads the
 decomposition it carries, ``spectral.decompose(d)``, which each measure
-holds: the diagram itself holds it only weakly.
+holds: the diagram itself holds it only weakly.  A measure's ``value``
+is its closed form, computed on each call; nothing is cached.
 """
 
 from __future__ import annotations
@@ -55,29 +56,7 @@ def within_float_range(level: int, x, compute):
     raise CapExceeded(f"level {level} is beyond float range")
 
 
-class _LevelValues:
-    """``value`` for a measure that prices one vertex with ``_value``."""
-
-    _level = _masses = None  # the level whose masses ``_masses`` holds, one slot per vertex
-    _other = (None, None)  # (level, masses) of the level read before it
-
-    def value(self, level: int, vertex: int):
-        """Measure of any level-n cylinder ending at the given vertex; the last two
-        levels' masses are kept in vertex-indexed lists, outside ==, hash and repr.
-        A refusal of ``_value`` leaves its slot empty, so it is raised again."""
-        if level != self._level:
-            other_level, other = self._other
-            object.__setattr__(self, "_other", (self._level, self._masses))
-            object.__setattr__(self, "_masses", other if other_level == level
-                               else [None] * self.diagram.n_vertices)
-            object.__setattr__(self, "_level", level)
-        mass = self._masses[vertex]
-        if mass is None:
-            mass = self._masses[vertex] = self._value(level, vertex)
-        return mass
-
-
-class _ClassMeasure(_LevelValues):
+class _ClassMeasure:
     """What the measures carried by one class (``decomp``, ``lam``) share."""
 
     @property
@@ -88,7 +67,8 @@ class _ClassMeasure(_LevelValues):
     def is_exact(self):
         return self.lam.is_exact
 
-    def _value(self, level: int, vertex: int):
+    def value(self, level: int, vertex: int):
+        """Mass of any level-n cylinder ending at the vertex: x_v / lam^(n-1)."""
         x = self.vector[vertex]
         if x == math.inf:
             return x
@@ -131,7 +111,7 @@ def measure_of_cylinder(mu, path):
 
 
 @record
-class InvariantMeasure(_LevelValues):
+class InvariantMeasure:
     """Convex combination of the ergodic measures, one coefficient per
     distinguished class in class order."""
 
@@ -163,10 +143,10 @@ class InvariantMeasure(_LevelValues):
         """p(n) = sum_i c_i lambda_i^(1-n) xi_i; satisfies A p(n+1) = p(n)."""
         return tuple(self.value(n, v) for v in range(self.diagram.n_vertices))
 
-    def _value(self, n: int, v: int):
-        """Entry v of p(n).  Exact when ``is_exact``; otherwise every
-        operand is taken to float first (a float scale times a Fraction
-        entry multiplies the two as floats)."""
+    def value(self, n: int, v: int):
+        """Entry v of p(n), the mass of any level-n cylinder ending at v.
+        Exact when ``is_exact``; otherwise every operand is taken to float
+        first (a float scale times a Fraction entry multiplies as floats)."""
         scalar = Fraction if self.is_exact else float
         out = scalar(0)
         for c, m in zip(self.coefficients, self.measures):

@@ -223,9 +223,9 @@ class Diamond:
         return frozenset(self.leg_a.vertices) | frozenset(self.leg_b.vertices)
 
 
-def _check_diamond(od: OrderedDiagram, diamond: Diamond):
-    """Raise as ``check_path`` does unless both legs are paths of od."""
-    for leg in (diamond.leg_a, diamond.leg_b):
+def _check_legs(od: OrderedDiagram, *legs: Leg):
+    """Raise as ``check_path`` does unless every leg is a path of od."""
+    for leg in legs:
         check_path(od.base, PathWord(leg.vertices, leg.mults))
 
 
@@ -238,7 +238,14 @@ def _leg_key(od, leg: Leg):
 def make_diamond(od: OrderedDiagram, leg_a: Leg, leg_b: Leg,
                  class_id: int | None = None) -> Diamond:
     """Canonical form: lexicographically smaller leg first (by vertex
-    sequence, then bundle ranks)."""
+    sequence, then bundle ranks).  A leg that is not a path of od raises
+    as ``check_path`` does."""
+    _check_legs(od, leg_a, leg_b)
+    return _diamond(od, leg_a, leg_b, class_id)
+
+
+def _diamond(od, leg_a: Leg, leg_b: Leg, class_id) -> Diamond:
+    """``make_diamond`` for legs already known to be paths of od."""
     if _leg_key(od, leg_b) < _leg_key(od, leg_a):
         leg_a, leg_b = leg_b, leg_a
     return Diamond(leg_a, leg_b, class_id)
@@ -271,8 +278,7 @@ def enumerate_diamonds(od: OrderedDiagram, alpha: int | None = None,
         for s in sorted(scope):
             for k1 in range(f[v][s]):
                 for k2 in range(k1 + 1, f[v][s]):
-                    out.append(make_diamond(od, Leg((s, v), (k1,)),
-                                            Leg((s, v), (k2,)), alpha))
+                    out.append(_diamond(od, Leg((s, v), (k1,)), Leg((s, v), (k2,)), alpha))
     for j in sorted(scope):                     # source
         for jp in sorted(scope):                # range
             mids = [i for i in sorted(scope) if f[i][j] > 0 and f[jp][i] > 0]
@@ -283,9 +289,8 @@ def enumerate_diamonds(od: OrderedDiagram, alpha: int | None = None,
                         for k2 in range(f[jp][i]):
                             for k3 in range(f[ip][j]):
                                 for k4 in range(f[jp][ip]):
-                                    out.append(make_diamond(
-                                        od, Leg((j, i, jp), (k1, k2)),
-                                        Leg((j, ip, jp), (k3, k4)), alpha))
+                                    out.append(_diamond(od, Leg((j, i, jp), (k1, k2)),
+                                                        Leg((j, ip, jp), (k3, k4)), alpha))
     return out
 
 
@@ -315,7 +320,7 @@ def p_value(od: OrderedDiagram, diamond: Diamond, n: int) -> int:
     is not a path of od raises as ``check_path`` does."""
     if n < 1:
         raise ValueError("levels are 1-based")
-    _check_diamond(od, diamond)
+    _check_legs(od, diamond.leg_a, diamond.leg_b)
     return _p_row(od, diamond, height_table(od.base, n + diamond.length - 1), (n,))[0]
 
 
@@ -354,7 +359,7 @@ def p_sequence(od: OrderedDiagram, diamond: Diamond, n_max: int) -> PSequence:
     checked as ``p_value`` checks them."""
     if n_max < 1:
         raise ValueError("levels are 1-based")
-    _check_diamond(od, diamond)
+    _check_legs(od, diamond.leg_a, diamond.leg_b)
     h = height_table(od.base, n_max + diamond.length - 1)
     return PSequence(diamond, _p_row(od, diamond, h, range(1, n_max + 1)),
                      recurrence_coefficients(od.base))
@@ -478,14 +483,14 @@ def _spanning_diamonds(od, alpha):
     i0 = scope[0]
     for v, s in itertools.product(scope, scope):
         for k in range(1, f[v][s]):
-            yield make_diamond(od, Leg((s, v), (0,)), Leg((s, v), (k,)), alpha)
+            yield _diamond(od, Leg((s, v), (0,)), Leg((s, v), (k,)), alpha)
     for i, j in itertools.product(scope[1:], scope):
-        yield make_diamond(od, Leg((j, i0, i0), (0, 0)), Leg((j, i, i0), (0, 0)), alpha)
-        yield make_diamond(od, Leg((i0, i0, j), (0, 0)), Leg((i0, i, j), (0, 0)), alpha)
+        yield _diamond(od, Leg((j, i0, i0), (0, 0)), Leg((j, i, i0), (0, 0)), alpha)
+        yield _diamond(od, Leg((i0, i0, j), (0, 0)), Leg((i0, i, j), (0, 0)), alpha)
     for i, jp in itertools.product(scope if len(scope) > 1 else (), scope):
         m = scope[1] if i == i0 else i0
         for k in range(1, f[jp][i]):
-            yield make_diamond(od, Leg((i0, m, jp), (0, 0)), Leg((i0, i, jp), (0, k)), alpha)
+            yield _diamond(od, Leg((i0, m, jp), (0, 0)), Leg((i0, i, jp), (0, k)), alpha)
 
 
 def eigenvalue_check(od: OrderedDiagram, alpha: int, theta,
@@ -602,7 +607,7 @@ def nonmixing_witness(od: OrderedDiagram, alpha: int, diamond: Diamond) -> Nonmi
     ``check_path`` refuses it), an irrational lam (NotInDomainError) and
     a diamond outside alpha (ValueError)."""
     decomp = _aperiodic(_ordered(od)._decomposition)
-    _check_diamond(od, diamond)
+    _check_legs(od, diamond.leg_a, diamond.leg_b)
     eig = distinguished_eigenvector(decomp, alpha)
     verts = decomp.classes[alpha].vertices
     if not diamond.vertices_visited <= set(verts):

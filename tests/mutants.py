@@ -73,13 +73,19 @@ MUTANTS = [
      "earlier _extend entries not rescaled by a new block's L",
      (EXTENSION,)),
     ("bratteli/oracle.py",
-     "covered = n <= len(g)",
-     "covered = True or n <= len(g)",
-     "every measure taken to cover d, so no path is checked against its diagram",
-     (INVARIANCE + "test_paths_off_the_measure_diagram_raise_as_the_reference",)),
+     "if not _close(p_now[v], p_now[v]):",
+     "if False:",
+     "check (a) never compares a mass, so a NaN mass gets no path verdicts",
+     (INVARIANCE + "test_each_path_gets_its_own_verdict",)),
     ("bratteli/oracle.py",
-     "checks += h[v]\n",
-     "checks += h[v] - 1\n",
+     "p_next = [m.value(lvl + 1, v)",
+     "p_next = [m.value(lvl + 2, v)",
+     "verify reads p_next one level too deep",
+     (INVARIANCE + "test_ergodic_measure_passes",
+      INVARIANCE + "test_each_level_vertex_is_priced_once")),
+    ("bratteli/oracle.py",
+     "checks += h[v] + 1 ",
+     "checks += h[v] ",
      "one check fewer than the paths to each (level, vertex)",
      ("tests/test_cli.py::TestVerify::test_ordered_diagram_with_towers",)),
     ("bratteli/oracle.py",
@@ -87,6 +93,24 @@ MUTANTS = [
      "at level {lvl}\"]",
      "one (a) violation per vertex sequence instead of one per path",
      (INVARIANCE + "test_each_path_gets_its_own_verdict",)),
+    ("bratteli/vershik.py",
+     "    _check_legs(od, leg_a, leg_b)\n",
+     "",
+     "make_diamond without its leg check",
+     ("tests/test_vershik.py::TestDiamonds::test_make_diamond_refuses_an_edge_off_its_bundle",
+      "tests/test_vershik.py::TestDiamonds::test_make_diamond_refuses_an_unknown_vertex")),
+    ("bratteli/measures.py",
+     "nv_compare(decomp.classes[b].rho, lam) >= 0:",
+     "nv_compare(decomp.classes[b].rho, lam) > 0:",
+     "an accessor of equal Perron value not taken as divergent in tail_valuation",
+     ("tests/test_measures.py::TestSigmaFinite::test_dominated_middle_class",
+      "tests/test_acceptance.py::test_criterion_9_tail_measure_valuation")),
+    ("bratteli/spectral.py",
+     "vec = [m[n - 2][n - 2] if n > 1 else 1]",
+     "vec = [1]",
+     "_perron_sign's back-substitution started from 1 instead of d",
+     ("tests/test_spectral.py::TestPerronBracket::"
+      "test_perron_sign_matches_the_characteristic_polynomial",)),
     ("bratteli/documents.py",
      "    if count < 0:\n",
      "    if count < -1:\n",

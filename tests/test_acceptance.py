@@ -254,7 +254,7 @@ def test_criterion_7_randomized_oracle_equivalence():
     for d in corpus:
         primitive, _ = telescope_to_primitive(d)
         for m in enumerate_ergodic(primitive):
-            report = verify_invariance(primitive, m, 5)
+            report = verify_invariance(m, 5)
             assert not report.violations
             invariance_checks += 1
     assert invariance_checks >= len(corpus)

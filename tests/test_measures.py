@@ -36,7 +36,6 @@ from bratteli import (
 )
 from bratteli import linalg, measures
 from bratteli.errors import AmbiguousComparison, PrimitivityError
-from bratteli.measures import _ClassMeasure
 from bratteli.spectral import NumericValue, nv_compare
 
 from conftest import aperiodic_corpus, block_chain, dominance_family, random_diagram
@@ -290,20 +289,22 @@ class TestDominanceWalk:
                 assert len(calls) <= len(dec.accessors_of(cls.index))
 
 
-class TestLevelCache:
-    """``value`` keeps the values of two levels; they are the formula's."""
+class TestLevelValues:
+    """``value`` is the closed form: xi_v / lambda^(n-1) for one class,
+    the p(n) entry for a mixture, computed on each call."""
 
-    def test_cached_values_are_the_formula_values(self):
+    def test_values_are_the_formula_values(self):
         count = 0
         for d in aperiodic_corpus():
             t = telescope_to_primitive(d)[0]
             for m in enumerate_ergodic(t) + enumerate_infinite(t):
+                lam = m.lam.value
                 for level in range(1, 9):
-                    expected = [m._value(level, v) for v in range(len(m.vector))]
-                    for _ in range(2):  # the second pass reads the cache
-                        got = [m.value(level, v) for v in range(len(expected))]
-                        assert ([(repr(x), type(x)) for x in got]
-                                == [(repr(x), type(x)) for x in expected]), (d, level)
+                    expected = [x if x == math.inf else x / lam ** (level - 1)
+                                for x in m.vector]
+                    got = [m.value(level, v) for v in range(len(expected))]
+                    assert ([(repr(x), type(x)) for x in got]
+                            == [(repr(x), type(x)) for x in expected]), (d, level)
                 count += 1
         assert count == 25
 
@@ -314,17 +315,21 @@ class TestLevelCache:
             k = len(measures)
             for coefficients in ((Fraction(1, k),) * k, (1 / k,) * k):
                 mix = InvariantMeasure(measures, coefficients)
+                scalar = Fraction if mix.is_exact else float
                 for level in range(1, 9):
                     expected = mix.p_vector(level)
-                    assert expected == tuple(mix._value(level, v) for v in range(len(expected)))
-                    for _ in range(2):  # the second pass reads the cache
-                        got = tuple(mix.value(level, v) for v in range(len(expected)))
-                        assert ([(repr(x), type(x)) for x in got]
-                                == [(repr(x), type(x)) for x in expected]), (d, level)
+                    formula = tuple(
+                        sum((scalar(c) / scalar(m.lam.value) ** (level - 1) * m.xi[v]
+                             for c, m in zip(coefficients, measures)), scalar(0))
+                        for v in range(len(expected)))
+                    assert expected == formula
+                    got = tuple(mix.value(level, v) for v in range(len(expected)))
+                    assert ([(repr(x), type(x)) for x in got]
+                            == [(repr(x), type(x)) for x in expected]), (d, level)
                 count += 1
         assert count == 42
 
-    def test_cache_is_outside_equality_hash_and_repr(self, b1):
+    def test_reads_leave_equality_hash_and_repr(self, b1):
         (fresh,), (used,) = enumerate_ergodic(b1), enumerate_ergodic(b1)
         (tail,), (used_tail,) = enumerate_infinite(b1), enumerate_infinite(b1)
         mix, used_mix = InvariantMeasure((fresh,), (1,)), InvariantMeasure((used,), (1,))
@@ -333,44 +338,6 @@ class TestLevelCache:
         used_mix.value(3, 0)
         for a, b in ((fresh, used), (tail, used_tail), (mix, used_mix)):
             assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-
-    def test_repeated_reads_return_the_same_object(self, b1):
-        # verify reuses a path's verdict for the object the previous path
-        # got, so a read at the kept level must not price the vertex again
-        (mu,), (tail,) = enumerate_ergodic(b1), enumerate_infinite(b1)
-        exact, approximate = InvariantMeasure((mu,), (1,)), InvariantMeasure((mu,), (1.0,))
-        assert exact.is_exact and not approximate.is_exact
-        for m in (mu, tail, exact, approximate):
-            for level in (1, 4, 4, 2):
-                first = [m.value(level, v) for v in range(2)]
-                again = [m.value(level, v) for v in range(2)]
-                assert all(a is b for a, b in zip(first, again)), (m.kind, level)
-                assert first == [m._value(level, v) for v in range(2)]
-
-    def test_the_level_read_before_is_kept_too(self, b1, monkeypatch):
-        # verify reads levels n, n + 1 and n again, so the third read must
-        # price nothing; a third level replaces the older of the two
-        (mu,), (tail,) = enumerate_ergodic(b1), enumerate_infinite(b1)
-        mix = InvariantMeasure(tuple(enumerate_ergodic(b1)), (1,))
-        priced = []
-
-        def counting(value):
-            def counted(self, level, vertex):
-                priced.append((id(self), level, vertex))
-                return value(self, level, vertex)
-            return counted
-
-        for cls in (_ClassMeasure, InvariantMeasure):
-            monkeypatch.setattr(cls, "_value", counting(cls._value))
-        for m in (mu, tail, mix):
-            first = {level: [m.value(level, v) for v in range(2)] for level in (3, 4)}
-            for level in (3, 4, 3, 4):
-                again = [m.value(level, v) for v in range(2)]
-                assert all(a is b for a, b in zip(first[level], again)), (m.kind, level)
-            m.value(5, 0)
-            m.value(3, 0)
-            assert [p[1:] for p in priced if p[0] == id(m)] == [
-                (3, 0), (3, 1), (4, 0), (4, 1), (5, 0), (3, 0)], m.kind
 
 
 class TestFloatRange:

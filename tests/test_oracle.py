@@ -34,6 +34,7 @@ from bratteli import (
     measure_of_cylinder,
     min_path,
     q_steps,
+    telescope,
     telescope_to_primitive,
     verify_invariance,
 )
@@ -94,7 +95,7 @@ class _Skewed:
 class TestInvariance:
     def test_ergodic_measure_passes(self, b1):
         (mu,) = enumerate_ergodic(b1)
-        report = verify_invariance(b1, mu, n_max=5)
+        report = verify_invariance(mu, n_max=5)
         assert report.ok
         assert report.violations == ()
         assert report.skipped == ()
@@ -102,41 +103,50 @@ class TestInvariance:
 
     def test_infinite_measure_skips_the_total_mass_check(self, b1):
         (nu,) = enumerate_infinite(b1)
-        report = verify_invariance(b1, nu, n_max=4)
+        report = verify_invariance(nu, n_max=4)
         assert report.ok
         assert any("total mass skipped" in s for s in report.skipped)
 
     def test_bogus_measure_is_caught(self, b1):
-        report = verify_invariance(b1, _ConstantStub(b1), n_max=3)
+        report = verify_invariance(_ConstantStub(b1), n_max=3)
         assert not report.ok
         assert any(v.startswith("(b)") for v in report.violations)
         assert any("total mass" in v for v in report.violations)
 
     def test_one_value_read_per_walked_vertex(self, eig_chain, monkeypatch):
-        # a measure that passes on its own diagram has no path to report:
-        # no vertex sequence is walked and no path goes through check_path.
-        # On top of a walk with every vertex skipped (cap 0), each measure
-        # reads value() once per (level, vertex) and counts one check per path
+        # a measure that passes has no path to report, so no vertex sequence
+        # is walked.  Whatever the cap, value() is read exactly once per
+        # (level, vertex) of levels 1..n_max + 1, and the walk counts one
+        # check per path on top of a walk with every vertex skipped (cap 0)
         d = eig_chain.base
-        validated = []
         walked = []
-        monkeypatch.setattr(oracle, "check_path", lambda *args: validated.append(args))
         monkeypatch.setattr(oracle, "vertex_sequences",
                             lambda *args: walked.append(args) or iter(()))
-        levels = range(1, 4)
         measures = enumerate_ergodic(d) + enumerate_infinite(d)
         assert len(measures) == 3
         bare = [_Counting(m) for m in measures]
-        skipping = [verify_invariance(d, m, 3, cap=0) for m in bare]
+        skipping = [verify_invariance(m, 3, cap=0) for m in bare]
         full = [_Counting(m) for m in measures]
-        reports = [verify_invariance(d, m, 3) for m in full]
+        reports = [verify_invariance(m, 3) for m in full]
         assert all(r.ok for r in skipping + reports)
-        assert validated == walked == []
-        vertices = Counter((lvl, v) for lvl in levels for v in range(d.n_vertices))
-        paths = sum(sum(heights(d, lvl)) for lvl in levels)
+        assert walked == []
+        once = Counter((lvl, v) for lvl in range(1, 5) for v in range(d.n_vertices))
+        paths = sum(sum(heights(d, lvl)) for lvl in range(1, 4))
         for m, b, report, skipped in zip(full, bare, reports, skipping):
-            assert m.calls == b.calls + vertices
-            assert report.checks_run == skipped.checks_run + paths + len(vertices)
+            assert m.calls == b.calls == once
+            assert report.checks_run == skipped.checks_run + paths + 3 * d.n_vertices
+
+    def test_a_measure_is_checked_on_its_own_diagram(self, eig_chain):
+        # no diagram is passed: the heights, and so the check counts, are
+        # those of the diagram the measure carries, eig_chain telescoped by 2
+        t = telescope(eig_chain.base, 2)
+        n = t.n_vertices
+        for m in enumerate_ergodic(t) + enumerate_infinite(t):
+            report = verify_invariance(m, 2)
+            assert report.ok and report == _sequential_reference(m, 2, 10 ** 6)
+            finite = not report.skipped
+            assert report.checks_run == (sum(sum(heights(t, lvl)) for lvl in (1, 2))
+                                         + 2 * (2 * n + finite))
 
     def test_one_comparison_per_walked_vertex(self, eig_chain, monkeypatch):
         # a real measure gives every path to one (level, vertex) the same
@@ -153,27 +163,27 @@ class TestInvariance:
 
         monkeypatch.setattr(oracle, "_close", counted)
         mu = enumerate_ergodic(d)[0]
-        assert verify_invariance(d, mu, 4, cap=0).ok
+        assert verify_invariance(mu, 4, cap=0).ok
         bare = len(calls)
         calls.clear()
-        assert verify_invariance(d, mu, 4).ok
+        assert verify_invariance(mu, 4).ok
         assert len(calls) == bare + 2 * 4 * d.n_vertices
 
     def test_each_level_vertex_is_priced_once(self, eig_chain, monkeypatch):
-        # verify reads level n, then n + 1, then walks n again: each measure
-        # prices the 3 vertices of levels 1..5 once, 15 _value calls, where
-        # keeping one level priced 36
+        # verify carries level n + 1's masses into the step for level n + 1:
+        # each measure prices the 3 vertices of levels 1..5 once, 15 value
+        # calls
         d = eig_chain.base
         measures = enumerate_ergodic(d) + enumerate_infinite(d)
         priced = Counter()
-        value = _ClassMeasure._value
+        value = _ClassMeasure.value
 
         def counted(self, level, vertex):
             priced[id(self), level, vertex] += 1
             return value(self, level, vertex)
 
-        monkeypatch.setattr(_ClassMeasure, "_value", counted)
-        assert all(verify_invariance(d, m, 4).ok for m in measures)
+        monkeypatch.setattr(_ClassMeasure, "value", counted)
+        assert all(verify_invariance(m, 4).ok for m in measures)
         assert sorted(priced) == sorted((id(m), lvl, v) for m in measures
                                         for lvl in range(1, 6) for v in range(3))
         assert set(priced.values()) == {1}
@@ -185,7 +195,7 @@ class TestInvariance:
         measures = enumerate_ergodic(DEEP)
         tracemalloc.start()
         try:
-            reports = [verify_invariance(DEEP, m, 10) for m in measures]
+            reports = [verify_invariance(m, 10) for m in measures]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -201,54 +211,38 @@ class TestInvariance:
         # NaN masses at fixed (level, vertex) pairs give the reference's
         # violations, one per path to each such pair, and most paths pass
         for d in (eig_chain.base, StationaryDiagram(((1, 2), (1, 0)))):
-            want = _sequential_reference(d, _NanAt(d, pairs), 4, 10 ** 6)
-            got = verify_invariance(d, _NanAt(d, pairs), 4)
+            want = _sequential_reference(_NanAt(d, pairs), 4, 10 ** 6)
+            got = verify_invariance(_NanAt(d, pairs), 4)
             assert got == want
             failed = sum(v.startswith("(a) path") for v in got.violations)
             assert 0 < failed < got.checks_run / 2
 
     def test_cost_grows_with_levels_not_paths(self, monkeypatch):
         # down to level 30 each measure of the deep fixture counts 6,630,483
-        # checks, one per path under the cap, yet reads value() at most three
-        # times per (level, vertex) and walks no vertex sequence; under a
-        # cap the reference can afford, the whole report is the reference's
+        # checks, one per path under the cap, yet reads value() once per
+        # (level, vertex) and walks no vertex sequence; under a cap the
+        # reference can afford, the whole report is the reference's
         walked = []
         monkeypatch.setattr(oracle, "vertex_sequences",
                             lambda *args: walked.append(args) or iter(()))
         n, depth = DEEP.n_vertices, 30
         for m in enumerate_ergodic(DEEP):
             counted = _Counting(m)
-            report = verify_invariance(DEEP, counted, depth)
+            report = verify_invariance(counted, depth)
             assert report.ok and report.checks_run == 6_630_483
-            assert sum(counted.calls.values()) <= 3 * n * (depth + 1)
-            assert verify_invariance(DEEP, m, depth, 2000) == _sequential_reference(
-                DEEP, m, depth, 2000)
+            assert sum(counted.calls.values()) == n * (depth + 1)
+            assert verify_invariance(m, depth, 2000) == _sequential_reference(m, depth, 2000)
         assert walked == []
 
     def test_sums_run_left_to_right(self):
         # from Python 3.12 on, sum() of floats is compensated and would
         # print 1.0 here
         d = StationaryDiagram(((1, 1, 1),) * 3)
-        report = verify_invariance(d, _Skewed(d), n_max=1)
+        report = verify_invariance(_Skewed(d), n_max=1)
         assert "(b) (A p(2))[0] = 0.0 != p(1)[0] = 1e+16" in report.violations
         assert ("(a) extensions of vertex 0 level 1 sum to 0.0, cylinder mass is 1e+16"
                 in report.violations)
         assert "(c) total mass at level 1 is 0.0" in report.violations
-
-    @pytest.mark.parametrize("other", [
-        ((5, 0, 0), (2, 2, 0), (0, 2, 25)),  # the bundle 2 -> 2 one edge short
-        ((5, 0, 0), (2, 3, 0), (0, 2, 24)),  # the bundle 3 -> 3 one edge short
-        ((5, 0), (2, 3)),  # vertex 3 missing
-    ])
-    def test_paths_off_the_measure_diagram_raise_as_the_reference(self, eig_chain, other):
-        d = eig_chain.base
-        stub = _ConstantStub(StationaryDiagram(other))
-        mu = enumerate_ergodic(d)[0]
-        for measures in ((stub,), (mu, stub)):
-            want = _outcome(lambda: [_sequential_reference(d, m, 3, 10 ** 6)
-                                     for m in measures])
-            assert want[0] in (ValueError, DimensionMismatch)
-            assert _outcome(lambda: [verify_invariance(d, m, 3) for m in measures]) == want
 
     def test_float_range_is_refused_in_measure_order(self):
         # (c) on measure 0 leaves float range at level 738, measure 1's
@@ -256,26 +250,27 @@ class TestInvariance:
         d = DEEP
         m0, m1 = enumerate_ergodic(d)
         with pytest.raises(CapExceeded, match="^level 738 is beyond float range$"):
-            verify_invariance(d, m0, 738, cap=50)
+            verify_invariance(m0, 738, cap=50)
         with pytest.raises(CapExceeded, match="^level 735 is beyond float range$"):
-            verify_invariance(d, m1, 738, cap=50)
+            verify_invariance(m1, 738, cap=50)
         with pytest.raises(CapExceeded, match="^level 738 "):
-            [verify_invariance(d, m, 738, cap=50) for m in (m0, m1)]
+            [verify_invariance(m, 738, cap=50) for m in (m0, m1)]
         with pytest.raises(CapExceeded, match="^level 735 "):
-            [verify_invariance(d, m, 738, cap=50) for m in (m1, m0)]
-        assert all(verify_invariance(d, m, 733, cap=50).ok for m in (m0, m1))
+            [verify_invariance(m, 738, cap=50) for m in (m1, m0)]
+        assert all(verify_invariance(m, 733, cap=50).ok for m in (m0, m1))
 
     def test_cap_produces_skips_not_failures(self, b1):
         (mu,) = enumerate_ergodic(b1)
-        report = verify_invariance(b1, mu, n_max=8, cap=10)
+        report = verify_invariance(mu, n_max=8, cap=10)
         assert report.ok
         assert any("exceeds cap" in s for s in report.skipped)
 
 
-def _sequential_reference(d, m, n_max, cap):
+def _sequential_reference(m, n_max, cap):
     """verify_invariance as one walk of enumerate_paths' paths per
     measure, each priced with measure_of_cylinder: the reference for the
     walk by vertex sequence."""
+    d = m.diagram
     a = [list(col) for col in zip(*d.incidence)]
     n = d.n_vertices
     violations = []
@@ -340,13 +335,9 @@ def _outcome(run):
 def test_sweep_matches_the_sequential_reference():
     """verify_invariance gives the report, or raises the exception, of one
     reference walk per measure, on random diagrams with their measures
-    (when aperiodic) and a measure that violates every check; in a
-    quarter of the draws a measure of the previous diagram, whose paths
-    may fail check_path, joins at a random place."""
+    (when aperiodic) and a measure that violates every check."""
     rng = random.Random(5)
-    place = random.Random(6)
     walked = 0
-    previous = None
     for _ in range(400):
         d = random_diagram(rng, n_max=4, entry_max=3)
         depth = rng.randint(1, 6)
@@ -356,11 +347,8 @@ def test_sweep_matches_the_sequential_reference():
         except (NotAperiodicError, PrimitivityError):
             measures = []
         measures.append(_ConstantStub(d))
-        if previous is not None and place.random() < 0.25:
-            measures.insert(place.randint(0, len(measures)), _ConstantStub(previous))
-        previous = d
-        want = _outcome(lambda: [_sequential_reference(d, m, depth, cap) for m in measures])
-        assert _outcome(lambda: [verify_invariance(d, m, depth, cap) for m in measures]) == want
+        want = _outcome(lambda: [_sequential_reference(m, depth, cap) for m in measures])
+        assert _outcome(lambda: [verify_invariance(m, depth, cap) for m in measures]) == want
         walked += len(measures)
     assert walked > 400
 

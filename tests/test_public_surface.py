@@ -1,7 +1,9 @@
 """The package's public names, listed, so that one is added to or removed
 from ``bratteli.__all__`` only on purpose: such a change edits this list.
-And the argument rule over them: a diagram carries its decomposition, so
-only the ``spectral`` functions that read class data take one."""
+And the argument rules over them: a diagram carries its decomposition, so
+only the ``spectral`` functions that read class data take one; and a
+measure carries its diagram, so a function that takes a measure takes it
+first, and no diagram with it."""
 
 import inspect
 
@@ -63,3 +65,32 @@ def test_only_the_class_data_readers_take_a_decomposition():
     # the walk sees what it looks for: an annotated diagram and a named one
     assert not _takes_a_decomposition(bratteli.tail_valuation)
     assert len(functions) > 60
+
+
+# the functions given a measure; each takes it first
+MEASURE_TAKERS = ["measure_of_cylinder", "measure_record", "support_classes",
+                  "verify_invariance"]
+MEASURES = ("ErgodicMeasure", "InvariantMeasure", "TailMeasure")
+DIAGRAMS = ("StationaryDiagram", "OrderedDiagram")
+
+
+def _params(fn, names, annotations):
+    """Positions of the parameters of fn that are named or annotated as one
+    of the given kinds."""
+    return [i for i, p in enumerate(inspect.signature(fn).parameters.values())
+            if p.name in names or p.annotation in annotations]
+
+
+def test_a_measure_is_passed_without_its_diagram():
+    functions = {name: getattr(bratteli, name) for name in bratteli.__all__
+                 if inspect.isfunction(getattr(bratteli, name))}
+    measure_at = {name: _params(fn, ("m", "mu", "measure"), MEASURES)
+                  for name, fn in functions.items()}
+    assert sorted(name for name, at in measure_at.items() if at) == MEASURE_TAKERS
+    assert all(measure_at[name] == [0] for name in MEASURE_TAKERS)
+    assert not [name for name in MEASURE_TAKERS
+                if _params(functions[name], ("d", "od"), DIAGRAMS)]
+    # the walk sees what it looks for: annotated and unannotated parameters
+    assert _params(bratteli.support_classes, (), MEASURES) == [0]
+    assert _params(bratteli.check_path, (), DIAGRAMS) == [0]
+    assert _params(bratteli.serialize_diagram, ("d", "od"), ()) == [0]

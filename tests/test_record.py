@@ -118,7 +118,7 @@ def _samples():
         "ErgodicMeasure": ergodic,
         "GrowthReport": [growth_check(thue_morse),
                          growth_check(Substitution(("a", "b"), {"a": "ab", "b": "b"}))],
-        "InvarianceReport": [verify_invariance(morse, ergodic[0], n) for n in (2, 3)],
+        "InvarianceReport": [verify_invariance(ergodic[0], n) for n in (2, 3)],
         "InvariantMeasure": [measure_from_point(morse, p) for p in
                              ((Fraction(2, 9), Fraction(1, 9), Fraction(2, 9), Fraction(1, 9),
                                Fraction(1, 3)),

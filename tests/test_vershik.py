@@ -200,6 +200,27 @@ class TestDiamonds:
         a, b = Leg((0, 0), (0,)), Leg((0, 0), (1,))
         assert make_diamond(two_odometer, a, b) == make_diamond(two_odometer, b, a)
 
+    # F = ((2,1),(1,2)): a bundle of two edges at each loop
+    OFF_BUNDLE = OrderedDiagram(StationaryDiagram(((2, 1), (1, 2))), ((0, 0, 1), (0, 1, 1)))
+
+    @pytest.mark.parametrize("off", ("leg_a", "leg_b"))
+    def test_make_diamond_refuses_an_edge_off_its_bundle(self, off):
+        # raised as check_path raises it, not as a bare IndexError from the
+        # bundle ranks, whichever leg holds the edge
+        od = self.OFF_BUNDLE
+        legs = [Leg((0, 0), (5,)), Leg((0, 0), (1,))]
+        with pytest.raises(ValueError, match=r"^no edge 5 from vertex 1 to 1 \(bundle size 2\)$"):
+            make_diamond(od, *(legs if off == "leg_a" else legs[::-1]))
+        with pytest.raises(ValueError, match=r"^no edge 5 from vertex 1 to 1 "):
+            make_diamond(od, Leg((0, 0), (5,)), Leg((0, 0), (7,)))
+
+    @pytest.mark.parametrize("off", ("leg_a", "leg_b"))
+    def test_make_diamond_refuses_an_unknown_vertex(self, off):
+        od = self.OFF_BUNDLE
+        legs = [Leg((0, 3, 0), (0, 0)), Leg((0, 1, 0), (0, 0))]
+        with pytest.raises(DimensionMismatch, match="^path visits an unknown vertex$"):
+            make_diamond(od, *(legs if off == "leg_a" else legs[::-1]))
+
     def test_odometer_has_one_diamond(self, two_odometer):
         (dm,) = enumerate_diamonds(two_odometer)
         assert dm.length == 1
