@@ -112,6 +112,7 @@ def heights(d: StationaryDiagram, n: int) -> tuple[int, ...]:
 
 
 TELESCOPE_CAP = 10 ** 6  # telescoping power, and edges per level after it
+PATH_CAP = 10 ** 6       # paths enumerate_paths lists
 
 
 def telescope(d: StationaryDiagram, k: int) -> StationaryDiagram:
@@ -199,15 +200,16 @@ def vertex_sequences(d: StationaryDiagram, v: int, n: int):
             yield (w, *upper)
 
 
-def enumerate_paths(d: StationaryDiagram, v: int, n: int, cap: int = 10 ** 6) -> list[PathWord]:
+def enumerate_paths(d: StationaryDiagram, v: int, n: int) -> list[PathWord]:
     """All paths from the root to vertex v at level n, in a fixed
     deterministic order (sources ascending, bundle indices ascending,
     most significant choice at the top level): for each sequence of
     ``vertex_sequences`` in turn, its paths with bundle indices in
-    ``itertools.product`` order."""
+    ``itertools.product`` order.  More than ``PATH_CAP`` paths raises
+    CapExceeded before any is built."""
     total = heights(d, n)[v]
-    if total > cap:
-        raise CapExceeded(f"{total} paths exceed the cap of {cap}", total, cap)
+    if total > PATH_CAP:
+        raise CapExceeded(f"{total} paths exceed the cap of {PATH_CAP}", total, PATH_CAP)
     f = d.incidence
     paths = [PathWord(vs, idx) for vs in vertex_sequences(d, v, n)
              for idx in itertools.product(*[range(f[b][a]) for a, b in zip(vs, vs[1:])])]

@@ -11,7 +11,6 @@ simulation and when a measure itself carries approximate data.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -23,7 +22,7 @@ from .record import record
 from .spectral import DEFAULT_GAP
 from .vershik import OrderedDiagram, _step
 
-STEP_CAP = 10 ** 6
+STEP_CAP = 10 ** 6  # paths per (level, vertex) in verify, tower and orbit steps in the walks
 
 
 def _close(a, b):
@@ -50,7 +49,7 @@ class InvarianceReport:
         return not self.violations
 
 
-def verify_invariance(m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport:
+def verify_invariance(m, n_max: int) -> InvarianceReport:
     """Check that m is tail invariant on its own diagram, ``m.diagram``,
     up to level n_max.
 
@@ -66,8 +65,8 @@ def verify_invariance(m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport:
     every call.  So it is read once per (level, vertex) of levels 1 to
     n_max + 1, and (a) compares the mass read with itself: it fails only
     on a mass that is not equal to itself (NaN).  Each (level, vertex)
-    whose height is at most cap counts one check per path, h(n)[v] of
-    them; the others are skipped, and so reported.  The cost does not
+    whose height is at most ``STEP_CAP`` counts one check per path, h(n)[v]
+    of them; the others are skipped, and so reported.  The cost does not
     grow with the number of paths: the ``vertex_sequences`` of a (level,
     vertex) are walked only to give each path of a failed comparison its
     own violation (a sequence carries the product of its bundle sizes).
@@ -89,9 +88,9 @@ def verify_invariance(m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport:
 
         # (a) constancy over paths and one-edge additivity
         for v in range(n):
-            if h[v] > cap:
+            if h[v] > STEP_CAP:
                 skipped.append(f"path enumeration at level {lvl} vertex {v} "
-                               f"exceeds cap {cap}")
+                               f"exceeds cap {STEP_CAP}")
                 continue
             checks += h[v] + 1  # one per path, one for the extensions
             if not _close(p_now[v], p_now[v]):
@@ -126,17 +125,12 @@ def verify_invariance(m, n_max: int, cap: int = STEP_CAP) -> InvarianceReport:
     return InvarianceReport(n_max, checks, tuple(violations), tuple(skipped))
 
 
-@functools.lru_cache(maxsize=64)  # brute_force_Q's tower sizes, once per (diagram, level)
-def _heights(d, level):
-    return heights(d, level)
-
-
-def brute_force_Q(od: OrderedDiagram, e: PathWord, e2: PathWord,
-                  cap: int = STEP_CAP) -> int:
+def brute_force_Q(od: OrderedDiagram, e: PathWord, e2: PathWord) -> int:
     """Rank difference e2 - e found by walking the successor map.
 
     Independent of path_rank: counts actual successor steps between the
-    two paths, in whichever direction terminates.
+    two paths, in whichever direction terminates.  A tower of more than
+    ``STEP_CAP`` paths raises CapExceeded before any step.
     """
     if e.level != e2.level or e.terminal != e2.terminal:
         raise EndpointMismatch(
@@ -144,10 +138,10 @@ def brute_force_Q(od: OrderedDiagram, e: PathWord, e2: PathWord,
             f"level {e2.level} vertex {e2.terminal}")
     check_path(od.base, e)
     check_path(od.base, e2)
-    tower = _heights(od.base, e.level)[e.terminal]
-    if tower > cap:
+    tower = heights(od.base, e.level)[e.terminal]
+    if tower > STEP_CAP:
         raise CapExceeded(f"tower of {tower} paths exceeds step cap",
-                          required=tower, cap=cap)
+                          required=tower, cap=STEP_CAP)
     if e == e2:
         return 0
     for a, b, sign in ((e, e2, 1), (e2, e, -1)):

@@ -78,7 +78,7 @@ from .record import record
 
 DEFAULT_GAP = 1e-9
 _POWER_STEPS = 200000
-LEVEL_CAP = 10 ** 4  # core_membership's k_max (each level past nu is one integer step)
+LEVEL_CAP = 10 ** 4  # core_membership's 2N levels (each level past nu is one integer step)
 
 
 def _decimal(n: int) -> str:
@@ -530,7 +530,7 @@ def distinguished_classes(decomp: ComponentDecomposition) -> tuple[int, ...]:
 
 def check_primitive(decomp: ComponentDecomposition):
     """Raise PrimitivityError unless every non-zero block is primitive."""
-    q = math.lcm(1, *(c.imprimitivity for c in _decomp(decomp).classes if c.imprimitivity))
+    q = _primitive_power(_decomp(decomp).diagram)
     if q != 1:
         raise PrimitivityError(
             f"telescope by {q} first: some diagonal block is imprimitive", power=q)
@@ -660,8 +660,7 @@ def _require_exact(x):
     return x
 
 
-def core_membership(decomp: ComponentDecomposition, x,
-                    k_max: int | None = None) -> CoreVerdict:
+def core_membership(decomp: ComponentDecomposition, x) -> CoreVerdict:
     """Is x in the limit cone of A?  Decided in integers for every cone.
     The core is spanned by the extreme vectors xi_e (Tam-Schneider, every
     non-zero block primitive), and a rational x = sum c_e xi_e in it has
@@ -679,19 +678,18 @@ def core_membership(decomp: ComponentDecomposition, x,
     has access to b) decides: in-core when c = M z[rows] >= 0 and
     Y c = L z, coefficients S c / (L q), 0 on each irrational class; with
     no exact class that is z = 0.  Every other x is outside the core:
-    not-in-core at the first k <= k_max (2N by default, CapExceeded above
-    ``LEVEL_CAP``) that ``_refuted_level`` refutes from the cone
-    descriptions kept on the decomposition, with no simplex, else unknown
-    (levels past 1 run for an invertible A or N <= 12; k_max = 0 runs none).
+    not-in-core at the first k <= 2N that ``_refuted_level`` refutes from
+    the cone descriptions kept on the decomposition, with no simplex, else
+    unknown (levels past 1 run for an invertible A or N <= 12).  A diagram
+    with 2N above ``LEVEL_CAP`` raises CapExceeded before any work.
     Entries of x must be ``int`` or ``Fraction`` (TypeError otherwise)."""
     try:
         n = len(decomp.a_matrix)
     except AttributeError:
         _decomp(decomp)  # TypeError for another type, checked only once the read fails
         raise
-    k_max = 2 * n if k_max is None else k_max
-    if k_max > LEVEL_CAP:
-        raise CapExceeded(f"k_max {k_max} is above the cap of {LEVEL_CAP}", k_max, LEVEL_CAP)
+    if 2 * n > LEVEL_CAP:
+        raise CapExceeded(f"2N = {2 * n} levels is above the cap of {LEVEL_CAP}", 2 * n, LEVEL_CAP)
     q = math.lcm(*(v.denominator for v in _require_exact(x)))
     z = [v.numerator * (q // v.denominator) for v in x]
     if len(z) != n:
@@ -703,13 +701,13 @@ def core_membership(decomp: ComponentDecomposition, x,
         if all(ci >= 0 for ci in c) and linalg.mat_vec(ys, c) == [t_scale * v for v in z]:
             return CoreVerdict("in-core", None, tuple(Fraction(s * ci, t_scale * q)
                                                          for ci in c))
-    if (k := _refuted_level(decomp, z, k_max)) is not None:
+    if (k := _refuted_level(decomp, z)) is not None:
         return CoreVerdict("not-in-core", k, None)
     return CoreVerdict("unknown", None, None)
 
 
-def _refuted_level(decomp: ComponentDecomposition, z, k_max):
-    """The first k <= k_max at which ``A^k y = z, y >= 0`` is infeasible
+def _refuted_level(decomp: ComponentDecomposition, z):
+    """The first k <= 2N at which ``A^k y = z, y >= 0`` is infeasible
     for the integer vector z, None when there is none, read off
     ``_levels``.  Level k <= nu is infeasible when W z != 0 or h z[R] < 0
     for a facet normal h.  Past nu, u_k = step u_(k-1) from u_nu = z[R]
@@ -721,19 +719,19 @@ def _refuted_level(decomp: ComponentDecomposition, z, k_max):
     level 1 before any facet is built, and above N = 12 no later level runs."""
     m, scale = decomp._elimination
     if not scale:
-        if k_max > 0 and any(linalg.mat_vec(m, z)):
+        if any(linalg.mat_vec(m, z)):
             return 1
         if len(z) > 12:
             return None
     levels, rows, step = decomp._levels
     u, facets = z, None
     if levels:
-        for k, (kernel, level_rows, facets) in enumerate(levels[:k_max], 1):
+        for k, (kernel, level_rows, facets) in enumerate(levels, 1):
             projected = [z[i] for i in level_rows]
             if any(linalg.mat_vec(kernel, z)) or min(linalg.mat_vec(facets, projected)) < 0:
                 return k
         u = [z[i] for i in rows]
-    for k in range(len(levels) + 1, k_max + 1):
+    for k in range(len(levels) + 1, 2 * len(z) + 1):
         u = linalg.mat_vec(step, u)
         if min(u if facets is None else linalg.mat_vec(facets, u)) < 0:
             return k

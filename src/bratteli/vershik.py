@@ -36,6 +36,7 @@ from .record import record
 from .spectral import _class, decompose, distinguished_eigenvector, positivity_power
 
 WINDOW_CAP = 10 ** 4     # top level of a window (heights are kept per level)
+DIAMOND_CAP = 10 ** 6    # diamonds enumerate_diamonds lists
 
 
 @record
@@ -203,7 +204,6 @@ class Leg:
 class Diamond:
     leg_a: Leg
     leg_b: Leg
-    class_id: int | None = None
 
     def __post_init__(self):
         a, b = self.leg_a, self.leg_b
@@ -235,29 +235,27 @@ def _leg_key(od, leg: Leg):
     return (leg.vertices, ranks)
 
 
-def make_diamond(od: OrderedDiagram, leg_a: Leg, leg_b: Leg,
-                 class_id: int | None = None) -> Diamond:
+def make_diamond(od: OrderedDiagram, leg_a: Leg, leg_b: Leg) -> Diamond:
     """Canonical form: lexicographically smaller leg first (by vertex
     sequence, then bundle ranks).  A leg that is not a path of od raises
     as ``check_path`` does."""
     _check_legs(od, leg_a, leg_b)
-    return _diamond(od, leg_a, leg_b, class_id)
+    return _diamond(od, leg_a, leg_b)
 
 
-def _diamond(od, leg_a: Leg, leg_b: Leg, class_id) -> Diamond:
+def _diamond(od, leg_a: Leg, leg_b: Leg) -> Diamond:
     """``make_diamond`` for legs already known to be paths of od."""
     if _leg_key(od, leg_b) < _leg_key(od, leg_a):
         leg_a, leg_b = leg_b, leg_a
-    return Diamond(leg_a, leg_b, class_id)
+    return Diamond(leg_a, leg_b)
 
 
-def enumerate_diamonds(od: OrderedDiagram, alpha: int | None = None,
-                       cap: int = 10 ** 6) -> list[Diamond]:
+def enumerate_diamonds(od: OrderedDiagram, alpha: int | None = None) -> list[Diamond]:
     """All diamonds of length 1 or 2, one per unordered leg pair.  With
     alpha set, every visited vertex must lie in that class of od.
     Length-2 pairs sharing their middle vertex are omitted: they split
     into two length-1 diamonds.  The output is counted from the incidence
-    matrix first; more than cap diamonds raises CapExceeded."""
+    matrix first; more than ``DIAMOND_CAP`` diamonds raises CapExceeded."""
     f = _ordered(od).base.incidence
     if alpha is None:
         scope = set(range(od.n_vertices))
@@ -270,15 +268,15 @@ def enumerate_diamonds(od: OrderedDiagram, alpha: int | None = None,
         for jp in scope:
             w = [f[i][j] * f[jp][i] for i in scope]
             count += (sum(w) ** 2 - sum(x * x for x in w)) // 2
-    if count > cap:
-        raise CapExceeded(f"{count} diamonds exceed the cap of {cap}", count, cap)
+    if count > DIAMOND_CAP:
+        raise CapExceeded(f"{count} diamonds exceed the cap of {DIAMOND_CAP}", count, DIAMOND_CAP)
 
     out = []
     for v in sorted(scope):
         for s in sorted(scope):
             for k1 in range(f[v][s]):
                 for k2 in range(k1 + 1, f[v][s]):
-                    out.append(_diamond(od, Leg((s, v), (k1,)), Leg((s, v), (k2,)), alpha))
+                    out.append(_diamond(od, Leg((s, v), (k1,)), Leg((s, v), (k2,))))
     for j in sorted(scope):                     # source
         for jp in sorted(scope):                # range
             mids = [i for i in sorted(scope) if f[i][j] > 0 and f[jp][i] > 0]
@@ -290,7 +288,7 @@ def enumerate_diamonds(od: OrderedDiagram, alpha: int | None = None,
                             for k3 in range(f[ip][j]):
                                 for k4 in range(f[jp][ip]):
                                     out.append(_diamond(od, Leg((j, i, jp), (k1, k2)),
-                                                        Leg((j, ip, jp), (k3, k4)), alpha))
+                                                        Leg((j, ip, jp), (k3, k4))))
     return out
 
 
@@ -483,14 +481,14 @@ def _spanning_diamonds(od, alpha):
     i0 = scope[0]
     for v, s in itertools.product(scope, scope):
         for k in range(1, f[v][s]):
-            yield _diamond(od, Leg((s, v), (0,)), Leg((s, v), (k,)), alpha)
+            yield _diamond(od, Leg((s, v), (0,)), Leg((s, v), (k,)))
     for i, j in itertools.product(scope[1:], scope):
-        yield _diamond(od, Leg((j, i0, i0), (0, 0)), Leg((j, i, i0), (0, 0)), alpha)
-        yield _diamond(od, Leg((i0, i0, j), (0, 0)), Leg((i0, i, j), (0, 0)), alpha)
+        yield _diamond(od, Leg((j, i0, i0), (0, 0)), Leg((j, i, i0), (0, 0)))
+        yield _diamond(od, Leg((i0, i0, j), (0, 0)), Leg((i0, i, j), (0, 0)))
     for i, jp in itertools.product(scope if len(scope) > 1 else (), scope):
         m = scope[1] if i == i0 else i0
         for k in range(1, f[jp][i]):
-            yield _diamond(od, Leg((i0, m, jp), (0, 0)), Leg((i0, i, jp), (0, k)), alpha)
+            yield _diamond(od, Leg((i0, m, jp), (0, 0)), Leg((i0, i, jp), (0, k)))
 
 
 def eigenvalue_check(od: OrderedDiagram, alpha: int, theta,

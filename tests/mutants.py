@@ -117,6 +117,31 @@ MUTANTS = [
      "a measure count of -1 accepted",
      ("tests/test_documents.py::test_every_parse_error_names_its_line"
       "[measures-line2-measure count must be non-negative]",)),
+    ("bratteli/spectral.py",
+     "extra = max(extra, m)",
+     "extra = math.lcm(extra, m)",
+     "positivity_power combining the block exponents by lcm instead of max",
+     ("tests/test_spectral.py::TestPrimitivity::"
+      "test_positivity_power_is_the_smallest_adequate_power",)),
+    ("bratteli/substitution.py",
+     'object.__setattr__(self, "rules", dict(self.rules))',
+     'object.__setattr__(self, "rules", self.rules)',
+     "a Substitution sharing its rules dict with the caller",
+     ("tests/test_substitution.py::TestConstruction::test_keeps_its_own_rules",)),
+    ("bratteli/vershik.py",
+     "if not 1 <= a <= b:",
+     "if not 0 <= a <= b:",
+     "an eigenvalue window starting at level 0 accepted",
+     tuple(f"tests/test_vershik.py::TestClassWindow::test_windows_outside_one_to_b_are_refused"
+           f"[{entry}-window1]" for entry in ("eigenvalue_search", "eigenvalue_check",
+                                              "rational_eigenvalue_sufficient"))),
+    ("bratteli/spectral.py",
+     "for k in range(len(levels) + 1, 2 * len(z) + 1):",
+     "for k in range(len(levels) + 1, 2 * len(z)):",
+     "_refuted_level searching 2N - 1 levels",
+     ("tests/test_spectral.py::TestCoreMembership::"
+      "test_golden_mean_core_holds_no_rational_point_but_zero",
+      "tests/test_spectral.py::TestCoreMembership::test_exact_queries_make_no_solve")),
 ]
 
 

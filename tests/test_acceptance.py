@@ -198,8 +198,7 @@ def test_criterion_6_exhaustive_eigenvalue_searches(wm_a, wm_b, eig_chain):
     deeper = eigenvalue_check(eig_chain, 2, Fraction(1, 5 ** 5),
                               window=window)
     assert not deeper and deeper.fail_n == 6
-    assert deeper.fail_diamond == make_diamond(eig_chain, Leg((2, 2), (0,)),
-                                               Leg((2, 2), (1,)), 2)
+    assert deeper.fail_diamond == make_diamond(eig_chain, Leg((2, 2), (0,)), Leg((2, 2), (1,)))
     _passed("criterion 6: only theta=0 passes at q<=64 on both "
             "weak-mixing candidates; all 625 five-power thetas pass on "
             "the chain and 1/3125 fails")

@@ -19,6 +19,7 @@ from bratteli import (
     telescope_to_primitive,
     validate,
 )
+from bratteli import diagram
 from bratteli.diagram import vertex_sequences
 
 
@@ -177,9 +178,13 @@ def test_enumerate_paths_keeps_the_recursive_order():
         assert list(vertex_sequences(d, v, lvl)) == list(dict.fromkeys(p.vertices for p in want))
 
 
-def test_enumerate_paths_refuses_past_cap(b1):
-    with pytest.raises(CapExceeded):
-        enumerate_paths(b1, 1, 30, cap=1000)
+def test_enumerate_paths_refuses_past_cap(b1, monkeypatch):
+    # the count is read from the heights, so the refusal builds no path
+    monkeypatch.setattr(diagram, "PATH_CAP", 1000)
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_paths(b1, 1, 30)
+    assert (exc.value.required, exc.value.cap) == (heights(b1, 30)[1], 1000)
+    assert len(enumerate_paths(b1, 1, 6)) == heights(b1, 6)[1] <= 1000
 
 
 @st.composite

@@ -117,7 +117,8 @@ class TestInvariance:
         # a measure that passes has no path to report, so no vertex sequence
         # is walked.  Whatever the cap, value() is read exactly once per
         # (level, vertex) of levels 1..n_max + 1, and the walk counts one
-        # check per path on top of a walk with every vertex skipped (cap 0)
+        # check per path on top of a walk with every vertex skipped
+        # (STEP_CAP 0)
         d = eig_chain.base
         walked = []
         monkeypatch.setattr(oracle, "vertex_sequences",
@@ -125,7 +126,9 @@ class TestInvariance:
         measures = enumerate_ergodic(d) + enumerate_infinite(d)
         assert len(measures) == 3
         bare = [_Counting(m) for m in measures]
-        skipping = [verify_invariance(m, 3, cap=0) for m in bare]
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "STEP_CAP", 0)
+            skipping = [verify_invariance(m, 3) for m in bare]
         full = [_Counting(m) for m in measures]
         reports = [verify_invariance(m, 3) for m in full]
         assert all(r.ok for r in skipping + reports)
@@ -163,7 +166,9 @@ class TestInvariance:
 
         monkeypatch.setattr(oracle, "_close", counted)
         mu = enumerate_ergodic(d)[0]
-        assert verify_invariance(mu, 4, cap=0).ok
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "STEP_CAP", 0)
+            assert verify_invariance(mu, 4).ok
         bare = len(calls)
         calls.clear()
         assert verify_invariance(mu, 4).ok
@@ -231,7 +236,9 @@ class TestInvariance:
             report = verify_invariance(counted, depth)
             assert report.ok and report.checks_run == 6_630_483
             assert sum(counted.calls.values()) == n * (depth + 1)
-            assert verify_invariance(m, depth, 2000) == _sequential_reference(m, depth, 2000)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "STEP_CAP", 2000)
+                assert verify_invariance(m, depth) == _sequential_reference(m, depth, 2000)
         assert walked == []
 
     def test_sums_run_left_to_right(self):
@@ -244,26 +251,28 @@ class TestInvariance:
                 in report.violations)
         assert "(c) total mass at level 1 is 0.0" in report.violations
 
-    def test_float_range_is_refused_in_measure_order(self):
+    def test_float_range_is_refused_in_measure_order(self, monkeypatch):
         # (c) on measure 0 leaves float range at level 738, measure 1's
         # values at 735; checked in measure order, the first one decides
         d = DEEP
         m0, m1 = enumerate_ergodic(d)
+        monkeypatch.setattr(oracle, "STEP_CAP", 50)
         with pytest.raises(CapExceeded, match="^level 738 is beyond float range$"):
-            verify_invariance(m0, 738, cap=50)
+            verify_invariance(m0, 738)
         with pytest.raises(CapExceeded, match="^level 735 is beyond float range$"):
-            verify_invariance(m1, 738, cap=50)
+            verify_invariance(m1, 738)
         with pytest.raises(CapExceeded, match="^level 738 "):
-            [verify_invariance(m, 738, cap=50) for m in (m0, m1)]
+            [verify_invariance(m, 738) for m in (m0, m1)]
         with pytest.raises(CapExceeded, match="^level 735 "):
-            [verify_invariance(m, 738, cap=50) for m in (m1, m0)]
-        assert all(verify_invariance(m, 733, cap=50).ok for m in (m0, m1))
+            [verify_invariance(m, 738) for m in (m1, m0)]
+        assert all(verify_invariance(m, 733).ok for m in (m0, m1))
 
-    def test_cap_produces_skips_not_failures(self, b1):
+    def test_cap_produces_skips_not_failures(self, b1, monkeypatch):
         (mu,) = enumerate_ergodic(b1)
-        report = verify_invariance(mu, n_max=8, cap=10)
+        monkeypatch.setattr(oracle, "STEP_CAP", 10)
+        report = verify_invariance(mu, n_max=8)
         assert report.ok
-        assert any("exceeds cap" in s for s in report.skipped)
+        assert "path enumeration at level 5 vertex 1 exceeds cap 10" in report.skipped
 
 
 def _sequential_reference(m, n_max, cap):
@@ -285,13 +294,11 @@ def _sequential_reference(m, n_max, cap):
         p_next = [m.value(lvl + 1, v) for v in range(n)]
 
         for v in range(n):
-            try:
-                paths = enumerate_paths(d, v, lvl, cap)
-            except CapExceeded:
+            if h[v] > cap:
                 skipped.append(f"path enumeration at level {lvl} vertex {v} "
                                f"exceeds cap {cap}")
                 continue
-            for p in paths:
+            for p in enumerate_paths(d, v, lvl):
                 checks += 1
                 got = measure_of_cylinder(m, p)
                 if not oracle._close(got, p_now[v]):
@@ -332,23 +339,25 @@ def _outcome(run):
         return type(exc), exc.args
 
 
-def test_sweep_matches_the_sequential_reference():
+def test_sweep_matches_the_sequential_reference(monkeypatch):
     """verify_invariance gives the report, or raises the exception, of one
     reference walk per measure, on random diagrams with their measures
-    (when aperiodic) and a measure that violates every check."""
+    (when aperiodic) and a measure that violates every check, under a
+    patched STEP_CAP."""
     rng = random.Random(5)
     walked = 0
     for _ in range(400):
         d = random_diagram(rng, n_max=4, entry_max=3)
         depth = rng.randint(1, 6)
         cap = rng.choice((5, 50, 10 ** 6))
+        monkeypatch.setattr(oracle, "STEP_CAP", cap)
         try:
             measures = enumerate_ergodic(d) + enumerate_infinite(d)
         except (NotAperiodicError, PrimitivityError):
             measures = []
         measures.append(_ConstantStub(d))
         want = _outcome(lambda: [_sequential_reference(m, depth, cap) for m in measures])
-        assert _outcome(lambda: [verify_invariance(m, depth, cap) for m in measures]) == want
+        assert _outcome(lambda: [verify_invariance(m, depth) for m in measures]) == want
         walked += len(measures)
     assert walked > 400
 
@@ -412,9 +421,10 @@ class TestBruteForceSteps:
         def refuse(*args):
             raise AssertionError("walked a tower above the cap")
         monkeypatch.setattr(oracle, "_step", refuse)
-        for cap in (2 ** 20 - 1, 5):  # the tower size is computed once, then read
+        for cap in (2 ** 20 - 1, 5):  # the tower is counted before any step
+            monkeypatch.setattr(oracle, "STEP_CAP", cap)
             with pytest.raises(CapExceeded) as exc:
-                brute_force_Q(two_odometer, lo, hi, cap)
+                brute_force_Q(two_odometer, lo, hi)
             assert (exc.value.required, exc.value.cap) == (2 ** 20, cap)
 
 
@@ -456,12 +466,10 @@ class TestCorePreimage:
             core_preimage_oracle(decompose(b1).a_matrix, (0.5, 1.0), k=1)
 
     def test_oracle_refines_an_unknown_membership(self, b1):
-        # (2, 1) admits preimages through k = 4 but not k = 5, so the
-        # default-depth search cannot classify it
+        # (2, 1) admits preimages through k = 4 = 2N, so the search over
+        # k <= 2N cannot classify it
         dec = decompose(b1)
         assert core_membership(dec, (2, 1)).kind == "unknown"
-        deeper = core_membership(dec, (2, 1), k_max=8)
-        assert deeper.kind == "not-in-core" and deeper.k == 5
         assert core_preimage_oracle(dec.a_matrix, (2, 1), k=4).feasible
 
 

@@ -94,3 +94,14 @@ def test_a_measure_is_passed_without_its_diagram():
     assert _params(bratteli.support_classes, (), MEASURES) == [0]
     assert _params(bratteli.check_path, (), DIAGRAMS) == [0]
     assert _params(bratteli.serialize_diagram, ("d", "od"), ()) == [0]
+
+
+def test_only_the_substitution_expansions_take_a_cap():
+    # every other search reads its cap from a module constant when called:
+    # oracle.STEP_CAP, diagram.PATH_CAP, vershik.DIAMOND_CAP, spectral.LEVEL_CAP
+    functions = {name: getattr(bratteli, name) for name in bratteli.__all__
+                 if inspect.isfunction(getattr(bratteli, name))}
+    knobs = {"cap", "k_max", "class_id"}
+    assert sorted(name for name, fn in functions.items()
+                  if knobs & inspect.signature(fn).parameters.keys()) == [
+        "expand", "letter_frequencies"]

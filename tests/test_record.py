@@ -54,7 +54,7 @@ FIELDS = {
     "CoreOracleResult": ("feasible", "k", "preimage", "certificate"),
     "CoreVerdict": ("kind", "k", "coefficients"),
     "Diagnostic": ("kind", "vertex", "message"),
-    "Diamond": ("leg_a", "leg_b", "class_id"),
+    "Diamond": ("leg_a", "leg_b"),
     "Eigendata": ("alpha", "lam", "xi", "support_classes"),
     "EigenvalueVerdict": ("passed", "theta", "window", "decisive", "fail_n", "fail_diamond",
                           "fail_vertex"),
@@ -80,7 +80,6 @@ FIELDS = {
 DEFAULTS = {
     "AperiodicityResult": {"witness_class": None, "reason": None},
     "CoreVerdict": {"k": None, "coefficients": None},
-    "Diamond": {"class_id": None},
     "EigenvalueVerdict": {"fail_n": None, "fail_diamond": None, "fail_vertex": None},
     "NumericValue": {"residual_bound": None},
     "PathWord": {"indices": ()},
@@ -111,7 +110,7 @@ def _samples():
         "CoreOracleResult": [core_preimage_oracle(dec1.a_matrix, (1, 1), k) for k in (1, 3)],
         "CoreVerdict": [core_membership(dec1, x) for x in ((2, 0), (0, 1), (1, 1))],
         "Diagnostic": validate(StationaryDiagram(((0, 0, 0), (1, 1, 0), (1, 1, 0)))),
-        "Diamond": diamonds + [make_diamond(wm_a, legs[0], legs[1], class_id=1)],
+        "Diamond": diamonds + [make_diamond(wm_a, legs[1], legs[2])],
         "Eigendata": [distinguished_eigenvector(dec_m, e.class_id) for e in ergodic],
         "EigenvalueVerdict": [eigenvalue_check(wm_a, 1, 0),
                               eigenvalue_check(wm_a, 1, Fraction(1, 5), window=(2, 6))],

@@ -834,10 +834,10 @@ class TestCoreMembership:
     def test_integer_paths_match_the_fraction_reference(self):
         """Kind, k, coefficient values and their types against
         ``_reference_core_membership`` on the seeded recipe, with int
-        entries, signed combinations of the extreme vectors and shallow
-        k_max too, and on the all-zero diagram, which has no distinguished
-        class and so an empty coefficient tuple.  Every coefficient is a
-        Fraction, on irrational cones too."""
+        entries, signed combinations of the extreme vectors and points of
+        A^(2N) R+^N too, and on the all-zero diagram, which has no
+        distinguished class and so an empty coefficient tuple.  Every
+        coefficient is a Fraction, on irrational cones too."""
         rng = random.Random(1968)
         cases = []
         for dec, xis, exact, x in _seeded_cone_queries():
@@ -846,19 +846,22 @@ class TestCoreMembership:
                 w = [rng.choice((-1, 0, 1, Fraction(2, 3))) for _ in xis]
                 cases.append((dec, exact, [sum(c * xi[v] for c, xi in zip(w, xis))
                                            for v in range(len(x))]))
+            if exact:  # no level k <= 2N refutes it
+                n = len(x)
+                cases.append((dec, exact, linalg.mat_vec(linalg.mat_pow(dec.a_matrix, 2 * n),
+                                                         [1] * n)))
             if not exact:  # in-core only at 0
                 cases.append((dec, exact, [0] * len(x)))
         zero = decompose(StationaryDiagram(((0, 0), (0, 0))))
         cases += [(zero, True, x) for x in ((0, 0), (Fraction(0), 0), (1, 0), (Fraction(1, 2), 3))]
         kinds = set()
         for dec, exact, x in cases:
-            for k_max in (None, 0, 1):
-                got = core_membership(dec, x, k_max)
-                want = _reference_core_membership(decompose(dec.diagram), x, k_max)
-                assert repr(got) == repr(want), (dec.a_matrix, x, k_max)
-                assert list(map(type, got.coefficients or ())) == \
-                    [Fraction] * len(got.coefficients or ())
-                kinds.add((got.kind, exact))
+            got = core_membership(dec, x)
+            want = _reference_core_membership(decompose(dec.diagram), x)
+            assert repr(got) == repr(want), (dec.a_matrix, x)
+            assert list(map(type, got.coefficients or ())) == \
+                [Fraction] * len(got.coefficients or ())
+            kinds.add((got.kind, exact))
         assert kinds == {(kind, exact) for kind in ("in-core", "not-in-core", "unknown")
                          for exact in (True, False)}
         assert core_membership(zero, (0, 0)) == CoreVerdict("in-core", coefficients=())
@@ -905,10 +908,9 @@ class TestCoreMembership:
         def refuse(*args):
             raise AssertionError("simplex solve for x = 0")
         monkeypatch.setattr(linalg, "lp_nonneg_solve", refuse)
-        for k_max in (None, 0, 1, 8):
-            verdict = core_membership(dec, (0, 0, 0, 0), k_max)
-            assert verdict == CoreVerdict("in-core", None, (Fraction(0),))
-            assert type(verdict.coefficients[0]) is Fraction
+        verdict = core_membership(dec, (0, 0, 0, 0))
+        assert verdict == CoreVerdict("in-core", None, (Fraction(0),))
+        assert type(verdict.coefficients[0]) is Fraction
 
     def test_perturbed_irrational_queries_match_the_preimage_oracle(self):
         """The recipe of ``_perturbed_irrational_queries`` against the exact
@@ -935,16 +937,17 @@ class TestCoreMembership:
         """By hand: A = ((1, 1), (1, 0)) has A^-1 = ((0, 1), (1, -1)), so
         A^-k (F_(m+1), F_m) = (F_(m+1-k), F_(m-k)) for the Fibonacci numbers
         extended by F_-1 = 1, F_-2 = -1.  These points tend to the Perron ray
-        and are refuted first at k = m + 2.  The core is the ray of the
-        irrational (phi, 1), so 0 is its only rational point."""
+        and are refuted first at k = m + 2, so unknown past m = 2, where
+        m + 2 is above 2N = 4.  The core is the ray of the irrational
+        (phi, 1), so 0 is its only rational point."""
         dec = decompose(StationaryDiagram(((1, 1), (1, 0))))
         fib = [0, 1]
         while len(fib) < 32:
             fib.append(fib[-1] + fib[-2])
         for m in range(30):
             x = (fib[m + 1], fib[m])
-            assert core_membership(dec, x, m + 2) == CoreVerdict("not-in-core", m + 2), m
-            assert core_membership(dec, x, m + 1) == CoreVerdict("unknown"), m
+            want = CoreVerdict("not-in-core", m + 2) if m + 2 <= 4 else CoreVerdict("unknown")
+            assert core_membership(dec, x) == want, m
         grid = {(Fraction(i, q), Fraction(j, q)) for i in range(-2, 9) for j in range(-2, 9)
                 for q in (1, 2, 3, 5)}
         verdicts = {x: core_membership(dec, x) for x in grid}
@@ -979,24 +982,21 @@ class TestCoreMembership:
         off[3] += Fraction(1, 10 ** 12)
         assert core_membership(dec, off).kind != "in-core"
 
-    def test_unrefuted_perturbed_queries_match_a_fraction_iteration_to_12n(self):
-        """The perturbed queries on an invertible A that no level k <= 2N
-        refutes, by a Fraction iteration of A^-k x that shares no code with
-        bratteli: unknown at the default k_max, and with k_max = 12N the
-        first k at which A^-k x has a negative entry, or unknown when
+    def test_perturbed_queries_on_invertible_a_match_a_fraction_iteration(self):
+        """The perturbed queries on an invertible A, by a Fraction iteration
+        of A^-k x that shares no code with bratteli: not-in-core at the
+        first k <= 2N at which A^-k x has a negative entry, unknown when
         there is none."""
-        cases = deep = 0
+        verdicts = []
         for dec, x in _perturbed_irrational_queries():
-            a, n = dec.a_matrix, len(x)
-            if _fraction_inverse(a) is None or _first_negative_preimage(a, x) is not None:
+            a = dec.a_matrix
+            if _fraction_inverse(a) is None:
                 continue
-            assert core_membership(dec, x) == CoreVerdict("unknown"), (a, x)
-            k = _first_negative_preimage(a, x, 12 * n)
+            k = _first_negative_preimage(a, x)
             want = CoreVerdict("unknown") if k is None else CoreVerdict("not-in-core", k)
-            assert core_membership(dec, x, 12 * n) == want, (a, x)
-            cases += 1
-            deep += k is not None
-        assert cases > deep > 0
+            assert core_membership(dec, x) == want, (a, x)
+            verdicts.append(want)
+        assert CoreVerdict("unknown") in verdicts and len(set(verdicts)) > 2
 
     def test_query_independent_work_stays_outside_eq_hash_and_repr(self, b1, double_morse):
         # b1 has an invertible A, double_morse a singular one
@@ -1095,19 +1095,23 @@ class TestCoreMembership:
             monkeypatch.setattr(spectral.linalg, "scaled_inverse", real)
             assert core_membership(dec, x).kind == "not-in-core"
 
-    def test_k_max_above_the_cap_is_refused_before_any_work(self, b1, double_morse):
+    def test_2n_above_the_level_cap_is_refused_before_any_work(self, b1, double_morse,
+                                                               monkeypatch):
         # the cap comes first: a float query, which is a TypeError under the
-        # cap, is refused for k_max, and nothing is computed on the decomposition
+        # cap, is refused for its 2N levels, and nothing is computed on the
+        # decomposition
         assert spectral.LEVEL_CAP == 10 ** 4
         for d, x in ((b1, (0, 1)), (double_morse, (2, 1, 2, 1, 3))):
             dec = decompose(d)
+            levels = 2 * d.n_vertices
+            monkeypatch.setattr(spectral, "LEVEL_CAP", levels - 1)
             for bad in (x, tuple(map(float, x))):
-                with pytest.raises(CapExceeded, match="^k_max 10001 is above the cap") as e:
-                    core_membership(dec, bad, spectral.LEVEL_CAP + 1)
-                assert (e.value.required, e.value.cap) == (10 ** 4 + 1, 10 ** 4)
+                with pytest.raises(CapExceeded, match=f"^2N = {levels} levels is above") as e:
+                    core_membership(dec, bad)
+                assert (e.value.required, e.value.cap) == (levels, levels - 1)
             assert not {"_exact_cone", "_elimination"} & vars(dec).keys()
-        assert core_membership(decompose(b1), (0, 1), spectral.LEVEL_CAP) == CoreVerdict(
-            "not-in-core", k=1)
+        monkeypatch.setattr(spectral, "LEVEL_CAP", 4)
+        assert core_membership(decompose(b1), (0, 1)) == CoreVerdict("not-in-core", k=1)
 
 
 def _undivided_sign_steps(a, x):
@@ -1143,13 +1147,13 @@ def _fraction_inverse(a):
     return [row[n:] for row in rows]
 
 
-def _first_negative_preimage(a, x, k_max=None):
-    """The first k <= k_max (2N by default) at which y_k = A^-k x, for an
+def _first_negative_preimage(a, x):
+    """The first k <= 2N at which y_k = A^-k x, for an
     invertible A, has a negative entry, None when there is none; each
     level is one product with the Fraction inverse of ``_fraction_inverse``."""
     inverse = _fraction_inverse(a)
     y = [Fraction(v) for v in x]
-    for k in range(1, (2 * len(a) if k_max is None else k_max) + 1):
+    for k in range(1, 2 * len(a) + 1):
         y = [sum(m * v for m, v in zip(row, y)) for row in inverse]
         if min(y) < 0:
             return k
@@ -1275,7 +1279,7 @@ def _perturbed_irrational_queries(per_cone=20):
             yield dec, x
 
 
-def _reference_core_membership(decomp, x, k_max=None):
+def _reference_core_membership(decomp, x):
     """``core_membership`` as it was decided in Fractions: one Fraction
     solve and check on the extreme vectors of the classes with a rational
     Perron value, the others weighted 0 (a rational point of the core puts
@@ -1289,8 +1293,7 @@ def _reference_core_membership(decomp, x, k_max=None):
     square = [[eig[i].xi[v] for i in exact] for v in rows]
     n = len(decomp.a_matrix)
     x = [Fraction(v) for v in x]
-    if k_max is None:
-        k_max = 2 * n
+    k_max = 2 * n
     coeffs = [Fraction(0)] * len(eig)
     for i, c in zip(exact, linalg.solve_square(square, [x[v] for v in rows])):
         coeffs[i] = c

@@ -49,7 +49,7 @@ from bratteli import (
     telescope,
     telescope_ordered,
 )
-from bratteli import linalg
+from bratteli import linalg, vershik
 from bratteli.diagram import height_table
 from bratteli.vershik import (WINDOW_CAP, _class_window, _p_tables, _spanning_diamonds, _step,
                               _window_gcds)
@@ -234,6 +234,16 @@ class TestDiamonds:
         assert len(everything) == 29
         assert len(set(everything)) == 29
 
+    def test_a_diamond_is_its_two_legs(self, wm_a):
+        # a diamond carries no class label, so the same legs make the same
+        # diamond whether made, listed for a class or named as a witness
+        made = make_diamond(wm_a, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
+        listed = enumerate_diamonds(wm_a, 1)
+        assert Diamond._fields == ("leg_a", "leg_b")
+        assert made == listed[0] and hash(made) == hash(listed[0])
+        assert made in set(listed)
+        assert made == eigenvalue_check(wm_a, 1, Fraction(1, 3)).fail_diamond
+
     def test_length_cap(self, wm_a):
         # no length knob: the length-1 diamonds are a filter on the listing
         short = [dm for dm in enumerate_diamonds(wm_a) if dm.length == 1]
@@ -253,12 +263,15 @@ class TestDiamonds:
         lengths = [dm.length for dm in enumerate_diamonds(wm_a)]
         assert lengths == [1] * 5 + [2] * 24
 
-    def test_count_cap_is_exact_and_checked_first(self, wm_a):
-        assert len(enumerate_diamonds(wm_a, cap=29)) == 29
+    def test_count_cap_is_exact_and_checked_first(self, wm_a, monkeypatch):
+        monkeypatch.setattr(vershik, "DIAMOND_CAP", 29)
+        assert len(enumerate_diamonds(wm_a)) == 29
+        assert sum(dm.length == 1 for dm in enumerate_diamonds(wm_a)) == 5
+        monkeypatch.setattr(vershik, "DIAMOND_CAP", 28)
+        monkeypatch.setattr(vershik, "_diamond", None)  # counted, so none is built
         with pytest.raises(CapExceeded) as exc:
-            enumerate_diamonds(wm_a, cap=28)
+            enumerate_diamonds(wm_a)
         assert (exc.value.required, exc.value.cap) == (29, 28)
-        assert sum(dm.length == 1 for dm in enumerate_diamonds(wm_a, cap=29)) == 5
 
 
 class TestReturnTimes:
@@ -312,7 +325,7 @@ class TestEigenvalues:
         assert eigenvalue_check(wm_a, 1, 2).passed
 
     def test_failures_carry_a_witness(self, wm_a):
-        adjacent = make_diamond(wm_a, Leg((1, 1), (0,)), Leg((1, 1), (1,)), 1)
+        adjacent = make_diamond(wm_a, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
         verdict = eigenvalue_check(wm_a, 1, Fraction(1, 5), window=(2, 6))
         assert not verdict
         assert verdict.fail_n == 3  # P_3 = 19 breaks divisibility by 5
@@ -437,23 +450,25 @@ def oracle_cases():
     orders drawn from random.Random(0..5), then EXTRA_ORACLE; one case per
     (ordered diagram, class): (ordered diagram, class, P table rows over
     levels 1..top).  Also the number of pairs skipped for
-    listing more than ORACLE_DIAMONDS diamonds."""
+    listing more than ORACLE_DIAMONDS diamonds, vershik.DIAMOND_CAP patched."""
     ordered = []
     for d in aperiodic_corpus():
         t = telescope(d, positivity_power(d))
         ordered.extend(random_order(random.Random(seed), t) for seed in range(6))
     ordered.extend(OrderedDiagram(StationaryDiagram(f), order) for f, order in EXTRA_ORACLE)
     cases, skipped = [], 0
-    for od in ordered:
-        top = max(w[1] for w in _oracle_windows(od.n_vertices))
-        for cls in od._decomposition.classes:
-            try:
-                enumerate_diamonds(od, cls.index, cap=ORACLE_DIAMONDS)
-            except CapExceeded:
-                skipped += 1
-                continue
-            # P_n of a diamond does not depend on the window it is read in
-            cases.append((od, cls, _p_tables(od, cls.index, (1, top))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vershik, "DIAMOND_CAP", ORACLE_DIAMONDS)
+        for od in ordered:
+            top = max(w[1] for w in _oracle_windows(od.n_vertices))
+            for cls in od._decomposition.classes:
+                try:
+                    enumerate_diamonds(od, cls.index)
+                except CapExceeded:
+                    skipped += 1
+                    continue
+                # P_n of a diamond does not depend on the window it is read in
+                cases.append((od, cls, _p_tables(od, cls.index, (1, top))))
     return cases, skipped
 
 
@@ -466,7 +481,7 @@ class TestWindowGcd:
         nonzero = 0
         for od, cls, rows in cases:
             # one row per listed diamond, in listing order: no dedupe
-            listed = enumerate_diamonds(od, cls.index, cap=ORACLE_DIAMONDS)
+            listed = enumerate_diamonds(od, cls.index)
             assert len(rows) == len(listed)
             assert [dm for dm, _ in rows] == listed
             table = dict(rows)
