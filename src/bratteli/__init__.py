@@ -37,13 +37,13 @@ from .substitution import (GrowthReport, Substitution, SubstitutionMeasures,
                            diagram_from_substitution, expand, growth_check,
                            letter_frequencies, substitution_from_diagram,
                            substitution_matrix, substitution_measures)
-from .vershik import (Diamond, EigenvalueVerdict, Leg, NonmixingReport,
-                      OrderedDiagram, PSequence, candidate_count, candidate_thetas,
-                      default_window, eigenvalue_check, eigenvalue_search,
-                      enumerate_diamonds, is_decisive, is_maximal, make_diamond,
-                      max_path, min_path, nonmixing_witness, p_sequence,
-                      p_value, path_rank, q_steps, rational_eigenvalue_sufficient,
-                      recurrence_coefficients, successor, telescope_ordered)
+from .vershik import (Diamond, EigenvalueVerdict, NonmixingReport, OrderedDiagram,
+                      PSequence, candidate_count, candidate_thetas, default_window,
+                      eigenvalue_check, eigenvalue_search, enumerate_diamonds,
+                      is_decisive, is_maximal, max_path, min_path, nonmixing_witness,
+                      p_sequence, p_value, path_rank, q_steps,
+                      rational_eigenvalue_sufficient, recurrence_coefficients,
+                      successor, telescope_ordered)
 
 __version__ = "1.0.0"
 

@@ -135,7 +135,8 @@ class PathWord:
     """Finite path from the root: the vertex visited at each level 1..n
     plus, for each level >= 2, the 0-based index of the edge inside the
     parallel bundle from the previous vertex.  The root edge to the
-    level-1 vertex is unique and therefore implicit."""
+    level-1 vertex is unique and therefore implicit.  Read from the root,
+    a path is a cylinder; placed at level n, it is a leg of a diamond."""
 
     vertices: tuple[int, ...]
     indices: tuple[int, ...] = ()

@@ -160,12 +160,12 @@ def successor(od: OrderedDiagram, p: PathWord) -> PathWord | None:
 
 def path_rank(od: OrderedDiagram, p: PathWord) -> int:
     """Position of p in the successor enumeration of E(v_0, terminal):
-    ``_leg_low`` of the whole path read as a leg placed at level 1, each
-    edge contributing the heights of everything below it in its bundle."""
+    ``_leg_low`` of the whole path placed at level 1, each edge
+    contributing the heights of everything below it in its bundle."""
     check_path(od.base, p)
     if p.level == 1:
         return 0
-    return _leg_low(od, Leg(p.vertices, p.indices), height_table(od.base, p.level - 1), 1)
+    return _leg_low(od, p, height_table(od.base, p.level - 1), 1)
 
 
 def q_steps(od: OrderedDiagram, e: PathWord, e2: PathWord) -> int:
@@ -176,78 +176,44 @@ def q_steps(od: OrderedDiagram, e: PathWord, e2: PathWord) -> int:
 
 
 @record
-class Leg:
-    """A path between two levels, source first; mults index parallel
-    edges, so a leg is placeable at any level."""
-
-    vertices: tuple[int, ...]
-    mults: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.vertices) != len(self.mults) + 1 or not self.mults:
-            raise ValueError("a leg needs k >= 1 edges")
-
-    @property
-    def length(self):
-        return len(self.mults)
-
-    @property
-    def source(self):
-        return self.vertices[0]
-
-    @property
-    def range(self):
-        return self.vertices[-1]
-
-
-@record
 class Diamond:
-    leg_a: Leg
-    leg_b: Leg
+    """Two distinct paths of one length k >= 1 from a vertex j to a vertex
+    j', each a ``PathWord`` placed as a leg: with j at level n, its indices
+    pick parallel edges between levels n and n + k.  The legs are put in
+    canonical order, by (vertices, indices), so Diamond(b, a) == Diamond(a, b).
+    That is also the order by vertices, then bundle ranks: legs with equal
+    vertex sequences first differ at a step where both cross the same
+    bundle, and there a later parallel edge has a later bundle rank."""
+
+    leg_a: PathWord
+    leg_b: PathWord
 
     def __post_init__(self):
         a, b = self.leg_a, self.leg_b
-        if a.length != b.length:
+        if a.level != b.level:
             raise ValueError("legs must have equal length")
-        if a.source != b.source or a.range != b.range:
+        if a.vertices[0] != b.vertices[0] or a.terminal != b.terminal:
             raise ValueError("legs must share both endpoints")
-        if (a.vertices, a.mults) == (b.vertices, b.mults):
+        key_a, key_b = (a.vertices, a.indices), (b.vertices, b.indices)
+        if key_a == key_b:
             raise ValueError("legs must be distinct")
+        if key_b < key_a:
+            object.__setattr__(self, "leg_a", b)
+            object.__setattr__(self, "leg_b", a)
 
     @property
     def length(self):
-        return self.leg_a.length
+        return self.leg_a.level - 1
 
     @property
     def vertices_visited(self):
         return frozenset(self.leg_a.vertices) | frozenset(self.leg_b.vertices)
 
 
-def _check_legs(od: OrderedDiagram, *legs: Leg):
-    """Raise as ``check_path`` does unless every leg is a path of od."""
-    for leg in legs:
-        check_path(od.base, PathWord(leg.vertices, leg.mults))
-
-
-def _leg_key(od, leg: Leg):
-    ranks = tuple(od.bundle_rank(leg.vertices[t + 1], leg.vertices[t], m)
-                  for t, m in enumerate(leg.mults))
-    return (leg.vertices, ranks)
-
-
-def make_diamond(od: OrderedDiagram, leg_a: Leg, leg_b: Leg) -> Diamond:
-    """Canonical form: lexicographically smaller leg first (by vertex
-    sequence, then bundle ranks).  A leg that is not a path of od raises
-    as ``check_path`` does."""
-    _check_legs(od, leg_a, leg_b)
-    return _diamond(od, leg_a, leg_b)
-
-
-def _diamond(od, leg_a: Leg, leg_b: Leg) -> Diamond:
-    """``make_diamond`` for legs already known to be paths of od."""
-    if _leg_key(od, leg_b) < _leg_key(od, leg_a):
-        leg_a, leg_b = leg_b, leg_a
-    return Diamond(leg_a, leg_b)
+def _check_legs(od: OrderedDiagram, diamond: Diamond):
+    """Raise as ``check_path`` does unless both legs are paths of od."""
+    for leg in (diamond.leg_a, diamond.leg_b):
+        check_path(od.base, leg)
 
 
 def enumerate_diamonds(od: OrderedDiagram, alpha: int | None = None) -> list[Diamond]:
@@ -276,7 +242,7 @@ def enumerate_diamonds(od: OrderedDiagram, alpha: int | None = None) -> list[Dia
         for s in sorted(scope):
             for k1 in range(f[v][s]):
                 for k2 in range(k1 + 1, f[v][s]):
-                    out.append(_diamond(od, Leg((s, v), (k1,)), Leg((s, v), (k2,))))
+                    out.append(Diamond(PathWord((s, v), (k1,)), PathWord((s, v), (k2,))))
     for j in sorted(scope):                     # source
         for jp in sorted(scope):                # range
             mids = [i for i in sorted(scope) if f[i][j] > 0 and f[jp][i] > 0]
@@ -287,17 +253,17 @@ def enumerate_diamonds(od: OrderedDiagram, alpha: int | None = None) -> list[Dia
                         for k2 in range(f[jp][i]):
                             for k3 in range(f[ip][j]):
                                 for k4 in range(f[jp][ip]):
-                                    out.append(_diamond(od, Leg((j, i, jp), (k1, k2)),
-                                                        Leg((j, ip, jp), (k3, k4))))
+                                    out.append(Diamond(PathWord((j, i, jp), (k1, k2)),
+                                                       PathWord((j, ip, jp), (k3, k4))))
     return out
 
 
-def _leg_low(od, leg: Leg, h, n: int) -> int:
+def _leg_low(od, leg: PathWord, h, n: int) -> int:
     """Rank of the minimal extension below a leg placed with its source
-    at level n, counted within E(v_0, range) and relative to the part
+    at level n, counted within E(v_0, terminal) and relative to the part
     contributed by the leg itself."""
     total = 0
-    for t, m in enumerate(leg.mults):
+    for t, m in enumerate(leg.indices):
         target = leg.vertices[t + 1]
         pos = od.bundle_rank(target, leg.vertices[t], m)
         word = od.order[target]
@@ -318,7 +284,7 @@ def p_value(od: OrderedDiagram, diamond: Diamond, n: int) -> int:
     is not a path of od raises as ``check_path`` does."""
     if n < 1:
         raise ValueError("levels are 1-based")
-    _check_legs(od, diamond.leg_a, diamond.leg_b)
+    _check_legs(od, diamond)
     return _p_row(od, diamond, height_table(od.base, n + diamond.length - 1), (n,))[0]
 
 
@@ -357,7 +323,7 @@ def p_sequence(od: OrderedDiagram, diamond: Diamond, n_max: int) -> PSequence:
     checked as ``p_value`` checks them."""
     if n_max < 1:
         raise ValueError("levels are 1-based")
-    _check_legs(od, diamond.leg_a, diamond.leg_b)
+    _check_legs(od, diamond)
     h = height_table(od.base, n_max + diamond.length - 1)
     return PSequence(diamond, _p_row(od, diamond, h, range(1, n_max + 1)),
                      recurrence_coefficients(od.base))
@@ -476,19 +442,19 @@ def _spanning_diamonds(od, alpha):
     level, i0 the first class vertex: (i) edge 0 against edge k of each
     bundle; (ii) j -> i0 -> i0 against j -> i -> i0 and i0 -> i0 -> j against
     i0 -> i -> j on first edges; (iii) i0 -> m -> j' against i0 -> i -> j'
-    with mults (0, 0) and (0, k), m = i0, or the second vertex if i = i0."""
+    with indices (0, 0) and (0, k), m = i0, or the second vertex if i = i0."""
     f, scope = od.base.incidence, od._decomposition.classes[alpha].vertices
     i0 = scope[0]
     for v, s in itertools.product(scope, scope):
         for k in range(1, f[v][s]):
-            yield _diamond(od, Leg((s, v), (0,)), Leg((s, v), (k,)))
+            yield Diamond(PathWord((s, v), (0,)), PathWord((s, v), (k,)))
     for i, j in itertools.product(scope[1:], scope):
-        yield _diamond(od, Leg((j, i0, i0), (0, 0)), Leg((j, i, i0), (0, 0)))
-        yield _diamond(od, Leg((i0, i0, j), (0, 0)), Leg((i0, i, j), (0, 0)))
+        yield Diamond(PathWord((j, i0, i0), (0, 0)), PathWord((j, i, i0), (0, 0)))
+        yield Diamond(PathWord((i0, i0, j), (0, 0)), PathWord((i0, i, j), (0, 0)))
     for i, jp in itertools.product(scope if len(scope) > 1 else (), scope):
         m = scope[1] if i == i0 else i0
         for k in range(1, f[jp][i]):
-            yield _diamond(od, Leg((i0, m, jp), (0, 0)), Leg((i0, i, jp), (0, k)))
+            yield Diamond(PathWord((i0, m, jp), (0, 0)), PathWord((i0, i, jp), (0, k)))
 
 
 def eigenvalue_check(od: OrderedDiagram, alpha: int, theta,
@@ -605,7 +571,7 @@ def nonmixing_witness(od: OrderedDiagram, alpha: int, diamond: Diamond) -> Nonmi
     ``check_path`` refuses it), an irrational lam (NotInDomainError) and
     a diamond outside alpha (ValueError)."""
     decomp = _aperiodic(_ordered(od)._decomposition)
-    _check_legs(od, diamond.leg_a, diamond.leg_b)
+    _check_legs(od, diamond)
     eig = distinguished_eigenvector(decomp, alpha)
     verts = decomp.classes[alpha].vertices
     if not diamond.vertices_visited <= set(verts):
@@ -616,7 +582,7 @@ def nonmixing_witness(od: OrderedDiagram, alpha: int, diamond: Diamond) -> Nonmi
     xi, lam, a = eig.xi, eig.lam.value.numerator, decomp.a_matrix
     (w,), _ = linalg.scaled_inverse([[lam * (u == v) - a[u][v] for v in verts] for u in verts])
     w = dict(zip(verts, w))
-    j, jp, k = diamond.leg_a.source, diamond.leg_a.range, diamond.length
+    j, jp, k = diamond.leg_a.vertices[0], diamond.leg_a.terminal, diamond.length
     limit = xi[jp] * w[j] / (lam ** k * sum(w[v] * xi[v] for v in verts))
     i = min((x, v) for v, x in enumerate(xi) if x)[1]
     m, mass = 1, xi[i]

@@ -29,6 +29,8 @@ TIMEOUT = 300  # seconds per pytest run
 EXTENSION = "tests/test_measures.py::TestExactExtension::test_vectors_match_the_fraction_solves"
 NONMIXING = "tests/test_vershik.py::TestNonmixing::"
 INVARIANCE = "tests/test_oracle.py::TestInvariance::"
+DIAMONDS = "tests/test_vershik.py::TestDiamonds::"
+STEP = "tests/test_vershik.py::TestStep::test_walks_every_tower_like_the_reference"
 
 # (module under src/, snippet occurring once, replacement, reason, test ids that must fail)
 MUTANTS = [
@@ -94,11 +96,44 @@ MUTANTS = [
      "one (a) violation per vertex sequence instead of one per path",
      (INVARIANCE + "test_each_path_gets_its_own_verdict",)),
     ("bratteli/vershik.py",
-     "    _check_legs(od, leg_a, leg_b)\n",
+     "for leg in (diamond.leg_a, diamond.leg_b):",
+     "for leg in (diamond.leg_a,):",
+     "_check_legs checks only the first leg",
+     (NONMIXING + "test_a_leg_off_the_diagram_is_refused",)),
+    ("bratteli/vershik.py",
+     "        if key_b < key_a:\n"
+     "            object.__setattr__(self, \"leg_a\", b)\n"
+     "            object.__setattr__(self, \"leg_b\", a)\n",
      "",
-     "make_diamond without its leg check",
-     ("tests/test_vershik.py::TestDiamonds::test_make_diamond_refuses_an_edge_off_its_bundle",
-      "tests/test_vershik.py::TestDiamonds::test_make_diamond_refuses_an_unknown_vertex")),
+     "Diamond without its sort",
+     (DIAMONDS + "test_the_legs_are_put_in_order",
+      DIAMONDS + "test_legs_are_in_bundle_rank_order_on_the_corpus")),
+    ("bratteli/vershik.py",
+     "if key_b < key_a:",
+     "if b.vertices < a.vertices:",
+     "Diamond sorting its legs on vertices only",
+     (DIAMONDS + "test_the_legs_are_put_in_order",)),
+    ("bratteli/vershik.py",
+     "for q in range(pos))",
+     "for q in range(pos + 1))",
+     "_leg_low counting its own edge",
+     ("tests/test_vershik.py::TestSuccessor::test_walk_visits_each_path_once_in_rank_order",)),
+    ("bratteli/vershik.py",
+     "            for s in range(t - 1, -1, -1):\n"
+     "                vertices[s], mults[s] = by_pos[vertices[s + 1]][0]\n",
+     "",
+     "_step not resetting the levels below the edge it advances",
+     (STEP,)),
+    ("bratteli/vershik.py",
+     "vertices[s], mults[s] = by_pos[vertices[s + 1]][0]",
+     "vertices[s], mults[s] = by_pos[vertices[s + 1]][-1]",
+     "_step resetting the lower levels to the bundle-maximal edge",
+     (STEP,)),
+    ("bratteli/vershik.py",
+     "for t, mult in enumerate(mults):",
+     "for t, mult in enumerate(mults[1:], 1):",
+     "_step starting its scan one level too high",
+     (STEP,)),
     ("bratteli/measures.py",
      "nv_compare(decomp.classes[b].rho, lam) >= 0:",
      "nv_compare(decomp.classes[b].rho, lam) > 0:",

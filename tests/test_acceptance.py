@@ -16,7 +16,7 @@ from fractions import Fraction
 from conftest import aperiodic_corpus, random_order
 
 from bratteli import (
-    Leg,
+    Diamond,
     OrderedDiagram,
     PathWord,
     StationaryDiagram,
@@ -36,7 +36,6 @@ from bratteli import (
     heights,
     is_decisive,
     is_maximal,
-    make_diamond,
     measure_of_cylinder,
     min_path,
     nonmixing_witness,
@@ -167,7 +166,7 @@ def test_criterion_5_height_and_return_time_closed_forms(wm_a):
     for n in range(0, 41):
         assert heights(wm_a.base, n + 1) == (
             2 ** n, 3 ** (n + 1) - 2 ** (n + 1))
-    diamond = make_diamond(wm_a, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
+    diamond = Diamond(PathWord((1, 1), (0,)), PathWord((1, 1), (1,)))
     seq = p_sequence(wm_a, diamond, 40)
     assert seq.values == tuple(3 ** n - 2 ** n for n in range(1, 41))
     assert seq.coefficients == (5, -6)
@@ -198,7 +197,7 @@ def test_criterion_6_exhaustive_eigenvalue_searches(wm_a, wm_b, eig_chain):
     deeper = eigenvalue_check(eig_chain, 2, Fraction(1, 5 ** 5),
                               window=window)
     assert not deeper and deeper.fail_n == 6
-    assert deeper.fail_diamond == make_diamond(eig_chain, Leg((2, 2), (0,)), Leg((2, 2), (1,)))
+    assert deeper.fail_diamond == Diamond(PathWord((2, 2), (0,)), PathWord((2, 2), (1,)))
     _passed("criterion 6: only theta=0 passes at q<=64 on both "
             "weak-mixing candidates; all 625 five-power thetas pass on "
             "the chain and 1/3125 fails")
@@ -221,18 +220,18 @@ def test_criterion_7_randomized_oracle_equivalence():
     for d in corpus:
         od = random_order(rng, d)
         for diamond in enumerate_diamonds(od)[:4]:
-            source = diamond.leg_a.source
+            source = diamond.leg_a.vertices[0]
             for n in range(1, 6):
                 tower = heights(d, n + diamond.length)
-                if tower[diamond.leg_a.range] > 3000:
+                if tower[diamond.leg_a.terminal] > 3000:
                     continue
                 below = min_path(od, source, n)
                 lower = PathWord(
                     below.vertices + diamond.leg_a.vertices[1:],
-                    below.indices + diamond.leg_a.mults)
+                    below.indices + diamond.leg_a.indices)
                 upper = PathWord(
                     below.vertices + diamond.leg_b.vertices[1:],
-                    below.indices + diamond.leg_b.mults)
+                    below.indices + diamond.leg_b.indices)
                 assert p_value(od, diamond, n) == brute_force_Q(od, lower,
                                                                 upper)
                 formula_checks += 1
@@ -293,7 +292,7 @@ def test_criterion_8_nonmixing_certificate(wm_a):
     vertex 1 on level 2 has mass 1/9 < r_inf.  A test-local float
     sequence r_n, for cylinders at both vertices and every n in [10, 30],
     sits within 5% of r_inf and approaches it."""
-    diamond = make_diamond(wm_a, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
+    diamond = Diamond(PathWord((1, 1), (0,)), PathWord((1, 1), (1,)))
     mu2 = enumerate_ergodic(wm_a.base)[1]
     assert mu2.class_id == 1 and mu2.lam.value == 3
 

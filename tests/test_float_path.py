@@ -28,12 +28,12 @@ import random
 import pytest
 
 from bratteli import (
+    Diamond,
     InvariantMeasure,
-    Leg,
+    PathWord,
     decompose,
     enumerate_ergodic,
     enumerate_infinite,
-    make_diamond,
     nonmixing_witness,
     parse_diagram,
 )
@@ -274,7 +274,7 @@ def test_nonmixing_witness_refuses_the_irrational_class():
     an exact Perron value: the irrational class is refused, and no float
     comparison decides it."""
     od = irrational()
-    diamond = make_diamond(od, Leg((X, X), (0,)), Leg((X, X), (1,)))
+    diamond = Diamond(PathWord((X, X), (0,)), PathWord((X, X), (1,)))
     with pytest.raises(NotInDomainError, match="^class 3 has an irrational Perron value"):
         nonmixing_witness(od, ERGODIC_CLASS, diamond)
 

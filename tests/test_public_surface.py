@@ -15,7 +15,7 @@ PUBLIC = [
     'ComponentClass', 'ComponentDecomposition', 'CoreOracleResult', 'CoreVerdict',
     'Diagnostic', 'Diamond', 'DimensionMismatch', 'Eigendata', 'EigenvalueVerdict',
     'EndpointMismatch', 'ErgodicMeasure', 'GrowthReport', 'InvarianceReport',
-    'InvariantMeasure', 'Leg', 'MeasureRecord', 'NonmixingReport', 'NotAperiodicError',
+    'InvariantMeasure', 'MeasureRecord', 'NonmixingReport', 'NotAperiodicError',
     'NotDistinguishedError', 'NotGrowingError', 'NotInDomainError', 'NumericValue',
     'OrbitFrequency', 'OrderedDiagram', 'PSequence', 'ParseError', 'PathWord',
     'PrimitivityError', 'SizeRefused', 'StationaryDiagram', 'Substitution',
@@ -27,7 +27,7 @@ PUBLIC = [
     'documents', 'eigenvalue_check', 'eigenvalue_search', 'empirical_orbit_frequency',
     'enumerate_diamonds', 'enumerate_ergodic', 'enumerate_infinite', 'enumerate_paths',
     'errors', 'expand', 'growth_check', 'heights', 'imprimitivity_index', 'is_decisive',
-    'is_maximal', 'letter_frequencies', 'linalg', 'make_diamond', 'max_path',
+    'is_maximal', 'letter_frequencies', 'linalg', 'max_path',
     'measure_from_point', 'measure_of_cylinder', 'measure_record', 'measures', 'min_path',
     'minimal_components', 'nonmixing_witness', 'nv_compare', 'oracle', 'p_sequence', 'p_value',
     'parse_coefficients', 'parse_diagram', 'parse_measures', 'parse_scalar',

@@ -1,4 +1,4 @@
-"""The record contract: the 25 value classes against frozen dataclass twins,
+"""The record contract: the 24 value classes against frozen dataclass twins,
 construction, frozenness, and an import of the CLI without dataclasses."""
 
 import copy
@@ -15,7 +15,7 @@ import pytest
 
 import bratteli
 from bratteli import (
-    Leg,
+    Diamond,
     NumericValue,
     OrderedDiagram,
     PathWord,
@@ -31,7 +31,6 @@ from bratteli import (
     enumerate_ergodic,
     enumerate_infinite,
     growth_check,
-    make_diamond,
     measure_from_point,
     measure_record,
     nonmixing_witness,
@@ -62,7 +61,6 @@ FIELDS = {
     "GrowthReport": ("verdicts",),
     "InvarianceReport": ("n_max", "checks_run", "violations", "skipped"),
     "InvariantMeasure": ("measures", "coefficients"),
-    "Leg": ("vertices", "mults"),
     "MeasureRecord": ("class_id", "members", "type", "eigenvalue", "eigenvector", "support"),
     "NonmixingReport": ("alpha", "diamond", "limit", "path", "mass"),
     "NumericValue": ("value", "residual_bound"),
@@ -99,8 +97,8 @@ def _samples():
     sigma = Substitution(("a", "b", "c"), {"a": "abb", "b": "ab", "c": "accb"})
     dec1, dec2, dec_m = decompose(b1), decompose(b2), decompose(morse)
     ergodic = enumerate_ergodic(morse)
-    legs = [Leg((1, 1), (m,)) for m in range(3)]
-    diamonds = [make_diamond(wm_a, legs[0], legs[1]), make_diamond(wm_a, legs[0], legs[2])]
+    legs = [PathWord((1, 1), (m,)) for m in range(3)]
+    diamonds = [Diamond(legs[0], legs[1]), Diamond(legs[0], legs[2])]
     paths = [PathWord((1,)), PathWord((1, 1), (2,))]
     return {
         "AperiodicityResult": [aperiodicity_check(dec1),
@@ -110,7 +108,7 @@ def _samples():
         "CoreOracleResult": [core_preimage_oracle(dec1.a_matrix, (1, 1), k) for k in (1, 3)],
         "CoreVerdict": [core_membership(dec1, x) for x in ((2, 0), (0, 1), (1, 1))],
         "Diagnostic": validate(StationaryDiagram(((0, 0, 0), (1, 1, 0), (1, 1, 0)))),
-        "Diamond": diamonds + [make_diamond(wm_a, legs[1], legs[2])],
+        "Diamond": diamonds + [Diamond(legs[2], legs[1])],
         "Eigendata": [distinguished_eigenvector(dec_m, e.class_id) for e in ergodic],
         "EigenvalueVerdict": [eigenvalue_check(wm_a, 1, 0),
                               eigenvalue_check(wm_a, 1, Fraction(1, 5), window=(2, 6))],
@@ -122,7 +120,6 @@ def _samples():
                              ((Fraction(2, 9), Fraction(1, 9), Fraction(2, 9), Fraction(1, 9),
                                Fraction(1, 3)),
                               (Fraction(1, 2), Fraction(1, 2), 0, 0, 0))],
-        "Leg": legs,
         "MeasureRecord": [measure_record(m) for m in ergodic + enumerate_infinite(morse)],
         "NonmixingReport": [nonmixing_witness(wm_a, 1, dm) for dm in diamonds],
         "NumericValue": [NumericValue(Fraction(3)), NumericValue(2.5, 1e-12), NumericValue(3)],
@@ -161,7 +158,7 @@ class TestAgainstDataclassTwins:
         records = {name for name in bratteli.__all__
                    if isinstance(getattr(bratteli, name), type)
                    and "_fields" in vars(getattr(bratteli, name))}
-        assert records == FIELDS.keys() and len(records) == 25
+        assert records == FIELDS.keys() and len(records) == 24
         for name in records:
             cls = getattr(bratteli, name)
             assert cls._fields == FIELDS[name]
@@ -188,10 +185,20 @@ class TestAgainstDataclassTwins:
 
     def test_records_of_different_classes_are_not_equal(self):
         # same field values, different classes: as for dataclasses, no equality
-        path, leg = PathWord((0, 1), (0,)), Leg((0, 1), (0,))
-        assert path._values(path) == leg._values(leg)
-        assert path != leg and leg != path
-        assert path.__eq__(leg) is NotImplemented
+        @record
+        class Path:
+            vertices: tuple
+            indices: tuple
+
+        @record
+        class Walk:
+            vertices: tuple
+            indices: tuple
+
+        path, walk = Path((0, 1), (0,)), Walk((0, 1), (0,))
+        assert path._values(path) == walk._values(walk)
+        assert path != walk and walk != path
+        assert path.__eq__(walk) is NotImplemented
         assert path.__eq__((path.vertices, path.indices)) is NotImplemented
 
 

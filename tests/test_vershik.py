@@ -14,7 +14,6 @@ from bratteli import (
     Diamond,
     DimensionMismatch,
     EndpointMismatch,
-    Leg,
     NotAperiodicError,
     NonmixingReport,
     NotDistinguishedError,
@@ -34,7 +33,6 @@ from bratteli import (
     heights,
     is_decisive,
     is_maximal,
-    make_diamond,
     max_path,
     min_path,
     nonmixing_witness,
@@ -187,39 +185,38 @@ class TestStep:
 
 class TestDiamonds:
     def test_leg_and_diamond_validation(self):
-        with pytest.raises(ValueError):
-            Leg((0,), ())
-        with pytest.raises(ValueError):
-            Diamond(Leg((0, 0), (0,)), Leg((0, 0, 0), (0, 0)))
-        with pytest.raises(ValueError):
-            Diamond(Leg((0, 0), (0,)), Leg((0, 1), (0,)))
-        with pytest.raises(ValueError):
-            Diamond(Leg((0, 0), (0,)), Leg((0, 0), (0,)))
+        # a malformed leg is refused as a malformed path
+        with pytest.raises(DimensionMismatch, match="^need one bundle index per level"):
+            PathWord((0, 0), ())
+        with pytest.raises(ValueError, match="^legs must have equal length$"):
+            Diamond(PathWord((0, 0), (0,)), PathWord((0, 0, 0), (0, 0)))
+        with pytest.raises(ValueError, match="^legs must share both endpoints$"):
+            Diamond(PathWord((0, 0), (0,)), PathWord((0, 1), (0,)))
+        with pytest.raises(ValueError, match="^legs must be distinct$"):
+            Diamond(PathWord((0, 0), (0,)), PathWord((0, 0), (0,)))
 
-    def test_make_diamond_canonicalizes_leg_order(self, two_odometer):
-        a, b = Leg((0, 0), (0,)), Leg((0, 0), (1,))
-        assert make_diamond(two_odometer, a, b) == make_diamond(two_odometer, b, a)
+    def test_the_legs_are_put_in_order(self, wm_a):
+        # either order of the legs makes one diamond, with one P_n sign
+        a, b = PathWord((1, 1), (0,)), PathWord((1, 1), (1,))
+        forward, backward = Diamond(a, b), Diamond(b, a)
+        assert backward == forward and hash(backward) == hash(forward)
+        assert (backward.leg_a, backward.leg_b) == (a, b)
+        assert [p_value(wm_a, backward, n) for n in range(1, 5)] == [1, 5, 19, 65]
+        assert p_sequence(wm_a, backward, 6) == p_sequence(wm_a, forward, 6)
 
-    # F = ((2,1),(1,2)): a bundle of two edges at each loop
-    OFF_BUNDLE = OrderedDiagram(StationaryDiagram(((2, 1), (1, 2))), ((0, 0, 1), (0, 1, 1)))
+    def test_legs_are_in_bundle_rank_order_on_the_corpus(self, oracle_cases):
+        # the order once kept by sorting on vertices, then on the bundle
+        # ranks of the legs' edges, which needed the ordered diagram
+        def key(od, leg):
+            return leg.vertices, tuple(od.bundle_rank(leg.vertices[t + 1], leg.vertices[t], m)
+                                       for t, m in enumerate(leg.indices))
 
-    @pytest.mark.parametrize("off", ("leg_a", "leg_b"))
-    def test_make_diamond_refuses_an_edge_off_its_bundle(self, off):
-        # raised as check_path raises it, not as a bare IndexError from the
-        # bundle ranks, whichever leg holds the edge
-        od = self.OFF_BUNDLE
-        legs = [Leg((0, 0), (5,)), Leg((0, 0), (1,))]
-        with pytest.raises(ValueError, match=r"^no edge 5 from vertex 1 to 1 \(bundle size 2\)$"):
-            make_diamond(od, *(legs if off == "leg_a" else legs[::-1]))
-        with pytest.raises(ValueError, match=r"^no edge 5 from vertex 1 to 1 "):
-            make_diamond(od, Leg((0, 0), (5,)), Leg((0, 0), (7,)))
-
-    @pytest.mark.parametrize("off", ("leg_a", "leg_b"))
-    def test_make_diamond_refuses_an_unknown_vertex(self, off):
-        od = self.OFF_BUNDLE
-        legs = [Leg((0, 3, 0), (0, 0)), Leg((0, 1, 0), (0, 0))]
-        with pytest.raises(DimensionMismatch, match="^path visits an unknown vertex$"):
-            make_diamond(od, *(legs if off == "leg_a" else legs[::-1]))
+        checked = 0
+        for od, cls, rows in oracle_cases[0]:
+            for dm in [dm for dm, _ in rows] + list(_spanning_diamonds(od, cls.index)):
+                assert key(od, dm.leg_a) < key(od, dm.leg_b)
+                checked += 1
+        assert checked == 7423
 
     def test_odometer_has_one_diamond(self, two_odometer):
         (dm,) = enumerate_diamonds(two_odometer)
@@ -235,9 +232,10 @@ class TestDiamonds:
         assert len(set(everything)) == 29
 
     def test_a_diamond_is_its_two_legs(self, wm_a):
-        # a diamond carries no class label, so the same legs make the same
-        # diamond whether made, listed for a class or named as a witness
-        made = make_diamond(wm_a, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
+        # a diamond carries no class label and no leg order, so the same legs
+        # make the same diamond whether made in either order, listed for a
+        # class or named as a witness
+        made = Diamond(PathWord((1, 1), (1,)), PathWord((1, 1), (0,)))
         listed = enumerate_diamonds(wm_a, 1)
         assert Diamond._fields == ("leg_a", "leg_b")
         assert made == listed[0] and hash(made) == hash(listed[0])
@@ -253,10 +251,13 @@ class TestDiamonds:
 
     @pytest.mark.parametrize("length", (0, -1))
     def test_lengths_below_one_are_refused(self, b1_ordered, length):
-        # no listed diamond is that short, and no leg of that length is built
+        # no listed diamond is that short; a one-vertex path is a leg of
+        # length 0, and two of them with the same endpoints are one leg
         assert not [dm for dm in enumerate_diamonds(b1_ordered) if dm.length <= length]
-        with pytest.raises(ValueError):
-            Leg((0,) * (length + 1), (0,) * length)
+        refusal = "legs must be distinct" if length == 0 else "a path has length at least 1"
+        leg = ((0,) * (length + 1), (0,) * length)
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            Diamond(PathWord(*leg), PathWord(*leg))
 
     def test_lengths_are_one_and_two(self, wm_a):
         # the length-1 pairs of each bundle come first: 1 + 1 + 3 on wm_a
@@ -268,7 +269,7 @@ class TestDiamonds:
         assert len(enumerate_diamonds(wm_a)) == 29
         assert sum(dm.length == 1 for dm in enumerate_diamonds(wm_a)) == 5
         monkeypatch.setattr(vershik, "DIAMOND_CAP", 28)
-        monkeypatch.setattr(vershik, "_diamond", None)  # counted, so none is built
+        monkeypatch.setattr(vershik, "Diamond", None)  # counted, so none is built
         with pytest.raises(CapExceeded) as exc:
             enumerate_diamonds(wm_a)
         assert (exc.value.required, exc.value.cap) == (29, 28)
@@ -276,7 +277,7 @@ class TestDiamonds:
 
 class TestReturnTimes:
     def test_adjacent_pair_return_times(self, wm_a):
-        dm = make_diamond(wm_a, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
+        dm = Diamond(PathWord((1, 1), (0,)), PathWord((1, 1), (1,)))
         assert [p_value(wm_a, dm, n) for n in range(1, 5)] == [1, 5, 19, 65]
         assert all(p_value(wm_a, dm, n) == 3 ** n - 2 ** n for n in range(1, 9))
 
@@ -284,7 +285,7 @@ class TestReturnTimes:
         assert recurrence_coefficients(wm_a.base) == (5, -6)
 
     def test_p_sequence_obeys_its_recurrence(self, wm_a):
-        dm = make_diamond(wm_a, Leg((1, 1), (0,)), Leg((1, 1), (2,)))
+        dm = Diamond(PathWord((1, 1), (0,)), PathWord((1, 1), (2,)))
         seq = p_sequence(wm_a, dm, 6)
         assert seq.coefficients == (5, -6)
         for n in range(3, 7):
@@ -325,7 +326,7 @@ class TestEigenvalues:
         assert eigenvalue_check(wm_a, 1, 2).passed
 
     def test_failures_carry_a_witness(self, wm_a):
-        adjacent = make_diamond(wm_a, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
+        adjacent = Diamond(PathWord((1, 1), (0,)), PathWord((1, 1), (1,)))
         verdict = eigenvalue_check(wm_a, 1, Fraction(1, 5), window=(2, 6))
         assert not verdict
         assert verdict.fail_n == 3  # P_3 = 19 breaks divisibility by 5
@@ -360,7 +361,7 @@ class TestEigenvalues:
     def test_every_vershik_entry_point_requires_an_aperiodic_diagram(self):
         # one path, no diamond: without the gate G = 0 and every theta passes
         od = OrderedDiagram(StationaryDiagram(((1,),)), ((0,),))
-        dm = Diamond(Leg((0, 0), (0,)), Leg((0, 0), (1,)))
+        dm = Diamond(PathWord((0, 0), (0,)), PathWord((0, 0), (1,)))
         for call in (lambda: eigenvalue_search(od, 0, 12),
                      lambda: eigenvalue_check(od, 0, Fraction(1, 2)),
                      lambda: rational_eigenvalue_sufficient(od, 0, Fraction(1, 2)),
@@ -656,14 +657,14 @@ class TestNonmixing:
     def test_the_limit_on_a_two_vertex_class(self):
         # the overlap ratios of [0] and of [1] at n = 10, 20, 40 tend to 1/6
         od = OrderedDiagram(StationaryDiagram(((2, 1), (1, 2))), ((0, 0, 1), (0, 1, 1)))
-        dm = make_diamond(od, Leg((0, 0), (0,)), Leg((0, 0), (1,)))
+        dm = Diamond(PathWord((0, 0), (0,)), PathWord((0, 0), (1,)))
         report = nonmixing_witness(od, 0, dm)
         assert (report.limit, report.path, report.mass) == (
             Fraction(1, 6), min_path(od, 0, 3), Fraction(1, 18))
 
     def test_a_mass_equal_to_the_limit_certifies_nothing(self, wm_a):
         # level 1 has mass 1/3 = r_inf, so the witness is on level 2
-        dm = make_diamond(wm_a, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
+        dm = Diamond(PathWord((1, 1), (0,)), PathWord((1, 1), (1,)))
         report = nonmixing_witness(wm_a, 1, dm)
         assert report == NonmixingReport(1, dm, Fraction(1, 3), min_path(wm_a, 1, 2),
                                          Fraction(1, 9))
@@ -676,9 +677,9 @@ class TestNonmixing:
         decomp = decompose(od.base)
         xi = distinguished_eigenvector(decomp, alpha).xi
         lam = decomp.classes[alpha].rho.value
-        leg = report.diamond.leg_a
+        leg, k = report.diamond.leg_a, report.diamond.length
         power = linalg.mat_pow([list(row) for row in decomp.a_matrix], n)
-        return [(abs(xi[leg.range] * power[i][leg.source] / (lam ** (n + leg.length) * x)
+        return [(abs(xi[leg.terminal] * power[i][leg.vertices[0]] / (lam ** (n + k) * x)
                      / report.limit - 1), decomp.class_of[i] == alpha)
                 for i, x in enumerate(xi) if x]
 
@@ -721,7 +722,7 @@ class TestNonmixing:
             loops = [v for v in range(n) if od.base.incidence[v][v] >= 2]
             if loops:
                 v = loops[0]
-                dm = make_diamond(od, Leg((v, v), (0,)), Leg((v, v), (1,)))
+                dm = Diamond(PathWord((v, v), (0,)), PathWord((v, v), (1,)))
                 errors.append(self._overlap_errors(od, 0, nonmixing_witness(od, 0, dm), 200))
         assert len(errors) == 134
         assert max(e for case in errors for e, _ in case) < Fraction(1, 10 ** 30)
@@ -730,12 +731,12 @@ class TestNonmixing:
         # class 1 (lam 3) is distinguished and has a certificate; the gate
         # refuses the diagram for its initial class 0, whose block is (1)
         od = OrderedDiagram(StationaryDiagram(((1, 0), (1, 3))), ((0,), (0, 1, 1, 1)))
-        dm = make_diamond(od, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
+        dm = Diamond(PathWord((1, 1), (0,)), PathWord((1, 1), (1,)))
         with pytest.raises(NotAperiodicError, match="initial class 0 has Perron value 1$"):
             nonmixing_witness(od, 1, dm)
 
     def test_diamond_must_live_in_the_class(self, wm_a):
-        dm = make_diamond(wm_a, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
+        dm = Diamond(PathWord((1, 1), (0,)), PathWord((1, 1), (1,)))
         with pytest.raises(ValueError, match="diamond must live inside the carrying class"):
             nonmixing_witness(wm_a, 0, dm)
 
@@ -743,9 +744,9 @@ class TestNonmixing:
         # edges 5 and 7 of a bundle of two: no certificate, and no bare
         # IndexError from the return times
         od = OrderedDiagram(StationaryDiagram(((2, 1), (1, 2))), ((0, 0, 1), (0, 1, 1)))
-        off = Diamond(Leg((0, 0), (5,)), Leg((0, 0), (7,)))
-        unknown = Diamond(Leg((0, 2), (0,)), Leg((0, 2), (1,)))
-        half = Diamond(Leg((0, 0), (1,)), Leg((0, 0), (2,)))
+        off = Diamond(PathWord((0, 0), (5,)), PathWord((0, 0), (7,)))
+        unknown = Diamond(PathWord((0, 2), (0,)), PathWord((0, 2), (1,)))
+        half = Diamond(PathWord((0, 0), (1,)), PathWord((0, 0), (2,)))
         for call in (lambda dm: nonmixing_witness(od, 0, dm),
                      lambda dm: p_value(od, dm, 3),
                      lambda dm: p_sequence(od, dm, 3)):
@@ -757,7 +758,7 @@ class TestNonmixing:
                 call(unknown)
 
     def test_a_class_that_is_not_distinguished_is_refused(self, b1_ordered):
-        dm = make_diamond(b1_ordered, Leg((1, 1), (0,)), Leg((1, 1), (1,)))
+        dm = Diamond(PathWord((1, 1), (0,)), PathWord((1, 1), (1,)))
         with pytest.raises(NotDistinguishedError, match="class 1 is not distinguished"):
             nonmixing_witness(b1_ordered, 1, dm)
 
