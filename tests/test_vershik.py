@@ -757,6 +757,38 @@ class TestNonmixing:
             with pytest.raises(DimensionMismatch, match="unknown vertex"):
                 call(unknown)
 
+    # F = ((2,1),(1,2)): a bundle of two edges at each loop
+    OFF_BUNDLE = OrderedDiagram(StationaryDiagram(((2, 1), (1, 2))), ((0, 0, 1), (0, 1, 1)))
+
+    def _refused_in_either_slot(self, good, bad, slot, error, message):
+        # whichever leg the canonical order puts the bad path in, each entry
+        # point raises as check_path does, not with a bare IndexError
+        od = self.OFF_BUNDLE
+        dm = Diamond(bad, good)
+        assert getattr(dm, slot) == bad
+        for call in (lambda: nonmixing_witness(od, 0, dm),
+                     lambda: p_value(od, dm, 3),
+                     lambda: p_sequence(od, dm, 3)):
+            with pytest.raises(error, match=message):
+                call()
+
+    @pytest.mark.parametrize("slot", ("leg_a", "leg_b"))
+    def test_an_edge_off_its_bundle_is_refused_in_either_leg(self, slot):
+        if slot == "leg_a":
+            good, bad = PathWord((0, 1, 0), (0, 0)), PathWord((0, 0, 0), (5, 0))
+            message = r"^no edge 5 from vertex 1 to 1 \(bundle size 2\)$"
+        else:
+            good, bad = PathWord((0, 0, 0), (0, 0)), PathWord((0, 1, 0), (0, 5))
+            message = r"^no edge 5 from vertex 2 to 1 \(bundle size 1\)$"
+        self._refused_in_either_slot(good, bad, slot, ValueError, message)
+
+    @pytest.mark.parametrize("slot", ("leg_a", "leg_b"))
+    def test_an_unknown_vertex_is_refused_in_either_leg(self, slot):
+        good = PathWord((0, 1, 0, 0), (0, 0, 0))
+        bad = PathWord((0, 0, 2, 0) if slot == "leg_a" else (0, 1, 2, 0), (0, 0, 0))
+        self._refused_in_either_slot(good, bad, slot, DimensionMismatch,
+                                     "^path visits an unknown vertex$")
+
     def test_a_class_that_is_not_distinguished_is_refused(self, b1_ordered):
         dm = Diamond(PathWord((1, 1), (0,)), PathWord((1, 1), (1,)))
         with pytest.raises(NotDistinguishedError, match="class 1 is not distinguished"):
